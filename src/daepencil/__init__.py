@@ -7,7 +7,7 @@ values, solves Eu' + Au = 0 classically through the restricted generator,
 and verifies the governing resolvent identities in the Laplace domain.
 """
 
-from .analysis import AnalysisReport, analyze_pencil, report_to_json
+from .analysis import Analysis, AnalysisReport, analyze_pencil, build_analysis, report_to_json
 from .chains import (
     IsoReport,
     IvChain,
@@ -82,6 +82,7 @@ from .version import __version__
 
 __all__ = [
     "__version__",
+    "Analysis",
     "AnalysisReport",
     "ConditioningWarning",
     "DaePencilError",
@@ -108,6 +109,7 @@ __all__ = [
     "Trajectory",
     "TruncatedChainError",
     "analyze_pencil",
+    "build_analysis",
     "certify_regularity",
     "check_restricted_iso",
     "classical_solution",

@@ -1,9 +1,10 @@
 """Full single-pencil analysis and its JSON-ready report.
 
-Runs the regularity certificate, all three index routes, the IV chain, the
-restricted-isomorphism check, and the identity verifiers, and collects
-everything in one serializable record.  Given identical inputs and seed the
-JSON output is byte-identical between runs.
+build_analysis runs the regularity certificate, all three index routes, the
+IV chain and the restricted-isomorphism check once, into one Analysis record
+that solvers, verifiers and the property suite share.  analyze_pencil adds the
+identity verifiers and formats the record as one serializable report.  Given
+identical inputs and seed the JSON output is byte-identical between runs.
 """
 
 from __future__ import annotations
@@ -14,7 +15,14 @@ import json
 
 import numpy as np
 
-from .chains import check_restricted_iso, compute_chain, consistent_space, index_by_chain
+from .chains import (
+    IsoReport,
+    IvChain,
+    check_restricted_iso,
+    compute_chain,
+    consistent_space,
+    index_by_chain,
+)
 from .laplace import (
     expansion_grid,
     verify_commutation,
@@ -23,15 +31,59 @@ from .laplace import (
     verify_solution_formula,
     verify_transform_match,
 )
-from .pencils import Pencil, certify_regularity, index_by_growth, index_by_nilpotency
+from .pencils import (
+    IndexEstimate,
+    Pencil,
+    RegularityCertificate,
+    certify_regularity,
+    index_by_growth,
+    index_by_nilpotency,
+)
 from .rng import make_rng
 from .solvers import reduced_generator
 from .subspaces import RankTolerance
 from .version import __version__
 
-__all__ = ["AnalysisReport", "analyze_pencil", "report_to_json"]
+__all__ = ["Analysis", "AnalysisReport", "build_analysis", "analyze_pencil", "report_to_json"]
 
 IDENTITY_POINTS = tuple(np.geomspace(0.5, 50.0, 20))
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """The per-pencil artifacts, each computed once by build_analysis.
+
+    The certificate and the nilpotency index use the seed build_analysis was
+    given.  Every field after certificate is None when the pencil is not
+    regular.
+    """
+
+    pencil: Pencil
+    certificate: RegularityCertificate
+    chain: IvChain | None = None
+    growth: IndexEstimate | None = None
+    nilpotency: IndexEstimate | None = None
+    chain_index: IndexEstimate | None = None
+    iso: IsoReport | None = None
+
+
+def build_analysis(
+    pencil: Pencil, seed: int = 0, tol: RankTolerance = RankTolerance()
+) -> Analysis:
+    """Certify regularity and, for a regular pencil, run every analysis stage."""
+    certificate = certify_regularity(pencil, seed)
+    if not certificate.regular:
+        return Analysis(pencil, certificate)
+    chain = compute_chain(pencil, tol)
+    return Analysis(
+        pencil,
+        certificate,
+        chain=chain,
+        growth=index_by_growth(pencil),
+        nilpotency=index_by_nilpotency(pencil, seed),
+        chain_index=index_by_chain(chain),
+        iso=check_restricted_iso(pencil, chain),
+    )
 
 
 @dataclass
@@ -56,90 +108,60 @@ class AnalysisReport:
     versions: dict = field(default_factory=dict)
 
 
-def _estimate_dict(estimate):
-    return {
-        "k": estimate.k,
-        "method": estimate.method,
-        "confident": estimate.confident,
-        "diagnostics": estimate.diagnostics,
-    }
-
-
 def _identity_dict(report):
-    return {
-        "identity": report.identity,
-        "points": len(report.sample_points),
-        "max_relative_error": report.max_relative_error,
-        "passed": report.passed,
-        "details": report.details,
-    }
+    out = asdict(report)
+    out["points"] = len(out.pop("sample_points"))
+    return out
 
 
 def analyze_pencil(
     pencil: Pencil, seed: int = 0, tol: RankTolerance = RankTolerance()
 ) -> AnalysisReport:
+    """The Analysis of the pencil plus the identity verifiers, as one report."""
+    a = build_analysis(pencil, seed, tol)
     report = AnalysisReport(
         n=pencil.n,
         seed=seed,
         tol=tol.relative,
-        regular=False,
+        regular=a.certificate.regular,
+        witness=a.certificate.witness,
         versions={"daepencil": __version__, "numpy": np.__version__},
     )
-    certificate = certify_regularity(pencil, seed)
-    report.regular = certificate.regular
-    report.witness = certificate.witness
-    if not certificate.regular:
+    if not report.regular:
         return report
 
-    growth = index_by_growth(pencil)
-    nilpotency = index_by_nilpotency(pencil, seed)
-    chain = compute_chain(pencil, tol)
-    chain_estimate = index_by_chain(chain)
-    report.index_growth = _estimate_dict(growth)
-    report.index_nilpotency = _estimate_dict(nilpotency)
-    report.index_chain = _estimate_dict(chain_estimate)
-    report.indices_agree = chain_estimate.k == nilpotency.k and (
-        not growth.confident or growth.k == chain_estimate.k
+    chain = a.chain
+    consistent = consistent_space(pencil, chain)
+    report.index_growth = asdict(a.growth)
+    report.index_nilpotency = asdict(a.nilpotency)
+    report.index_chain = asdict(a.chain_index)
+    report.indices_agree = a.chain_index.k == a.nilpotency.k and (
+        not a.growth.confident or a.growth.k == a.chain_index.k
     )
     report.iv_dims = list(chain.dims)
     report.stabilization = chain.stabilization
-    consistent = consistent_space(pencil, chain)
     report.consistent_dim = consistent.dim
+    report.iso = asdict(a.iso)
 
-    iso = check_restricted_iso(pencil, chain)
-    report.iso = {
-        "k": iso.k,
-        "dim_domain": iso.dim_domain,
-        "dim_codomain": iso.dim_codomain,
-        "sigma_min": iso.sigma_min,
-        "sigma_max": iso.sigma_max,
-        "bijective": iso.bijective,
-    }
-
-    points = IDENTITY_POINTS
-    checks = [
-        verify_commutation(pencil, points),
-        verify_shift(pencil, points),
-    ]
-    grid = expansion_grid(chain.stabilization)  # None: k too high for float64
-    if grid is not None:
-        checks.append(verify_expansion(pencil, chain, chain.stabilization, grid))
-    rng = make_rng(seed)
-    u0 = rng.standard_normal(pencil.n)
+    checks = [verify_commutation(pencil, IDENTITY_POINTS), verify_shift(pencil, IDENTITY_POINTS)]
+    if expansion_grid(chain.stabilization) is not None:  # None: k too high for float64
+        checks.append(verify_expansion(pencil, chain, chain.stabilization))
+    u0 = make_rng(seed).standard_normal(pencil.n)
     u0 /= np.linalg.norm(u0)
-    checks.append(verify_solution_formula(pencil, u0, points))
-    if consistent.dim and iso.bijective:
-        # pick s past the solution's growth rate so the Laplace tail decays
-        generator = reduced_generator(pencil, chain)
-        alpha = max(0.0, float(np.max(-np.real(np.linalg.eigvals(generator.M)))))
-        u0c = consistent.basis[:, 0].real
-        checks.append(
-            verify_transform_match(
-                pencil, chain, u0c, (alpha + 3.0, alpha + 4.0), T=10.0
-            )
-        )
+    checks.append(verify_solution_formula(pencil, u0, IDENTITY_POINTS))
+    if consistent.dim and a.iso.bijective:
+        checks.append(_transform_match(pencil, chain, consistent))
     report.identity_checks = [_identity_dict(c) for c in checks]
     return report
+
+
+def _transform_match(pencil, chain, consistent):
+    """verify_transform_match from the first consistent basis vector, with s
+    past the solution's growth rate so the Laplace tail decays."""
+    M = reduced_generator(pencil, chain).M
+    alpha = max(0.0, float(np.max(-np.real(np.linalg.eigvals(M)))))
+    u0 = consistent.basis[:, 0].real
+    return verify_transform_match(pencil, chain, u0, (alpha + 3.0, alpha + 4.0), T=10.0)
 
 
 def _jsonable(value):

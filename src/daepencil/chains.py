@@ -8,12 +8,12 @@ values admitting a classical solution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exceptions import ShapeMismatchError, TruncatedChainError
-from .pencils import IndexEstimate, Pencil
+from .pencils import IndexEstimate, Pencil, _cached
 from .subspaces import RankTolerance, Subspace, equal, full_space, image, preimage
 
 __all__ = [
@@ -34,11 +34,19 @@ class IvChain:
     the iteration cap was hit first (then truncated is True).  In finite
     dimensions the strictly decreasing dimensions force stabilization within
     n + 1 steps, so truncation only signals a numerical pathology.
+
+    compute_chain also records the pencil the spaces belong to and the images
+    E[IV_j] it computed on the way (one per space but the last); the
+    restricted-isomorphism report and the reduced generator are computed once
+    from them and kept on the chain.
     """
 
     spaces: tuple
     stabilization: int | None
     truncated: bool
+    pencil: Pencil | None = field(default=None, init=False, repr=False, compare=False)
+    images: tuple = field(default=(), init=False, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dims(self) -> tuple:
@@ -60,13 +68,24 @@ def compute_chain(pencil: Pencil, tol: RankTolerance = RankTolerance(), max_k=No
     if max_k is None:
         max_k = n + 2
     spaces = [full_space(n, tol)]
+    images = []
     while True:
-        spaces.append(preimage(pencil.A, image(pencil.E, spaces[-1])))
-        j = len(spaces) - 1  # the space just computed is IV_j
-        if j >= 2 and equal(spaces[-1], spaces[-2]):
-            return IvChain(tuple(spaces), stabilization=j - 2, truncated=False)
-        if j >= max_k:
-            return IvChain(tuple(spaces), stabilization=None, truncated=True)
+        images.append(image(pencil.E, spaces[-1]))
+        spaces.append(preimage(pencil.A, images[-1]))
+        stable = len(spaces) >= 3 and equal(spaces[-1], spaces[-2])
+        if stable or len(spaces) > max_k:
+            break
+    # the last space is IV_j with j = len(spaces) - 1; stable means k = j - 2
+    chain = IvChain(tuple(spaces), len(spaces) - 3 if stable else None, not stable)
+    object.__setattr__(chain, "pencil", pencil)
+    object.__setattr__(chain, "images", tuple(images))
+    return chain
+
+
+def _check_owner(pencil: Pencil, chain: IvChain):
+    """Reject a chain computed for another pencil (compared by value)."""
+    if chain.pencil != pencil:
+        raise ShapeMismatchError("chain does not belong to this pencil")
 
 
 def index_by_chain(chain: IvChain) -> IndexEstimate:
@@ -88,12 +107,10 @@ def index_by_chain(chain: IvChain) -> IndexEstimate:
 
 def consistent_space(pencil: Pencil, chain: IvChain) -> Subspace:
     """IV_{k+1} at the stabilization step k: the consistent initial values."""
+    _check_owner(pencil, chain)
     if chain.truncated:
         raise TruncatedChainError("chain hit max_k before stabilizing")
-    space = chain.spaces[chain.stabilization + 1]
-    if space.ambient_dim != pencil.n:
-        raise ShapeMismatchError("chain does not belong to this pencil")
-    return space
+    return chain.spaces[chain.stabilization + 1]
 
 
 @dataclass(frozen=True)
@@ -115,12 +132,21 @@ class IsoReport:
 
 
 def check_restricted_iso(pencil: Pencil, chain: IvChain) -> IsoReport:
-    """Form the matrix of E from IV_{k+1} into E[IV_k] and test bijectivity."""
+    """Form the matrix of E from IV_{k+1} into E[IV_k] and test bijectivity.
+
+    Computed once per chain and kept on it.
+    """
+    _check_owner(pencil, chain)
     if chain.truncated:
         raise TruncatedChainError("chain hit max_k before stabilizing")
+    return _cached(chain, "iso", lambda: _restricted_iso(chain))
+
+
+def _restricted_iso(chain):
+    pencil = chain.pencil
     k = chain.stabilization
     domain = chain.spaces[k + 1]
-    codomain = image(pencil.E, chain.spaces[k])
+    codomain = chain.images[k]
     if domain.dim == 0 and codomain.dim == 0:
         return IsoReport(k, 0, 0, None, None, True)
     restricted = codomain.basis.conj().T @ (pencil.E @ domain.basis)
@@ -130,7 +156,7 @@ def check_restricted_iso(pencil: Pencil, chain: IvChain) -> IsoReport:
     svals = np.linalg.svd(restricted, compute_uv=False)
     # bijectivity floor measured against ||E||, not against the restricted
     # matrix itself, so a map that vanishes on IV_{k+1} cannot look invertible
-    cutoff = chain.tol.relative * np.linalg.norm(pencil.E, 2) * max(restricted.shape)
+    cutoff = chain.tol.relative * pencil.norm_E * max(restricted.shape)
     bijective = domain.dim == codomain.dim and float(svals[-1]) > cutoff
     return IsoReport(
         k=k,

@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -207,20 +208,7 @@ def _cmd_generate(args):
     u0 = cons.basis[:, 0].real if cons.dim else np.zeros(pencil.n)
     write_vector(os.path.join(args.out, "u0.txt"), u0)
 
-    info = {
-        "spec": {
-            "n1": spec.n1,
-            "nilpotent_blocks": list(spec.nilpotent_blocks),
-            "conditioning": spec.conditioning,
-            "seed": spec.seed,
-        },
-        "ground_truth": {
-            "kronecker_index": truth.kronecker_index,
-            "growth_index": truth.growth_index,
-            "consistent_dim": truth.consistent_dim,
-        },
-        "n": pencil.n,
-    }
+    info = {"spec": asdict(spec), "ground_truth": asdict(truth), "n": pencil.n}
     with open(os.path.join(args.out, "truth.json"), "w", encoding="ascii", newline="\n") as fh:
         fh.write(json.dumps(info, sort_keys=True, indent=2) + "\n")
     print(f"wrote E.mtx, A.mtx, u0.txt, truth.json to {args.out}")

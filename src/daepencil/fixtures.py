@@ -8,7 +8,7 @@ truth for the index and the dimension of its consistent space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,6 @@ class FixtureSpec:
     nilpotent_blocks: tuple = ()
     conditioning: float = 100.0
     seed: int = 0
-    field: str = "real"
 
     def __post_init__(self):
         object.__setattr__(self, "nilpotent_blocks", tuple(int(b) for b in self.nilpotent_blocks))
@@ -43,8 +42,6 @@ class FixtureSpec:
             raise ValueError("total dimension must be >= 1")
         if self.conditioning < 1.0:
             raise ValueError("conditioning bound must be >= 1")
-        if self.field != "real":
-            raise ValueError(f"unsupported scalar field {self.field!r}")
 
     @property
     def dim(self) -> int:

@@ -13,10 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import IvChain
-from .exceptions import InconsistentInitialValueError, SingularMatrixError
-from .pencils import Pencil, resolvent
-from .solvers import classical_solution, is_consistent
+from .chains import IvChain, _check_owner
+from .pencils import Pencil, _resolvent_retry, resolvent
+from .solvers import classical_solution
 
 __all__ = [
     "IdentityReport",
@@ -55,19 +54,9 @@ class IdentityReport:
     details: dict = field(default_factory=dict)
 
 
-def _resolvent_retry(pencil, s, tries=6):
-    for _ in range(tries):
-        try:
-            return resolvent(pencil, s), s
-        except SingularMatrixError:
-            s = s * 1.01
-    raise SingularMatrixError(f"resolvent failed near s = {s}")
-
-
 def verify_commutation(pencil: Pencil, points) -> IdentityReport:
     """E (sE+A)^{-1} A = A (sE+A)^{-1} E at every sample point."""
-    nE = np.linalg.norm(pencil.E, 2)
-    nA = np.linalg.norm(pencil.A, 2)
+    nE, nA = pencil.norm_E, pencil.norm_A
     worst = 0.0
     for s in points:
         R = resolvent(pencil, s)
@@ -134,7 +123,7 @@ def _fit_expansion_coefficients(pencil, x, k, ratio=2.0):
     samples = []
     nodes = []
     for s in s_ref * ratio ** np.arange(k + 2):
-        R, s_used = _resolvent_retry(pencil, float(s), tries=6)
+        R, s_used = _resolvent_retry(pencil, float(s))
         samples.append((R @ (pencil.E @ x)) * s_used)
         nodes.append(s_used)
     nodes = np.array(nodes)  # retries may have nudged points off the grid
@@ -161,10 +150,12 @@ def verify_expansion(pencil: Pencil, chain: IvChain, k: int, s_grid=None) -> Ide
 
     In floating point the sampled remainder carries roundoff of the stored
     pencil of size ~eps * s^(k+1), so the check is only meaningful below the
-    horizon s_h(k) = (1/eps)^(1/(k+1)); pass expansion_grid(k) as s_grid to
-    stay there.  The default grid, s in [1e3, 1e6], suits only exactly stored
-    pencils or small k.
+    horizon s_h(k) = (1/eps)^(1/(k+1)).  The default s_grid is therefore
+    expansion_grid(k); where that is None (s_h(k) < 1e3, from k = 5 on) a
+    ValueError asks for an explicit grid.  Exactly stored pencils can be
+    sampled further out.
     """
+    _check_owner(pencil, chain)
     if k < 0:
         raise ValueError("k must be nonnegative")
     if chain.stabilization is not None and k > chain.stabilization + 1:
@@ -174,11 +165,15 @@ def verify_expansion(pencil: Pencil, chain: IvChain, k: int, s_grid=None) -> Ide
     if k >= len(chain.spaces):
         raise ValueError(f"chain only records spaces up to IV_{len(chain.spaces) - 1}")
     if s_grid is None:
-        s_grid = np.geomspace(1e3, 1e6, 16)
+        s_grid = expansion_grid(k)
+        if s_grid is None:
+            raise ValueError(
+                f"no default grid at k = {k}: the float64 horizon "
+                f"s_h(k) = {_float64_horizon(k):.3g} lies below 1e3; pass s_grid"
+            )
     s_grid = np.asarray(s_grid, dtype=float)
 
     iv_k = chain.spaces[k]
-    nA = np.linalg.norm(pencil.A, 2)
     details = {"k": k, "basis_dim": iv_k.dim}
     if iv_k.dim == 0:
         return IdentityReport("expansion_e", tuple(s_grid), 0.0, True, details)
@@ -195,8 +190,8 @@ def verify_expansion(pencil: Pencil, chain: IvChain, k: int, s_grid=None) -> Ide
 
     worst_c = 0.0
     for s in s_grid:
-        R, s_used = _resolvent_retry(pencil, float(s), tries=6)
-        bound = 1.0 + np.linalg.norm(R, 2) * nA
+        R, s_used = _resolvent_retry(pencil, float(s))
+        bound = 1.0 + np.linalg.norm(R, 2) * pencil.norm_A
         powers = s_used ** -(np.arange(1, k + 1) + 1.0)
         for x, coeffs in zip(iv_k.basis.T, fits):
             remainder = R @ (pencil.E @ x) - x / s_used
@@ -260,7 +255,8 @@ def verify_transform_match(
     states; every s must satisfy s*T >= 30 so the truncation tail
     exp(-sT) ||u||_inf / s sits below the tolerance.  Halving the step count
     is rechecked; a change above 10% of the tolerance sets a
-    quadrature_warning in the details.
+    quadrature_warning in the details.  An inconsistent u0 raises
+    InconsistentInitialValueError from classical_solution.
     """
     s_points = [float(s) for s in s_points]
     if not s_points:
@@ -268,12 +264,6 @@ def verify_transform_match(
     for s in s_points:
         if s <= 0 or s * T < MIN_ST:
             raise ValueError(f"require s > 0 and s*T >= {MIN_ST}, got s={s}, T={T}")
-    ok, dist = is_consistent(pencil, chain, u0)
-    if not ok:
-        raise InconsistentInitialValueError(
-            f"transform match needs a consistent u0 (distance {dist:.6e})",
-            distance=dist,
-        )
 
     steps = max(4, int(np.ceil(quad_steps / 4)) * 4)  # full and halved Simpson
     times = np.linspace(0.0, T, steps + 1)

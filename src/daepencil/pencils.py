@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -44,16 +45,48 @@ SLOPE_AMBIGUOUS = (0.35, 0.65)
 SLOPE_RMS_MAX = 0.1
 
 
+def _cached(owner, key, build):
+    """owner's artifact under key, built by build() on first use and kept.
+
+    Owners are frozen values over read-only arrays (a Pencil from new_pencil,
+    an IvChain from compute_chain), so a kept artifact cannot go stale.
+    """
+    if key not in owner._cache:
+        owner._cache[key] = build()
+    return owner._cache[key]
+
+
 @dataclass(frozen=True)
 class Pencil:
-    """Validated pair of same-size square matrices over a common scalar field."""
+    """Validated pair of same-size square matrices over a common scalar field.
+
+    Build it with new_pencil, which makes both arrays read-only; the
+    per-pencil artifacts (norms, certificates, shifts, splittings) are then
+    computed once and kept on the pencil.  Pencils compare by value.
+    """
 
     E: np.ndarray
     A: np.ndarray
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return self.E.shape[0]
+
+    @cached_property
+    def norm_E(self) -> float:
+        """||E||_2."""
+        return float(np.linalg.norm(self.E, 2))
+
+    @cached_property
+    def norm_A(self) -> float:
+        """||A||_2."""
+        return float(np.linalg.norm(self.A, 2))
+
+    def __eq__(self, other):
+        if not isinstance(other, Pencil):
+            return NotImplemented
+        return np.array_equal(self.E, other.E) and np.array_equal(self.A, other.A)
 
     @property
     def is_complex(self) -> bool:
@@ -106,6 +139,8 @@ class RegularityCertificate:
 def certify_regularity(pencil: Pencil, seed: int = 0) -> RegularityCertificate:
     """Sample det(sE + A) on a circle of radius 1 + ||E||_F + ||A||_F.
 
+    Computed once per (pencil, seed) and kept on the pencil.
+
     The n+1 angles are equally spaced with a seed-dependent rotation, which
     keeps the verdict seed-independent while avoiding any fixed unlucky
     alignment of sample points with determinant roots.
@@ -116,6 +151,10 @@ def certify_regularity(pencil: Pencil, seed: int = 0) -> RegularityCertificate:
     analytically can evaluate to roundoff-level determinants and be certified
     regular; that is consistent with treating the stored floats as the pencil.
     """
+    return _cached(pencil, ("certificate", seed), lambda: _certify(pencil, seed))
+
+
+def _certify(pencil, seed):
     n = pencil.n
     radius = 1.0 + float(np.linalg.norm(pencil.E)) + float(np.linalg.norm(pencil.A))
     phase = make_rng(seed).uniform(0.0, 2.0 * np.pi)
@@ -173,11 +212,11 @@ def _round_half_away(x: float) -> int:
     return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
 
 
-def _resolvent_norm_retry(pencil, s, tries=6):
-    """Spectral norm of the resolvent, nudging s off singular points."""
+def _resolvent_retry(pencil, s, tries=6):
+    """(sE+A)^{-1} and the s it was taken at, nudging s off singular points."""
     for _ in range(tries):
         try:
-            return float(np.linalg.norm(resolvent(pencil, s), 2)), s
+            return resolvent(pencil, s), s
         except SingularMatrixError:
             s = s * 1.01
     raise SingularMatrixError(
@@ -199,6 +238,10 @@ def index_by_growth(
     confident when the slope's fractional part is ambiguous or the fit
     residual is large (the latter happens when floating-point saturation of
     the stored pencil caps the observable growth of high-index problems).
+    A sample whose resolvent stays singular after its retries is saturated
+    outright: it is dropped from the fit (counted in samples_dropped) and the
+    estimate is not confident.  Raises SingularMatrixError only when fewer
+    than two samples of the upper half remain.
     """
     if samples < 4:
         raise ValueError("need at least 4 samples for a slope fit")
@@ -208,12 +251,21 @@ def index_by_growth(
         raise NotRegularError("growth sampling needs a regular pencil")
 
     grid = np.geomspace(s_min, s_max, samples)
-    norms = np.empty(samples)
-    used = np.empty(samples)
+    norms = np.full(samples, np.nan)
+    used = np.full(samples, np.nan)
     for j, s in enumerate(grid):
-        norms[j], used[j] = _resolvent_norm_retry(pencil, float(s))
+        try:
+            R, used[j] = _resolvent_retry(pencil, float(s))
+        except SingularMatrixError:
+            continue
+        norms[j] = np.linalg.norm(R, 2)
 
-    upper = slice(samples // 2, None)
+    sampled = ~np.isnan(norms)
+    upper = sampled & (np.arange(samples) >= samples // 2)
+    if np.count_nonzero(upper) < 2:
+        raise SingularMatrixError(
+            f"only {np.count_nonzero(upper)} resolvent samples left to fit a line"
+        )
     logs = np.log(used[upper])
     logn = np.log(norms[upper])
     (slope, intercept), res = np.polyfit(logs, logn, 1, full=True)[:2]
@@ -221,62 +273,59 @@ def index_by_growth(
 
     k = max(_round_half_away(float(slope)), 0)
     frac = float(slope - math.floor(slope))
+    dropped = samples - int(np.count_nonzero(sampled))
     confident = not (SLOPE_AMBIGUOUS[0] <= frac <= SLOPE_AMBIGUOUS[1])
-    confident = confident and rms <= SLOPE_RMS_MAX
-    return IndexEstimate(
-        k=k,
-        method="growth",
-        confident=confident,
-        diagnostics={
-            "slope": float(slope),
-            "intercept": float(intercept),
-            "fit_residual": rms,
-            "points_fitted": int(logs.size),
-            "s_range": (float(used[0]), float(used[-1])),
-        },
-    )
+    confident = confident and rms <= SLOPE_RMS_MAX and not dropped
+    diagnostics = {
+        "slope": float(slope),
+        "intercept": float(intercept),
+        "fit_residual": rms,
+        "points_fitted": int(logs.size),
+        "s_range": (float(used[sampled][0]), float(used[sampled][-1])),
+    }
+    if dropped:
+        diagnostics["samples_dropped"] = dropped
+    return IndexEstimate(k=k, method="growth", confident=confident, diagnostics=diagnostics)
+
+
+def _shifted_kernels(pencil: Pencil, seed: int):
+    """(s0, F, kernels) for the seed-derived shift, kept on the pencil.
+
+    s0 is drawn from [1, 2] and nudged off singular points like any other
+    resolvent sample; F = (s0 E + A)^{-1} E is read-only.  kernels is
+    ker F^0 = {0} <= ker F <= ker F^2 <= ..., computed by iterated preimages
+    rather than explicit powers of F (which keeps every rank decision at the
+    scale of F itself), up to and including the first repeated dimension.
+    Both the nilpotency index and the Fitting splitting read it.
+    """
+
+    def build():
+        R, s0 = _resolvent_retry(pencil, float(make_rng(seed).uniform(1.0, 2.0)), tries=10)
+        F = R @ pencil.E
+        F.setflags(write=False)
+        kernels = [zero_space(pencil.n, RankTolerance())]
+        while len(kernels) < 2 or kernels[-1].dim != kernels[-2].dim:
+            kernels.append(preimage(F, kernels[-1]))
+        return s0, F, tuple(kernels)
+
+    return _cached(pencil, ("shift", seed), build)
 
 
 def index_by_nilpotency(pencil: Pencil, seed: int = 0) -> IndexEstimate:
     """Index from the kernel chain of F = (s0 E + A)^{-1} E.
 
-    With s0 a random shift in [1, 2] (retried on singular hits), the chain
-    ker F^0 = {0} <= ker F <= ker F^2 <= ... stabilizes at step nu, the
-    nilpotency degree of the eigenvalue-zero part of F.  The nilpotent part
-    contributes resolvent growth |s|^(nu-1) while the invertible part decays,
-    so the growth index is max(nu - 1, 0).  The chain is computed by iterated
-    preimages rather than explicit powers of F, which keeps every rank
-    decision at the scale of F itself.
+    The chain ker F^0 = {0} <= ker F <= ker F^2 <= ... (see _shifted_kernels)
+    stabilizes at step nu, the nilpotency degree of the eigenvalue-zero part
+    of F.  The nilpotent part contributes resolvent growth |s|^(nu-1) while
+    the invertible part decays, so the growth index is max(nu - 1, 0).
     """
     if not certify_regularity(pencil, seed).regular:
         raise NotRegularError("the kernel-chain oracle needs a regular pencil")
-    rng = make_rng(seed)
-    F = None
-    for _ in range(10):
-        s0 = float(rng.uniform(1.0, 2.0))
-        try:
-            F = resolvent(pencil, s0) @ pencil.E
-            break
-        except SingularMatrixError:
-            continue
-    if F is None:
-        raise SingularMatrixError("no invertible shift found in [1, 2] after 10 tries")
-
-    tol = RankTolerance()
-    space = zero_space(pencil.n, tol)
-    dims = [0]
-    nu = None
-    for j in range(1, pencil.n + 2):
-        space = preimage(F, space)
-        dims.append(space.dim)
-        if dims[-1] == dims[-2]:
-            nu = j - 1
-            break
-    if nu is None:  # cannot happen: dims strictly increase until they stop
-        nu = pencil.n + 1
+    s0, _, kernels = _shifted_kernels(pencil, seed)
+    nu = len(kernels) - 2
     return IndexEstimate(
         k=max(nu - 1, 0),
         method="nilpotency",
         confident=True,
-        diagnostics={"kernel_dims": dims, "shift": s0, "nilpotency": nu},
+        diagnostics={"kernel_dims": [K.dim for K in kernels], "shift": s0, "nilpotency": nu},
     )

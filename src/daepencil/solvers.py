@@ -24,18 +24,8 @@ from .exceptions import (
     SingularMatrixError,
 )
 from .expm import expm
-from .pencils import Pencil, certify_regularity, resolvent
-from .rng import make_rng
-from .subspaces import (
-    RankTolerance,
-    distance,
-    equal,
-    full_space,
-    image,
-    preimage,
-    project,
-    zero_space,
-)
+from .pencils import Pencil, _cached, _shifted_kernels, certify_regularity
+from .subspaces import RankTolerance, distance, equal, full_space, image, project
 
 __all__ = [
     "ReducedGenerator",
@@ -63,7 +53,8 @@ class ReducedGenerator:
 
     For every basis vector b_j the lifted image satisfies
     E (basis @ M[:, j]) = A b_j up to GENERATOR_RTOL * (||E|| + ||A||);
-    max_residual records the worst observed defect.
+    max_residual records the worst observed defect.  Both arrays are
+    read-only: the generator is kept on its chain and shared.
     """
 
     k: int
@@ -127,7 +118,8 @@ def reduced_generator(pencil: Pencil, chain: IvChain) -> ReducedGenerator:
     The solve happens in the orthonormal bases of IV_{k+1} and E[IV_k]
     (never through a pseudo-inverse of E on the whole space, which would be
     wrong off the subspace).  Raises IsomorphismError when the restricted map
-    is not bijective or the lifted solutions fail the residual cap.
+    is not bijective or the lifted solutions fail the residual cap.  Computed
+    once per chain and kept on it.
     """
     iso = check_restricted_iso(pencil, chain)
     if not iso.bijective:
@@ -135,24 +127,30 @@ def reduced_generator(pencil: Pencil, chain: IvChain) -> ReducedGenerator:
             f"restricted E is not bijective (domain dim {iso.dim_domain}, "
             f"codomain dim {iso.dim_codomain}, sigma_min {iso.sigma_min})"
         )
+    return _cached(chain, "generator", lambda: _generator(chain))
+
+
+def _generator(chain):
+    pencil = chain.pencil
     k = chain.stabilization
     B = chain.spaces[k + 1].basis
     d = B.shape[1]
     if d == 0:
         return ReducedGenerator(k, B, np.zeros((0, 0)), 0.0)
-    C = image(pencil.E, chain.spaces[k]).basis
+    C = chain.images[k].basis
     restricted = C.conj().T @ (pencil.E @ B)
     rhs = C.conj().T @ (pencil.A @ B)
     M = np.linalg.lstsq(restricted, rhs, rcond=None)[0]
 
     defect = pencil.E @ (B @ M) - pencil.A @ B
-    scale = float(np.linalg.norm(pencil.E, 2) + np.linalg.norm(pencil.A, 2))
+    scale = pencil.norm_E + pencil.norm_A
     worst = float(max(np.linalg.norm(defect[:, j]) for j in range(d)))
     if worst > GENERATOR_RTOL * scale:
         raise IsomorphismError(
             f"reduced generator residual {worst:.3e} exceeds "
             f"{GENERATOR_RTOL:.0e} * (||E|| + ||A||) = {GENERATOR_RTOL * scale:.3e}"
         )
+    M.setflags(write=False)
     return ReducedGenerator(k, B, M, worst)
 
 
@@ -205,14 +203,18 @@ def classical_solution(pencil: Pencil, chain: IvChain, u0, times) -> Trajectory:
             nearest=nearest_consistent(pencil, chain, u0),
         )
     gen = reduced_generator(pencil, chain)
-    B, M = gen.basis, gen.M
-    c0 = B.conj().T @ u0
+    return _lifted(pencil, gen.basis, gen.M, gen.basis.conj().T @ u0, times, "exponential")
+
+
+def _lifted(pencil, B, M, c0, times, method):
+    """Coordinates exp(-tM) c0 in the basis B, lifted to the ambient space.
+
+    The residual E u' + A u = (A B - E B M) c is recorded per grid point.
+    """
     coords = _evolve(M, c0, times)
-    states = coords @ B.T
-    # E u' + A u = (A B - E B M) c per grid point
     defect_map = pencil.A @ B - pencil.E @ (B @ M)
     residuals = np.linalg.norm(coords @ defect_map.T, axis=1)
-    return Trajectory(times, states, residuals.astype(float), "exponential")
+    return Trajectory(times, coords @ B.T, residuals.astype(float), method)
 
 
 def _difference_quotient_residuals(pencil, times, states, forcing_values):
@@ -288,7 +290,8 @@ class FittingSplit:
     splitting itself is oblique; basis_sigma_min (smallest singular value of
     the combined basis) measures how oblique.  generator is F_r^{-1} G_r on
     the range part (G = I - s0 F), so solutions there are exp(-t generator)
-    applied to the range component.
+    applied to the range component.  All arrays are read-only: the split is
+    kept on its pencil and shared.
     """
 
     shift: float
@@ -308,41 +311,30 @@ class FittingSplit:
 def fitting_splitting(pencil: Pencil, seed: int = 0) -> FittingSplit:
     """Split the space along the eigenvalue-zero structure of F.
 
+    F = (s0 E + A)^{-1} E with the seed-derived shift of index_by_nilpotency.
     The two invariant subspaces are found by iterating images (for the range
-    part) and preimages (for the kernel part) of F until they stabilize; no
-    canonical-form transformation is involved.  Warns when the spectral gap
-    between the zero cluster and the rest, or the conditioning of the
-    combined basis, is below 1e-8.
+    part) and preimages (for the kernel part, shared with the nilpotency
+    index) of F until they stabilize; no canonical-form transformation is
+    involved.  Warns when the spectral gap between the zero cluster and the
+    rest, or the conditioning of the combined basis, is below 1e-8.
+    Computed once per (pencil, seed) and kept on the pencil, so the warnings
+    come with the first call only.
     """
     if not certify_regularity(pencil, seed).regular:
         raise NotRegularError("the splitting oracle needs a regular pencil")
-    rng = make_rng(seed)
-    F = None
-    for _ in range(10):
-        s0 = float(rng.uniform(1.0, 2.0))
-        try:
-            R = resolvent(pencil, s0)
-            F = R @ pencil.E
-            break
-        except SingularMatrixError:
-            continue
-    if F is None:
-        raise SingularMatrixError("no invertible shift found in [1, 2] after 10 tries")
+    return _cached(pencil, ("split", seed), lambda: _split(pencil, seed))
 
-    tol = RankTolerance()
+
+def _split(pencil, seed):
+    s0, F, kernels = _shifted_kernels(pencil, seed)
+    ker = kernels[-2]
     n = pencil.n
-    ran = full_space(n, tol)
+    ran = full_space(n, RankTolerance())
     while True:
         nxt = image(F, ran)
         if equal(nxt, ran):
             break
         ran = nxt
-    ker = zero_space(n, tol)
-    while True:
-        nxt = preimage(F, ker)
-        if equal(nxt, ker):
-            break
-        ker = nxt
 
     if ran.dim + ker.dim != n:
         raise SingularMatrixError(
@@ -357,7 +349,7 @@ def fitting_splitting(pencil: Pencil, seed: int = 0) -> FittingSplit:
                 f"spectral gap {gap:.3e} between the zero cluster and the rest "
                 "is below 1e-8; the splitting may be ill-conditioned",
                 ConditioningWarning,
-                stacklevel=2,
+                stacklevel=5,
             )
     V = np.hstack([ran.basis, ker.basis])
     smin = float(np.linalg.svd(V, compute_uv=False)[-1]) if n else 0.0
@@ -365,7 +357,7 @@ def fitting_splitting(pencil: Pencil, seed: int = 0) -> FittingSplit:
         warnings.warn(
             f"combined splitting basis has sigma_min {smin:.3e} < 1e-8",
             ConditioningWarning,
-            stacklevel=2,
+            stacklevel=5,
         )
 
     if ran.dim:
@@ -378,6 +370,7 @@ def fitting_splitting(pencil: Pencil, seed: int = 0) -> FittingSplit:
             raise SingularMatrixError("F is singular on its stabilized range") from None
     else:
         generator = np.zeros((0, 0))
+    generator.setflags(write=False)
     return FittingSplit(s0, ran.basis, ker.basis, generator, smin)
 
 
@@ -405,9 +398,4 @@ def decomposition_oracle(pencil: Pencil, u0, times, seed: int = 0) -> Trajectory
             distance=knorm,
             nearest=range_part,
         )
-    Br = split.range_basis
-    coords = _evolve(split.generator, c_r, times)
-    states = coords @ Br.T
-    defect_map = pencil.A @ Br - pencil.E @ (Br @ split.generator)
-    residuals = np.linalg.norm(coords @ defect_map.T, axis=1)
-    return Trajectory(times, states, residuals.astype(float), "decomposition_oracle")
+    return _lifted(pencil, split.range_basis, split.generator, c_r, times, "decomposition_oracle")

@@ -9,12 +9,12 @@ law.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .analysis import IDENTITY_POINTS
-from .chains import check_restricted_iso, compute_chain, consistent_space, index_by_chain
+from .analysis import IDENTITY_POINTS, _transform_match, build_analysis
+from .chains import consistent_space
 from .exceptions import InconsistentInitialValueError
 from .fixtures import FixtureSpec, generate
 from .laplace import (
@@ -23,11 +23,10 @@ from .laplace import (
     verify_expansion,
     verify_shift,
     verify_solution_formula,
-    verify_transform_match,
 )
-from .pencils import certify_regularity, index_by_growth, index_by_nilpotency, resolvent
+from .pencils import resolvent
 from .rng import make_rng
-from .solvers import classical_solution, decomposition_oracle, reduced_generator
+from .solvers import classical_solution, decomposition_oracle
 from .subspaces import (
     RankTolerance,
     contains,
@@ -74,31 +73,7 @@ class SuiteResult:
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
-        return {
-            "fixtures": self.fixtures,
-            "passed": self.passed,
-            "rows": [
-                {
-                    "name": r.name,
-                    "checked": r.checked,
-                    "failures": r.failures,
-                    "worst": r.worst,
-                    "passed": r.passed,
-                    "note": r.note,
-                }
-                for r in self.rows
-            ],
-        }
-
-
-@dataclass
-class _Analyzed:
-    spec: FixtureSpec
-    pencil: object
-    truth: object
-    chain: object
-    growth: object
-    nilpotency: object
+        return asdict(self)
 
 
 class _Row:
@@ -166,9 +141,8 @@ def _subspace_laws_row(seed):
 def _resolvent_identity_row(analyzed, seed):
     rng = make_rng(seed + 1)
     row = _Row("resolvent_identity")
-    for item in analyzed:
-        p = item.pencil
-        nE = np.linalg.norm(p.E, 2)
+    for _, _, a in analyzed:
+        p = a.pencil
         for _ in range(3):
             s, t = rng.uniform(0.5, 50.0, size=2)
             Rs, Rt = resolvent(p, s), resolvent(p, t)
@@ -179,7 +153,7 @@ def _resolvent_identity_row(analyzed, seed):
             scale = max(
                 np.linalg.norm(lhs, 2),
                 np.linalg.norm(rhs, 2),
-                abs(t - s) * np.linalg.norm(Rs, 2) * nE * np.linalg.norm(Rt, 2),
+                abs(t - s) * np.linalg.norm(Rs, 2) * p.norm_E * np.linalg.norm(Rt, 2),
                 1e-300,
             )
             err = float(np.linalg.norm(lhs - rhs, 2) / scale)
@@ -189,15 +163,15 @@ def _resolvent_identity_row(analyzed, seed):
 
 def _identity_rows(analyzed):
     rows = {name: _Row(name) for name in ("resolvent_commutation", "resolvent_shift", "solution_formula")}
-    for item in analyzed:
-        rep = verify_commutation(item.pencil, IDENTITY_POINTS)
+    for spec, _, a in analyzed:
+        rep = verify_commutation(a.pencil, IDENTITY_POINTS)
         rows["resolvent_commutation"].add(rep.max_relative_error, rep.passed)
-        rep = verify_shift(item.pencil, IDENTITY_POINTS)
+        rep = verify_shift(a.pencil, IDENTITY_POINTS)
         rows["resolvent_shift"].add(rep.max_relative_error, rep.passed)
-        rng = make_rng(item.spec.seed + 2)
-        u0 = rng.standard_normal(item.pencil.n)
+        rng = make_rng(spec.seed + 2)
+        u0 = rng.standard_normal(a.pencil.n)
         u0 /= np.linalg.norm(u0)
-        rep = verify_solution_formula(item.pencil, u0, IDENTITY_POINTS)
+        rep = verify_solution_formula(a.pencil, u0, IDENTITY_POINTS)
         rows["solution_formula"].add(rep.max_relative_error, rep.passed)
     return [rows[k].done() for k in ("resolvent_commutation", "resolvent_shift", "solution_formula")]
 
@@ -212,12 +186,11 @@ def _chain_descent_row(analyzed):
     row = _Row("chain_descent")
     skipped = 0
     eps = np.finfo(float).eps
-    for item in analyzed:
-        p, chain = item.pencil, item.chain
-        nE = np.linalg.norm(p.E, 2)
+    for _, _, a in analyzed:
+        p, chain = a.pencil, a.chain
         for s in (3.0, 10.0, 100.0):
             R = resolvent(p, s)
-            noise = 10.0 * eps * np.linalg.norm(R, 2) * nE
+            noise = 10.0 * eps * np.linalg.norm(R, 2) * p.norm_E
             for k in range(chain.stabilization + 1):
                 ivk, ivk1 = chain.spaces[k], chain.spaces[k + 1]
                 if ivk.dim == 0:
@@ -244,13 +217,12 @@ def _expansion_row(analyzed):
     """
     row = _Row("resolvent_expansion")
     skipped = 0
-    for item in analyzed:
-        k = item.chain.stabilization
-        grid = expansion_grid(k)
-        if grid is None:
+    for _, _, a in analyzed:
+        k = a.chain.stabilization
+        if expansion_grid(k) is None:
             skipped += 1
             continue
-        rep = verify_expansion(item.pencil, item.chain, k, grid)
+        rep = verify_expansion(a.pencil, a.chain, k)
         row.add(rep.max_relative_error, rep.passed)
     if skipped:
         row.note = f"{skipped} skipped: k too high for float64 at s >= 1e3"
@@ -262,15 +234,15 @@ def _chain_rows(analyzed):
     stab = _Row("chain_stabilization")
     agree = _Row("index_agreement")
     iso_row = _Row("restricted_iso")
-    for item in analyzed:
-        chain = item.chain
+    for _, truth, a in analyzed:
+        chain = a.chain
         ok = not chain.truncated and all(
             contains(chain.spaces[j], chain.spaces[j + 1])
             for j in range(len(chain.spaces) - 1)
         )
         mono.add(None, ok)
 
-        k_nil = item.nilpotency.k
+        k_nil = a.nilpotency.k
         witness = (
             k_nil == chain.stabilization
             and len(chain.spaces) > k_nil + 2
@@ -278,14 +250,11 @@ def _chain_rows(analyzed):
         )
         stab.add(None, witness)
 
-        k_chain = index_by_chain(chain).k
-        ok = k_chain == k_nil == item.truth.growth_index
-        if item.growth.confident:
-            ok = ok and item.growth.k == item.truth.growth_index
+        ok = a.chain_index.k == k_nil == truth.growth_index
+        if a.growth.confident:
+            ok = ok and a.growth.k == truth.growth_index
         agree.add(None, ok)
-
-        iso = check_restricted_iso(item.pencil, chain)
-        iso_row.add(iso.sigma_min, iso.bijective)
+        iso_row.add(a.iso.sigma_min, a.iso.bijective)
     return [mono.done(), stab.done(), agree.done(), iso_row.done()]
 
 
@@ -297,13 +266,12 @@ def _solver_rows(analyzed):
     detect = _Row("inconsistency_detection")
     transform = _Row("transform_match")
 
-    for item in analyzed:
-        p, chain, truth = item.pencil, item.chain, item.truth
+    for spec, _, a in analyzed:
+        p, chain = a.pencil, a.chain
         cons = consistent_space(p, chain)
-        scale = np.linalg.norm(p.E, 2) + np.linalg.norm(p.A, 2)
+        scale = p.norm_E + p.norm_A
 
         if cons.dim:
-            gen = reduced_generator(p, chain)
             for u0 in cons.basis.T.real:
                 try:
                     traj = classical_solution(p, chain, u0, SOLVE_GRID)
@@ -322,7 +290,7 @@ def _solver_rows(analyzed):
                 invariance.add(worst_inv, worst_inv <= 1e-9)
 
                 try:
-                    ref = decomposition_oracle(p, u0, SOLVE_GRID, seed=item.spec.seed)
+                    ref = decomposition_oracle(p, u0, SOLVE_GRID, seed=spec.seed)
                 except InconsistentInitialValueError:
                     oracle.add(None, False)  # consistent u0 was rejected
                     continue
@@ -331,10 +299,7 @@ def _solver_rows(analyzed):
                 )
                 oracle.add(err, err <= 1e-7)
 
-            alpha = max(0.0, float(np.max(-np.real(np.linalg.eigvals(gen.M)))))
-            rep = verify_transform_match(
-                p, chain, cons.basis[:, 0].real, (alpha + 3.0, alpha + 4.0), T=10.0
-            )
+            rep = _transform_match(p, chain, cons)
             transform.add(rep.max_relative_error, rep.passed)
 
         if cons.dim < p.n:
@@ -349,7 +314,7 @@ def _solver_rows(analyzed):
             except InconsistentInitialValueError:
                 caught += 1
             try:
-                decomposition_oracle(p, bad, SOLVE_GRID, seed=item.spec.seed)
+                decomposition_oracle(p, bad, SOLVE_GRID, seed=spec.seed)
             except InconsistentInitialValueError:
                 caught += 1
             detect.add(None, caught == 2)
@@ -369,21 +334,13 @@ def run_suite(specs, seed: int = 0, tol: RankTolerance = RankTolerance()) -> Sui
     specs = list(specs)
     if not specs:
         raise ValueError("no fixtures to verify")
-    analyzed = []
+    analyzed = []  # (spec, ground truth, Analysis) per fixture
     for spec in specs:
         pencil, truth = generate(spec)
-        if not certify_regularity(pencil, seed).regular:
+        analysis = build_analysis(pencil, spec.seed, tol)
+        if not analysis.certificate.regular:
             raise ValueError(f"generated fixture {spec} is not regular")
-        analyzed.append(
-            _Analyzed(
-                spec=spec,
-                pencil=pencil,
-                truth=truth,
-                chain=compute_chain(pencil, tol),
-                growth=index_by_growth(pencil),
-                nilpotency=index_by_nilpotency(pencil, seed=spec.seed),
-            )
-        )
+        analyzed.append((spec, truth, analysis))
 
     rows = [_subspace_laws_row(seed)]
     rows.append(_resolvent_identity_row(analyzed, seed))

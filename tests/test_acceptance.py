@@ -6,16 +6,11 @@ shared across criteria, with the build time charged to criterion 1.
 """
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
-from daepencil.chains import (
-    check_restricted_iso,
-    compute_chain,
-    consistent_space,
-    index_by_chain,
-)
+from daepencil.analysis import build_analysis
+from daepencil.chains import compute_chain, consistent_space
 from daepencil.cli import main
 from daepencil.exceptions import InconsistentInitialValueError
 from daepencil.expm import expm
@@ -28,12 +23,7 @@ from daepencil.laplace import (
     verify_solution_formula,
     verify_transform_match,
 )
-from daepencil.pencils import (
-    certify_regularity,
-    index_by_growth,
-    index_by_nilpotency,
-    new_pencil,
-)
+from daepencil.pencils import certify_regularity, index_by_nilpotency, new_pencil
 from daepencil.rng import make_rng
 from daepencil.solvers import (
     classical_solution,
@@ -78,36 +68,17 @@ def acceptance_specs():
     return specs
 
 
-@dataclass
-class Analyzed:
-    spec: FixtureSpec
-    pencil: object
-    truth: object
-    chain: object
-    growth: object
-    nilpotency: object
-
-
 _CACHE = {}
 
 
 def bundle():
-    """Build (once) the analyzed fixture population and record the time."""
+    """Build (once) (spec, ground truth, Analysis) per fixture and record the time."""
     if "analyzed" not in _CACHE:
         start = time.perf_counter()
         analyzed = []
         for spec in acceptance_specs():
             pencil, truth = generate(spec)
-            analyzed.append(
-                Analyzed(
-                    spec=spec,
-                    pencil=pencil,
-                    truth=truth,
-                    chain=compute_chain(pencil),
-                    growth=index_by_growth(pencil),
-                    nilpotency=index_by_nilpotency(pencil, seed=spec.seed),
-                )
-            )
+            analyzed.append((spec, truth, build_analysis(pencil, seed=spec.seed)))
         _CACHE["analyzed"] = analyzed
         _CACHE["build_seconds"] = time.perf_counter() - start
     return _CACHE["analyzed"]
@@ -133,14 +104,14 @@ def test_criterion_1_index_agreement():
     analyzed = bundle()
     elapsed = _CACHE["build_seconds"]
     failures = []
-    for item in analyzed:
-        truth = item.truth.growth_index
-        ok = index_by_chain(item.chain).k == truth and item.nilpotency.k == truth
-        if item.growth.confident:
-            ok = ok and item.growth.k == truth
+    for spec, truth, a in analyzed:
+        k = truth.growth_index
+        ok = a.chain_index.k == k and a.nilpotency.k == k
+        if a.growth.confident:
+            ok = ok and a.growth.k == k
         if not ok:
-            failures.append(item.spec)
-    confident = sum(1 for a in analyzed if a.growth.confident)
+            failures.append(spec)
+    confident = sum(1 for _, _, a in analyzed if a.growth.confident)
     passed = not failures and elapsed <= 60.0
     assert _report(
         1,
@@ -154,13 +125,13 @@ def test_criterion_2_chain_laws():
     analyzed = bundle()
     violations = 0
     checked = 0
-    for item in analyzed:
-        chain = item.chain
+    for _, _, a in analyzed:
+        chain = a.chain
         for j in range(len(chain.spaces) - 1):
             checked += 1
             if not contains(chain.spaces[j], chain.spaces[j + 1]):
                 violations += 1
-        k = item.nilpotency.k
+        k = a.nilpotency.k
         checked += 1
         if chain.truncated or not equal(chain.spaces[k + 1], chain.spaces[k + 2]):
             violations += 1
@@ -185,9 +156,9 @@ def test_criterion_2_chain_laws():
 def test_criterion_3_resolvent_identities_b_d():
     analyzed = bundle()
     worst_b = worst_d = 0.0
-    for item in analyzed:
-        worst_b = max(worst_b, verify_commutation(item.pencil, IDENTITY_POINTS).max_relative_error)
-        worst_d = max(worst_d, verify_shift(item.pencil, IDENTITY_POINTS).max_relative_error)
+    for _, _, a in analyzed:
+        worst_b = max(worst_b, verify_commutation(a.pencil, IDENTITY_POINTS).max_relative_error)
+        worst_d = max(worst_d, verify_shift(a.pencil, IDENTITY_POINTS).max_relative_error)
     passed = worst_b <= 1e-10 and worst_d <= 1e-10
     assert _report(
         3,
@@ -219,7 +190,7 @@ def test_criterion_3_expansion_canonical_forms():
         for n1 in (0, 3):
             p = canonical_pencil(n1, kron, seed=kron + 10 * n1)
             chain = compute_chain(p)
-            rep = verify_expansion(p, chain, chain.stabilization)
+            rep = verify_expansion(p, chain, chain.stabilization, np.geomspace(1e3, 1e6, 16))
             worst = max(worst, rep.max_relative_error)
     assert _report(
         3,
@@ -239,12 +210,12 @@ def test_criterion_3_expansion_full_population():
     """
     analyzed = bundle()
     worst_by_kron = {}
-    for item in analyzed:
-        k = item.chain.stabilization
+    for _, truth, a in analyzed:
+        k = a.chain.stabilization
         grid = expansion_grid(k)
         assert grid is not None, f"no float64-decidable grid at k = {k}"
-        rep = verify_expansion(item.pencil, item.chain, k, grid)
-        kron = item.truth.kronecker_index
+        rep = verify_expansion(a.pencil, a.chain, k, grid)
+        kron = truth.kronecker_index
         worst_by_kron[kron] = max(worst_by_kron.get(kron, 0.0), rep.max_relative_error)
     worst = max(worst_by_kron.values())
     detail = ", ".join(f"nu={nu}: C={c:.2e}" for nu, c in sorted(worst_by_kron.items()))
@@ -255,12 +226,26 @@ def test_criterion_3_expansion_full_population():
     ), f"worst C by index on expansion_grid(k): {detail}"
 
 
+def test_expansion_default_grid_decides_index_4_fixture():
+    """With no grid given, verify_expansion samples below the float64 horizon.
+
+    A fixed grid up to s = 1e6 measures roundoff ~eps * s^4 ~ 1e8 at k = 3.
+    """
+    spec = acceptance_specs()[3]
+    pencil, truth = generate(spec)
+    assert truth.kronecker_index == 4
+    chain = compute_chain(pencil)
+    rep = verify_expansion(pencil, chain, chain.stabilization)
+    assert rep.passed, rep.max_relative_error
+    assert max(rep.sample_points) <= expansion_grid(chain.stabilization)[-1]
+
+
 def test_criterion_4_restricted_isomorphism():
     analyzed = bundle()
     sigmas = []
     failures = 0
-    for item in analyzed:
-        iso = check_restricted_iso(item.pencil, item.chain)
+    for _, _, a in analyzed:
+        iso = a.iso
         if not iso.bijective:
             failures += 1
         if iso.sigma_min is not None:
@@ -286,14 +271,14 @@ def test_criterion_5_classical_solution():
     analyzed = bundle()
     worst_residual = worst_initial = worst_oracle = 0.0
     trajectories = 0
-    for item in analyzed:
-        cons = consistent_space(item.pencil, item.chain)
+    for spec, _, a in analyzed:
+        cons = consistent_space(a.pencil, a.chain)
         if cons.dim == 0:
             continue
-        scale = np.linalg.norm(item.pencil.E, 2) + np.linalg.norm(item.pencil.A, 2)
-        split = fitting_splitting(item.pencil, seed=item.spec.seed)
+        scale = a.pencil.norm_E + a.pencil.norm_A
+        split = fitting_splitting(a.pencil, seed=spec.seed)
         for u0 in cons.basis.T.real:
-            traj = classical_solution(item.pencil, item.chain, u0, SOLVE_GRID)
+            traj = classical_solution(a.pencil, a.chain, u0, SOLVE_GRID)
             trajectories += 1
             peak = max(float(np.max(np.linalg.norm(traj.states, axis=1))), 1e-300)
             worst_residual = max(
@@ -303,7 +288,7 @@ def test_criterion_5_classical_solution():
                 worst_initial,
                 float(np.linalg.norm(traj.states[0] - u0)) / np.linalg.norm(u0),
             )
-            ref = _oracle_states(item.pencil, split, u0, SOLVE_GRID)
+            ref = _oracle_states(a.pencil, split, u0, SOLVE_GRID)
             worst_oracle = max(
                 worst_oracle,
                 float(np.max(np.linalg.norm(ref - traj.states, axis=1))) / peak,
@@ -322,21 +307,21 @@ def test_criterion_6_laplace_solution_formulas():
     worst_formula = 0.0
     worst_transform = 0.0
     transforms = 0
-    for item in analyzed:
-        rng = make_rng(item.spec.seed + 77)
-        u0 = rng.standard_normal(item.pencil.n)
+    for spec, _, a in analyzed:
+        rng = make_rng(spec.seed + 77)
+        u0 = rng.standard_normal(a.pencil.n)
         u0 /= np.linalg.norm(u0)
-        rep = verify_solution_formula(item.pencil, u0, IDENTITY_POINTS)
+        rep = verify_solution_formula(a.pencil, u0, IDENTITY_POINTS)
         worst_formula = max(worst_formula, rep.max_relative_error)
 
-        cons = consistent_space(item.pencil, item.chain)
+        cons = consistent_space(a.pencil, a.chain)
         if cons.dim == 0:
             continue
-        split = fitting_splitting(item.pencil, seed=item.spec.seed)
+        split = fitting_splitting(a.pencil, seed=spec.seed)
         alpha = max(0.0, float(np.max(np.real(-np.linalg.eigvals(split.generator)))))
         rep = verify_transform_match(
-            item.pencil,
-            item.chain,
+            a.pencil,
+            a.chain,
             cons.basis[:, 0].real,
             (alpha + 3.0, alpha + 4.0),
             T=10.0,
@@ -357,9 +342,9 @@ def test_criterion_7_inconsistency_detection():
     analyzed = bundle()
     applicable = 0
     detected = 0
-    for item in analyzed:
-        cons = consistent_space(item.pencil, item.chain)
-        n = item.pencil.n
+    for spec, _, a in analyzed:
+        cons = consistent_space(a.pencil, a.chain)
+        n = a.pencil.n
         if cons.dim >= n:
             continue
         applicable += 1
@@ -370,11 +355,11 @@ def test_criterion_7_inconsistency_detection():
             bad = bad + cons.basis[:, 0].real
         hits = 0
         try:
-            classical_solution(item.pencil, item.chain, bad, SOLVE_GRID)
+            classical_solution(a.pencil, a.chain, bad, SOLVE_GRID)
         except InconsistentInitialValueError:
             hits += 1
         try:
-            decomposition_oracle(item.pencil, bad, SOLVE_GRID, seed=item.spec.seed)
+            decomposition_oracle(a.pencil, bad, SOLVE_GRID, seed=spec.seed)
         except InconsistentInitialValueError:
             hits += 1
         if hits == 2:

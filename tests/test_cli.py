@@ -64,6 +64,18 @@ class TestAnalyze:
         assert all(c["passed"] for c in report["identity_checks"])
         assert report["index_chain"]["k"] == 3
 
+    def test_saturated_growth_route_is_not_confident(self, tmp_path):
+        # pure nilpotent, Kronecker index 3: growth samples past s ~ 1.8e5
+        # are singular in float64 and are dropped instead of failing the run
+        pencil, _ = generate(FixtureSpec(0, (3,), seed=3779272412266780573))
+        paths = write_pencil(tmp_path, pencil.E, pencil.A)
+        out = tmp_path / "r.json"
+        assert main(["analyze", *paths, "--json", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["index_growth"]["confident"] is False
+        assert report["index_growth"]["diagnostics"]["samples_dropped"] >= 1
+        assert report["index_chain"]["k"] == report["index_nilpotency"]["k"] == 2
+
     def test_not_regular_exit_3(self, tmp_path):
         M = np.array([[1.0, 0.0], [0.0, 0.0]])
         paths = write_pencil(tmp_path, M, M)
@@ -168,6 +180,14 @@ class TestVerify:
         assert "overall: PASS" in table
         payload = json.loads(out.read_text())
         assert payload["passed"] is True and payload["fixtures"] == 6
+
+    def test_suite_with_pure_nilpotent_fixtures_passes(self, capsys):
+        # this draw holds pure-nilpotent fixtures whose growth samples saturate
+        code = main(
+            ["verify", "--random", "20", "--dim-range", "2..20", "--index-range", "0..4",
+             "--seed", "1"]
+        )
+        assert code == 0, capsys.readouterr().out
 
     def test_fixture_file(self, tmp_path, capsys):
         spec_file = tmp_path / "specs.json"

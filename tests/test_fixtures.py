@@ -19,8 +19,6 @@ class TestFixtureSpec:
             FixtureSpec(1, (0,))
         with pytest.raises(ValueError):
             FixtureSpec(1, (2,), conditioning=0.5)
-        with pytest.raises(ValueError):
-            FixtureSpec(1, (2,), field="complex")
 
 
 class TestGenerate:

@@ -88,6 +88,14 @@ class TestExpansion:
             rep = verify_expansion(p, chain, chain.stabilization)
             assert rep.passed, rep.max_relative_error
 
+    def test_no_default_grid_past_the_float64_horizon(self):
+        # Kronecker index 6: k = 5, horizon (1/eps)^(1/6) ~ 406 < 1e3
+        p = new_pencil(np.eye(6, k=1), np.eye(6))
+        chain = compute_chain(p)
+        with pytest.raises(ValueError, match="horizon"):
+            verify_expansion(p, chain, 5)
+        assert verify_expansion(p, chain, 5, np.geomspace(1e3, 1e6, 4)).passed
+
     def test_k_out_of_range(self):
         p = new_pencil(N2, np.eye(2))
         chain = compute_chain(p)

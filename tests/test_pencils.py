@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+import daepencil.pencils as pencils_mod
 from daepencil.exceptions import (
     NonFiniteEntriesError,
     NotRegularError,
     ShapeMismatchError,
     SingularMatrixError,
 )
+from daepencil.fixtures import FixtureSpec, generate
 from daepencil.pencils import (
     certify_regularity,
     index_by_growth,
@@ -163,6 +165,37 @@ class TestIndexByGrowth:
         est = index_by_growth(new_pencil(np.zeros((2, 2)), np.eye(2)))
         assert est.k == 0 and est.confident
 
+    @staticmethod
+    def _singular_between(monkeypatch, lo, hi):
+        real = pencils_mod.resolvent
+
+        def patched(pencil, s, return_cond=False):
+            if lo <= abs(s) <= hi:
+                raise SingularMatrixError("synthetic")
+            return real(pencil, s, return_cond)
+
+        monkeypatch.setattr(pencils_mod, "resolvent", patched)
+
+    def test_saturated_sample_is_dropped(self, monkeypatch):
+        # the top grid point s = 1e7 and its nudges fail: the fit keeps the
+        # other 11 upper points and s_range ends at the last point used
+        self._singular_between(monkeypatch, 9e6, np.inf)
+        est = index_by_growth(new_pencil(N2, np.eye(2)))
+        assert est.k == 1 and not est.confident
+        assert est.diagnostics["samples_dropped"] == 1
+        assert est.diagnostics["points_fitted"] == 11
+        assert est.diagnostics["s_range"][1] == pytest.approx(np.geomspace(1e2, 1e7, 24)[-2])
+
+    def test_no_drop_keeps_diagnostic_keys(self):
+        est = index_by_growth(new_pencil(N2, np.eye(2)))
+        assert "samples_dropped" not in est.diagnostics
+        assert est.diagnostics["s_range"] == (1e2, pytest.approx(1e7))
+
+    def test_too_few_samples_left_raises(self, monkeypatch):
+        self._singular_between(monkeypatch, 1e3, np.inf)
+        with pytest.raises(SingularMatrixError):
+            index_by_growth(new_pencil(N2, np.eye(2)))
+
 
 class TestIndexByNilpotency:
     def test_invertible_E(self):
@@ -188,6 +221,33 @@ class TestIndexByNilpotency:
         M = np.array([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(NotRegularError):
             index_by_nilpotency(new_pencil(M, M))
+
+
+class TestCachedArtifacts:
+    def test_second_call_returns_same_object(self):
+        p, _ = generate(FixtureSpec(2, (3,), seed=12))
+        assert certify_regularity(p, 4) is certify_regularity(p, 4)
+        assert certify_regularity(p, 4) is not certify_regularity(p, 5)
+        assert p.norm_E == np.linalg.norm(p.E, 2)
+        assert p.norm_A == np.linalg.norm(p.A, 2)
+
+    def test_index_routes_share_one_certificate(self, monkeypatch):
+        calls = []
+        real = pencils_mod._certify
+        monkeypatch.setattr(
+            pencils_mod, "_certify", lambda p, seed: calls.append(seed) or real(p, seed)
+        )
+        p = new_pencil(N3, np.eye(3))
+        index_by_growth(p)
+        index_by_nilpotency(p)
+        index_by_nilpotency(p, seed=1)
+        assert calls == [0, 1]
+
+    def test_equal_pencils_compare_by_value(self):
+        p = new_pencil(N3, np.eye(3))
+        assert p == new_pencil(N3.copy(), np.eye(3))
+        assert p != new_pencil(N3, 2.0 * np.eye(3))
+        assert p != new_pencil(np.eye(2), np.eye(2))
 
 
 class TestResolventIdentity:

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
-from daepencil.chains import compute_chain, consistent_space
-from daepencil.exceptions import InconsistentInitialValueError, NotRegularError
+from daepencil.chains import check_restricted_iso, compute_chain, consistent_space
+from daepencil.exceptions import (
+    InconsistentInitialValueError,
+    NotRegularError,
+    ShapeMismatchError,
+)
 from daepencil.fixtures import FixtureSpec, generate
+from daepencil.laplace import verify_expansion
 from daepencil.pencils import new_pencil
 from daepencil.solvers import (
     classical_solution,
@@ -295,3 +300,40 @@ class TestDecompositionOracle:
             ref = classical_solution(p, chain, u0, times)
             peak = np.max(np.linalg.norm(ref.states, axis=1))
             assert np.max(np.linalg.norm(traj.states - ref.states, axis=1)) <= 1e-7 * peak
+
+
+class TestCachedArtifacts:
+    def test_second_call_returns_same_object(self):
+        p, _ = generate(FixtureSpec(2, (3,), 100.0, 12))
+        chain = compute_chain(p)
+        assert fitting_splitting(p, seed=3) is fitting_splitting(p, seed=3)
+        assert fitting_splitting(p, seed=3) is not fitting_splitting(p, seed=4)
+        assert reduced_generator(p, chain) is reduced_generator(p, chain)
+        assert check_restricted_iso(p, chain) is check_restricted_iso(p, chain)
+
+    def test_cached_arrays_are_read_only(self):
+        p, _ = generate(FixtureSpec(2, (3,), 100.0, 12))
+        split = fitting_splitting(p)
+        gen = reduced_generator(p, compute_chain(p))
+        for array in (split.range_basis, split.kernel_basis, split.generator, gen.M, gen.basis):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
+
+    def test_chain_of_another_pencil_is_rejected(self, mixed):
+        _, chain = mixed
+        other = new_pencil(DIAG_1_N2_E, 2.0 * np.eye(3))
+        for call in (
+            lambda: consistent_space(other, chain),
+            lambda: check_restricted_iso(other, chain),
+            lambda: reduced_generator(other, chain),
+            lambda: classical_solution(other, chain, E1_3, np.array([0.0, 1.0])),
+            lambda: verify_expansion(other, chain, 1),
+        ):
+            with pytest.raises(ShapeMismatchError):
+                call()
+
+    def test_equal_pencil_built_twice_shares_the_chain(self, mixed):
+        _, chain = mixed
+        twin = new_pencil(DIAG_1_N2_E.copy(), np.eye(3))
+        traj = classical_solution(twin, chain, E1_3, np.array([0.0, 1.0]))
+        assert traj.states[-1][0] == pytest.approx(np.exp(-1.0), rel=1e-12)
