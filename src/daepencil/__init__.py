@@ -36,6 +36,7 @@ from .laplace import (
     hat_solution,
     verify_commutation,
     verify_expansion,
+    verify_identities,
     verify_shift,
     verify_solution_formula,
     verify_transform_match,
@@ -146,6 +147,7 @@ __all__ = [
     "span",
     "verify_commutation",
     "verify_expansion",
+    "verify_identities",
     "verify_shift",
     "verify_solution_formula",
     "verify_transform_match",

@@ -23,14 +23,7 @@ from .chains import (
     consistent_space,
     index_by_chain,
 )
-from .laplace import (
-    expansion_grid,
-    verify_commutation,
-    verify_expansion,
-    verify_shift,
-    verify_solution_formula,
-    verify_transform_match,
-)
+from .laplace import expansion_grid, verify_expansion, verify_identities, verify_transform_match
 from .pencils import (
     IndexEstimate,
     Pencil,
@@ -143,12 +136,13 @@ def analyze_pencil(
     report.consistent_dim = consistent.dim
     report.iso = asdict(a.iso)
 
-    checks = [verify_commutation(pencil, IDENTITY_POINTS), verify_shift(pencil, IDENTITY_POINTS)]
-    if expansion_grid(chain.stabilization) is not None:  # None: k too high for float64
-        checks.append(verify_expansion(pencil, chain, chain.stabilization))
     u0 = make_rng(seed).standard_normal(pencil.n)
     u0 /= np.linalg.norm(u0)
-    checks.append(verify_solution_formula(pencil, u0, IDENTITY_POINTS))
+    commutation, shift, formula = verify_identities(pencil, u0, IDENTITY_POINTS)
+    checks = [commutation, shift]
+    if expansion_grid(chain.stabilization) is not None:  # None: k too high for float64
+        checks.append(verify_expansion(pencil, chain, chain.stabilization))
+    checks.append(formula)
     if consistent.dim and a.iso.bijective:
         checks.append(_transform_match(pencil, chain, consistent))
     report.identity_checks = [_identity_dict(c) for c in checks]

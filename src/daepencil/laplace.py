@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import IvChain, _check_owner
-from .pencils import Pencil, _resolvent_retry, resolvent
+from .pencils import Pencil, _resolvent_retry, _solve_shifted, resolvent
 from .solvers import classical_solution
 
 __all__ = [
@@ -23,6 +23,7 @@ __all__ = [
     "verify_commutation",
     "verify_shift",
     "verify_expansion",
+    "verify_identities",
     "hat_solution",
     "verify_solution_formula",
     "verify_transform_match",
@@ -54,33 +55,76 @@ class IdentityReport:
     details: dict = field(default_factory=dict)
 
 
+def _commutation_error(pencil, R, s, u0):
+    diff = pencil.E @ R @ pencil.A - pencil.A @ R @ pencil.E
+    denom = max(pencil.norm_E * pencil.norm_A * np.linalg.norm(R, 2), _TINY)
+    return float(np.linalg.norm(diff, 2) / denom)
+
+
+def _shift_error(pencil, R, s, u0):
+    lhs = R @ pencil.E
+    rhs = np.eye(pencil.n) / s - (R @ pencil.A) / s
+    denom = max(np.linalg.norm(lhs, 2), np.linalg.norm(rhs, 2), _TINY)
+    return float(np.linalg.norm(lhs - rhs, 2) / denom)
+
+
+def _formula_error(pencil, R, s, u0):
+    lhs = R @ (pencil.E @ u0)
+    rhs = u0 / s - (R @ (pencil.A @ u0)) / s
+    denom = max(np.linalg.norm(lhs), np.linalg.norm(rhs), _TINY)
+    return float(np.linalg.norm(lhs - rhs) / denom)
+
+
+# identity -> (tolerance, its relative error at s from R = (sE+A)^{-1})
+_IDENTITIES = {
+    "commutation_b": (COMMUTATION_TOL, _commutation_error),
+    "shift_d": (SHIFT_TOL, _shift_error),
+    "solution_formula": (SOLUTION_FORMULA_TOL, _formula_error),
+}
+
+
+def _sample_identities(pencil, points, names, u0=None):
+    """Reports of the named identities, sharing one resolvent per sample point."""
+    points = tuple(points)
+    worst = dict.fromkeys(names, 0.0)
+    for s in points:
+        if s == 0 and set(names) - {"commutation_b"}:
+            raise ValueError("the shift identity and solution formula are undefined at s = 0")
+        R = resolvent(pencil, s)
+        for name in names:
+            worst[name] = max(worst[name], _IDENTITIES[name][1](pencil, R, s, u0))
+    return tuple(
+        IdentityReport(name, points, worst[name], worst[name] <= _IDENTITIES[name][0])
+        for name in names
+    )
+
+
 def verify_commutation(pencil: Pencil, points) -> IdentityReport:
     """E (sE+A)^{-1} A = A (sE+A)^{-1} E at every sample point."""
-    nE, nA = pencil.norm_E, pencil.norm_A
-    worst = 0.0
-    for s in points:
-        R = resolvent(pencil, s)
-        diff = pencil.E @ R @ pencil.A - pencil.A @ R @ pencil.E
-        denom = max(nE * nA * np.linalg.norm(R, 2), _TINY)
-        worst = max(worst, float(np.linalg.norm(diff, 2) / denom))
-    return IdentityReport(
-        "commutation_b", tuple(points), worst, worst <= COMMUTATION_TOL
-    )
+    return _sample_identities(pencil, points, ("commutation_b",))[0]
 
 
 def verify_shift(pencil: Pencil, points) -> IdentityReport:
     """(sE+A)^{-1} E = I/s - (1/s)(sE+A)^{-1} A at every nonzero sample point."""
-    eye = np.eye(pencil.n)
-    worst = 0.0
-    for s in points:
-        if s == 0:
-            raise ValueError("the shift identity is undefined at s = 0")
-        R = resolvent(pencil, s)
-        lhs = R @ pencil.E
-        rhs = eye / s - (R @ pencil.A) / s
-        denom = max(np.linalg.norm(lhs, 2), np.linalg.norm(rhs, 2), _TINY)
-        worst = max(worst, float(np.linalg.norm(lhs - rhs, 2) / denom))
-    return IdentityReport("shift_d", tuple(points), worst, worst <= SHIFT_TOL)
+    return _sample_identities(pencil, points, ("shift_d",))[0]
+
+
+def verify_solution_formula(pencil: Pencil, u0, points) -> IdentityReport:
+    """hat u(s) = u0/s - (sE+A)^{-1} A u0 / s at every nonzero sample point.
+
+    This is the shift identity applied to u0, so it holds for every initial
+    value, consistent or not.
+    """
+    return _sample_identities(pencil, points, ("solution_formula",), np.asarray(u0))[0]
+
+
+def verify_identities(pencil: Pencil, u0, points) -> tuple:
+    """(commutation_b, shift_d, solution_formula) reports from one resolvent per point.
+
+    Bit for bit the reports of verify_commutation, verify_shift and
+    verify_solution_formula on the same points and u0, at a third of the solves.
+    """
+    return _sample_identities(pencil, points, tuple(_IDENTITIES), np.asarray(u0))
 
 
 def _float64_horizon(k: int) -> float:
@@ -108,29 +152,32 @@ def expansion_grid(k: int, s_floor=1e3, s_cap=1e6, points=12):
     return np.geomspace(s_floor, min(s_cap, limit), points)
 
 
-def _fit_expansion_coefficients(pencil, x, k, ratio=2.0):
-    """Fit x_1..x_k from samples of (sE+A)^{-1}Ex at k+2 geometric points.
+def _fit_expansion_coefficients(pencil, B, k, ratio=2.0):
+    """Fit x_1..x_k for every column x of the basis matrix B at k+2 geometric points.
 
     The nodes are s_ref * ratio^j, j = 0..k+1, with s_ref = 100 lowered where
     needed so that the top node stays a factor 4 below the float64 horizon
     s_h(k); samples above it would give the fitted x_l roundoff of size
-    ~eps * s^(k+1).  The model y(s) = c_0/s + ... + c_{k+1}/s^{k+2} is solved
-    as a Vandermonde system in the scaled variable s_ref/s; the extra top
-    coefficient absorbs the leading remainder so it cannot contaminate x_k.
-    Returns the fitted x_l stack and the Vandermonde condition number.
+    ~eps * s^(k+1).  Each node takes one resolvent, applied to E B at once.
+    The model y(s) = c_0/s + ... + c_{k+1}/s^{k+2} of (sE+A)^{-1} E x is
+    solved as one Vandermonde system in the scaled variable s_ref/s for all
+    columns; the extra top coefficient absorbs the leading remainder so it
+    cannot contaminate x_k.  Returns the fitted stack, x_l of column j at
+    [l - 1, :, j], and the Vandermonde condition number.
     """
     s_ref = min(100.0, _float64_horizon(k) / (4.0 * ratio ** (k + 1)))
+    EB = pencil.E @ B
     samples = []
     nodes = []
     for s in s_ref * ratio ** np.arange(k + 2):
         R, s_used = _resolvent_retry(pencil, float(s))
-        samples.append((R @ (pencil.E @ x)) * s_used)
+        samples.append((R @ EB) * s_used)
         nodes.append(s_used)
     nodes = np.array(nodes)  # retries may have nudged points off the grid
     tau = nodes[0] / nodes
     V = np.vander(tau, k + 2, increasing=True)
-    gamma = np.linalg.solve(V, np.array(samples))
-    coeffs = gamma * (nodes[0] ** np.arange(k + 2))[:, None]
+    gamma = np.linalg.solve(V, np.reshape(samples, (k + 2, -1))).reshape(k + 2, *EB.shape)
+    coeffs = gamma * (nodes[0] ** np.arange(k + 2))[:, None, None]
     return coeffs[1 : k + 1], float(np.linalg.cond(V))
 
 
@@ -141,7 +188,8 @@ def verify_expansion(pencil: Pencil, chain: IvChain, k: int, s_grid=None) -> Ide
     resolvent samples; the check is that s^{k+1} times the remainder
     y(s) - x/s - sum x_l / s^{l+1} stays below C * (1 + ||(sE+A)^{-1}|| ||A||)
     across the grid with C <= EXPANSION_C_MAX.  The reported
-    max_relative_error is the observed C.
+    max_relative_error is the observed C, worst over the basis.  Each fit
+    node and grid point takes one resolvent, applied to the whole basis.
 
     The fit assumes its nodes (s from s_ref to 2^(k+1) s_ref, s_ref <= 100,
     about 10.6 at k = 4) lie well above the finite spectrum of the pencil,
@@ -178,57 +226,33 @@ def verify_expansion(pencil: Pencil, chain: IvChain, k: int, s_grid=None) -> Ide
     if iv_k.dim == 0:
         return IdentityReport("expansion_e", tuple(s_grid), 0.0, True, details)
 
-    fits = []
-    worst_cond = 0.0
-    for x in iv_k.basis.T:
-        coeffs, cond = _fit_expansion_coefficients(pencil, x, k)
-        fits.append(coeffs)
-        worst_cond = max(worst_cond, cond)
-    details["fit_condition"] = worst_cond
-    if worst_cond > 1e10:
+    B = iv_k.basis
+    coeffs, cond = _fit_expansion_coefficients(pencil, B, k)
+    details["fit_condition"] = cond
+    if cond > 1e10:
         details["ill_conditioned_fit"] = True
 
+    EB = pencil.E @ B
     worst_c = 0.0
     for s in s_grid:
         R, s_used = _resolvent_retry(pencil, float(s))
         bound = 1.0 + np.linalg.norm(R, 2) * pencil.norm_A
         powers = s_used ** -(np.arange(1, k + 1) + 1.0)
-        for x, coeffs in zip(iv_k.basis.T, fits):
-            remainder = R @ (pencil.E @ x) - x / s_used
-            if k:
-                remainder = remainder - powers @ coeffs
-            c = float(np.linalg.norm(remainder) * s_used ** (k + 1) / bound)
-            worst_c = max(worst_c, c)
+        remainder = R @ EB - B / s_used - np.tensordot(powers, coeffs, axes=1)
+        column = np.max(np.linalg.norm(remainder, axis=0))
+        worst_c = max(worst_c, float(column * s_used ** (k + 1) / bound))
     return IdentityReport(
         "expansion_e", tuple(s_grid), worst_c, worst_c <= EXPANSION_C_MAX, details
     )
 
 
 def hat_solution(pencil: Pencil, u0, s):
-    """(sE+A)^{-1} E u0: the Laplace transform of the distributional solution."""
-    u0 = np.asarray(u0)
-    return resolvent(pencil, s) @ (pencil.E @ u0)
+    """(sE+A)^{-1} E u0: the Laplace transform of the distributional solution.
 
-
-def verify_solution_formula(pencil: Pencil, u0, points) -> IdentityReport:
-    """hat u(s) = u0/s - (sE+A)^{-1} A u0 / s at every nonzero sample point.
-
-    This is the shift identity applied to u0, so it holds for every initial
-    value, consistent or not.
+    One solve with E u0 as right-hand side; raises SingularMatrixError where
+    resolvent would.
     """
-    u0 = np.asarray(u0)
-    worst = 0.0
-    for s in points:
-        if s == 0:
-            raise ValueError("the solution formula is undefined at s = 0")
-        R = resolvent(pencil, s)
-        lhs = R @ (pencil.E @ u0)
-        rhs = u0 / s - (R @ (pencil.A @ u0)) / s
-        denom = max(np.linalg.norm(lhs), np.linalg.norm(rhs), _TINY)
-        worst = max(worst, float(np.linalg.norm(lhs - rhs) / denom))
-    return IdentityReport(
-        "solution_formula", tuple(points), worst, worst <= SOLUTION_FORMULA_TOL
-    )
+    return _solve_shifted(pencil, s, pencil.E @ np.asarray(u0))[0]
 
 
 def _simpson_weights(times):

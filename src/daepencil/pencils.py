@@ -183,19 +183,24 @@ def resolvent(pencil: Pencil, s, return_cond: bool = False):
     s lies outside the resolvent set.  With return_cond=True also returns
     the 2-norm condition number of sE + A as a solve-quality estimate.
     """
+    X, M = _solve_shifted(pencil, s)
+    return (X, float(np.linalg.cond(M))) if return_cond else X
+
+
+def _solve_shifted(pencil: Pencil, s, rhs=None):
+    """(X, sE + A) with (sE + A) X = rhs (the identity when None), raising
+    SingularMatrixError off the resolvent set; R(s) v needs no full inverse."""
     s = complex(s)
     if s.imag == 0.0 and not pencil.is_complex:
         s = s.real
     M = s * pencil.E + pencil.A
     try:
-        X = np.linalg.solve(M, np.eye(pencil.n, dtype=M.dtype))
+        X = np.linalg.solve(M, np.eye(pencil.n, dtype=M.dtype) if rhs is None else rhs)
     except np.linalg.LinAlgError:
         raise SingularMatrixError(f"sE + A is singular at s = {s}") from None
     if not np.all(np.isfinite(X)):
         raise SingularMatrixError(f"sE + A is numerically singular at s = {s}")
-    if return_cond:
-        return X, float(np.linalg.cond(M))
-    return X
+    return X, M
 
 
 @dataclass(frozen=True)
@@ -247,7 +252,9 @@ def index_by_growth(
         raise ValueError("need at least 4 samples for a slope fit")
     if not (0 < s_min < s_max):
         raise ValueError("require 0 < s_min < s_max")
-    if not certify_regularity(pencil).regular:
+    # the verdict is seed-independent, so any certificate kept on the pencil will do
+    kept = (c for key, c in pencil._cache.items() if key[0] == "certificate")
+    if not (next(kept, None) or certify_regularity(pencil)).regular:
         raise NotRegularError("growth sampling needs a regular pencil")
 
     grid = np.geomspace(s_min, s_max, samples)

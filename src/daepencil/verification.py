@@ -17,13 +17,7 @@ from .analysis import IDENTITY_POINTS, _transform_match, build_analysis
 from .chains import consistent_space
 from .exceptions import InconsistentInitialValueError
 from .fixtures import FixtureSpec, generate
-from .laplace import (
-    expansion_grid,
-    verify_commutation,
-    verify_expansion,
-    verify_shift,
-    verify_solution_formula,
-)
+from .laplace import expansion_grid, verify_expansion, verify_identities
 from .pencils import resolvent
 from .rng import make_rng
 from .solvers import classical_solution, decomposition_oracle
@@ -162,18 +156,13 @@ def _resolvent_identity_row(analyzed, seed):
 
 
 def _identity_rows(analyzed):
-    rows = {name: _Row(name) for name in ("resolvent_commutation", "resolvent_shift", "solution_formula")}
+    rows = [_Row(name) for name in ("resolvent_commutation", "resolvent_shift", "solution_formula")]
     for spec, _, a in analyzed:
-        rep = verify_commutation(a.pencil, IDENTITY_POINTS)
-        rows["resolvent_commutation"].add(rep.max_relative_error, rep.passed)
-        rep = verify_shift(a.pencil, IDENTITY_POINTS)
-        rows["resolvent_shift"].add(rep.max_relative_error, rep.passed)
-        rng = make_rng(spec.seed + 2)
-        u0 = rng.standard_normal(a.pencil.n)
+        u0 = make_rng(spec.seed + 2).standard_normal(a.pencil.n)
         u0 /= np.linalg.norm(u0)
-        rep = verify_solution_formula(a.pencil, u0, IDENTITY_POINTS)
-        rows["solution_formula"].add(rep.max_relative_error, rep.passed)
-    return [rows[k].done() for k in ("resolvent_commutation", "resolvent_shift", "solution_formula")]
+        for row, rep in zip(rows, verify_identities(a.pencil, u0, IDENTITY_POINTS)):
+            row.add(rep.max_relative_error, rep.passed)
+    return [row.done() for row in rows]
 
 
 def _chain_descent_row(analyzed):

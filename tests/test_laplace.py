@@ -1,23 +1,45 @@
 import numpy as np
 import pytest
 
+import daepencil.laplace as laplace_mod
+import daepencil.pencils as pencils_mod
 from daepencil.chains import compute_chain, consistent_space
-from daepencil.exceptions import InconsistentInitialValueError
+from daepencil.exceptions import InconsistentInitialValueError, SingularMatrixError
 from daepencil.fixtures import FixtureSpec, generate
 from daepencil.laplace import (
+    _fit_expansion_coefficients,
+    _float64_horizon,
+    expansion_grid,
     hat_solution,
     verify_commutation,
     verify_expansion,
+    verify_identities,
     verify_shift,
     verify_solution_formula,
     verify_transform_match,
 )
-from daepencil.pencils import new_pencil
+from daepencil.pencils import new_pencil, resolvent
 
 N2 = np.array([[0.0, 1.0], [0.0, 0.0]])
 N3 = np.eye(3, k=1)
 DIAG_1_N2_E = np.array([[1.0, 0, 0], [0, 0, 1.0], [0, 0, 0]])
 POINTS = tuple(np.geomspace(0.5, 50.0, 20))
+# acceptance_specs()[7] of the acceptance suite: Kronecker index 3, k = 2, n = 14
+ACCEPTANCE_K2 = FixtureSpec(11, (3,), 34.402767867042435, 8402350920931806502)
+
+
+def _count_resolvents(monkeypatch):
+    """Record every resolvent taken, directly or through the retry helper."""
+    calls = []
+    real = pencils_mod.resolvent
+
+    def counted(pencil, s, return_cond=False):
+        calls.append(s)
+        return real(pencil, s, return_cond)
+
+    monkeypatch.setattr(pencils_mod, "resolvent", counted)
+    monkeypatch.setattr(laplace_mod, "resolvent", counted)
+    return calls
 
 
 class TestCommutation:
@@ -96,6 +118,42 @@ class TestExpansion:
             verify_expansion(p, chain, 5)
         assert verify_expansion(p, chain, 5, np.geomspace(1e3, 1e6, 4)).passed
 
+    @pytest.mark.parametrize("spec", [ACCEPTANCE_K2, FixtureSpec(3, (2,), 100.0, 31)])
+    def test_one_resolvent_per_sample_point(self, monkeypatch, spec):
+        # k+2 fit nodes and one per grid point, however many vectors IV_k has
+        p, _ = generate(spec)
+        chain = compute_chain(p)
+        k = chain.stabilization
+        assert chain.spaces[k].dim > 1
+        calls = _count_resolvents(monkeypatch)
+        rep = verify_expansion(p, chain, k)
+        assert rep.passed
+        assert len(calls) == (k + 2) + len(expansion_grid(k))
+        calls.clear()
+        verify_expansion(p, chain, k, expansion_grid(k)[:5])
+        assert len(calls) == (k + 2) + 5
+
+    def test_batched_fit_matches_per_column_fit(self):
+        # The fit amplifies roundoff of its samples (about 1e-2 of x_2 here,
+        # so a column sampled on its own differs at that level); the reference
+        # therefore fits each column of the same sampled R(s) E B on its own.
+        p, _ = generate(ACCEPTANCE_K2)
+        chain = compute_chain(p)
+        k = chain.stabilization
+        assert k == 2
+        B = chain.spaces[k].basis
+        coeffs, cond = _fit_expansion_coefficients(p, B, k)
+        assert coeffs.shape == (k, p.n, B.shape[1])
+        s_ref = min(100.0, _float64_horizon(k) / (4.0 * 2.0 ** (k + 1)))
+        nodes = s_ref * 2.0 ** np.arange(k + 2)
+        samples = np.array([resolvent(p, s) @ (p.E @ B) * s for s in nodes])
+        V = np.vander(nodes[0] / nodes, k + 2, increasing=True)
+        assert cond == np.linalg.cond(V)
+        for j in range(B.shape[1]):
+            ref = np.linalg.solve(V, samples[:, :, j]) * (s_ref ** np.arange(k + 2))[:, None]
+            err = np.linalg.norm(coeffs[:, :, j] - ref[1 : k + 1])
+            assert err <= 1e-10 * np.linalg.norm(ref[1 : k + 1])
+
     def test_k_out_of_range(self):
         p = new_pencil(N2, np.eye(2))
         chain = compute_chain(p)
@@ -123,6 +181,20 @@ class TestHatSolution:
                 hat_solution(p, np.array([0.0, 1.0]), s), [1.0, 0.0], atol=1e-14
             )
 
+    def test_singular_point_raises(self):
+        # sE + A = 0 at s = 1: the vector solve refuses like resolvent does
+        p = new_pencil(np.eye(2), -np.eye(2))
+        with pytest.raises(SingularMatrixError):
+            hat_solution(p, np.ones(2), 1.0)
+
+    def test_matches_resolvent_without_forming_it(self, monkeypatch):
+        p, _ = generate(FixtureSpec(3, (2,), 100.0, 2))
+        u0 = np.arange(1.0, p.n + 1.0)
+        expected = resolvent(p, 2.5) @ (p.E @ u0)
+        calls = _count_resolvents(monkeypatch)
+        np.testing.assert_allclose(hat_solution(p, u0, 2.5), expected, rtol=1e-10)
+        assert calls == []
+
     def test_conjugate_symmetry(self):
         p, _ = generate(FixtureSpec(3, (2,), 100.0, 2))
         u0 = np.arange(1.0, p.n + 1.0)
@@ -130,6 +202,35 @@ class TestHatSolution:
         np.testing.assert_allclose(
             hat_solution(p, u0, np.conj(s)), np.conj(hat_solution(p, u0, s)), rtol=1e-12
         )
+
+
+class TestSharedIdentities:
+    @pytest.mark.parametrize("spec", [FixtureSpec(3, (2,), 100.0, 5), ACCEPTANCE_K2])
+    def test_bit_identical_to_the_three_verifiers(self, spec):
+        p, _ = generate(spec)
+        u0 = np.random.default_rng(4).standard_normal(p.n)
+        shared = verify_identities(p, u0, POINTS)
+        alone = (
+            verify_commutation(p, POINTS),
+            verify_shift(p, POINTS),
+            verify_solution_formula(p, u0, POINTS),
+        )
+        assert [r.identity for r in shared] == ["commutation_b", "shift_d", "solution_formula"]
+        for a, b in zip(shared, alone):
+            assert a.max_relative_error == b.max_relative_error
+            assert a.passed == b.passed and a.sample_points == b.sample_points
+
+    def test_one_resolvent_per_point(self, monkeypatch):
+        p, _ = generate(FixtureSpec(3, (2,), 100.0, 5))
+        calls = _count_resolvents(monkeypatch)
+        verify_identities(p, np.ones(p.n), POINTS)
+        assert len(calls) == len(POINTS)
+
+    def test_rejects_zero_point(self):
+        p = new_pencil(np.eye(2), np.eye(2))
+        with pytest.raises(ValueError):
+            verify_identities(p, np.ones(2), (1.0, 0.0))
+        assert verify_commutation(p, (0.0,)).passed
 
 
 class TestSolutionFormula:

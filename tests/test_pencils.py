@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import daepencil.pencils as pencils_mod
+from daepencil.analysis import build_analysis
 from daepencil.exceptions import (
     NonFiniteEntriesError,
     NotRegularError,
@@ -242,6 +243,22 @@ class TestCachedArtifacts:
         index_by_nilpotency(p)
         index_by_nilpotency(p, seed=1)
         assert calls == [0, 1]
+
+    def test_growth_route_reuses_a_kept_certificate(self, monkeypatch):
+        calls = []
+        real = pencils_mod._certify
+        monkeypatch.setattr(
+            pencils_mod, "_certify", lambda p, seed: calls.append(seed) or real(p, seed)
+        )
+        p = new_pencil(N3, np.eye(3))
+        certify_regularity(p, 5)
+        index_by_growth(p)
+        assert calls == [5]
+
+    def test_build_analysis_keeps_one_certificate(self):
+        p, _ = generate(FixtureSpec(4, (3, 1), seed=12))
+        build_analysis(p, seed=7)
+        assert [key for key in p._cache if key[0] == "certificate"] == [("certificate", 7)]
 
     def test_equal_pencils_compare_by_value(self):
         p = new_pencil(N3, np.eye(3))
