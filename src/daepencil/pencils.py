@@ -123,11 +123,12 @@ def new_pencil(E, A) -> Pencil:
 
 @dataclass(frozen=True)
 class RegularityCertificate:
-    """Outcome of sampling det(sE + A) at n+1 distinct points.
+    """Outcome of sampling det(sE + A) at n+1 distinct points, in order.
 
     Since s -> det(sE + A) is a polynomial of degree at most n, it vanishes
     identically iff it vanishes at all n+1 points; `regular` is therefore an
-    exact decision up to the DET_ZERO floor.
+    exact decision up to the DET_ZERO floor.  `determinant_values` holds the
+    evaluated prefix of the points, ending at the witness when there is one.
     """
 
     regular: bool
@@ -139,11 +140,11 @@ class RegularityCertificate:
 def certify_regularity(pencil: Pencil, seed: int = 0) -> RegularityCertificate:
     """Sample det(sE + A) on a circle of radius 1 + ||E||_F + ||A||_F.
 
-    Computed once per (pencil, seed) and kept on the pencil.
-
-    The n+1 angles are equally spaced with a seed-dependent rotation, which
-    keeps the verdict seed-independent while avoiding any fixed unlucky
-    alignment of sample points with determinant roots.
+    Computed once per (pencil, seed) and kept on the pencil.  The n+1 angles
+    are equally spaced with a seed-dependent rotation, which keeps the
+    verdict seed-independent while avoiding any fixed unlucky alignment of
+    sample points with determinant roots.  Evaluation stops at the first
+    nonzero value: usually one det for a regular pencil, n+1 for a singular.
 
     The zero test is the absolute floor DET_ZERO, so it recognizes pencils
     whose determinant collapses to an exact floating-point zero (structural
@@ -160,12 +161,10 @@ def _certify(pencil, seed):
     phase = make_rng(seed).uniform(0.0, 2.0 * np.pi)
     angles = phase + 2.0 * np.pi * np.arange(n + 1) / (n + 1)
     points = radius * np.exp(1j * angles)
-    values = [complex(np.linalg.det(s * pencil.E + pencil.A)) for s in points]
-    witness = None
-    for s, d in zip(points, values):
-        if np.isnan(d):
-            continue
-        if abs(d) > DET_ZERO:
+    values, witness = [], None
+    for s in points:
+        values.append(complex(np.linalg.det(s * pencil.E + pencil.A)))
+        if not np.isnan(values[-1]) and abs(values[-1]) > DET_ZERO:
             witness = complex(s)
             break
     return RegularityCertificate(
@@ -238,15 +237,15 @@ def index_by_growth(
     """Index from the slope of log ||(sE+A)^{-1}|| against log s.
 
     Samples a geometric grid on the positive real axis and fits a least
-    squares line over the upper half; the index is the slope rounded half
-    away from zero and clamped at zero.  The estimate is flagged as not
-    confident when the slope's fractional part is ambiguous or the fit
-    residual is large (the latter happens when floating-point saturation of
-    the stored pencil caps the observable growth of high-index problems).
-    A sample whose resolvent stays singular after its retries is saturated
-    outright: it is dropped from the fit (counted in samples_dropped) and the
-    estimate is not confident.  Raises SingularMatrixError only when fewer
-    than two samples of the upper half remain.
+    squares line over the upper half, the only samples whose 2-norm is
+    taken; the index is the slope rounded half away from zero, clamped at
+    zero.  The estimate is not confident when the slope's fractional part
+    is ambiguous or the fit residual is large (the latter happens when
+    floating-point saturation of the stored pencil caps the observable
+    growth of high-index problems).  A sample whose resolvent stays singular
+    after its retries, in either half, is saturated outright: it is dropped
+    (counted in samples_dropped) and the estimate is not confident.  Raises
+    SingularMatrixError only when fewer than two upper-half samples remain.
     """
     if samples < 4:
         raise ValueError("need at least 4 samples for a slope fit")
@@ -265,10 +264,11 @@ def index_by_growth(
             R, used[j] = _resolvent_retry(pencil, float(s))
         except SingularMatrixError:
             continue
-        norms[j] = np.linalg.norm(R, 2)
+        if j >= samples // 2:
+            norms[j] = np.linalg.norm(R, 2)
 
-    sampled = ~np.isnan(norms)
-    upper = sampled & (np.arange(samples) >= samples // 2)
+    sampled = ~np.isnan(used)
+    upper = ~np.isnan(norms)
     if np.count_nonzero(upper) < 2:
         raise SingularMatrixError(
             f"only {np.count_nonzero(upper)} resolvent samples left to fit a line"

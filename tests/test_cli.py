@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -271,3 +275,14 @@ class TestGenerate:
             ["generate", "--n1", "0", "--blocks", "", "--out", str(tmp_path / "x")]
         ) == 1
         assert "error" in capsys.readouterr().err
+
+
+def test_module_runs_from_a_checkout():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "daepencil", "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: daepencil")

@@ -11,12 +11,15 @@ from daepencil.exceptions import (
 )
 from daepencil.fixtures import FixtureSpec, generate
 from daepencil.pencils import (
+    DET_ZERO,
+    RegularityCertificate,
     certify_regularity,
     index_by_growth,
     index_by_nilpotency,
     new_pencil,
     resolvent,
 )
+from daepencil.rng import make_rng
 
 N2 = np.array([[0.0, 1.0], [0.0, 0.0]])
 N3 = np.eye(3, k=1)
@@ -24,6 +27,43 @@ N3 = np.eye(3, k=1)
 
 def random_regular_pencil(rng, n):
     return new_pencil(rng.standard_normal((n, n)), rng.standard_normal((n, n)))
+
+
+def all_points_certificate(pencil, seed):
+    """Reference certificate: every determinant first, then the first nonzero one."""
+    n = pencil.n
+    radius = 1.0 + float(np.linalg.norm(pencil.E)) + float(np.linalg.norm(pencil.A))
+    phase = make_rng(seed).uniform(0.0, 2.0 * np.pi)
+    angles = phase + 2.0 * np.pi * np.arange(n + 1) / (n + 1)
+    points = radius * np.exp(1j * angles)
+    values = [complex(np.linalg.det(s * pencil.E + pencil.A)) for s in points]
+    witness = None
+    for s, d in zip(points, values):
+        if np.isnan(d):
+            continue
+        if abs(d) > DET_ZERO:
+            witness = complex(s)
+            break
+    return RegularityCertificate(
+        regular=witness is not None,
+        sample_points=tuple(map(complex, points)),
+        determinant_values=tuple(values),
+        witness=witness,
+    )
+
+
+def count_calls(monkeypatch, owner, name, counted=lambda *a, **kw: True):
+    """Patch owner.name to count the calls for which counted(*args, **kwargs) holds."""
+    real = getattr(owner, name)
+    calls = []
+
+    def patched(*args, **kwargs):
+        if counted(*args, **kwargs):
+            calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, patched)
+    return calls
 
 
 class TestNewPencil:
@@ -68,8 +108,9 @@ class TestCertifyRegularity:
     def test_zero_E_identity_A(self):
         cert = certify_regularity(new_pencil(np.zeros((3, 3)), np.eye(3)))
         assert cert.regular
-        # det(s*0 + I) = 1 at every sample point
-        assert all(abs(d - 1.0) < 1e-12 for d in cert.determinant_values)
+        # det(s*0 + I) = 1 at the first sample point, which is the witness
+        assert cert.determinant_values == (1.0,)
+        assert cert.witness == cert.sample_points[0]
 
     def test_singular_pencil(self):
         M = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -100,6 +141,59 @@ class TestCertifyRegularity:
         E = np.array([[1.0, 2.0], [0.0, 0.0]])
         A = np.array([[5.0, -1.0], [0.0, 0.0]])
         assert not certify_regularity(new_pencil(E, A)).regular
+
+    def test_regular_pencil_stops_at_the_first_witness(self, monkeypatch):
+        p, _ = generate(FixtureSpec(35, (3, 2), seed=40))
+        dets = count_calls(monkeypatch, np.linalg, "det")
+        cert = certify_regularity(p)
+        assert p.n == 40 and len(dets) == 1
+        assert cert.regular and cert.witness == cert.sample_points[0]
+        assert len(cert.sample_points) == 41 and len(cert.determinant_values) == 1
+
+    def test_singular_pencil_evaluates_every_point(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        E, A = rng.standard_normal((2, 6, 6))
+        E[-1] = A[-1] = 0.0
+        dets = count_calls(monkeypatch, np.linalg, "det")
+        cert = certify_regularity(new_pencil(E, A))
+        assert len(dets) == 7 and len(cert.determinant_values) == 7
+        assert not cert.regular and cert.witness is None
+
+    @staticmethod
+    def _reference_cases():
+        rng = np.random.default_rng(19)
+        for _ in range(40):
+            yield random_regular_pencil(rng, int(rng.integers(1, 12)))
+        M = np.array([[1.0, 0.0], [0.0, 0.0]])
+        yield new_pencil(M, M)
+        yield new_pencil(M, 3.0 * M)
+        yield new_pencil(np.array([[1.0, 2.0], [0.0, 0.0]]), np.array([[5.0, -1.0], [0.0, 0.0]]))
+        yield new_pencil(np.zeros((3, 3)), np.eye(3))
+        yield new_pencil(N2, np.eye(2))
+        yield new_pencil(N3, np.eye(3))
+        yield new_pencil(np.zeros((2, 2)), np.zeros((2, 2)))
+        for spec, scale in (
+            (FixtureSpec(115, (3, 2), seed=5), 1e-3),  # |det| underflows below DET_ZERO
+            (FixtureSpec(155, (3, 2), seed=6), 1.0),  # det overflows to inf
+            (FixtureSpec(20, (4,), seed=7), 1e-20),
+            (FixtureSpec(20, (4,), seed=7), 1e20),
+            (FixtureSpec(2, (1,), seed=1), 1e200),  # every det is NaN
+        ):
+            p, _ = generate(spec)
+            yield new_pencil(scale * p.E, scale * p.A)
+
+    def test_matches_the_all_points_reference(self):
+        with np.errstate(all="ignore"):
+            for p in self._reference_cases():
+                for seed in (0, 3):
+                    cert = certify_regularity(p, seed)
+                    ref = all_points_certificate(p, seed)
+                    assert (cert.regular, cert.witness) == (ref.regular, ref.witness)
+                    assert cert.sample_points == ref.sample_points
+                    k = len(cert.determinant_values)
+                    np.testing.assert_array_equal(
+                        cert.determinant_values, ref.determinant_values[:k]
+                    )
 
 
 class TestResolvent:
@@ -191,6 +285,22 @@ class TestIndexByGrowth:
         est = index_by_growth(new_pencil(N2, np.eye(2)))
         assert "samples_dropped" not in est.diagnostics
         assert est.diagnostics["s_range"] == (1e2, pytest.approx(1e7))
+
+    def test_lower_half_sample_is_dropped(self, monkeypatch):
+        # s = 1e2 and its five nudges (up to 105.1) fail; the fit is untouched
+        self._singular_between(monkeypatch, 50.0, 106.0)
+        est = index_by_growth(new_pencil(N2, np.eye(2)))
+        assert est.k == 1 and not est.confident
+        assert est.diagnostics["samples_dropped"] == 1
+        assert est.diagnostics["points_fitted"] == 12
+        assert est.diagnostics["s_range"][0] == np.geomspace(1e2, 1e7, 24)[1]
+
+    def test_two_norms_only_for_the_fitted_half(self, monkeypatch):
+        norms = count_calls(
+            monkeypatch, np.linalg, "norm", lambda x, ord=None, *a, **kw: ord == 2
+        )
+        est = index_by_growth(new_pencil(N3, np.eye(3)), samples=24)
+        assert len(norms) == 24 - 24 // 2 == est.diagnostics["points_fitted"]
 
     def test_too_few_samples_left_raises(self, monkeypatch):
         self._singular_between(monkeypatch, 1e3, np.inf)
