@@ -70,8 +70,8 @@ def compute_chain(pencil: Pencil, tol: RankTolerance = RankTolerance(), max_k=No
     spaces = [full_space(n, tol)]
     images = []
     while True:
-        images.append(image(pencil.E, spaces[-1]))
-        spaces.append(preimage(pencil.A, images[-1]))
+        images.append(image(pencil.E, spaces[-1], pencil.norm_E))
+        spaces.append(preimage(pencil.A, images[-1], pencil.norm_A))
         stable = len(spaces) >= 3 and equal(spaces[-1], spaces[-2])
         if stable or len(spaces) > max_k:
             break

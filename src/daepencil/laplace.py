@@ -44,8 +44,9 @@ class IdentityReport:
     """Result of sampling one identity.
 
     max_relative_error is the worst sampled error in the identity's own
-    normalization; for expansion_e it is the remainder constant C, compared
-    against EXPANSION_C_MAX instead of a relative tolerance.
+    normalization (for commutation_b and shift_d an upper bound on the relative
+    2-norm error, within a factor of n); for expansion_e it is the remainder
+    constant C, compared against EXPANSION_C_MAX instead of a relative tolerance.
     """
 
     identity: str  # commutation_b | shift_d | expansion_e | solution_formula | transform_match
@@ -55,17 +56,37 @@ class IdentityReport:
     details: dict = field(default_factory=dict)
 
 
+def _norm2_lower(X) -> float:
+    """Certified lower bound on ||X||_2, at least ||X||_F / sqrt(n), by matvecs.
+
+    The largest ||X v|| / ||v|| of the largest column and three power steps on
+    X^H X from it; X is scaled by its largest entry so that no square overflows.
+    """
+    peak = float(np.abs(X).max())
+    if peak == 0.0:
+        return 0.0
+    X = X / peak
+    XH = X.conj().T
+    w = X[:, int(np.einsum("ji,ij->j", XH, X).real.argmax())]  # largest column
+    best = np.vdot(w, w).real
+    for _ in range(3):
+        v = XH @ w
+        w = X @ v
+        best = max(best, np.vdot(w, w).real / np.vdot(v, v).real)
+    return peak * float(np.sqrt(best))
+
+
 def _commutation_error(pencil, R, s, u0):
     diff = pencil.E @ R @ pencil.A - pencil.A @ R @ pencil.E
-    denom = max(pencil.norm_E * pencil.norm_A * np.linalg.norm(R, 2), _TINY)
-    return float(np.linalg.norm(diff, 2) / denom)
+    denom = max(pencil.norm_E * pencil.norm_A * _norm2_lower(R), _TINY)
+    return float(np.linalg.norm(diff) / denom)
 
 
 def _shift_error(pencil, R, s, u0):
     lhs = R @ pencil.E
     rhs = np.eye(pencil.n) / s - (R @ pencil.A) / s
-    denom = max(np.linalg.norm(lhs, 2), np.linalg.norm(rhs, 2), _TINY)
-    return float(np.linalg.norm(lhs - rhs, 2) / denom)
+    denom = max(_norm2_lower(lhs), _norm2_lower(rhs), _TINY)
+    return float(np.linalg.norm(lhs - rhs) / denom)
 
 
 def _formula_error(pencil, R, s, u0):
@@ -100,12 +121,18 @@ def _sample_identities(pencil, points, names, u0=None):
 
 
 def verify_commutation(pencil: Pencil, points) -> IdentityReport:
-    """E (sE+A)^{-1} A = A (sE+A)^{-1} E at every sample point."""
+    """E (sE+A)^{-1} A = A (sE+A)^{-1} E at every sample point.
+
+    Frobenius error over ||E|| ||A|| times a certified lower bound on ||R||_2.
+    """
     return _sample_identities(pencil, points, ("commutation_b",))[0]
 
 
 def verify_shift(pencil: Pencil, points) -> IdentityReport:
-    """(sE+A)^{-1} E = I/s - (1/s)(sE+A)^{-1} A at every nonzero sample point."""
+    """(sE+A)^{-1} E = I/s - (1/s)(sE+A)^{-1} A at every nonzero sample point.
+
+    Frobenius error over the larger certified lower bound on ||lhs||_2, ||rhs||_2.
+    """
     return _sample_identities(pencil, points, ("shift_d",))[0]
 
 
@@ -121,8 +148,8 @@ def verify_solution_formula(pencil: Pencil, u0, points) -> IdentityReport:
 def verify_identities(pencil: Pencil, u0, points) -> tuple:
     """(commutation_b, shift_d, solution_formula) reports from one resolvent per point.
 
-    Bit for bit the reports of verify_commutation, verify_shift and
-    verify_solution_formula on the same points and u0, at a third of the solves.
+    Bit for bit the reports (bounds included) of verify_commutation, verify_shift
+    and verify_solution_formula on the same points and u0, at a third of the solves.
     """
     return _sample_identities(pencil, points, tuple(_IDENTITIES), np.asarray(u0))
 

@@ -296,7 +296,7 @@ def index_by_growth(
 
 
 def _shifted_kernels(pencil: Pencil, seed: int):
-    """(s0, F, kernels) for the seed-derived shift, kept on the pencil.
+    """(s0, F, ||F||_2, kernels) for the seed-derived shift, kept on the pencil.
 
     s0 is drawn from [1, 2] and nudged off singular points like any other
     resolvent sample; F = (s0 E + A)^{-1} E is read-only.  kernels is
@@ -310,10 +310,11 @@ def _shifted_kernels(pencil: Pencil, seed: int):
         R, s0 = _resolvent_retry(pencil, float(make_rng(seed).uniform(1.0, 2.0)), tries=10)
         F = R @ pencil.E
         F.setflags(write=False)
+        norm_F = float(np.linalg.norm(F, 2))
         kernels = [zero_space(pencil.n, RankTolerance())]
         while len(kernels) < 2 or kernels[-1].dim != kernels[-2].dim:
-            kernels.append(preimage(F, kernels[-1]))
-        return s0, F, tuple(kernels)
+            kernels.append(preimage(F, kernels[-1], norm_F))
+        return s0, F, norm_F, tuple(kernels)
 
     return _cached(pencil, ("shift", seed), build)
 
@@ -328,7 +329,7 @@ def index_by_nilpotency(pencil: Pencil, seed: int = 0) -> IndexEstimate:
     """
     if not certify_regularity(pencil, seed).regular:
         raise NotRegularError("the kernel-chain oracle needs a regular pencil")
-    s0, _, kernels = _shifted_kernels(pencil, seed)
+    s0, _, _, kernels = _shifted_kernels(pencil, seed)
     nu = len(kernels) - 2
     return IndexEstimate(
         k=max(nu - 1, 0),

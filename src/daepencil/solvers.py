@@ -326,12 +326,12 @@ def fitting_splitting(pencil: Pencil, seed: int = 0) -> FittingSplit:
 
 
 def _split(pencil, seed):
-    s0, F, kernels = _shifted_kernels(pencil, seed)
+    s0, F, norm_F, kernels = _shifted_kernels(pencil, seed)
     ker = kernels[-2]
     n = pencil.n
     ran = full_space(n, RankTolerance())
     while True:
-        nxt = image(F, ran)
+        nxt = image(F, ran, norm_F)
         if equal(nxt, ran):
             break
         ran = nxt

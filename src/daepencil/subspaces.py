@@ -178,29 +178,30 @@ def _check_same_ambient(S: Subspace, T: Subspace):
         )
 
 
-def image(M, S: Subspace) -> Subspace:
+def image(M, S: Subspace, scale=None) -> Subspace:
     """span{M b : b in S.basis}, the image of S under M.
 
-    Rank decisions are taken relative to ||M||, so an image that vanishes to
-    roundoff collapses to {0} instead of being kept alive by its own noise.
+    Rank decisions are taken relative to scale = ||M||_2 (taken unless given), so an
+    image that vanishes to roundoff collapses to {0}, not kept alive by its noise.
     """
     M = _check_square_matching(M, S)
     if S.dim == 0:
         return zero_space(S.ambient_dim, S.tol)
-    scale = np.linalg.norm(M, 2)
+    scale = np.linalg.norm(M, 2) if scale is None else scale
     return Subspace(_orthonormal_columns(M @ S.basis, S.tol, reference=scale), S.tol)
 
 
-def preimage(M, S: Subspace) -> Subspace:
+def preimage(M, S: Subspace, scale=None) -> Subspace:
     """{x : M x in S}, computed as the kernel of (I - P_S) M.
 
     Always contains ker M; equals the full space when S does.  Rank decisions
-    are taken relative to ||M||, the natural scale of the projected map.
+    are relative to scale = ||M||_2 (taken unless given), the map's natural scale.
     """
     M = _check_square_matching(M, S)
     B = S.basis
     K = M - B @ (B.conj().T @ M)
-    return Subspace(_nullspace_columns(K, S.tol, reference=np.linalg.norm(M, 2)), S.tol)
+    scale = np.linalg.norm(M, 2) if scale is None else scale
+    return Subspace(_nullspace_columns(K, S.tol, reference=scale), S.tol)
 
 
 def kernel(M, tol: RankTolerance = RankTolerance()) -> Subspace:

@@ -17,7 +17,7 @@ from .analysis import IDENTITY_POINTS, _transform_match, build_analysis
 from .chains import consistent_space
 from .exceptions import InconsistentInitialValueError
 from .fixtures import FixtureSpec, generate
-from .laplace import expansion_grid, verify_expansion, verify_identities
+from .laplace import _norm2_lower, expansion_grid, verify_expansion, verify_identities
 from .pencils import resolvent
 from .rng import make_rng
 from .solvers import classical_solution, decomposition_oracle
@@ -142,15 +142,11 @@ def _resolvent_identity_row(analyzed, seed):
             Rs, Rt = resolvent(p, s), resolvent(p, t)
             lhs = Rs - Rt
             rhs = (t - s) * (Rs @ (p.E @ Rt))
-            # the product scale keeps cancellation in Rs - Rt for nearby
-            # points from inflating the relative error
-            scale = max(
-                np.linalg.norm(lhs, 2),
-                np.linalg.norm(rhs, 2),
-                abs(t - s) * np.linalg.norm(Rs, 2) * p.norm_E * np.linalg.norm(Rt, 2),
-                1e-300,
-            )
-            err = float(np.linalg.norm(lhs - rhs, 2) / scale)
+            # the product scale keeps cancellation in Rs - Rt for nearby points
+            # from inflating the error; Frobenius over lower bounds, as in laplace
+            lb_lhs, lb_rhs, lb_s, lb_t = map(_norm2_lower, (lhs, rhs, Rs, Rt))
+            scale = max(lb_lhs, lb_rhs, abs(t - s) * lb_s * p.norm_E * lb_t, 1e-300)
+            err = float(np.linalg.norm(lhs - rhs) / scale)
             row.add(err, err <= 1e-9)
     return row.done()
 

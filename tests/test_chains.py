@@ -51,6 +51,17 @@ class TestComputeChain:
         assert equal(chain.spaces[k + 1], chain.spaces[k + 2])
 
 
+    @pytest.mark.parametrize("nu", [1, 3, 5])
+    def test_two_matrix_norms_whatever_the_step_count(self, matrix_norm2_calls, nu):
+        p, _ = generate(FixtureSpec(4, (nu,), 100.0, nu))
+        p = new_pencil(p.E, p.A)  # nothing kept yet
+        matrix_norm2_calls.clear()
+        chain = compute_chain(p)
+        assert chain.stabilization == nu - 1  # nu + 1 steps, one image and preimage each
+        assert len(matrix_norm2_calls) == 2
+        assert matrix_norm2_calls[0] is p.E and matrix_norm2_calls[1] is p.A
+
+
 class TestIndexByChain:
     def test_examples(self):
         rng = np.random.default_rng(2)

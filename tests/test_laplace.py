@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import daepencil.laplace as laplace_mod
 import daepencil.pencils as pencils_mod
@@ -7,8 +11,11 @@ from daepencil.chains import compute_chain, consistent_space
 from daepencil.exceptions import InconsistentInitialValueError, SingularMatrixError
 from daepencil.fixtures import FixtureSpec, generate
 from daepencil.laplace import (
+    _commutation_error,
     _fit_expansion_coefficients,
     _float64_horizon,
+    _norm2_lower,
+    _shift_error,
     expansion_grid,
     hat_solution,
     verify_commutation,
@@ -40,6 +47,92 @@ def _count_resolvents(monkeypatch):
     monkeypatch.setattr(pencils_mod, "resolvent", counted)
     monkeypatch.setattr(laplace_mod, "resolvent", counted)
     return calls
+
+
+def _exact_commutation(p, R):
+    """The relative 2-norm error the commutation check bounds from above."""
+    diff = p.E @ R @ p.A - p.A @ R @ p.E
+    return np.linalg.norm(diff, 2) / max(p.norm_E * p.norm_A * np.linalg.norm(R, 2), 1e-300)
+
+
+def _exact_shift(p, R, s):
+    """The relative 2-norm error the shift check bounds from above."""
+    lhs = R @ p.E
+    rhs = np.eye(p.n) / s - (R @ p.A) / s
+    denom = max(np.linalg.norm(lhs, 2), np.linalg.norm(rhs, 2), 1e-300)
+    return np.linalg.norm(lhs - rhs, 2) / denom
+
+
+def _check_certified(p, points=POINTS):
+    """Every sampled error lies in [exact, n * exact], every lower bound is certified.
+
+    The factor 1 -+ 1e-12 only absorbs roundoff in comparing two float64
+    evaluations of mathematically ordered quantities.
+    """
+    for s in points:
+        R = resolvent(p, s)
+        for X in (R, R @ p.E, np.eye(p.n) / s - (R @ p.A) / s):
+            lb = _norm2_lower(X)
+            assert np.max(np.linalg.norm(X, axis=0)) * (1 - 1e-12) <= lb
+            assert lb <= np.linalg.norm(X, 2) * (1 + 1e-12)
+        for got, exact in (
+            (_commutation_error(p, R, s, None), _exact_commutation(p, R)),
+            (_shift_error(p, R, s, None), _exact_shift(p, R, s)),
+        ):
+            assert exact * (1 - 1e-12) <= got <= p.n * exact * (1 + 1e-12)
+    ref = max(_exact_commutation(p, resolvent(p, s)) for s in points)
+    assert ref * (1 - 1e-12) <= verify_commutation(p, points).max_relative_error
+
+
+class TestCertifiedBounds:
+    def test_no_matrix_two_norm_in_the_identity_checks(self, matrix_norm2_calls):
+        p, _ = generate(FixtureSpec(3, (2,), 100.0, 5))
+        p.norm_E, p.norm_A  # the pencil's own norms, kept on it, are taken once
+        matrix_norm2_calls.clear()
+        verify_identities(p, np.ones(p.n), POINTS)
+        assert matrix_norm2_calls == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        complex_=st.booleans(),
+    )
+    def test_bounds_on_random_pencils(self, n, seed, complex_):
+        rng = np.random.default_rng(seed)
+        E, A = rng.standard_normal((2, n, n))
+        if complex_:
+            E, A = E + 1j * rng.standard_normal((n, n)), A + 1j * rng.standard_normal((n, n))
+        _check_certified(new_pencil(E, A), POINTS[::4])
+
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+    @pytest.mark.parametrize(
+        "spec", [FixtureSpec(3, (nu,), 100.0, nu) for nu in range(1, 6)] + [ACCEPTANCE_K2]
+    )
+    def test_bounds_on_scaled_fixtures(self, spec, scale):
+        p, _ = generate(spec)
+        _check_certified(new_pencil(scale * p.E, scale * p.A), POINTS[::4])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        exponent=st.integers(-150, 150),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_lower_bound_holds_at_every_magnitude(self, shape, exponent, seed):
+        X = np.random.default_rng(seed).standard_normal(shape) * 10.0**exponent
+        peak = np.max(np.abs(X))
+        lb = _norm2_lower(X)
+        assert peak * np.max(np.linalg.norm(X / peak, axis=0)) * (1 - 1e-12) <= lb
+        assert lb <= np.linalg.norm(X, 2) * (1 + 1e-12)
+
+    def test_zero_matrix_gives_zero_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _norm2_lower(np.zeros((3, 3))) == 0.0
+            assert _norm2_lower(np.zeros((2, 2), dtype=complex)) == 0.0
+            rep = verify_commutation(new_pencil(np.zeros((2, 2)), np.eye(2)), (1.0, 5.0))
+        assert rep.max_relative_error == 0.0
 
 
 class TestCommutation:

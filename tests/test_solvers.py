@@ -311,6 +311,13 @@ class TestCachedArtifacts:
         assert reduced_generator(p, chain) is reduced_generator(p, chain)
         assert check_restricted_iso(p, chain) is check_restricted_iso(p, chain)
 
+    def test_one_two_norm_of_F_for_kernels_and_split(self, matrix_norm2_calls):
+        p, _ = generate(FixtureSpec(4, (3, 2), 100.0, 12))
+        p = new_pencil(p.E, p.A)  # nothing kept yet
+        matrix_norm2_calls.clear()
+        fitting_splitting(p)
+        assert [F.shape for F in matrix_norm2_calls] == [(p.n, p.n)]
+
     def test_cached_arrays_are_read_only(self):
         p, _ = generate(FixtureSpec(2, (3,), 100.0, 12))
         split = fitting_splitting(p)

@@ -142,6 +142,16 @@ class TestPreimage:
         assert preimage(np.zeros((3, 3)), span([(1.0, 0.0, 0.0)])).dim == 3
 
 
+def test_known_scale_gives_the_default_bytes():
+    # image and preimage accept ||M||_2 precomputed; passing it changes nothing
+    rng = np.random.default_rng(7)
+    M = rng.standard_normal((5, 5)) @ np.diag([1.0, 1.0, 1e-3, 1e-12, 0.0])
+    S = span(list(rng.standard_normal((2, 5))))
+    scale = np.linalg.norm(M, 2)
+    for op in (image, preimage):
+        assert np.array_equal(op(M, S, scale).basis, op(M, S).basis)
+
+
 class TestKernelSumIntersect:
     def test_kernel_nilpotent(self):
         assert equal(kernel(N2), span([E1]))

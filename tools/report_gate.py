@@ -1,0 +1,154 @@
+"""Byte gate for the deterministic reports of the daepencil CLI.
+
+    python3 tools/report_gate.py run OUT [--src SRC]
+    python3 tools/report_gate.py compare OLD NEW
+
+`run` writes into OUT the `analyze --json` report of 14 `generate` fixtures
+and the stdout, JSON and exit code of
+`verify --random 60 --dim-range 2..20 --index-range 0..4 --seed S` for
+S = 7, 8, 9, 11.  SRC is the `src` directory of the checkout to run (this
+checkout's by default), so two checkouts can be gated against each other.
+
+`compare` prints every JSON leaf and stdout line that differs between two
+`run` directories as old -> new, marking numbers that went down, and exits 1
+if any exit code or `passed` flag differs or a file is missing on one side.
+
+Only the standard library and the CLI are used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+# (generate --n1, --blocks, --seed, analyze --seed); None means no --blocks
+ANALYZE_FIXTURES = (
+    (2, None, 1, 0),
+    (1, "2", 3, 5),
+    (5, "3", 11, 2),
+    (0, "4", 12, 1),
+    (3, "5", 13, 3),
+    (20, "3,2", 21, 7),
+    (35, "4,1", 22, 9),
+    (75, "3,2", 23, 4),
+    (116, "3,1", 7961092196937783157, 935017201),
+    (155, "3,2", 24, 6),
+    (10, "5,2", 25, 8),
+    (50, "2", 26, 10),
+    (0, "1,1", 27, 11),
+    (6, "4", 28, 12),
+)
+VERIFY_SEEDS = (7, 8, 9, 11)
+VERIFY_ARGS = ("--random", "60", "--dim-range", "2..20", "--index-range", "0..4")
+EXIT_CODES = "exit_codes.json"
+
+
+def _cli(src, *args, stdout=subprocess.DEVNULL):
+    """Run `python -m daepencil ARGS` on the package under src; its exit code."""
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    cmd = (sys.executable, "-m", "daepencil", *map(str, args))
+    return subprocess.run(cmd, env=env, stdout=stdout, check=False).returncode
+
+
+def run(out: Path, src: Path):
+    out.mkdir(parents=True, exist_ok=True)
+    codes = {}
+    with tempfile.TemporaryDirectory() as scratch:
+        for n1, blocks, seed, analyze_seed in ANALYZE_FIXTURES:
+            name = f"analyze_n1-{n1}_blocks-{blocks or 'none'}_seed-{seed}"
+            fixture = Path(scratch, name)
+            extra = ("--blocks", blocks) if blocks else ()
+            if _cli(src, "generate", "--n1", n1, *extra, "--seed", seed, "--out", fixture):
+                raise SystemExit(f"generate failed for {name}")
+            codes[name] = _cli(
+                src, "analyze", fixture / "E.mtx", fixture / "A.mtx",
+                "--seed", analyze_seed, "--json", out / f"{name}.json",
+            )
+            print(f"{name}: exit {codes[name]}")
+    for seed in VERIFY_SEEDS:
+        name = f"verify_seed-{seed}"
+        with open(out / f"{name}.txt", "w", encoding="ascii") as fh:
+            codes[name] = _cli(
+                src, "verify", *VERIFY_ARGS, "--seed", seed,
+                "--json", out / f"{name}.json", stdout=fh,
+            )
+        print(f"{name}: exit {codes[name]}")
+    (out / EXIT_CODES).write_text(json.dumps(codes, sort_keys=True, indent=2) + "\n")
+
+
+def _leaves(node, path=""):
+    """(path, value) of every JSON leaf; list items are named by their
+    `identity` or `name` key where they have one."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for i, item in enumerate(node):
+            label = item.get("identity", item.get("name", i)) if isinstance(item, dict) else i
+            yield from _leaves(item, f"{path}[{label}]")
+    else:
+        yield path, node
+
+
+def _mark(old, new):
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (old, new))
+    return "  (lower)" if numbers and new < old else ""
+
+
+def compare(old_dir: Path, new_dir: Path) -> int:
+    bad = 0
+    names = sorted({p.name for p in old_dir.iterdir()} | {p.name for p in new_dir.iterdir()})
+    for name in names:
+        old_path, new_path = old_dir / name, new_dir / name
+        if not (old_path.exists() and new_path.exists()):
+            print(f"{name}: only in {old_dir if old_path.exists() else new_dir}")
+            bad += 1
+            continue
+        if name.endswith(".json"):
+            old = dict(_leaves(json.loads(old_path.read_text())))
+            new = dict(_leaves(json.loads(new_path.read_text())))
+            for key in sorted(old.keys() | new.keys()):
+                a, b = old.get(key, "<missing>"), new.get(key, "<missing>")
+                if a != b:
+                    print(f"{name}: {key}: {a!r} -> {b!r}{_mark(a, b)}")
+                    gated = name == EXIT_CODES or key.rsplit(".", 1)[-1] == "passed"
+                    bad += gated or "<missing>" in (a, b)
+        else:
+            old_lines = old_path.read_text().splitlines()
+            new_lines = new_path.read_text().splitlines()
+            if len(old_lines) != len(new_lines):
+                print(f"{name}: {len(old_lines)} lines -> {len(new_lines)} lines")
+                bad += 1
+            for a, b in zip(old_lines, new_lines):
+                if a != b:
+                    print(f"{name}:\n  - {a}\n  + {b}")
+    print(f"{len(names)} files compared, {bad} gated difference(s)")
+    return 1 if bad else 0
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="mode", required=True)
+    p_run = sub.add_parser("run", help="write the gate's reports into OUT")
+    p_run.add_argument("out", type=Path)
+    p_run.add_argument(
+        "--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
+        help="src directory of the checkout to run (default: this one)",
+    )
+    p_compare = sub.add_parser("compare", help="diff two run directories")
+    p_compare.add_argument("old", type=Path)
+    p_compare.add_argument("new", type=Path)
+    args = parser.parse_args(argv)
+    if args.mode == "run":
+        run(args.out, args.src.resolve())
+        return 0
+    return compare(args.old, args.new)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
