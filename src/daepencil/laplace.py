@@ -112,8 +112,8 @@ def _sample_identities(pencil, points, names, u0=None):
         if s == 0 and set(names) - {"commutation_b"}:
             raise ValueError("the shift identity and solution formula are undefined at s = 0")
         R = resolvent(pencil, s)
-        for name in names:
-            worst[name] = max(worst[name], _IDENTITIES[name][1](pencil, R, s, u0))
+        for name in names:  # np.maximum keeps a NaN error, which then fails the check
+            worst[name] = float(np.maximum(worst[name], _IDENTITIES[name][1](pencil, R, s, u0)))
     return tuple(
         IdentityReport(name, points, worst[name], worst[name] <= _IDENTITIES[name][0])
         for name in names
@@ -267,7 +267,7 @@ def verify_expansion(pencil: Pencil, chain: IvChain, k: int, s_grid=None) -> Ide
         powers = s_used ** -(np.arange(1, k + 1) + 1.0)
         remainder = R @ EB - B / s_used - np.tensordot(powers, coeffs, axes=1)
         column = np.max(np.linalg.norm(remainder, axis=0))
-        worst_c = max(worst_c, float(column * s_used ** (k + 1) / bound))
+        worst_c = float(np.maximum(worst_c, column * s_used ** (k + 1) / bound))
     return IdentityReport(
         "expansion_e", tuple(s_grid), worst_c, worst_c <= EXPANSION_C_MAX, details
     )
@@ -331,7 +331,7 @@ def verify_transform_match(
         integral_half = (weights_half * kernel[half]) @ traj.states[half]
         hat = hat_solution(pencil, u0, s)
         scale = max(float(np.linalg.norm(hat)), _TINY)
-        worst = max(worst, float(np.linalg.norm(integral - hat)) / scale)
+        worst = float(np.maximum(worst, np.linalg.norm(integral - hat) / scale))
         if np.linalg.norm(integral - integral_half) > 0.1 * TRANSFORM_TOL * scale:
             quadrature_warning = True
 

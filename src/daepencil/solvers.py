@@ -73,18 +73,20 @@ class Trajectory:
 
     derivative_residuals[i] is ||E u'(t_i) + A u(t_i) - f(t_i)|| with u'
     taken analytically for the exponential routes and as a difference
-    quotient of the computed states for the stepper.
+    quotient of the computed states for the stepper.  For an (n, m) block
+    u0 (exponential routes), column j is states[:, :, j] with residuals[:, j].
     """
 
     times: np.ndarray
-    states: np.ndarray  # (len(times), n)
-    derivative_residuals: np.ndarray
+    states: np.ndarray  # (len(times), n), or (len(times), n, m) for a block
+    derivative_residuals: np.ndarray  # (len(times),), or (len(times), m)
     method: str  # "exponential" | "implicit_euler" | "decomposition_oracle"
 
 
-def _check_u0(pencil, u0):
+def _check_u0(pencil, u0, block=False):
+    """u0 as an array of the pencil's dtype: shape (n,), or (n, m) if block."""
     u0 = np.asarray(u0, dtype=complex if pencil.is_complex else float)
-    if u0.shape != (pencil.n,):
+    if u0.shape[:1] != (pencil.n,) or u0.ndim > 1 + block:
         raise ShapeMismatchError(
             f"initial value shape {u0.shape} does not match pencil size {pencil.n}"
         )
@@ -101,15 +103,20 @@ def _check_times(times):
 
 
 def is_consistent(pencil: Pencil, chain: IvChain, u0):
-    """Whether u0 admits a classical solution, with its distance to IV_{k+1}."""
-    u0 = _check_u0(pencil, u0)
+    """Whether u0 admits a classical solution, with its distance to IV_{k+1}.
+
+    An (n, m) block takes one projection: whether every column is consistent,
+    with the largest column distance.
+    """
+    u0 = _check_u0(pencil, u0, block=True)
     dist = distance(consistent_space(pencil, chain), u0)
-    return dist <= CONSISTENT_RTOL * max(1.0, float(np.linalg.norm(u0))), dist
+    ok = np.all(dist <= CONSISTENT_RTOL * np.maximum(1.0, np.linalg.norm(u0, axis=0)))
+    return bool(ok), float(np.max(dist, initial=0.0))
 
 
 def nearest_consistent(pencil: Pencil, chain: IvChain, u0):
-    """Orthogonal projection of u0 onto the consistent space."""
-    return project(consistent_space(pencil, chain), _check_u0(pencil, u0))
+    """Orthogonal projection of u0 (a vector or an (n, m) block) onto the consistent space."""
+    return project(consistent_space(pencil, chain), _check_u0(pencil, u0, block=True))
 
 
 def reduced_generator(pencil: Pencil, chain: IvChain) -> ReducedGenerator:
@@ -144,7 +151,7 @@ def _generator(chain):
 
     defect = pencil.E @ (B @ M) - pencil.A @ B
     scale = pencil.norm_E + pencil.norm_A
-    worst = float(max(np.linalg.norm(defect[:, j]) for j in range(d)))
+    worst = float(np.max(np.linalg.norm(defect, axis=0)))
     if worst > GENERATOR_RTOL * scale:
         raise IsomorphismError(
             f"reduced generator residual {worst:.3e} exceeds "
@@ -162,27 +169,27 @@ def _is_uniform(times):
     return h > 0 and float(np.max(np.abs(steps - h))) <= 1e-12 * h
 
 
-def _evolve(M, c0, times):
-    """Coordinates exp(-t_i M) c0 for every grid point.
+def _evolve(M, C0, times):
+    """Coordinates exp(-t_i M) C0 of a (d, m) block C0 as rows, row i*m + j for column j at t_i.
 
-    Uniform grids advance by one precomputed step matrix; general grids get
-    a fresh exponential per point.
+    A uniform grid is filled by doubling: the next b points are P^b times the
+    first b, P = exp(-h M) squared once per round, so about 2 log2(len(times))
+    products replace a step per point.  General grids take an exponential per point.
     """
-    if M.shape[0] == 0:
-        return np.zeros((times.size, 0))
-    cols = np.atleast_2d(c0.T).T
-    out = np.empty((times.size, *cols.shape), dtype=np.result_type(M, cols))
-    if _is_uniform(times):
-        step = expm(-float(np.diff(times)[0]) * M)
-        c = cols if times[0] == 0.0 else expm(-times[0] * M) @ cols
-        out[0] = c
-        for i in range(1, times.size):
-            c = step @ c
-            out[i] = c
-    else:
-        for i, t in enumerate(times):
-            out[i] = (expm(-t * M) @ cols) if t != 0.0 else cols
-    return out.reshape((times.size, *c0.shape))
+    m = C0.shape[1]
+    rows = np.empty((times.size * m, M.shape[0]), dtype=np.result_type(M, C0))
+    uniform = _is_uniform(times)
+    for i, t in enumerate(times[:1] if uniform else times):
+        rows[i * m : (i + 1) * m] = ((expm(-t * M) @ C0) if t != 0.0 else C0).T
+    if uniform:
+        power, b = expm(-float(np.diff(times)[0]) * M), 1  # P^b, b grid points filled
+        while b < times.size:
+            take = min(b, times.size - b)
+            rows[b * m : (b + take) * m] = rows[: take * m] @ power.T
+            b += take
+            if b < times.size:
+                power = power @ power
+    return rows
 
 
 def classical_solution(pencil: Pencil, chain: IvChain, u0, times) -> Trajectory:
@@ -190,9 +197,11 @@ def classical_solution(pencil: Pencil, chain: IvChain, u0, times) -> Trajectory:
 
     Coordinates in the IV_{k+1} basis evolve by exp(-tM); states and the
     analytic derivative are lifted back to the ambient space, and the
-    residual ||E u'(t) + A u(t)|| is recorded per grid point.
+    residual ||E u'(t) + A u(t)|| is recorded per grid point.  An (n, m)
+    block u0 takes one projection, evolution and lift for all its columns; it
+    is rejected if any column is, with the worst distance and projected block.
     """
-    u0 = _check_u0(pencil, u0)
+    u0 = _check_u0(pencil, u0, block=True)
     times = _check_times(times)
     ok, dist = is_consistent(pencil, chain, u0)
     if not ok:
@@ -207,14 +216,16 @@ def classical_solution(pencil: Pencil, chain: IvChain, u0, times) -> Trajectory:
 
 
 def _lifted(pencil, B, M, c0, times, method):
-    """Coordinates exp(-tM) c0 in the basis B, lifted to the ambient space.
+    """Coordinates exp(-tM) c0, c0 of shape (d,) or (d, m), lifted from the basis B.
 
-    The residual E u' + A u = (A B - E B M) c is recorded per grid point.
+    The residual E u' + A u = (A B - E B M) c is recorded per grid point and column.
     """
-    coords = _evolve(M, c0, times)
+    cols = np.atleast_2d(c0.T).T  # (d, m): a vector is the block of one column
+    rows = _evolve(M, cols, times)
     defect_map = pencil.A @ B - pencil.E @ (B @ M)
-    residuals = np.linalg.norm(coords @ defect_map.T, axis=1)
-    return Trajectory(times, coords @ B.T, residuals.astype(float), method)
+    residuals = np.linalg.norm(rows @ defect_map.T, axis=1).reshape(times.size, *c0.shape[1:])
+    states = (rows @ B.T).reshape(times.size, cols.shape[1], pencil.n).swapaxes(1, 2)
+    return Trajectory(times, states.reshape(times.size, pencil.n, *c0.shape[1:]), residuals, method)
 
 
 def _difference_quotient_residuals(pencil, times, states, forcing_values):
@@ -380,22 +391,26 @@ def decomposition_oracle(pencil: Pencil, u0, times, seed: int = 0) -> Trajectory
     On the range part F is invertible and Eu' + Au = 0 reduces to the plain
     ODE u' = -F_r^{-1} G_r u; on the kernel part the only classical solution
     is zero, so a nonzero kernel component of u0 is flagged as inconsistent.
+    An (n, m) block u0 is solved at once and rejected, like classical_solution's,
+    if any column is, with the largest kernel component and the range part.
     """
-    u0 = _check_u0(pencil, u0)
+    u0 = _check_u0(pencil, u0, block=True)
     times = _check_times(times)
     split = fitting_splitting(pencil, seed)
     range_part, kernel_part, c_r = split.components(u0)
-    knorm = float(np.linalg.norm(kernel_part))
+    knorm = np.linalg.norm(kernel_part, axis=0)
     # oblique components amplify input noise by up to 1/sigma_min(V), so the
     # consistency threshold is widened accordingly (capped to keep genuine
     # O(1) kernel components detectable)
     amplification = min(1e3, 1.0 / max(split.basis_sigma_min, 1e-300))
-    threshold = CONSISTENT_RTOL * max(1.0, float(np.linalg.norm(u0))) * max(1.0, amplification)
-    if knorm > threshold:
+    unit = np.maximum(1.0, np.linalg.norm(u0, axis=0))
+    threshold = CONSISTENT_RTOL * unit * max(1.0, amplification)
+    if np.any(knorm > threshold):
+        worst = float(np.max(knorm))
         raise InconsistentInitialValueError(
-            f"u0 has a kernel-part component of norm {knorm:.6e}; "
+            f"u0 has a kernel-part component of norm {worst:.6e}; "
             "only its range part can evolve classically",
-            distance=knorm,
+            distance=worst,
             nearest=range_part,
         )
     return _lifted(pencil, split.range_basis, split.generator, c_r, times, "decomposition_oracle")

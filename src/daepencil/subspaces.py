@@ -240,9 +240,9 @@ def intersect(S: Subspace, T: Subspace) -> Subspace:
 
 
 def project(S: Subspace, v):
-    """Orthogonal projection of v onto S."""
+    """Orthogonal projection onto S of a vector v, or of each column of an (n, m) block v."""
     v = _as_inexact(np.asarray(v))
-    if v.shape != (S.ambient_dim,):
+    if v.shape[:1] != (S.ambient_dim,) or v.ndim > 2:
         raise ShapeMismatchError(
             f"vector shape {v.shape} does not match ambient dimension {S.ambient_dim}"
         )
@@ -251,16 +251,17 @@ def project(S: Subspace, v):
     return S.basis @ (S.basis.conj().T @ v)
 
 
-def distance(S: Subspace, v) -> float:
-    """Euclidean distance from v to S."""
-    return float(np.linalg.norm(np.asarray(v) - project(S, v)))
+def distance(S: Subspace, v):
+    """Euclidean distance from v to S; for an (n, m) block, its m column distances at once."""
+    v = np.asarray(v)
+    return np.linalg.norm(v - project(S, v), axis=0)
 
 
 def contains(S: Subspace, T: Subspace) -> bool:
     """Whether T is a subset of S, decided basis-vector-wise.
 
     Each unit basis vector t of T must satisfy distance(S, t) <= 10 * tol,
-    with tol the coarser of the two operands' relative tolerances.
+    with tol the coarser of the two operands' relative tolerances (one projection for all).
     """
     _check_same_ambient(S, T)
     if T.dim == 0:
@@ -268,7 +269,7 @@ def contains(S: Subspace, T: Subspace) -> bool:
     if T.dim > S.dim:
         return False
     cutoff = 10.0 * S.tol.coarser(T.tol).relative
-    return all(distance(S, t) <= cutoff * np.linalg.norm(t) for t in T.basis.T)
+    return bool(np.all(distance(S, T.basis) <= cutoff * np.linalg.norm(T.basis, axis=0)))
 
 
 def equal(S: Subspace, T: Subspace) -> bool:

@@ -414,3 +414,58 @@ class TestTransformMatch:
         assert verify_solution_formula(p, u0, (4.0,)).passed
         with pytest.raises(InconsistentInitialValueError):
             verify_transform_match(p, chain, u0, (4.0,), T=10.0)
+
+
+class TestNaNFails:
+    """A NaN sample error reaches the reported value, so the check fails."""
+
+    def test_overflowing_scale_fails_commutation(self):
+        p, _ = generate(FixtureSpec(3, (2,), 100.0, 5))
+        big = new_pencil(p.E * 1e170, p.A * 1e170)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rep = verify_commutation(big, POINTS)
+        assert np.isnan(rep.max_relative_error) and not rep.passed
+
+    @pytest.mark.parametrize("name", ["commutation_b", "shift_d", "solution_formula"])
+    def test_nan_at_one_point_fails_the_sampled_identity(self, monkeypatch, name):
+        tol, error = laplace_mod._IDENTITIES[name]
+
+        def nan_at_third_point(pencil, R, s, u0):
+            return np.nan if s == POINTS[2] else error(pencil, R, s, u0)
+
+        monkeypatch.setitem(laplace_mod._IDENTITIES, name, (tol, nan_at_third_point))
+        p, _ = generate(FixtureSpec(3, (2,), 100.0, 5))
+        u0 = np.ones(p.n) / np.sqrt(p.n)
+        for rep in verify_identities(p, u0, POINTS):
+            assert rep.passed == (rep.identity != name)
+            assert np.isnan(rep.max_relative_error) == (rep.identity == name)
+
+    def test_nan_at_one_point_fails_the_expansion(self, monkeypatch):
+        p, _ = generate(FixtureSpec(3, (2,), 100.0, 5))
+        chain = compute_chain(p)
+        grid = expansion_grid(1)
+        assert verify_expansion(p, chain, 1).passed
+        retry = laplace_mod._resolvent_retry
+
+        def nan_at_one_grid_point(pencil, s):
+            R, s_used = retry(pencil, s)
+            return R, (np.nan if s == grid[4] else s_used)
+
+        monkeypatch.setattr(laplace_mod, "_resolvent_retry", nan_at_one_grid_point)
+        rep = verify_expansion(p, chain, 1)
+        assert np.isnan(rep.max_relative_error) and not rep.passed
+
+    def test_nan_at_one_point_fails_the_transform_match(self, monkeypatch):
+        p, _ = generate(FixtureSpec(3, (2,), 100.0, 9))
+        chain = compute_chain(p)
+        u0 = consistent_space(p, chain).basis[:, 0].real
+        assert verify_transform_match(p, chain, u0, (3.0, 4.0), T=10.0).passed
+        hat = laplace_mod.hat_solution
+
+        def nan_at_four(pencil, u0, s):
+            return np.full(pencil.n, np.nan) if s == 4.0 else hat(pencil, u0, s)
+
+        monkeypatch.setattr(laplace_mod, "hat_solution", nan_at_four)
+        rep = verify_transform_match(p, chain, u0, (3.0, 4.0), T=10.0)
+        assert np.isnan(rep.max_relative_error) and not rep.passed

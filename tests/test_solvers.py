@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+import daepencil.solvers as solvers_mod
 from daepencil.chains import check_restricted_iso, compute_chain, consistent_space
 from daepencil.exceptions import (
     InconsistentInitialValueError,
@@ -344,3 +346,116 @@ class TestCachedArtifacts:
         twin = new_pencil(DIAG_1_N2_E.copy(), np.eye(3))
         traj = classical_solution(twin, chain, E1_3, np.array([0.0, 1.0]))
         assert traj.states[-1][0] == pytest.approx(np.exp(-1.0), rel=1e-12)
+
+
+def _jordan(d, lam):
+    return lam * np.eye(d) + np.diag(np.full(d - 1, 2.0), 1)
+
+
+_RNG = np.random.default_rng(11)
+_Q = np.linalg.qr(_RNG.standard_normal((6, 6)))[0]
+EVOLVE_GENERATORS = {
+    "normal": _Q @ np.diag([0.5, 1.0, 1.5, 2.0, 2.5, 3.0]) @ _Q.T,
+    "jordan": _jordan(6, 1.0),
+    "growing": _jordan(6, -1.0) + 0.1 * _RNG.standard_normal((6, 6)),
+    "complex": _RNG.standard_normal((6, 6)) + 1j * _RNG.standard_normal((6, 6)),
+}
+
+
+class TestEvolveDoubling:
+    """Uniform grids are filled by repeated squaring; compare with one exponential per point."""
+
+    @pytest.mark.parametrize("kind", sorted(EVOLVE_GENERATORS))
+    @pytest.mark.parametrize("size", [3, 4, 5, 9, 1601, 2001])
+    @pytest.mark.parametrize("t0", [0.0, 0.7])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_matches_direct_exponential(self, kind, size, t0, m):
+        M = EVOLVE_GENERATORS[kind]
+        C0 = np.random.default_rng(size + m).standard_normal((6, m))
+        times = t0 + np.linspace(0.0, 2.0, size)
+        rows = solvers_mod._evolve(M, C0, times)
+        assert rows.shape == (size * m, 6)
+        direct = np.array([(scipy.linalg.expm(-t * M) @ C0).T for t in times])
+        peak = np.max(np.linalg.norm(direct, axis=2))
+        assert np.max(np.abs(rows.reshape(size, m, 6) - direct)) <= 1e-12 * peak
+
+
+# acceptance_specs()[1], [2], [4] and [7] of the acceptance suite
+BLOCK_SPECS = [
+    FixtureSpec(7, (2,), 77.18982493462926, 8260361215794292901),
+    FixtureSpec(32, (3,), 65.64330185339603, 6243975140293346584),
+    FixtureSpec(3, (5, 5), 51.769710268767454, 3863699837839773971),
+    FixtureSpec(11, (3,), 34.402767867042435, 8402350920931806502),
+]
+
+
+def _block_case(spec, complex_):
+    """(pencil, chain, consistent basis as a block of initial values)."""
+    p, _ = generate(spec)
+    if complex_:  # a complex diagonal on the left changes neither IV spaces nor solutions
+        D = np.diag(np.exp(1j * np.linspace(0.3, 2.0, p.n)))
+        p = new_pencil(D @ p.E, D @ p.A)
+    chain = compute_chain(p)
+    basis = consistent_space(p, chain).basis
+    return p, chain, basis if complex_ else basis.real
+
+
+class TestBlockInitialValues:
+    TIMES = np.linspace(0.0, 2.0, 9)
+
+    @pytest.mark.parametrize(
+        "spec, complex_", [(s, False) for s in BLOCK_SPECS] + [(BLOCK_SPECS[1], True)]
+    )
+    def test_block_matches_columns(self, spec, complex_):
+        p, chain, U0 = _block_case(spec, complex_)
+        m = U0.shape[1]
+        solves = (
+            lambda u: classical_solution(p, chain, u, self.TIMES),
+            lambda u: decomposition_oracle(p, u, self.TIMES, seed=spec.seed),
+        )
+        for solve in solves:
+            block = solve(U0)
+            assert block.states.shape == (9, p.n, m)
+            assert block.derivative_residuals.shape == (9, m)
+            for j in range(m):
+                single = solve(U0[:, j])
+                peak = np.max(np.abs(single.states))
+                assert np.max(np.abs(block.states[:, :, j] - single.states)) <= 1e-13 * peak
+                res = single.derivative_residuals
+                diff = np.abs(block.derivative_residuals[:, j] - res)
+                assert np.max(diff) <= 1e-13 * max(np.max(res), 1e-300)
+
+    def test_vector_keeps_its_shapes(self):
+        p, chain, U0 = _block_case(BLOCK_SPECS[0], False)
+        for traj in (
+            classical_solution(p, chain, U0[:, 0], self.TIMES),
+            decomposition_oracle(p, U0[:, 0], self.TIMES, seed=BLOCK_SPECS[0].seed),
+        ):
+            assert traj.states.shape == (9, p.n)
+            assert traj.derivative_residuals.shape == (9,)
+
+    def test_block_with_inconsistent_columns_is_rejected(self):
+        spec = BLOCK_SPECS[0]
+        p, chain, U0 = _block_case(spec, False)
+        cons = consistent_space(p, chain)
+        off = np.eye(p.n) - cons.basis @ cons.basis.T
+        away = off[:, np.argmax(np.linalg.norm(off, axis=0))]
+        away /= np.linalg.norm(away)
+        block = np.column_stack([U0[:, 0], U0[:, 1] + 0.3 * away, U0[:, 2] + 0.7 * away])
+        ok, dist = is_consistent(p, chain, block)
+        assert not ok and dist == pytest.approx(0.7)
+        assert is_consistent(p, chain, U0) == (True, pytest.approx(0.0, abs=1e-12))
+        with pytest.raises(InconsistentInitialValueError) as err:
+            classical_solution(p, chain, block, self.TIMES)
+        assert err.value.distance == pytest.approx(0.7)
+        np.testing.assert_allclose(err.value.nearest, cons.basis @ (cons.basis.T @ block), atol=1e-12)
+
+        per_column = []
+        for j in (1, 2):
+            with pytest.raises(InconsistentInitialValueError) as one:
+                decomposition_oracle(p, block[:, j], self.TIMES, seed=spec.seed)
+            per_column.append(one.value.distance)
+        with pytest.raises(InconsistentInitialValueError) as err:
+            decomposition_oracle(p, block, self.TIMES, seed=spec.seed)
+        assert err.value.distance == pytest.approx(max(per_column), rel=1e-12)
+        assert err.value.nearest.shape == block.shape

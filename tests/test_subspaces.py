@@ -318,3 +318,49 @@ class TestToleranceMerging:
         S = span([np.array([1.0 + 1.0j, 0.0]), np.array([2.0 + 2.0j, 0.0])])
         assert S.dim == 1
         assert distance(S, np.array([0.0, 1.0 + 0.0j])) == pytest.approx(1.0)
+
+
+def _contains_per_vector(S, T):
+    """The basis-vector-wise rule of contains, one distance at a time."""
+    if T.dim == 0:
+        return True
+    if T.dim > S.dim:
+        return False
+    cutoff = 10.0 * S.tol.coarser(T.tol).relative
+    return all(
+        np.linalg.norm(t - S.basis @ (S.basis.conj().T @ t)) <= cutoff * np.linalg.norm(t)
+        for t in T.basis.T
+    )
+
+
+class TestBlockProjection:
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_contains_matches_per_vector_rule(self, complex_):
+        rng = np.random.default_rng(17 + complex_)
+
+        def draw(shape):
+            x = rng.standard_normal(shape)
+            return x + 1j * rng.standard_normal(shape) if complex_ else x
+
+        seen = set()
+        for _ in range(300):
+            n = int(rng.integers(1, 8))
+            S = Subspace(np.linalg.qr(draw((n, n)))[0][:, : int(rng.integers(0, n + 1))])
+            k = int(rng.integers(0, n + 1))
+            # members of S pushed off it by noise around the 1e-9 cutoff, or anything
+            offset = 10.0 ** rng.uniform(-13, -7) if rng.uniform() < 0.8 else 1.0
+            vectors = S.basis @ draw((S.dim, k)) + offset * draw((n, k))
+            T = span(list(vectors.T)) if k else zero_space(n)
+            got = contains(S, T)
+            assert got == _contains_per_vector(S, T)
+            seen.add((T.dim == 0, T.dim > S.dim, got))
+        assert {(True, False, True), (False, True, False), (False, False, True)} <= seen
+        assert (False, False, False) in seen
+
+    def test_distance_of_a_block_is_its_column_distances(self):
+        S = span([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)])
+        V = np.array([[1.0, 2.0], [3.0, 0.0], [4.0, -1.0]])
+        np.testing.assert_allclose(distance(S, V), [4.0, 1.0])
+        np.testing.assert_allclose(project(S, V), [[1.0, 2.0], [3.0, 0.0], [0.0, 0.0]])
+        assert distance(S, V[:, 0]) == pytest.approx(4.0)
+        assert np.all(project(zero_space(3), V) == 0.0)

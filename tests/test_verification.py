@@ -1,0 +1,44 @@
+"""The property suite behind `daepencil verify`: how much solver work it does."""
+
+import numpy as np
+
+import daepencil.solvers as solvers_mod
+from daepencil.chains import compute_chain, consistent_space
+from daepencil.fixtures import generate
+from daepencil.verification import _Row, random_specs, run_suite
+
+
+def test_three_evolutions_per_fixture_with_consistent_values(monkeypatch):
+    """One solution block, one oracle block and one transform match per fixture.
+
+    A per-column suite evolves 2 m + 1 times for m consistent basis vectors.
+    """
+    specs = random_specs(12, (2, 12), (0, 3), seed=5)
+    solvable = 0
+    for spec in specs:
+        pencil, _ = generate(spec)
+        solvable += consistent_space(pencil, compute_chain(pencil)).dim > 0
+    assert 0 < solvable < len(specs)
+
+    calls = []
+    evolve = solvers_mod._evolve
+
+    def counted(M, C0, times):
+        calls.append(C0.shape)
+        return evolve(M, C0, times)
+
+    monkeypatch.setattr(solvers_mod, "_evolve", counted)
+    result = run_suite(specs, seed=5)
+    assert result.passed
+    assert len(calls) == 3 * solvable
+    assert any(m > 1 for _, m in calls)
+
+
+def test_a_nan_metric_is_the_worst_of_its_row():
+    row = _Row("r")
+    row.add(1e-12, True)
+    row.add(np.array([np.nan, 1e-11]), np.array([False, True]))
+    row.add(1e-10, True)
+    done = row.done()
+    assert np.isnan(done.worst)
+    assert (done.checked, done.failures, done.passed) == (4, 1, False)

@@ -10,8 +10,12 @@ S = 7, 8, 9, 11.  SRC is the `src` directory of the checkout to run (this
 checkout's by default), so two checkouts can be gated against each other.
 
 `compare` prints every JSON leaf and stdout line that differs between two
-`run` directories as old -> new, marking numbers that went down, and exits 1
-if any exit code or `passed` flag differs or a file is missing on one side.
+`run` directories as old -> new, marking numbers that went down and giving
+each changed number's relative change |new - old| / |old|, and exits 1 if
+any exit code or `passed` flag differs, a file is missing on one side or a
+stdout file changes its line count.  It ends with the largest relative
+change per key, such as `transform_match.max_relative_error` or
+`oracle_agreement.worst`, so that a roundoff-sized move reads at a glance.
 
 Only the standard library and the CLI are used.
 """
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -95,13 +100,29 @@ def _leaves(node, path=""):
         yield path, node
 
 
-def _mark(old, new):
-    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (old, new))
-    return "  (lower)" if numbers and new < old else ""
+def _relative(old, new):
+    """|new - old| / |old| when both are numbers, else None."""
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (old, new)):
+        return None
+    if old == 0:
+        return 0.0 if new == 0 else math.inf
+    return abs(new - old) / abs(old)
+
+
+def _key(path):
+    """The path's last list label and its leaf.
+
+    `rows[oracle_agreement].worst` -> `oracle_agreement.worst`.
+    """
+    head, _, leaf = path.rpartition(".")
+    if not head.endswith("]"):
+        return path
+    return f"{head[head.rindex('[') + 1 : -1]}.{leaf}"
 
 
 def compare(old_dir: Path, new_dir: Path) -> int:
     bad = 0
+    largest = {}  # key -> largest relative change of its numbers
     names = sorted({p.name for p in old_dir.iterdir()} | {p.name for p in new_dir.iterdir()})
     for name in names:
         old_path, new_path = old_dir / name, new_dir / name
@@ -115,7 +136,11 @@ def compare(old_dir: Path, new_dir: Path) -> int:
             for key in sorted(old.keys() | new.keys()):
                 a, b = old.get(key, "<missing>"), new.get(key, "<missing>")
                 if a != b:
-                    print(f"{name}: {key}: {a!r} -> {b!r}{_mark(a, b)}")
+                    rel = _relative(a, b)
+                    mark = "" if rel is None else f"  (rel {rel:.2e}{', lower' if b < a else ''})"
+                    print(f"{name}: {key}: {a!r} -> {b!r}{mark}")
+                    if rel is not None:
+                        largest[_key(key)] = max(largest.get(_key(key), 0.0), rel)
                     gated = name == EXIT_CODES or key.rsplit(".", 1)[-1] == "passed"
                     bad += gated or "<missing>" in (a, b)
         else:
@@ -127,6 +152,10 @@ def compare(old_dir: Path, new_dir: Path) -> int:
             for a, b in zip(old_lines, new_lines):
                 if a != b:
                     print(f"{name}:\n  - {a}\n  + {b}")
+    if largest:
+        print("largest relative change per key:")
+        for key in sorted(largest):
+            print(f"  {key}: {largest[key]:.2e}")
     print(f"{len(names)} files compared, {bad} gated difference(s)")
     return 1 if bad else 0
 
