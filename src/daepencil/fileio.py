@@ -23,8 +23,20 @@ __all__ = [
 _HEADER_PREFIX = "%%matrixmarket"
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _real(values, what):
+    """`values` as floats; complex input must pass `real_if_close(tol=1000)`."""
+    real = np.real_if_close(values, tol=1000)
+    if np.iscomplexobj(real):
+        raise ValueError(f"{what} is complex; file output is real-only")
+    return np.asarray(real, dtype=float)
+
+
+def _write_rows(fh, table, sep):
+    """One `sep`-joined `%.17g` line per row of a real 2-D table (none if empty)."""
+    if table.size:
+        line = sep.join(["%.17g"] * table.shape[1]) + "\n"
+        for row in table:
+            fh.write(line % tuple(row.tolist()))
 
 
 def _data_lines(lines):
@@ -170,16 +182,14 @@ def _parse_value(token, path, line_no):
 
 def write_matrix_market(path, matrix) -> None:
     """Write a real matrix in dense array format (column-major)."""
-    M = np.asarray(matrix, dtype=float)
+    M = _real(matrix, "matrix")
     if M.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={M.ndim}")
     rows, cols = M.shape
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("%%MatrixMarket matrix array real general\n")
         fh.write(f"{rows} {cols}\n")
-        for j in range(cols):
-            for i in range(rows):
-                fh.write(_fmt(M[i, j]) + "\n")
+        _write_rows(fh, M.T, "\n")
 
 
 def read_vector(path) -> np.ndarray:
@@ -196,22 +206,26 @@ def read_vector(path) -> np.ndarray:
 
 
 def write_vector(path, vector) -> None:
-    v = np.asarray(vector, dtype=float)
+    v = _real(vector, "vector")
+    if v.ndim != 1:
+        raise ValueError(f"expected a vector, got ndim={v.ndim}")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for x in v:
-            fh.write(_fmt(x) + "\n")
+        _write_rows(fh, v[None, :], "\n")
 
 
 def write_trajectory_csv(fh, trajectory) -> None:
     """Write `t,u_1,...,u_n,residual` rows to an open text stream.
 
-    CSV output is real-only; complex arithmetic stays internal.
+    CSV output is real-only; complex arithmetic stays internal.  A block
+    trajectory (states (T, n, m)) is written by the caller column by column.
     """
-    states = np.real_if_close(trajectory.states, tol=1000)
-    if np.iscomplexobj(states):
-        raise ValueError("trajectory states are complex; CSV output is real-only")
+    times, residuals = np.asarray(trajectory.times), np.asarray(trajectory.derivative_residuals)
+    states = _real(trajectory.states, "trajectory states")
+    if states.ndim != 2 or not times.shape == residuals.shape == states.shape[:1]:
+        raise ValueError(
+            f"trajectory needs times (T,), states (T, n) and residuals (T,); "
+            f"got {times.shape}, {states.shape} and {residuals.shape}"
+        )
     n = states.shape[1]
     fh.write("t," + ",".join(f"u_{i + 1}" for i in range(n)) + ",residual\n")
-    for t, state, res in zip(trajectory.times, states, trajectory.derivative_residuals):
-        row = [_fmt(t)] + [_fmt(x) for x in state] + [_fmt(res)]
-        fh.write(",".join(row) + "\n")
+    _write_rows(fh, np.column_stack((times, states, residuals)), ",")

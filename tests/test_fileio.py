@@ -193,3 +193,116 @@ class TestTrajectoryCsv:
         assert lines[1] == "0,1,2,0"
         assert lines[2].startswith("0.5,3,4,")
         assert len(lines) == 3
+
+    def test_block_trajectory_rejected_before_any_byte(self):
+        traj = Trajectory(
+            times=np.array([0.0, 0.5]),
+            states=np.zeros((2, 3, 2)),
+            derivative_residuals=np.zeros((2, 2)),
+            method="exponential",
+        )
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match=r"\(2, 3, 2\)"):
+            write_trajectory_csv(buf, traj)
+        assert buf.getvalue() == ""
+
+    @pytest.mark.parametrize("t_len, res_len", [(3, 2), (2, 3), (3, 3)])
+    def test_length_mismatch_rejected_before_any_byte(self, t_len, res_len):
+        traj = Trajectory(
+            times=np.linspace(0.0, 1.0, t_len),
+            states=np.ones((2, 4)),
+            derivative_residuals=np.zeros(res_len),
+            method="euler",
+        )
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match=rf"\({t_len},\), \(2, 4\) and \({res_len},\)"):
+            write_trajectory_csv(buf, traj)
+        assert buf.getvalue() == ""
+
+
+class TestComplexAndShapeRejected:
+    """The matrix and vector writers keep imaginary parts out of real files."""
+
+    @pytest.mark.parametrize(
+        "writer, value",
+        [
+            (write_matrix_market, np.array([[1 + 2j, 0], [0, 1]])),
+            (write_vector, np.array([1.0, 1j])),
+            (write_vector, np.eye(2)),
+            (write_vector, np.float64(3.0)),
+        ],
+    )
+    def test_rejected_before_the_file_is_opened(self, tmp_path, writer, value):
+        path = tmp_path / "keep.txt"
+        path.write_text("old contents\n")
+        with pytest.raises(ValueError, match="complex|ndim"):
+            writer(path, value)
+        assert path.read_text() == "old contents\n"
+
+    def test_near_real_matrix_written_as_its_real_part(self, tmp_path):
+        M = np.array([[1.0, 2.0], [3.0, 4.0]])
+        a, b = tmp_path / "a.mtx", tmp_path / "b.mtx"
+        write_matrix_market(a, M + 1e-14j)
+        write_matrix_market(b, M)
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_empty_vector_writes_an_empty_file(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        write_vector(path, np.array([]))
+        assert path.read_bytes() == b""
+
+
+def _reference(rows, sep):
+    """The per-value serialization every writer must reproduce byte for byte."""
+    return "".join(sep.join(format(float(x), ".17g") for x in row) + "\n" for row in rows)
+
+
+SPECIAL = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, 1e300, 1e-300, -1e300, 1 / 3, 1.0, -7.0, 2.0**53]
+
+
+def _values(shape, seed):
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal(shape) * np.exp(rng.uniform(-40.0, 40.0, size=shape))
+    k = min(M.size, len(SPECIAL))
+    M.flat[:k] = SPECIAL[:k]
+    return M
+
+
+class TestByteIdentity:
+    @pytest.mark.parametrize("T", [1, 2, 2001])
+    @pytest.mark.parametrize("n", [1, 3, 40])
+    def test_trajectory(self, T, n):
+        states = _values((T, n), seed=T * 100 + n)
+        times = np.linspace(0.0, 2.0, T)
+        residuals = np.abs(_values((T,), seed=T + n))
+        buf = io.StringIO()
+        write_trajectory_csv(buf, Trajectory(times, states, residuals, "exponential"))
+        header = "t," + ",".join(f"u_{i + 1}" for i in range(n)) + ",residual\n"
+        rows = [[t, *u, r] for t, u, r in zip(times, states, residuals)]
+        assert buf.getvalue() == header + _reference(rows, ",")
+
+    def test_near_real_complex_trajectory_gives_its_real_part_bytes(self):
+        states = _values((5, 3), seed=7)
+        states[~np.isfinite(states)] = 1.0
+        near_real = states.astype(complex)
+        near_real.imag = 1e-30  # keeps the real part, -0.0 included
+        times, residuals = np.arange(5.0), np.full(5, 1e-12)
+        real, near = io.StringIO(), io.StringIO()
+        write_trajectory_csv(real, Trajectory(times, states, residuals, "oracle"))
+        write_trajectory_csv(near, Trajectory(times, near_real, residuals, "oracle"))
+        assert near.getvalue() == real.getvalue()
+
+    @pytest.mark.parametrize("shape", [(1, 1), (4, 4), (3, 5), (40, 40)])
+    def test_matrix_market(self, tmp_path, shape):
+        M = _values(shape, seed=sum(shape))
+        path = tmp_path / "m.mtx"
+        write_matrix_market(path, M)
+        head = f"%%MatrixMarket matrix array real general\n{shape[0]} {shape[1]}\n"
+        assert path.read_text() == head + _reference([[x] for x in M.T.ravel()], ",")
+
+    @pytest.mark.parametrize("n", [1, 3, 40])
+    def test_vector(self, tmp_path, n):
+        v = _values((n,), seed=n)
+        path = tmp_path / "v.txt"
+        write_vector(path, v)
+        assert path.read_text() == _reference([[x] for x in v], ",")

@@ -61,3 +61,17 @@ def test_changed_stdout_line_count_fails(old, tmp_path, capsys):
     new = _write(tmp_path / "new", table=TABLE + "overall: PASS on 1 fixtures\n")
     assert report_gate.compare(old, new) == 1
     assert "verify_seed-7.txt: 2 lines -> 3 lines" in capsys.readouterr().out
+
+
+def test_changed_csv_line_is_printed_and_counted(old, tmp_path, capsys):
+    new = _write(tmp_path / "new")
+    for root, last in ((old, "2,0.5,1e-16"), (new, "2,0.50000000000000011,1e-16")):
+        (root / "fixture").mkdir()
+        (root / "fixture" / "euler.csv").write_text(f"t,u_1,residual\n0,1,0\n{last}\n")
+    assert report_gate.compare(old, new) == 0
+    out = capsys.readouterr().out
+    assert "fixture/euler.csv:\n  - 2,0.5,1e-16\n  + 2,0.50000000000000011,1e-16\n" in out
+    assert out.endswith(
+        "differing lines per text file:\n  fixture/euler.csv: 1\n1 differing line(s)\n"
+        "4 files compared, 0 gated difference(s)\n"
+    )

@@ -3,19 +3,22 @@
     python3 tools/report_gate.py run OUT [--src SRC]
     python3 tools/report_gate.py compare OLD NEW
 
-`run` writes into OUT the `analyze --json` report of 14 `generate` fixtures
-and the stdout, JSON and exit code of
-`verify --random 60 --dim-range 2..20 --index-range 0..4 --seed S` for
-S = 7, 8, 9, 11.  SRC is the `src` directory of the checkout to run (this
+`run` writes into OUT the `analyze --json` report of 14 `generate` fixtures,
+each fixture's files (`E.mtx`, `A.mtx`, `u0.txt`, `truth.json`) in a
+directory of the same name, the `solve --csv` trajectory of three of them
+(Kronecker index <= 2) for each `--method`, and the stdout, JSON and exit
+code of `verify --random 60 --dim-range 2..20 --index-range 0..4 --seed S`
+for S = 7, 8, 9, 11.  SRC is the `src` directory of the checkout to run (this
 checkout's by default), so two checkouts can be gated against each other.
 
-`compare` prints every JSON leaf and stdout line that differs between two
+`compare` prints every JSON leaf and text line that differs between two
 `run` directories as old -> new, marking numbers that went down and giving
 each changed number's relative change |new - old| / |old|, and exits 1 if
 any exit code or `passed` flag differs, a file is missing on one side or a
-stdout file changes its line count.  It ends with the largest relative
+text file changes its line count.  It ends with the largest relative
 change per key, such as `transform_match.max_relative_error` or
-`oracle_agreement.worst`, so that a roundoff-sized move reads at a glance.
+`oracle_agreement.worst`, so that a roundoff-sized move reads at a glance,
+and with the number of differing lines of each text file that has any.
 
 Only the standard library and the CLI are used.
 """
@@ -28,7 +31,6 @@ import math
 import os
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 # (generate --n1, --blocks, --seed, analyze --seed); None means no --blocks
@@ -48,6 +50,10 @@ ANALYZE_FIXTURES = (
     (0, "1,1", 27, 11),
     (6, "4", 28, 12),
 )
+# generate --seed of the fixtures solved by every --method (Kronecker index 0, 2, 2)
+SOLVE_SEEDS = (1, 3, 26)
+SOLVE_ARGS = ("--t-end", "2", "--steps", "200")
+SOLVE_METHODS = ("exponential", "oracle", "euler")
 VERIFY_SEEDS = (7, 8, 9, 11)
 VERIFY_ARGS = ("--random", "60", "--dim-range", "2..20", "--index-range", "0..4")
 EXIT_CODES = "exit_codes.json"
@@ -63,18 +69,24 @@ def _cli(src, *args, stdout=subprocess.DEVNULL):
 def run(out: Path, src: Path):
     out.mkdir(parents=True, exist_ok=True)
     codes = {}
-    with tempfile.TemporaryDirectory() as scratch:
-        for n1, blocks, seed, analyze_seed in ANALYZE_FIXTURES:
-            name = f"analyze_n1-{n1}_blocks-{blocks or 'none'}_seed-{seed}"
-            fixture = Path(scratch, name)
-            extra = ("--blocks", blocks) if blocks else ()
-            if _cli(src, "generate", "--n1", n1, *extra, "--seed", seed, "--out", fixture):
-                raise SystemExit(f"generate failed for {name}")
-            codes[name] = _cli(
-                src, "analyze", fixture / "E.mtx", fixture / "A.mtx",
-                "--seed", analyze_seed, "--json", out / f"{name}.json",
+    for n1, blocks, seed, analyze_seed in ANALYZE_FIXTURES:
+        name = f"analyze_n1-{n1}_blocks-{blocks or 'none'}_seed-{seed}"
+        fixture = out / name
+        extra = ("--blocks", blocks) if blocks else ()
+        if _cli(src, "generate", "--n1", n1, *extra, "--seed", seed, "--out", fixture):
+            raise SystemExit(f"generate failed for {name}")
+        E, A, u0 = fixture / "E.mtx", fixture / "A.mtx", fixture / "u0.txt"
+        codes[name] = _cli(
+            src, "analyze", E, A, "--seed", analyze_seed, "--json", out / f"{name}.json"
+        )
+        print(f"{name}: exit {codes[name]}")
+        for method in SOLVE_METHODS if seed in SOLVE_SEEDS else ():
+            key = f"solve_{name}_{method}"
+            codes[key] = _cli(
+                src, "solve", E, A, u0, *SOLVE_ARGS, "--method", method,
+                "--csv", fixture / f"{method}.csv",
             )
-            print(f"{name}: exit {codes[name]}")
+            print(f"{key}: exit {codes[key]}")
     for seed in VERIFY_SEEDS:
         name = f"verify_seed-{seed}"
         with open(out / f"{name}.txt", "w", encoding="ascii") as fh:
@@ -123,7 +135,11 @@ def _key(path):
 def compare(old_dir: Path, new_dir: Path) -> int:
     bad = 0
     largest = {}  # key -> largest relative change of its numbers
-    names = sorted({p.name for p in old_dir.iterdir()} | {p.name for p in new_dir.iterdir()})
+    differing = {}  # text file -> number of differing lines
+    names = sorted(
+        {p.relative_to(root).as_posix() for root in (old_dir, new_dir) for p in root.rglob("*")
+         if p.is_file()}
+    )
     for name in names:
         old_path, new_path = old_dir / name, new_dir / name
         if not (old_path.exists() and new_path.exists()):
@@ -152,10 +168,16 @@ def compare(old_dir: Path, new_dir: Path) -> int:
             for a, b in zip(old_lines, new_lines):
                 if a != b:
                     print(f"{name}:\n  - {a}\n  + {b}")
+                    differing[name] = differing.get(name, 0) + 1
     if largest:
         print("largest relative change per key:")
         for key in sorted(largest):
             print(f"  {key}: {largest[key]:.2e}")
+    if differing:
+        print("differing lines per text file:")
+        for name in sorted(differing):
+            print(f"  {name}: {differing[name]}")
+    print(f"{sum(differing.values())} differing line(s)")
     print(f"{len(names)} files compared, {bad} gated difference(s)")
     return 1 if bad else 0
 
