@@ -48,7 +48,7 @@ class Analysis:
 
     The certificate and the nilpotency index use the seed build_analysis was
     given.  Every field after certificate is None when the pencil is not
-    regular.
+    regular, and chain_index and iso are None when the chain is truncated.
     """
 
     pencil: Pencil
@@ -58,6 +58,13 @@ class Analysis:
     nilpotency: IndexEstimate | None = None
     chain_index: IndexEstimate | None = None
     iso: IsoReport | None = None
+
+    @property
+    def indices_agree(self) -> bool:
+        """The chain and nilpotency indices are equal, and so is the growth
+        index where it is confident."""
+        k = self.chain_index.k
+        return k == self.nilpotency.k and (not self.growth.confident or self.growth.k == k)
 
 
 def build_analysis(
@@ -74,8 +81,8 @@ def build_analysis(
         chain=chain,
         growth=index_by_growth(pencil),
         nilpotency=index_by_nilpotency(pencil, seed),
-        chain_index=index_by_chain(chain),
-        iso=check_restricted_iso(pencil, chain),
+        chain_index=None if chain.truncated else index_by_chain(chain),
+        iso=None if chain.truncated else check_restricted_iso(pencil, chain),
     )
 
 
@@ -128,9 +135,7 @@ def analyze_pencil(
     report.index_growth = asdict(a.growth)
     report.index_nilpotency = asdict(a.nilpotency)
     report.index_chain = asdict(a.chain_index)
-    report.indices_agree = a.chain_index.k == a.nilpotency.k and (
-        not a.growth.confident or a.growth.k == a.chain_index.k
-    )
+    report.indices_agree = a.indices_agree
     report.iv_dims = list(chain.dims)
     report.stabilization = chain.stabilization
     report.consistent_dim = consistent.dim

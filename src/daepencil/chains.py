@@ -35,8 +35,8 @@ class IvChain:
     dimensions the strictly decreasing dimensions force stabilization within
     n + 1 steps, so truncation only signals a numerical pathology.
 
-    compute_chain also records the pencil the spaces belong to and the images
-    E[IV_j] it computed on the way (one per space but the last); the
+    The chain also holds the pencil the spaces belong to and the images
+    E[IV_j] compute_chain found on the way (one per space but the last); the
     restricted-isomorphism report and the reduced generator are computed once
     from them and kept on the chain.
     """
@@ -44,8 +44,8 @@ class IvChain:
     spaces: tuple
     stabilization: int | None
     truncated: bool
-    pencil: Pencil | None = field(default=None, init=False, repr=False, compare=False)
-    images: tuple = field(default=(), init=False, repr=False, compare=False)
+    pencil: Pencil = field(repr=False, compare=False)
+    images: tuple = field(repr=False, compare=False)
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -76,16 +76,22 @@ def compute_chain(pencil: Pencil, tol: RankTolerance = RankTolerance(), max_k=No
         if stable or len(spaces) > max_k:
             break
     # the last space is IV_j with j = len(spaces) - 1; stable means k = j - 2
-    chain = IvChain(tuple(spaces), len(spaces) - 3 if stable else None, not stable)
-    object.__setattr__(chain, "pencil", pencil)
-    object.__setattr__(chain, "images", tuple(images))
-    return chain
+    return IvChain(
+        tuple(spaces), len(spaces) - 3 if stable else None, not stable, pencil, tuple(images)
+    )
 
 
 def _check_owner(pencil: Pencil, chain: IvChain):
     """Reject a chain computed for another pencil (compared by value)."""
     if chain.pencil != pencil:
         raise ShapeMismatchError("chain does not belong to this pencil")
+
+
+def _stabilization(chain: IvChain) -> int:
+    """The chain's stabilization step; TruncatedChainError if it has none."""
+    if chain.truncated:
+        raise TruncatedChainError("chain hit max_k before stabilizing")
+    return chain.stabilization
 
 
 def index_by_chain(chain: IvChain) -> IndexEstimate:
@@ -95,10 +101,8 @@ def index_by_chain(chain: IvChain) -> IndexEstimate:
     finite-dimensional index question; callers compare the three and treat
     disagreement as a reportable failure, not as something to reconcile here.
     """
-    if chain.truncated:
-        raise TruncatedChainError("chain hit max_k before stabilizing")
     return IndexEstimate(
-        k=chain.stabilization,
+        k=_stabilization(chain),
         method="ivchain",
         confident=True,
         diagnostics={"dims": list(chain.dims)},
@@ -108,9 +112,7 @@ def index_by_chain(chain: IvChain) -> IndexEstimate:
 def consistent_space(pencil: Pencil, chain: IvChain) -> Subspace:
     """IV_{k+1} at the stabilization step k: the consistent initial values."""
     _check_owner(pencil, chain)
-    if chain.truncated:
-        raise TruncatedChainError("chain hit max_k before stabilizing")
-    return chain.spaces[chain.stabilization + 1]
+    return chain.spaces[_stabilization(chain) + 1]
 
 
 @dataclass(frozen=True)
@@ -137,8 +139,7 @@ def check_restricted_iso(pencil: Pencil, chain: IvChain) -> IsoReport:
     Computed once per chain and kept on it.
     """
     _check_owner(pencil, chain)
-    if chain.truncated:
-        raise TruncatedChainError("chain hit max_k before stabilizing")
+    _stabilization(chain)
     return _cached(chain, "iso", lambda: _restricted_iso(chain))
 
 

@@ -54,7 +54,7 @@ def _build_parser():
 
     def common(p):
         p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
-        p.add_argument("--tol", type=float, default=1e-10, help="relative rank tolerance")
+        p.add_argument("--tol", type=float, default=1e-10, help="rank tolerance of the IV chain")
 
     p_analyze = sub.add_parser("analyze", help="full analysis report for one pencil")
     p_analyze.add_argument("E", help="Matrix Market file for E")
@@ -199,13 +199,12 @@ def _cmd_generate(args):
         n1=args.n1, nilpotent_blocks=blocks, conditioning=args.conditioning, seed=args.seed
     )
     pencil, truth = generate(spec)
+    # a truncated chain raises here, before any file is written
+    cons = consistent_space(pencil, compute_chain(pencil, RankTolerance(args.tol)))
+    u0 = cons.basis[:, 0].real if cons.dim else np.zeros(pencil.n)
     os.makedirs(args.out, exist_ok=True)
     write_matrix_market(os.path.join(args.out, "E.mtx"), pencil.E)
     write_matrix_market(os.path.join(args.out, "A.mtx"), pencil.A)
-
-    chain = compute_chain(pencil, RankTolerance(args.tol))
-    cons = consistent_space(pencil, chain)
-    u0 = cons.basis[:, 0].real if cons.dim else np.zeros(pencil.n)
     write_vector(os.path.join(args.out, "u0.txt"), u0)
 
     info = {"spec": asdict(spec), "ground_truth": asdict(truth), "n": pencil.n}

@@ -35,6 +35,7 @@ SOLUTION_FORMULA_TOL = 1e-10
 EXPANSION_C_MAX = 10.0
 TRANSFORM_TOL = 1e-6
 MIN_ST = 30.0
+QUAD_STEPS = 1600  # Simpson steps of verify_transform_match; 4 | QUAD_STEPS keeps halving even
 
 _TINY = 1e-300
 
@@ -164,25 +165,25 @@ def _float64_horizon(k: int) -> float:
     return (1.0 / np.finfo(float).eps) ** (1.0 / (k + 1))
 
 
-def expansion_grid(k: int, s_floor=1e3, s_cap=1e6, points=12):
+def expansion_grid(k: int):
     """Sample grid for verify_expansion, capped where float64 can still decide.
 
     Roundoff of the stored pencil contributes ~eps * s^(k+1) to the measured
-    remainder constant, so the grid ends at min(s_cap, s_h(k)) with
-    s_h(k) = (1/eps)^(1/(k+1)), where that share reaches 1.  Returns None when
-    s_h(k) < s_floor: no admissible point remains above the floor.  With the
-    default floor that first happens at k = 5 (s_h ~ 406).
+    remainder constant, so the 12 geometric points run from 1e3 to
+    min(1e6, s_h(k)) with s_h(k) = (1/eps)^(1/(k+1)), where that share
+    reaches 1.  Returns None when s_h(k) < 1e3: no admissible point remains
+    above the floor.  That first happens at k = 5 (s_h ~ 406).
     """
     limit = _float64_horizon(k)
-    if limit < s_floor:
+    if limit < 1e3:
         return None
-    return np.geomspace(s_floor, min(s_cap, limit), points)
+    return np.geomspace(1e3, min(1e6, limit), 12)
 
 
-def _fit_expansion_coefficients(pencil, B, k, ratio=2.0):
+def _fit_expansion_coefficients(pencil, B, k):
     """Fit x_1..x_k for every column x of the basis matrix B at k+2 geometric points.
 
-    The nodes are s_ref * ratio^j, j = 0..k+1, with s_ref = 100 lowered where
+    The nodes are s_ref * 2^j, j = 0..k+1, with s_ref = 100 lowered where
     needed so that the top node stays a factor 4 below the float64 horizon
     s_h(k); samples above it would give the fitted x_l roundoff of size
     ~eps * s^(k+1).  Each node takes one resolvent, applied to E B at once.
@@ -192,11 +193,11 @@ def _fit_expansion_coefficients(pencil, B, k, ratio=2.0):
     cannot contaminate x_k.  Returns the fitted stack, x_l of column j at
     [l - 1, :, j], and the Vandermonde condition number.
     """
-    s_ref = min(100.0, _float64_horizon(k) / (4.0 * ratio ** (k + 1)))
+    s_ref = min(100.0, _float64_horizon(k) / (4.0 * 2.0 ** (k + 1)))
     EB = pencil.E @ B
     samples = []
     nodes = []
-    for s in s_ref * ratio ** np.arange(k + 2):
+    for s in s_ref * 2.0 ** np.arange(k + 2):
         R, s_used = _resolvent_retry(pencil, float(s))
         samples.append((R @ EB) * s_used)
         nodes.append(s_used)
@@ -279,7 +280,7 @@ def hat_solution(pencil: Pencil, u0, s):
     One solve with E u0 as right-hand side; raises SingularMatrixError where
     resolvent would.
     """
-    return _solve_shifted(pencil, s, pencil.E @ np.asarray(u0))[0]
+    return _solve_shifted(pencil, s, pencil.E @ np.asarray(u0))
 
 
 def _simpson_weights(times):
@@ -292,21 +293,16 @@ def _simpson_weights(times):
 
 
 def verify_transform_match(
-    pencil: Pencil,
-    chain: IvChain,
-    u0,
-    s_points,
-    T: float,
-    quad_steps: int = 1600,
+    pencil: Pencil, chain: IvChain, u0, s_points, T: float
 ) -> IdentityReport:
     """Compare the truncated Laplace integral of the classical solution
     against (sE+A)^{-1} E u0.
 
-    The integral over [0, T] uses composite Simpson on classical-solution
-    states; every s must satisfy s*T >= 30 so the truncation tail
-    exp(-sT) ||u||_inf / s sits below the tolerance.  Halving the step count
-    is rechecked; a change above 10% of the tolerance sets a
-    quadrature_warning in the details.  An inconsistent u0 raises
+    The integral over [0, T] uses composite Simpson with QUAD_STEPS steps
+    on classical-solution states; every s must satisfy s*T >= 30 so the
+    truncation tail exp(-sT) ||u||_inf / s sits below the tolerance.
+    Halving the step count is rechecked; a change above 10% of the
+    tolerance sets a quadrature_warning in the details.  An inconsistent u0 raises
     InconsistentInitialValueError from classical_solution.
     """
     s_points = [float(s) for s in s_points]
@@ -316,8 +312,7 @@ def verify_transform_match(
         if s <= 0 or s * T < MIN_ST:
             raise ValueError(f"require s > 0 and s*T >= {MIN_ST}, got s={s}, T={T}")
 
-    steps = max(4, int(np.ceil(quad_steps / 4)) * 4)  # full and halved Simpson
-    times = np.linspace(0.0, T, steps + 1)
+    times = np.linspace(0.0, T, QUAD_STEPS + 1)
     traj = classical_solution(pencil, chain, u0, times)
     weights = _simpson_weights(times)
     half = slice(None, None, 2)
@@ -335,7 +330,7 @@ def verify_transform_match(
         if np.linalg.norm(integral - integral_half) > 0.1 * TRANSFORM_TOL * scale:
             quadrature_warning = True
 
-    details = {"T": float(T), "quad_steps": steps}
+    details = {"T": float(T), "quad_steps": QUAD_STEPS}
     if quadrature_warning:
         details["quadrature_warning"] = True
     return IdentityReport(

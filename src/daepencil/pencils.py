@@ -44,6 +44,9 @@ SLOPE_AMBIGUOUS = (0.35, 0.65)
 # saturated or pole-polluted samples show residuals well above this
 SLOPE_RMS_MAX = 0.1
 
+# sample points of index_by_growth; the fit reads the upper half
+GROWTH_GRID = tuple(np.geomspace(1e2, 1e7, 24))
+
 
 def _cached(owner, key, build):
     """owner's artifact under key, built by build() on first use and kept.
@@ -175,19 +178,17 @@ def _certify(pencil, seed):
     )
 
 
-def resolvent(pencil: Pencil, s, return_cond: bool = False):
+def resolvent(pencil: Pencil, s):
     """(sE + A)^{-1} by a pivoted dense solve.
 
     Raises SingularMatrixError when sE + A is numerically singular, i.e.
-    s lies outside the resolvent set.  With return_cond=True also returns
-    the 2-norm condition number of sE + A as a solve-quality estimate.
+    s lies outside the resolvent set.
     """
-    X, M = _solve_shifted(pencil, s)
-    return (X, float(np.linalg.cond(M))) if return_cond else X
+    return _solve_shifted(pencil, s)
 
 
 def _solve_shifted(pencil: Pencil, s, rhs=None):
-    """(X, sE + A) with (sE + A) X = rhs (the identity when None), raising
+    """X with (sE + A) X = rhs (the identity when None), raising
     SingularMatrixError off the resolvent set; R(s) v needs no full inverse."""
     s = complex(s)
     if s.imag == 0.0 and not pencil.is_complex:
@@ -199,7 +200,7 @@ def _solve_shifted(pencil: Pencil, s, rhs=None):
         raise SingularMatrixError(f"sE + A is singular at s = {s}") from None
     if not np.all(np.isfinite(X)):
         raise SingularMatrixError(f"sE + A is numerically singular at s = {s}")
-    return X, M
+    return X
 
 
 @dataclass(frozen=True)
@@ -216,27 +217,26 @@ def _round_half_away(x: float) -> int:
     return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
 
 
-def _resolvent_retry(pencil, s, tries=6):
-    """(sE+A)^{-1} and the s it was taken at, nudging s off singular points."""
-    for _ in range(tries):
+def _nudged(solve, x, tries=6):
+    """(solve(x), x) at the first of x, 1.01 x, 1.01^2 x, ... (tries points)
+    where solve raises no SingularMatrixError; the last one's error otherwise."""
+    for _ in range(tries - 1):
         try:
-            return resolvent(pencil, s), s
+            return solve(x), x
         except SingularMatrixError:
-            s = s * 1.01
-    raise SingularMatrixError(
-        f"resolvent failed near s = {s} after {tries - 1} perturbations"
-    )
+            x = x * 1.01
+    return solve(x), x
 
 
-def index_by_growth(
-    pencil: Pencil,
-    s_min: float = 1e2,
-    s_max: float = 1e7,
-    samples: int = 24,
-) -> IndexEstimate:
+def _resolvent_retry(pencil, s):
+    """(sE+A)^{-1} and the s it was taken at, nudging s off singular points."""
+    return _nudged(lambda t: resolvent(pencil, t), s)
+
+
+def index_by_growth(pencil: Pencil) -> IndexEstimate:
     """Index from the slope of log ||(sE+A)^{-1}|| against log s.
 
-    Samples a geometric grid on the positive real axis and fits a least
+    Samples GROWTH_GRID on the positive real axis and fits a least
     squares line over the upper half, the only samples whose 2-norm is
     taken; the index is the slope rounded half away from zero, clamped at
     zero.  The estimate is not confident when the slope's fractional part
@@ -247,19 +247,15 @@ def index_by_growth(
     (counted in samples_dropped) and the estimate is not confident.  Raises
     SingularMatrixError only when fewer than two upper-half samples remain.
     """
-    if samples < 4:
-        raise ValueError("need at least 4 samples for a slope fit")
-    if not (0 < s_min < s_max):
-        raise ValueError("require 0 < s_min < s_max")
     # the verdict is seed-independent, so any certificate kept on the pencil will do
     kept = (c for key, c in pencil._cache.items() if key[0] == "certificate")
     if not (next(kept, None) or certify_regularity(pencil)).regular:
         raise NotRegularError("growth sampling needs a regular pencil")
 
-    grid = np.geomspace(s_min, s_max, samples)
+    samples = len(GROWTH_GRID)
     norms = np.full(samples, np.nan)
     used = np.full(samples, np.nan)
-    for j, s in enumerate(grid):
+    for j, s in enumerate(GROWTH_GRID):
         try:
             R, used[j] = _resolvent_retry(pencil, float(s))
         except SingularMatrixError:
@@ -307,7 +303,8 @@ def _shifted_kernels(pencil: Pencil, seed: int):
     """
 
     def build():
-        R, s0 = _resolvent_retry(pencil, float(make_rng(seed).uniform(1.0, 2.0)), tries=10)
+        s0 = float(make_rng(seed).uniform(1.0, 2.0))
+        R, s0 = _nudged(lambda s: resolvent(pencil, s), s0, tries=10)
         F = R @ pencil.E
         F.setflags(write=False)
         norm_F = float(np.linalg.norm(F, 2))

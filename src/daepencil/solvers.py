@@ -24,7 +24,7 @@ from .exceptions import (
     SingularMatrixError,
 )
 from .expm import expm
-from .pencils import Pencil, _cached, _shifted_kernels, certify_regularity
+from .pencils import Pencil, _cached, _nudged, _shifted_kernels, certify_regularity
 from .subspaces import RankTolerance, distance, equal, full_space, image, project
 
 __all__ = [
@@ -242,31 +242,28 @@ def implicit_euler(pencil: Pencil, u0, h: float, T: float, forcing=None) -> Traj
     """Backward Euler for E u' + A u = f with constant step h.
 
     Each step solves (E/h + A) u_{m+1} = (E/h) u_m + f(t_{m+1}), a single
-    resolvent application at s = 1/h.  A singular step matrix is retried once
-    with h * 1.01 (reported as a warning) before giving up.
+    resolvent application at s = 1/h.  A singular step matrix nudges h off
+    the singular point as pencils._nudged nudges every resolvent sample, with
+    a ConditioningWarning; SingularMatrixError when the nudges run out.
     """
     u0 = _check_u0(pencil, u0)
     if h <= 0 or T <= 0:
         raise ValueError("require h > 0 and T > 0")
 
-    step_matrix = None
-    for attempt in range(2):
-        S = pencil.E / h + pencil.A
+    def homogeneous_step(step):  # W with u_{m+1} = W u_m when f = 0
         try:
-            # W advances the homogeneous part; reuse the factorization via solve
-            W = np.linalg.solve(S, pencil.E / h)
-            step_matrix = S
-            break
+            return np.linalg.solve(pencil.E / step + pencil.A, pencil.E / step)
         except np.linalg.LinAlgError:
-            if attempt == 0:
-                warnings.warn(
-                    f"step matrix singular at h={h:.6g}; retrying with h*1.01",
-                    ConditioningWarning,
-                    stacklevel=2,
-                )
-                h *= 1.01
-    if step_matrix is None:
-        raise SingularMatrixError(f"E/h + A is singular at h = {h}")
+            raise SingularMatrixError(f"E/h + A is singular at h = {step}") from None
+
+    W, nudged = _nudged(homogeneous_step, h)
+    if nudged != h:
+        warnings.warn(
+            f"step matrix singular at h={h:.6g}; stepping with h={nudged:.6g}",
+            ConditioningWarning,
+            stacklevel=2,
+        )
+        h = nudged
 
     steps = max(1, int(round(T / h)))
     times = np.arange(steps + 1) * h
@@ -282,7 +279,7 @@ def implicit_euler(pencil: Pencil, u0, h: float, T: float, forcing=None) -> Traj
         forcing_values = np.array([np.asarray(forcing(t), dtype=dtype) for t in times])
         if forcing_values.shape != (steps + 1, n):
             raise ShapeMismatchError("forcing must return vectors of pencil size")
-        driven = np.linalg.solve(step_matrix, forcing_values.T).T
+        driven = np.linalg.solve(pencil.E / h + pencil.A, forcing_values.T).T
 
     u = u0
     for m in range(steps):
@@ -341,11 +338,13 @@ def _split(pencil, seed):
     ker = kernels[-2]
     n = pencil.n
     ran = full_space(n, RankTolerance())
-    while True:
+    for _ in range(n + 1):  # exact ranges shrink strictly until one repeats
         nxt = image(F, ran, norm_F)
         if equal(nxt, ran):
             break
         ran = nxt
+    else:
+        raise SingularMatrixError(f"splitting failed: no range of F^j repeats by j = {n + 1}")
 
     if ran.dim + ker.dim != n:
         raise SingularMatrixError(

@@ -325,7 +325,6 @@ def test_criterion_6_laplace_solution_formulas():
             cons.basis[:, 0].real,
             (alpha + 3.0, alpha + 4.0),
             T=10.0,
-            quad_steps=1600,
         )
         transforms += 1
         worst_transform = max(worst_transform, rep.max_relative_error)

@@ -12,6 +12,23 @@ from daepencil.fileio import write_matrix_market, write_vector
 from daepencil.fixtures import FixtureSpec, generate
 
 
+def truncate_chains(monkeypatch, module):
+    """Cut every IV chain that module computes at max_k = 1, as a chain that
+    never stabilizes in float64 would be cut at max_k = n + 2."""
+    real = module.compute_chain
+    monkeypatch.setattr(module, "compute_chain", lambda pencil, tol: real(pencil, tol, max_k=1))
+
+
+def verify_one_fixture(tmp_path, capsys):
+    """`verify` on one fixture of Kronecker index 2: exit code, table, rows by name."""
+    spec_file = tmp_path / "specs.json"
+    spec_file.write_text(json.dumps([{"n1": 2, "nilpotent_blocks": [2], "seed": 1}]))
+    out = tmp_path / "suite.json"
+    code = main(["verify", "--fixtures", str(spec_file), "--json", str(out)])
+    rows = {row["name"]: row for row in json.loads(out.read_text())["rows"]}
+    return code, capsys.readouterr().out, rows
+
+
 def write_pencil(tmp_path, E, A, u0=None):
     e_path, a_path = tmp_path / "E.mtx", tmp_path / "A.mtx"
     write_matrix_market(e_path, E)
@@ -105,6 +122,26 @@ class TestAnalyze:
 
         monkeypatch.setattr(cli_mod, "analyze_pencil", disagreeing)
         assert main(["analyze", *paths, "--json", str(tmp_path / "r.json")]) == 2
+
+    def test_truncated_chain_exit_1(self, tmp_path, monkeypatch, capsys):
+        import daepencil.analysis as analysis_mod
+
+        truncate_chains(monkeypatch, analysis_mod)
+        pencil, _ = generate(FixtureSpec(1, (2,), 100.0, 0))
+        assert main(["analyze", *write_pencil(tmp_path, pencil.E, pencil.A)]) == 1
+        assert "error: chain hit max_k before stabilizing" in capsys.readouterr().err
+
+    def test_tol_leaves_the_nilpotency_route_alone(self, tmp_path):
+        # --tol sets the IV chain's rank tolerance only; the kernel chain keeps 1e-10
+        pencil, _ = generate(FixtureSpec(5, (3,), 100.0, 11))
+        paths = write_pencil(tmp_path, pencil.E, pencil.A)
+        reports = []
+        for tol in ("1e-10", "1e-8"):
+            out = tmp_path / f"r{tol}.json"
+            assert main(["analyze", *paths, "--tol", tol, "--json", str(out)]) == 0
+            reports.append(json.loads(out.read_text()))
+        assert reports[1]["tol"] == 1e-8
+        assert reports[0]["index_nilpotency"] == reports[1]["index_nilpotency"]
 
     def test_byte_identical_reports(self, tmp_path):
         pencil, _ = generate(FixtureSpec(2, (2,), 100.0, 3))
@@ -201,6 +238,30 @@ class TestVerify:
         assert main(["verify", "--fixtures", str(spec_file)]) == 0
         assert "index_agreement" in capsys.readouterr().out
 
+    def test_truncated_chain_fails_chain_monotone(self, tmp_path, monkeypatch, capsys):
+        import daepencil.analysis as analysis_mod
+
+        truncate_chains(monkeypatch, analysis_mod)
+        code, table, rows = verify_one_fixture(tmp_path, capsys)
+        assert code == 1
+        assert "(1 hit max_k before stabilizing)" in table
+        assert table.endswith("overall: FAIL on 1 fixtures\n")
+        assert (rows["chain_monotone"]["checked"], rows["chain_monotone"]["failures"]) == (1, 1)
+        # no stabilization step, so the rows that need one leave the fixture out
+        for name in ("chain_descent", "index_agreement", "restricted_iso", "transform_match"):
+            assert rows[name]["checked"] == 0
+        assert rows["resolvent_identity"]["checked"] == 3
+
+    def test_oracle_without_splitting_fails_its_rows(self, tmp_path, monkeypatch, capsys):
+        import daepencil.solvers as solvers_mod
+
+        monkeypatch.setattr(solvers_mod, "equal", lambda S, T: False)  # no range repeats
+        code, table, rows = verify_one_fixture(tmp_path, capsys)
+        assert code == 1 and table.endswith("overall: FAIL on 1 fixtures\n")
+        assert (rows["oracle_agreement"]["checked"], rows["oracle_agreement"]["failures"]) == (2, 2)
+        assert rows["inconsistency_detection"]["failures"] == 1
+        assert rows["classical_residual"]["failures"] == 0
+
     def test_empty_fixture_list_exit_1(self, tmp_path, capsys):
         spec_file = tmp_path / "empty.json"
         spec_file.write_text("[]")
@@ -269,6 +330,15 @@ class TestGenerate:
             ["solve", str(out_dir / "E.mtx"), str(out_dir / "A.mtx"),
              str(out_dir / "u0.txt"), "--t-end", "1", "--steps", "4"]
         ) == 0
+
+    def test_truncated_chain_writes_no_file(self, tmp_path, monkeypatch, capsys):
+        import daepencil.cli as cli_mod
+
+        truncate_chains(monkeypatch, cli_mod)
+        out_dir = tmp_path / "fx"
+        assert main(["generate", "--n1", "1", "--blocks", "2", "--out", str(out_dir)]) == 1
+        assert "chain hit max_k before stabilizing" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_bad_blocks_exit_1(self, tmp_path, capsys):
         assert main(

@@ -224,11 +224,6 @@ class TestResolvent:
         with pytest.raises(SingularMatrixError):
             resolvent(p, 1.0)
 
-    def test_condition_estimate(self):
-        p = new_pencil(np.eye(2), np.zeros((2, 2)))
-        R, cond = resolvent(p, 2.0, return_cond=True)
-        assert cond == pytest.approx(1.0)
-
     def test_complex_point_on_real_pencil(self):
         p = new_pencil(np.eye(2), np.eye(2))
         R = resolvent(p, 1j)
@@ -264,10 +259,10 @@ class TestIndexByGrowth:
     def _singular_between(monkeypatch, lo, hi):
         real = pencils_mod.resolvent
 
-        def patched(pencil, s, return_cond=False):
+        def patched(pencil, s):
             if lo <= abs(s) <= hi:
                 raise SingularMatrixError("synthetic")
-            return real(pencil, s, return_cond)
+            return real(pencil, s)
 
         monkeypatch.setattr(pencils_mod, "resolvent", patched)
 
@@ -299,7 +294,7 @@ class TestIndexByGrowth:
         norms = count_calls(
             monkeypatch, np.linalg, "norm", lambda x, ord=None, *a, **kw: ord == 2
         )
-        est = index_by_growth(new_pencil(N3, np.eye(3)), samples=24)
+        est = index_by_growth(new_pencil(N3, np.eye(3)))
         assert len(norms) == 24 - 24 // 2 == est.diagnostics["points_fitted"]
 
     def test_too_few_samples_left_raises(self, monkeypatch):

@@ -5,9 +5,11 @@ import scipy.linalg
 import daepencil.solvers as solvers_mod
 from daepencil.chains import check_restricted_iso, compute_chain, consistent_space
 from daepencil.exceptions import (
+    ConditioningWarning,
     InconsistentInitialValueError,
     NotRegularError,
     ShapeMismatchError,
+    SingularMatrixError,
 )
 from daepencil.fixtures import FixtureSpec, generate
 from daepencil.laplace import verify_expansion
@@ -242,6 +244,20 @@ class TestImplicitEuler:
         traj = implicit_euler(p, np.array([0.0]), 0.05, 8.0, forcing=lambda t: np.array([2.0]))
         assert traj.states[-1][0] == pytest.approx(1.0, rel=1e-4)
 
+    def test_singular_step_is_nudged(self):
+        # E/h + A = I/0.1 - I/0.1 is exactly zero at h = 0.1
+        p = new_pencil(np.eye(2), -np.eye(2) / 0.1)
+        u0 = np.array([1.0, -2.0])
+        with pytest.warns(ConditioningWarning, match="singular at h=0.1"):
+            traj = implicit_euler(p, u0, 0.1, 0.3)
+        assert np.all(np.isfinite(traj.states)) and traj.times[1] == 0.1 * 1.01
+        np.testing.assert_array_equal(traj.states, implicit_euler(p, u0, 0.1 * 1.01, 0.3).states)
+
+    def test_singular_at_every_step_raises(self):
+        p = new_pencil(np.zeros((2, 2)), np.zeros((2, 2)))
+        with pytest.raises(SingularMatrixError, match="E/h \\+ A is singular"):
+            implicit_euler(p, np.ones(2), 0.1, 1.0)
+
 
 class TestDecompositionOracle:
     def test_plain_ode_reproduces_exponential(self):
@@ -289,6 +305,14 @@ class TestDecompositionOracle:
         assert split.range_basis.shape[1] == truth.consistent_dim
         assert split.kernel_basis.shape[1] == p.n - truth.consistent_dim
         assert 0 < split.basis_sigma_min <= 1.0
+
+    def test_range_that_never_repeats_raises(self, monkeypatch):
+        # as at conditioning 1e5, where images of F can keep their dimension
+        # without testing equal: n + 1 images, then an error, not an endless loop
+        monkeypatch.setattr(solvers_mod, "equal", lambda S, T: False)
+        p, _ = generate(FixtureSpec(2, (3,), 100.0, 12))
+        with pytest.raises(SingularMatrixError, match="no range of F\\^j repeats by j = 6"):
+            fitting_splitting(p)
 
     def test_no_spurious_rejection_on_hard_fixture(self):
         # strongly conditioned multi-block problem: the oblique components of

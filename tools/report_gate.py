@@ -5,10 +5,11 @@
 
 `run` writes into OUT the `analyze --json` report of 14 `generate` fixtures,
 each fixture's files (`E.mtx`, `A.mtx`, `u0.txt`, `truth.json`) in a
-directory of the same name, the `solve --csv` trajectory of three of them
-(Kronecker index <= 2) for each `--method`, and the stdout, JSON and exit
-code of `verify --random 60 --dim-range 2..20 --index-range 0..4 --seed S`
-for S = 7, 8, 9, 11.  SRC is the `src` directory of the checkout to run (this
+directory of the same name, the `analyze --json --tol 1e-8` report of two of
+them, the `solve --csv` trajectory of three of them (Kronecker index <= 2)
+for each `--method`, and the stdout, JSON and exit code of
+`verify --random 60 --dim-range 2..20 --index-range 0..4 --seed S` for
+S = 7, 8, 9, 11.  SRC is the `src` directory of the checkout to run (this
 checkout's by default), so two checkouts can be gated against each other.
 
 `compare` prints every JSON leaf and text line that differs between two
@@ -50,6 +51,9 @@ ANALYZE_FIXTURES = (
     (0, "1,1", 27, 11),
     (6, "4", 28, 12),
 )
+# generate --seed of the fixtures also analyzed at a non-default rank tolerance
+TOL_SEEDS = (3, 11)
+TOL = "1e-8"
 # generate --seed of the fixtures solved by every --method (Kronecker index 0, 2, 2)
 SOLVE_SEEDS = (1, 3, 26)
 SOLVE_ARGS = ("--t-end", "2", "--steps", "200")
@@ -80,6 +84,13 @@ def run(out: Path, src: Path):
             src, "analyze", E, A, "--seed", analyze_seed, "--json", out / f"{name}.json"
         )
         print(f"{name}: exit {codes[name]}")
+        if seed in TOL_SEEDS:
+            key = f"{name}_tol-{TOL}"
+            codes[key] = _cli(
+                src, "analyze", E, A, "--seed", analyze_seed, "--tol", TOL,
+                "--json", out / f"{key}.json",
+            )
+            print(f"{key}: exit {codes[key]}")
         for method in SOLVE_METHODS if seed in SOLVE_SEEDS else ():
             key = f"solve_{name}_{method}"
             codes[key] = _cli(
