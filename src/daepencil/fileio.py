@@ -84,22 +84,24 @@ def parse_matrix_market(path) -> np.ndarray:
                 "array size line must be 'rows cols'", path=path, line=size_line_no
             )
         rows, cols = _parse_dims(parts, path, size_line_no)
-        values = np.empty(rows * cols)
+        total = rows * cols
+        values = np.empty(total)
         count = 0
         last_line = size_line_no
-        for line_no, text in entries:
-            line_no += 1
-            for token in text.split():
-                if count >= rows * cols:
-                    raise MatrixMarketError(
-                        f"more than {rows * cols} entries", path=path, line=line_no
-                    )
-                values[count] = _parse_value(token, path, line_no)
+        for line_no, raw in enumerate(lines[size_line_no:], start=size_line_no + 1):
+            try:
+                values[count] = float(raw)  # one entry per line, as write_matrix_market writes
+            except (ValueError, IndexError):  # anything else, or an entry past the last
+                tokens = raw.split()
+                if not tokens or tokens[0].startswith("%"):
+                    continue
+                count = _store_tokens(values, count, tokens, path, line_no)
+            else:
                 count += 1
             last_line = line_no
-        if count < rows * cols:
+        if count < total:
             raise MatrixMarketError(
-                f"expected {rows * cols} entries, found {count}",
+                f"expected {total} entries, found {count}",
                 path=path,
                 line=last_line,
             )
@@ -180,6 +182,27 @@ def _parse_value(token, path, line_no):
         ) from None
 
 
+def _store_tokens(values, count, tokens, path, line_no):
+    """Store one line's tokens at values[count:]; the count after them."""
+    try:
+        for token in tokens:
+            values[count] = float(token)
+            count += 1
+    except (ValueError, IndexError):  # a bad token, or one past the last entry
+        if count < values.size:
+            _raise_bad_token(tokens, path, line_no)
+        raise MatrixMarketError(
+            f"more than {values.size} entries", path=path, line=line_no
+        ) from None
+    return count
+
+
+def _raise_bad_token(tokens, path, line_no):
+    """Raise the MatrixMarketError of the first non-numeric token of a line."""
+    for token in tokens:
+        _parse_value(token, path, line_no)
+
+
 def write_matrix_market(path, matrix) -> None:
     """Write a real matrix in dense array format (column-major)."""
     M = _real(matrix, "matrix")
@@ -197,9 +220,14 @@ def read_vector(path) -> np.ndarray:
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.readlines()
     values = []
-    for line_no, text in _data_lines(lines):
-        for token in text.split():
-            values.append(_parse_value(token, path, line_no))
+    for line_no, raw in enumerate(lines, start=1):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("%"):
+            continue
+        try:
+            values.extend(map(float, tokens))
+        except ValueError:
+            _raise_bad_token(tokens, path, line_no)
     if not values:
         raise MatrixMarketError("no numeric entries found", path=path)
     return np.array(values)

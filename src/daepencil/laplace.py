@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import IvChain, _check_owner
-from .pencils import Pencil, _resolvent_retry, _solve_shifted, resolvent
+from .pencils import Pencil, _resolvents, _solve_shifted
 from .solvers import classical_solution
 
 __all__ = [
@@ -57,47 +57,74 @@ class IdentityReport:
     details: dict = field(default_factory=dict)
 
 
-def _norm2_lower(X) -> float:
-    """Certified lower bound on ||X||_2, at least ||X||_F / sqrt(n), by matvecs.
+def _peaks(X):
+    """(max |entry| of each matrix of the stack X, the same with 1 for 0)."""
+    peak = np.abs(X).max(axis=(-2, -1))
+    return peak, np.where(peak == 0.0, 1.0, peak)
+
+
+def _sumsq(X):
+    """Sum of |entry|^2 of each matrix of the stack X."""
+    return np.einsum("...ij,...ij->...", X.conj(), X).real
+
+
+def _frobenius(X):
+    """||X||_F of each matrix of the stack X, taken of X / max|X| so that no
+    square over- or underflows."""
+    peak, scale = _peaks(X)
+    return peak * np.sqrt(_sumsq(X / scale[..., None, None]))
+
+
+def _norm2_lower(X):
+    """Certified lower bound on ||X||_2, at least ||X||_F / sqrt(n), for each
+    matrix of the stack X (..., m, n), by matvecs.
 
     The largest ||X v|| / ||v|| of the largest column and three power steps on
     X^H X from it; X is scaled by its largest entry so that no square overflows.
+    A zero matrix gets 0.
     """
-    peak = float(np.abs(X).max())
-    if peak == 0.0:
-        return 0.0
-    X = X / peak
-    XH = X.conj().T
-    w = X[:, int(np.einsum("ji,ij->j", XH, X).real.argmax())]  # largest column
-    best = np.vdot(w, w).real
+    peak, scale = _peaks(X)
+    X = X / scale[..., None, None]
+    XH = X.conj().swapaxes(-2, -1)
+    largest = np.einsum("...ji,...ij->...j", XH, X).real.argmax(axis=-1)
+    w = np.take_along_axis(X, largest[..., None, None], axis=-1)  # largest column
+    best = _sumsq(w)
     for _ in range(3):
         v = XH @ w
         w = X @ v
-        best = max(best, np.vdot(w, w).real / np.vdot(v, v).real)
-    return peak * float(np.sqrt(best))
+        best = np.maximum(best, _sumsq(w) / np.where(peak == 0.0, 1.0, _sumsq(v)))
+    return peak * np.sqrt(best)
+
+
+# The errors below take a stack R[j] = (s[j] E + A)^{-1} and return one
+# relative error per point.
 
 
 def _commutation_error(pencil, R, s, u0):
     diff = pencil.E @ R @ pencil.A - pencil.A @ R @ pencil.E
-    denom = max(pencil.norm_E * pencil.norm_A * _norm2_lower(R), _TINY)
-    return float(np.linalg.norm(diff) / denom)
+    # the scale is grouped so that it neither over- nor underflows where R scales inversely
+    denom = np.maximum((pencil.norm_E * _norm2_lower(R)) * pencil.norm_A, _TINY)
+    return _frobenius(diff) / denom
 
 
 def _shift_error(pencil, R, s, u0):
+    s = s[:, None, None]
     lhs = R @ pencil.E
     rhs = np.eye(pencil.n) / s - (R @ pencil.A) / s
-    denom = max(_norm2_lower(lhs), _norm2_lower(rhs), _TINY)
-    return float(np.linalg.norm(lhs - rhs) / denom)
+    denom = np.maximum(np.maximum(_norm2_lower(lhs), _norm2_lower(rhs)), _TINY)
+    return _frobenius(lhs - rhs) / denom
 
 
 def _formula_error(pencil, R, s, u0):
+    s = s[:, None]
     lhs = R @ (pencil.E @ u0)
     rhs = u0 / s - (R @ (pencil.A @ u0)) / s
-    denom = max(np.linalg.norm(lhs), np.linalg.norm(rhs), _TINY)
-    return float(np.linalg.norm(lhs - rhs) / denom)
+    norm_lhs, norm_rhs = np.linalg.norm(lhs, axis=-1), np.linalg.norm(rhs, axis=-1)
+    denom = np.maximum(np.maximum(norm_lhs, norm_rhs), _TINY)
+    return np.linalg.norm(lhs - rhs, axis=-1) / denom
 
 
-# identity -> (tolerance, its relative error at s from R = (sE+A)^{-1})
+# identity -> (tolerance, its relative errors on a resolvent stack)
 _IDENTITIES = {
     "commutation_b": (COMMUTATION_TOL, _commutation_error),
     "shift_d": (SHIFT_TOL, _shift_error),
@@ -106,15 +133,16 @@ _IDENTITIES = {
 
 
 def _sample_identities(pencil, points, names, u0=None):
-    """Reports of the named identities, sharing one resolvent per sample point."""
+    """Reports of the named identities, sharing one resolvent per sample point,
+    each evaluated on the stacks of _resolvents."""
     points = tuple(points)
+    if 0 in points and set(names) - {"commutation_b"}:
+        raise ValueError("the shift identity and solution formula are undefined at s = 0")
     worst = dict.fromkeys(names, 0.0)
-    for s in points:
-        if s == 0 and set(names) - {"commutation_b"}:
-            raise ValueError("the shift identity and solution formula are undefined at s = 0")
-        R = resolvent(pencil, s)
-        for name in names:  # np.maximum keeps a NaN error, which then fails the check
-            worst[name] = float(np.maximum(worst[name], _IDENTITIES[name][1](pencil, R, s, u0)))
+    for R, s in _resolvents(pencil, points):
+        for name in names:  # np.max keeps a NaN error, which then fails the check
+            errors = _IDENTITIES[name][1](pencil, R, s, u0)
+            worst[name] = float(np.maximum(worst[name], np.max(errors)))
     return tuple(
         IdentityReport(name, points, worst[name], worst[name] <= _IDENTITIES[name][0])
         for name in names
@@ -186,7 +214,7 @@ def _fit_expansion_coefficients(pencil, B, k):
     The nodes are s_ref * 2^j, j = 0..k+1, with s_ref = 100 lowered where
     needed so that the top node stays a factor 4 below the float64 horizon
     s_h(k); samples above it would give the fitted x_l roundoff of size
-    ~eps * s^(k+1).  Each node takes one resolvent, applied to E B at once.
+    ~eps * s^(k+1).  The nodes are one resolvent stack, applied to E B at once.
     The model y(s) = c_0/s + ... + c_{k+1}/s^{k+2} of (sE+A)^{-1} E x is
     solved as one Vandermonde system in the scaled variable s_ref/s for all
     columns; the extra top coefficient absorbs the leading remainder so it
@@ -197,14 +225,14 @@ def _fit_expansion_coefficients(pencil, B, k):
     EB = pencil.E @ B
     samples = []
     nodes = []
-    for s in s_ref * 2.0 ** np.arange(k + 2):
-        R, s_used = _resolvent_retry(pencil, float(s))
-        samples.append((R @ EB) * s_used)
-        nodes.append(s_used)
-    nodes = np.array(nodes)  # retries may have nudged points off the grid
+    for R, s in _resolvents(pencil, s_ref * 2.0 ** np.arange(k + 2), tries=6):
+        samples.append((R @ EB) * s[:, None, None])
+        nodes.append(s)
+    nodes = np.concatenate(nodes)  # retries may have nudged points off the grid
     tau = nodes[0] / nodes
     V = np.vander(tau, k + 2, increasing=True)
-    gamma = np.linalg.solve(V, np.reshape(samples, (k + 2, -1))).reshape(k + 2, *EB.shape)
+    gamma = np.linalg.solve(V, np.concatenate(samples).reshape(k + 2, -1))
+    gamma = gamma.reshape(k + 2, *EB.shape)
     coeffs = gamma * (nodes[0] ** np.arange(k + 2))[:, None, None]
     return coeffs[1 : k + 1], float(np.linalg.cond(V))
 
@@ -262,13 +290,15 @@ def verify_expansion(pencil: Pencil, chain: IvChain, k: int, s_grid=None) -> Ide
 
     EB = pencil.E @ B
     worst_c = 0.0
-    for s in s_grid:
-        R, s_used = _resolvent_retry(pencil, float(s))
-        bound = 1.0 + np.linalg.norm(R, 2) * pencil.norm_A
-        powers = s_used ** -(np.arange(1, k + 1) + 1.0)
-        remainder = R @ EB - B / s_used - np.tensordot(powers, coeffs, axes=1)
-        column = np.max(np.linalg.norm(remainder, axis=0))
-        worst_c = float(np.maximum(worst_c, column * s_used ** (k + 1) / bound))
+    for R, s in _resolvents(pencil, s_grid, tries=6):
+        bound = 1.0 + np.linalg.svd(R, compute_uv=False)[:, 0] * pencil.norm_A
+        powers = s[:, None, None] ** -(np.arange(1, k + 1) + 1.0)
+        series = (powers @ coeffs.reshape(k, B.size)).reshape(-1, *B.shape)  # a gemv per point
+        remainder = R @ EB - B / s[:, None, None] - series
+        column = np.max(np.linalg.norm(remainder, axis=-2), axis=-1)
+        # s^(k+1) by libm pow per point, which a vectorized power may round differently
+        lift = np.array([x ** (k + 1) for x in s.tolist()])
+        worst_c = float(np.maximum(worst_c, np.max(column * lift / bound)))
     return IdentityReport(
         "expansion_e", tuple(s_grid), worst_c, worst_c <= EXPANSION_C_MAX, details
     )

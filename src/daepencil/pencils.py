@@ -47,6 +47,10 @@ SLOPE_RMS_MAX = 0.1
 # sample points of index_by_growth; the fit reads the upper half
 GROWTH_GRID = tuple(np.geomspace(1e2, 1e7, 24))
 
+# matrix entries per stacked solve of _resolvents: max(1, STACK_ENTRIES // n^2)
+# sample points per chunk (a whole small-pencil grid, one point at n = 160)
+STACK_ENTRIES = 2**15
+
 
 def _cached(owner, key, build):
     """owner's artifact under key, built by build() on first use and kept.
@@ -228,21 +232,54 @@ def _nudged(solve, x, tries=6):
     return solve(x), x
 
 
-def _resolvent_retry(pencil, s):
-    """(sE+A)^{-1} and the s it was taken at, nudging s off singular points."""
-    return _nudged(lambda t: resolvent(pencil, t), s)
+def _resolvents(pencil, points, tries=1, drop=False):
+    """Yield (R, used) per chunk of points, R[j] = (used[j] E + A)^{-1}.
+
+    A chunk holds at most STACK_ENTRIES matrix entries (one point at least)
+    and takes one stacked solve; its slices are bit for bit the resolvent of
+    each point.  A chunk whose solve raises or leaves a non-finite slice is
+    redone point by point: each point through _nudged with `tries` tries
+    (tries=1 takes s as it is), so used[j] is where the resolvent was taken.
+    A point still singular then raises its SingularMatrixError or, with drop,
+    leaves a NaN slice and used[j] = NaN.  Real points on a real pencil are
+    solved in real arithmetic, any other grid in complex.
+    """
+    points = np.asarray(points, dtype=complex if np.iscomplexobj(points) else float)
+    complex_ = pencil.is_complex or bool(np.any(points.imag))
+    shifts = points.astype(complex) if complex_ else points.real
+    n = pencil.n
+    step = max(1, STACK_ENTRIES // (n * n))
+    for lo in range(0, points.size, step):
+        M = shifts[lo : lo + step, None, None] * pencil.E + pencil.A
+        used = points[lo : lo + step].copy()
+        try:
+            R = np.linalg.solve(M, np.broadcast_to(np.eye(n, dtype=M.dtype), M.shape))
+            stacked = bool(np.isfinite(R).all())
+        except np.linalg.LinAlgError:
+            stacked = False
+        if not stacked:
+            R = np.empty(M.shape, M.dtype)
+            for j, s in enumerate(used):
+                try:
+                    R[j], used[j] = _nudged(lambda t: resolvent(pencil, t), s, tries)
+                except SingularMatrixError:
+                    if not drop:
+                        raise
+                    R[j], used[j] = np.nan, np.nan
+        yield R, used
 
 
 def index_by_growth(pencil: Pencil) -> IndexEstimate:
     """Index from the slope of log ||(sE+A)^{-1}|| against log s.
 
-    Samples GROWTH_GRID on the positive real axis and fits a least
-    squares line over the upper half, the only samples whose 2-norm is
-    taken; the index is the slope rounded half away from zero, clamped at
-    zero.  The estimate is not confident when the slope's fractional part
-    is ambiguous or the fit residual is large (the latter happens when
-    floating-point saturation of the stored pencil caps the observable
-    growth of high-index problems).  A sample whose resolvent stays singular
+    Samples GROWTH_GRID on the positive real axis by stacked solves and
+    fits a least squares line over the upper half, the only samples whose
+    2-norm is taken (one singular-value stack per chunk); the index is the
+    slope rounded half away from zero, clamped at zero.  The estimate is not
+    confident when the slope's fractional part is ambiguous or the fit
+    residual is large (the latter happens when floating-point saturation of
+    the stored pencil caps the observable growth of high-index problems).
+    A sample whose resolvent stays singular
     after its retries, in either half, is saturated outright: it is dropped
     (counted in samples_dropped) and the estimate is not confident.  Raises
     SingularMatrixError only when fewer than two upper-half samples remain.
@@ -255,13 +292,14 @@ def index_by_growth(pencil: Pencil) -> IndexEstimate:
     samples = len(GROWTH_GRID)
     norms = np.full(samples, np.nan)
     used = np.full(samples, np.nan)
-    for j, s in enumerate(GROWTH_GRID):
-        try:
-            R, used[j] = _resolvent_retry(pencil, float(s))
-        except SingularMatrixError:
-            continue
-        if j >= samples // 2:
-            norms[j] = np.linalg.norm(R, 2)
+    lo = 0
+    for R, chunk in _resolvents(pencil, GROWTH_GRID, tries=6, drop=True):
+        j = slice(lo, lo + len(chunk))
+        used[j] = chunk
+        fit = (np.arange(j.start, j.stop) >= samples // 2) & ~np.isnan(chunk)
+        if fit.any():
+            norms[j][fit] = np.linalg.svd(R[fit], compute_uv=False)[:, 0]
+        lo = j.stop
 
     sampled = ~np.isnan(used)
     upper = ~np.isnan(norms)

@@ -17,8 +17,8 @@ from .analysis import IDENTITY_POINTS, _transform_match, build_analysis
 from .chains import consistent_space
 from .exceptions import InconsistentInitialValueError, SingularMatrixError
 from .fixtures import FixtureSpec, generate
-from .laplace import _norm2_lower, expansion_grid, verify_expansion, verify_identities
-from .pencils import resolvent
+from .laplace import _frobenius, _norm2_lower, expansion_grid, verify_expansion, verify_identities
+from .pencils import _resolvents
 from .rng import make_rng
 from .solvers import classical_solution, decomposition_oracle
 from .subspaces import (
@@ -128,22 +128,29 @@ def _subspace_laws_row(seed):
     return row.done()
 
 
+def _stack(pencil, points):
+    """The resolvents at points as one stack, (len(points), n, n)."""
+    return np.concatenate([R for R, _ in _resolvents(pencil, points)])
+
+
 def _resolvent_identity_row(analyzed, seed):
     rng = make_rng(seed + 1)
     row = _Row("resolvent_identity")
     for _, _, a in analyzed:
         p = a.pencil
-        for _ in range(3):
-            s, t = rng.uniform(0.5, 50.0, size=2)
-            Rs, Rt = resolvent(p, s), resolvent(p, t)
-            lhs = Rs - Rt
-            rhs = (t - s) * (Rs @ (p.E @ Rt))
-            # the product scale keeps cancellation in Rs - Rt for nearby points
-            # from inflating the error; Frobenius over lower bounds, as in laplace
-            lb_lhs, lb_rhs, lb_s, lb_t = map(_norm2_lower, (lhs, rhs, Rs, Rt))
-            scale = max(lb_lhs, lb_rhs, abs(t - s) * lb_s * p.norm_E * lb_t, 1e-300)
-            err = float(np.linalg.norm(lhs - rhs) / scale)
-            row.add(err, err <= 1e-9)
+        pairs = rng.uniform(0.5, 50.0, size=(3, 2))  # three (s, t), as three draws of two
+        R = _stack(p, pairs.ravel())
+        Rs, Rt = R[0::2], R[1::2]
+        gap = (pairs[:, 1] - pairs[:, 0])[:, None, None]
+        lhs = Rs - Rt
+        rhs = gap * (Rs @ (p.E @ Rt))
+        # the product scale keeps cancellation in Rs - Rt for nearby points
+        # from inflating the error; Frobenius over lower bounds, as in laplace
+        lb_lhs, lb_rhs, lb_s, lb_t = map(_norm2_lower, (lhs, rhs, Rs, Rt))
+        product = np.abs(gap[:, 0, 0]) * lb_s * p.norm_E * lb_t
+        scale = np.maximum(np.maximum(np.maximum(lb_lhs, lb_rhs), product), 1e-300)
+        err = _frobenius(lhs - rhs) / scale
+        row.add(err, err <= 1e-9)
     return row.done()
 
 
@@ -169,15 +176,15 @@ def _chain_descent_row(analyzed):
     eps = np.finfo(float).eps
     for _, _, a in analyzed:
         p, chain = a.pencil, a.chain
-        for s in (3.0, 10.0, 100.0):
-            R = resolvent(p, s)
-            noise = 10.0 * eps * np.linalg.norm(R, 2) * p.norm_E
-            for k in range(chain.stabilization + 1):
-                mapped = R @ (p.E @ chain.spaces[k].basis)
-                norms = np.linalg.norm(mapped, axis=0)
-                decidable = 1e-8 * norms > noise
-                skipped += int(np.count_nonzero(~decidable))
-                ratios = distance(chain.spaces[k + 1], mapped[:, decidable]) / norms[decidable]
+        R = _stack(p, (3.0, 10.0, 100.0))
+        noise = 10.0 * eps * np.linalg.svd(R, compute_uv=False)[:, :1] * p.norm_E
+        for k in range(chain.stabilization + 1):
+            mapped = R @ (p.E @ chain.spaces[k].basis)  # (point, n, column)
+            norms = np.linalg.norm(mapped, axis=1)
+            decidable = 1e-8 * norms > noise
+            skipped += int(np.count_nonzero(~decidable))
+            for X, keep, norm in zip(mapped, decidable, norms):
+                ratios = distance(chain.spaces[k + 1], X[:, keep]) / norm[keep]
                 row.add(ratios, ratios <= 1e-8)
     if skipped:
         row.note = f"{skipped} skipped below the float64 noise floor"

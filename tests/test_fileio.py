@@ -74,6 +74,36 @@ class TestParseArray:
         with pytest.raises(MatrixMarketError, match=":5: non-numeric entry 'bogus'"):
             parse_matrix_market(path)
 
+    def test_several_values_per_line_and_a_comment_among_them(self, tmp_path):
+        path = write(
+            tmp_path,
+            "multi.mtx",
+            "%%MatrixMarket matrix array real general\n3 3\n1 2 3\n"
+            "% a comment in the data\n\n4\n5 6\n  7 8 9  \n",
+        )
+        np.testing.assert_array_equal(
+            parse_matrix_market(path), np.arange(1.0, 10.0).reshape(3, 3).T
+        )
+
+    def test_non_numeric_entry_on_a_line_of_several(self, tmp_path):
+        path = write(
+            tmp_path,
+            "bad2.mtx",
+            "%%MatrixMarket matrix array real general\n2 2\n1 2\n% c\n3 bogus\n",
+        )
+        with pytest.raises(MatrixMarketError, match=":5: non-numeric entry 'bogus'"):
+            parse_matrix_market(path)
+
+    @pytest.mark.parametrize("tail", ["3 4 5\n", "3 4\n5\n", "3 4\nbogus\n", "3 4 bogus\n"])
+    def test_an_entry_past_the_last_is_flagged_first(self, tmp_path, tail):
+        # the first token past the declared count is reported, numeric or not
+        path = write(
+            tmp_path, "long2.mtx", "%%MatrixMarket matrix array real general\n2 2\n1 2\n" + tail
+        )
+        line = 4 if tail.count("\n") == 1 else 5
+        with pytest.raises(MatrixMarketError, match=f":{line}: more than 4 entries"):
+            parse_matrix_market(path)
+
     def test_bad_header(self, tmp_path):
         path = write(tmp_path, "h.mtx", "%%NotMatrixMarket nothing\n1 1\n1\n")
         with pytest.raises(MatrixMarketError, match="expected header"):
@@ -175,6 +205,11 @@ class TestVectors:
     def test_bad_token_line(self, tmp_path):
         path = write(tmp_path, "b.txt", "1.0\nnope\n")
         with pytest.raises(MatrixMarketError, match=":2: non-numeric"):
+            read_vector(path)
+
+    def test_bad_token_among_several_on_a_line(self, tmp_path):
+        path = write(tmp_path, "b2.txt", "1.0 2.0\n% c\n3.0 nope 4.0\n")
+        with pytest.raises(MatrixMarketError, match=":3: non-numeric entry 'nope'"):
             read_vector(path)
 
 

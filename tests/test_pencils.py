@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import daepencil.pencils as pencils_mod
-from daepencil.analysis import build_analysis
+from daepencil.analysis import analyze_pencil, build_analysis, report_to_json
 from daepencil.exceptions import (
     NonFiniteEntriesError,
     NotRegularError,
@@ -20,6 +22,7 @@ from daepencil.pencils import (
     resolvent,
 )
 from daepencil.rng import make_rng
+from daepencil.verification import random_specs, run_suite
 
 N2 = np.array([[0.0, 1.0], [0.0, 0.0]])
 N3 = np.eye(3, k=1)
@@ -230,6 +233,94 @@ class TestResolvent:
         np.testing.assert_allclose(R, np.eye(2) / (1j + 1.0))
 
 
+class TestStackedResolvents:
+    """pencils._resolvents: every resolvent grid as chunked stacked solves."""
+
+    @staticmethod
+    def _pencil(n, seed, complex_, singular_at=None):
+        """A random pencil; with singular_at (a power of two), s E + A has an
+        exactly zero last row there, so LAPACK meets an exact zero pivot."""
+        rng = np.random.default_rng(seed)
+        E, A = rng.standard_normal((2, n, n))
+        if complex_:
+            E, A = E + 1j * rng.standard_normal((n, n)), A + 1j * rng.standard_normal((n, n))
+        if singular_at is not None:
+            A[-1] = -singular_at * E[-1]
+        return new_pencil(E, A)
+
+    @staticmethod
+    def _sampled(pencil, points, **kwargs):
+        chunks = list(pencils_mod._resolvents(pencil, points, **kwargs))
+        return np.concatenate([R for R, _ in chunks]), np.concatenate([u for _, u in chunks])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        complex_=st.booleans(),
+        singular=st.booleans(),
+        tries=st.sampled_from([1, 6]),
+    )
+    def test_bit_identical_to_pointwise_nudged_resolvents(
+        self, n, seed, complex_, singular, tries
+    ):
+        p = self._pencil(n, seed, complex_, 2.0 if singular else None)
+        points = np.append(np.geomspace(0.5, 50.0, 7), 2.0)  # 2.0 is exactly singular if asked
+        pointwise, errors = [], []
+        for s in points:
+            try:
+                pointwise.append(pencils_mod._nudged(lambda t: resolvent(p, t), s, tries))
+            except SingularMatrixError as err:
+                pointwise.append(None)
+                errors.append(str(err))
+        if errors:
+            with pytest.raises(SingularMatrixError) as raised:
+                self._sampled(p, points, tries=tries)
+            assert str(raised.value) == errors[0]
+            R, used = self._sampled(p, points, tries=tries, drop=True)
+        else:
+            R, used = self._sampled(p, points, tries=tries)
+        for Rj, sj, ref in zip(R, used, pointwise):
+            if ref is None:
+                assert np.isnan(sj) and np.all(np.isnan(Rj))
+            else:
+                assert sj == ref[1] and np.array_equal(Rj, ref[0])
+        if singular and tries > 1:
+            assert used[-1] == 2.0 * 1.01
+
+    def test_as_many_points_as_rows(self):
+        # 20 points at n = 20: the right-hand side is a (20, 20, 20) identity
+        # stack, never a 2-D array that could be read as 20 vectors
+        p = self._pencil(20, 3, False)
+        points = np.geomspace(0.5, 50.0, 20)
+        R, used = self._sampled(p, points)
+        assert R.shape == (20, 20, 20) and np.array_equal(used, points)
+        for Rj, s in zip(R, points):
+            assert np.array_equal(Rj, resolvent(p, s))
+
+    def test_chunks_hold_at_most_stack_entries(self):
+        p = self._pencil(5, 4, False)
+        sizes = [len(u) for _, u in pencils_mod._resolvents(p, np.arange(1.0, 21.0))]
+        assert sizes == [20]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pencils_mod, "STACK_ENTRIES", 7 * 25 + 24)
+            sizes = [len(u) for _, u in pencils_mod._resolvents(p, np.arange(1.0, 21.0))]
+        assert sizes == [7, 7, 6]
+
+    @pytest.mark.parametrize("points_per_chunk", [1, 3, 7])
+    def test_every_report_equals_the_one_chunk_report(self, monkeypatch, points_per_chunk):
+        # 20 identity points, 24 growth points, 12 expansion points and the
+        # verify rows' 6 and 3 points split into chunks with remainders
+        specs = random_specs(4, (5, 5), (1, 3), seed=2)
+        pencils = [generate(spec)[0] for spec in specs]
+        reference = [report_to_json(analyze_pencil(p, seed=3)) for p in pencils]
+        suite = run_suite(specs, seed=3).to_dict()
+        monkeypatch.setattr(pencils_mod, "STACK_ENTRIES", points_per_chunk * 25)
+        pencils = [generate(spec)[0] for spec in specs]
+        assert [report_to_json(analyze_pencil(p, seed=3)) for p in pencils] == reference
+        assert run_suite(specs, seed=3).to_dict() == suite
+
+
 class TestIndexByGrowth:
     def test_index_zero(self):
         est = index_by_growth(new_pencil(np.eye(2), np.eye(2)))
@@ -257,14 +348,19 @@ class TestIndexByGrowth:
 
     @staticmethod
     def _singular_between(monkeypatch, lo, hi):
-        real = pencils_mod.resolvent
+        """Make sN2 + I (its (0, 1) entry is s) singular for lo <= s <= hi.
 
-        def patched(pencil, s):
-            if lo <= abs(s) <= hi:
-                raise SingularMatrixError("synthetic")
-            return real(pencil, s)
+        A stack holding such a matrix raises, as LAPACK does on an exact zero
+        pivot, so the sampling falls back to its per-point nudged solves.
+        """
+        real = np.linalg.solve
 
-        monkeypatch.setattr(pencils_mod, "resolvent", patched)
+        def patched(a, b):
+            if np.any((lo <= np.abs(a[..., 0, 1])) & (np.abs(a[..., 0, 1]) <= hi)):
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", patched)
 
     def test_saturated_sample_is_dropped(self, monkeypatch):
         # the top grid point s = 1e7 and its nudges fail: the fit keeps the
@@ -290,12 +386,9 @@ class TestIndexByGrowth:
         assert est.diagnostics["points_fitted"] == 12
         assert est.diagnostics["s_range"][0] == np.geomspace(1e2, 1e7, 24)[1]
 
-    def test_two_norms_only_for_the_fitted_half(self, monkeypatch):
-        norms = count_calls(
-            monkeypatch, np.linalg, "norm", lambda x, ord=None, *a, **kw: ord == 2
-        )
+    def test_two_norms_only_for_the_fitted_half(self, matrix_norm2_calls):
         est = index_by_growth(new_pencil(N3, np.eye(3)))
-        assert len(norms) == 24 - 24 // 2 == est.diagnostics["points_fitted"]
+        assert len(matrix_norm2_calls) == 24 - 24 // 2 == est.diagnostics["points_fitted"]
 
     def test_too_few_samples_left_raises(self, monkeypatch):
         self._singular_between(monkeypatch, 1e3, np.inf)
