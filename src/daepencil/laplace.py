@@ -293,10 +293,11 @@ def verify_expansion(pencil: Pencil, chain: IvChain, k: int, s_grid=None) -> Ide
     for R, s in _resolvents(pencil, s_grid, tries=6):
         bound = 1.0 + np.linalg.svd(R, compute_uv=False)[:, 0] * pencil.norm_A
         powers = s[:, None, None] ** -(np.arange(1, k + 1) + 1.0)
-        series = (powers @ coeffs.reshape(k, B.size)).reshape(-1, *B.shape)  # a gemv per point
+        # one gemv and one libm pow per point: a gemm over the chunk or a
+        # vectorized power can round differently with the chunk size
+        series = (powers @ coeffs.reshape(k, B.size)).reshape(-1, *B.shape)
         remainder = R @ EB - B / s[:, None, None] - series
         column = np.max(np.linalg.norm(remainder, axis=-2), axis=-1)
-        # s^(k+1) by libm pow per point, which a vectorized power may round differently
         lift = np.array([x ** (k + 1) for x in s.tolist()])
         worst_c = float(np.maximum(worst_c, np.max(column * lift / bound)))
     return IdentityReport(

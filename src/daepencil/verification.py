@@ -183,6 +183,8 @@ def _chain_descent_row(analyzed):
             norms = np.linalg.norm(mapped, axis=1)
             decidable = 1e-8 * norms > noise
             skipped += int(np.count_nonzero(~decidable))
+            # one projection per point: a gemm over more columns rounds these
+            # roundoff-level ratios differently
             for X, keep, norm in zip(mapped, decidable, norms):
                 ratios = distance(chain.spaces[k + 1], X[:, keep]) / norm[keep]
                 row.add(ratios, ratios <= 1e-8)
