@@ -64,8 +64,9 @@ def _peaks(X):
 
 
 def _sumsq(X):
-    """Sum of |entry|^2 of each matrix of the stack X."""
-    return np.einsum("...ij,...ij->...", X.conj(), X).real
+    """Sum of |entry|^2 of each matrix of the stack X, one BLAS dot each."""
+    flat = X.reshape(*X.shape[:-2], 1, -1)
+    return (flat.conj() @ flat.swapaxes(-2, -1))[..., 0, 0].real
 
 
 def _frobenius(X):
@@ -119,9 +120,8 @@ def _formula_error(pencil, R, s, u0):
     s = s[:, None]
     lhs = R @ (pencil.E @ u0)
     rhs = u0 / s - (R @ (pencil.A @ u0)) / s
-    norm_lhs, norm_rhs = np.linalg.norm(lhs, axis=-1), np.linalg.norm(rhs, axis=-1)
-    denom = np.maximum(np.maximum(norm_lhs, norm_rhs), _TINY)
-    return np.linalg.norm(lhs - rhs, axis=-1) / denom
+    norm_lhs, norm_rhs, norm_diff = (np.sqrt(_sumsq(x[..., None])) for x in (lhs, rhs, lhs - rhs))
+    return norm_diff / np.maximum(np.maximum(norm_lhs, norm_rhs), _TINY)
 
 
 # identity -> (tolerance, its relative errors on a resolvent stack)
