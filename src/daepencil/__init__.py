@@ -26,7 +26,6 @@ from .exceptions import (
     NotRegularError,
     ShapeMismatchError,
     SingularMatrixError,
-    TruncatedChainError,
 )
 from .expm import expm
 from .fileio import parse_matrix_market, read_vector, write_matrix_market, write_vector
@@ -108,7 +107,6 @@ __all__ = [
     "Subspace",
     "SuiteResult",
     "Trajectory",
-    "TruncatedChainError",
     "analyze_pencil",
     "build_analysis",
     "certify_regularity",

@@ -48,7 +48,7 @@ class Analysis:
 
     The certificate and the nilpotency index use the seed build_analysis was
     given.  Every field after certificate is None when the pencil is not
-    regular, and chain_index and iso are None when the chain is truncated.
+    regular.
     """
 
     pencil: Pencil
@@ -81,8 +81,8 @@ def build_analysis(
         chain=chain,
         growth=index_by_growth(pencil),
         nilpotency=index_by_nilpotency(pencil, seed),
-        chain_index=None if chain.truncated else index_by_chain(chain),
-        iso=None if chain.truncated else check_restricted_iso(pencil, chain),
+        chain_index=index_by_chain(chain),
+        iso=check_restricted_iso(pencil, chain),
     )
 
 

@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ShapeMismatchError, TruncatedChainError
+from .exceptions import ShapeMismatchError
 from .pencils import IndexEstimate, Pencil, _cached
-from .subspaces import RankTolerance, Subspace, equal, full_space, image, preimage
+from .subspaces import RankTolerance, Subspace, _monotone_chain, full_space, image, preimage
 
 __all__ = [
     "IvChain",
@@ -30,10 +30,11 @@ __all__ = [
 class IvChain:
     """The computed spaces IV_0, IV_1, ..., one past the stabilization witness.
 
-    stabilization is the smallest k with IV_{k+1} = IV_{k+2}, or None when
-    the iteration cap was hit first (then truncated is True).  In finite
-    dimensions the strictly decreasing dimensions force stabilization within
-    n + 1 steps, so truncation only signals a numerical pathology.
+    stabilization is the step k at which the dimensions stopped falling:
+    dim IV_{k+1} = dim IV_{k+2}, which in exact arithmetic means
+    IV_{k+1} = IV_{k+2}.  A dimension that rises instead also stops the chain
+    there; only roundoff can make one rise, and verify's chain_monotone row
+    reports it.
 
     The chain also holds the pencil the spaces belong to and the images
     E[IV_j] compute_chain found on the way (one per space but the last); the
@@ -42,8 +43,7 @@ class IvChain:
     """
 
     spaces: tuple
-    stabilization: int | None
-    truncated: bool
+    stabilization: int
     pencil: Pencil = field(repr=False, compare=False)
     images: tuple = field(repr=False, compare=False)
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -57,41 +57,28 @@ class IvChain:
         return self.spaces[0].tol
 
 
-def compute_chain(pencil: Pencil, tol: RankTolerance = RankTolerance(), max_k=None) -> IvChain:
-    """Iterate IV_{k+1} = preimage(A, image(E, IV_k)) until it stabilizes.
+def compute_chain(pencil: Pencil, tol: RankTolerance = RankTolerance()) -> IvChain:
+    """Iterate IV_{k+1} = preimage(A, image(E, IV_k)) from IV_1 until the
+    dimensions stop strictly falling (subspaces._monotone_chain).
 
-    Stops at the first k with IV_{k+1} = IV_{k+2}, recording one extra space
-    as the witness; hitting max_k (default n + 2) first is reported through
-    the truncated flag rather than raised.
+    The space that repeats (or reverses) the dimension is kept as the witness.
     """
-    n = pencil.n
-    if max_k is None:
-        max_k = n + 2
-    spaces = [full_space(n, tol)]
     images = []
-    while True:
-        images.append(image(pencil.E, spaces[-1], pencil.norm_E))
-        spaces.append(preimage(pencil.A, images[-1], pencil.norm_A))
-        stable = len(spaces) >= 3 and equal(spaces[-1], spaces[-2])
-        if stable or len(spaces) > max_k:
-            break
-    # the last space is IV_j with j = len(spaces) - 1; stable means k = j - 2
-    return IvChain(
-        tuple(spaces), len(spaces) - 3 if stable else None, not stable, pencil, tuple(images)
-    )
+
+    def step(space):
+        images.append(image(pencil.E, space, pencil.norm_E))
+        return preimage(pencil.A, images[-1], pencil.norm_A)
+
+    spaces = [full_space(pencil.n, tol)]
+    spaces += _monotone_chain(step, step(spaces[0]))
+    # the last space is IV_j with j = len(spaces) - 1, the witness of k = j - 2
+    return IvChain(tuple(spaces), len(spaces) - 3, pencil, tuple(images))
 
 
 def _check_owner(pencil: Pencil, chain: IvChain):
     """Reject a chain computed for another pencil (compared by value)."""
     if chain.pencil != pencil:
         raise ShapeMismatchError("chain does not belong to this pencil")
-
-
-def _stabilization(chain: IvChain) -> int:
-    """The chain's stabilization step; TruncatedChainError if it has none."""
-    if chain.truncated:
-        raise TruncatedChainError("chain hit max_k before stabilizing")
-    return chain.stabilization
 
 
 def index_by_chain(chain: IvChain) -> IndexEstimate:
@@ -102,7 +89,7 @@ def index_by_chain(chain: IvChain) -> IndexEstimate:
     disagreement as a reportable failure, not as something to reconcile here.
     """
     return IndexEstimate(
-        k=_stabilization(chain),
+        k=chain.stabilization,
         method="ivchain",
         confident=True,
         diagnostics={"dims": list(chain.dims)},
@@ -112,7 +99,7 @@ def index_by_chain(chain: IvChain) -> IndexEstimate:
 def consistent_space(pencil: Pencil, chain: IvChain) -> Subspace:
     """IV_{k+1} at the stabilization step k: the consistent initial values."""
     _check_owner(pencil, chain)
-    return chain.spaces[_stabilization(chain) + 1]
+    return chain.spaces[chain.stabilization + 1]
 
 
 @dataclass(frozen=True)
@@ -139,7 +126,6 @@ def check_restricted_iso(pencil: Pencil, chain: IvChain) -> IsoReport:
     Computed once per chain and kept on it.
     """
     _check_owner(pencil, chain)
-    _stabilization(chain)
     return _cached(chain, "iso", lambda: _restricted_iso(chain))
 
 

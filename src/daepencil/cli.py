@@ -199,7 +199,6 @@ def _cmd_generate(args):
         n1=args.n1, nilpotent_blocks=blocks, conditioning=args.conditioning, seed=args.seed
     )
     pencil, truth = generate(spec)
-    # a truncated chain raises here, before any file is written
     cons = consistent_space(pencil, compute_chain(pencil, RankTolerance(args.tol)))
     u0 = cons.basis[:, 0].real if cons.dim else np.zeros(pencil.n)
     os.makedirs(args.out, exist_ok=True)

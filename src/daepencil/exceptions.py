@@ -23,10 +23,6 @@ class NotRegularError(DaePencilError):
     operations are undefined."""
 
 
-class TruncatedChainError(DaePencilError):
-    """The IV chain hit its iteration cap before stabilizing."""
-
-
 class IsomorphismError(DaePencilError):
     """E restricted to IV_{k+1} -> E[IV_k] is not numerically bijective, so
     the reduced generator cannot be formed."""

@@ -21,7 +21,7 @@ from .exceptions import (
     SingularMatrixError,
 )
 from .rng import make_rng
-from .subspaces import RankTolerance, preimage, zero_space
+from .subspaces import RankTolerance, _monotone_chain, preimage, zero_space
 
 __all__ = [
     "Pencil",
@@ -336,8 +336,10 @@ def _shifted_kernels(pencil: Pencil, seed: int):
     resolvent sample; F = (s0 E + A)^{-1} E is read-only.  kernels is
     ker F^0 = {0} <= ker F <= ker F^2 <= ..., computed by iterated preimages
     rather than explicit powers of F (which keeps every rank decision at the
-    scale of F itself), up to and including the first repeated dimension.
-    Both the nilpotency index and the Fitting splitting read it.
+    scale of F itself), while the dimensions strictly rise
+    (subspaces._monotone_chain): the last kernel repeats (or reverses) the
+    dimension, so kernels[-2] is the stabilized one.  Both the nilpotency
+    index and the Fitting splitting read it.
     """
 
     def build():
@@ -346,9 +348,9 @@ def _shifted_kernels(pencil: Pencil, seed: int):
         F = R @ pencil.E
         F.setflags(write=False)
         norm_F = float(np.linalg.norm(F, 2))
-        kernels = [zero_space(pencil.n, RankTolerance())]
-        while len(kernels) < 2 or kernels[-1].dim != kernels[-2].dim:
-            kernels.append(preimage(F, kernels[-1], norm_F))
+        kernels = _monotone_chain(
+            lambda K: preimage(F, K, norm_F), zero_space(pencil.n, RankTolerance())
+        )
         return s0, F, norm_F, tuple(kernels)
 
     return _cached(pencil, ("shift", seed), build)

@@ -25,7 +25,7 @@ from .exceptions import (
 )
 from .expm import expm
 from .pencils import Pencil, _cached, _nudged, _shifted_kernels, certify_regularity
-from .subspaces import RankTolerance, distance, equal, full_space, image, project
+from .subspaces import RankTolerance, _monotone_chain, distance, full_space, image, project
 
 __all__ = [
     "ReducedGenerator",
@@ -337,14 +337,7 @@ def _split(pencil, seed):
     s0, F, norm_F, kernels = _shifted_kernels(pencil, seed)
     ker = kernels[-2]
     n = pencil.n
-    ran = full_space(n, RankTolerance())
-    for _ in range(n + 1):  # exact ranges shrink strictly until one repeats
-        nxt = image(F, ran, norm_F)
-        if equal(nxt, ran):
-            break
-        ran = nxt
-    else:
-        raise SingularMatrixError(f"splitting failed: no range of F^j repeats by j = {n + 1}")
+    ran = _monotone_chain(lambda S: image(F, S, norm_F), full_space(n, RankTolerance()))[-2]
 
     if ran.dim + ker.dim != n:
         raise SingularMatrixError(

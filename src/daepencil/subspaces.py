@@ -275,3 +275,18 @@ def contains(S: Subspace, T: Subspace) -> bool:
 def equal(S: Subspace, T: Subspace) -> bool:
     """Set equality via mutual containment."""
     return contains(S, T) and contains(T, S)
+
+
+def _monotone_chain(step, start: Subspace) -> list:
+    """[start, step(start), step(step(start)), ...] while the dimensions are strictly monotone.
+
+    The last space returned is the first that breaks the trend: a repeated
+    dimension (the chain has stabilized) or a reversal (roundoff; callers'
+    checks report it).  A strictly monotone run of dimensions in [0, n] has at
+    most n + 1 terms, so step runs at most n + 1 times and needs no cap.
+    """
+    spaces = [start, step(start)]
+    trend = spaces[1].dim - start.dim
+    while (spaces[-1].dim - spaces[-2].dim) * trend > 0:
+        spaces.append(step(spaces[-1]))
+    return spaces

@@ -15,7 +15,7 @@ import numpy as np
 
 from .analysis import IDENTITY_POINTS, _transform_match, build_analysis
 from .chains import consistent_space
-from .exceptions import InconsistentInitialValueError, SingularMatrixError
+from .exceptions import InconsistentInitialValueError, IsomorphismError, SingularMatrixError
 from .fixtures import FixtureSpec, generate
 from .laplace import _frobenius, _norm2_lower, expansion_grid, verify_expansion, verify_identities
 from .pencils import _resolvents
@@ -214,14 +214,14 @@ def _expansion_row(analyzed):
     return row.done()
 
 
-def _chain_rows(stable, truncated):
-    """The chain rows over the stable chains; each of the truncated ones fails chain_monotone."""
-    mono = _Row("chain_monotone", f"{truncated} hit max_k before stabilizing" if truncated else "")
-    mono.add(None, np.zeros(truncated, dtype=bool))
+def _chain_rows(analyzed):
+    """The chain_monotone, chain_stabilization, index_agreement and
+    restricted_iso rows, one check per fixture each."""
+    mono = _Row("chain_monotone")
     stab = _Row("chain_stabilization")
     agree = _Row("index_agreement")
     iso_row = _Row("restricted_iso")
-    for _, truth, a in stable:
+    for _, truth, a in analyzed:
         chain = a.chain
         ok = all(
             contains(chain.spaces[j], chain.spaces[j + 1])
@@ -249,6 +249,8 @@ def _solver_rows(analyzed):
     solve each fixture's consistent basis (real parts) as one block and still
     count `checked` per column.  A rejected block counts one failure per
     column, as its rejected columns did before blocks, so no PASS/FAIL moves.
+    A fixture whose reduced generator fails (IsomorphismError) fails its
+    transform_match check and every classical_residual column.
     """
     residual = _Row("classical_residual")
     initial = _Row("initial_value")
@@ -281,9 +283,14 @@ def _solver_rows(analyzed):
         if not cons.dim:
             continue
 
-        rep = _transform_match(p, chain, cons)
-        transform.add(rep.max_relative_error, rep.passed)
         U0, rejected = cons.basis.real, np.zeros(cons.dim, dtype=bool)
+        try:
+            rep = _transform_match(p, chain, cons)
+        except IsomorphismError:  # no reduced generator, so no transform and no solution
+            transform.add(None, False)
+            residual.add(None, rejected)
+            continue
+        transform.add(rep.max_relative_error, rep.passed)
         try:
             traj = classical_solution(p, chain, U0, SOLVE_GRID)
         except InconsistentInitialValueError:
@@ -330,15 +337,13 @@ def run_suite(specs, seed: int = 0, tol: RankTolerance = RankTolerance()) -> Sui
             raise ValueError(f"generated fixture {spec} is not regular")
         analyzed.append((spec, truth, analysis))
 
-    # a truncated chain has no stabilization step for the rows that need one
-    stable = [entry for entry in analyzed if not entry[2].chain.truncated]
     rows = [_subspace_laws_row(seed)]
     rows.append(_resolvent_identity_row(analyzed, seed))
     rows.extend(_identity_rows(analyzed))
-    rows.append(_chain_descent_row(stable))
-    rows.append(_expansion_row(stable))
-    rows.extend(_chain_rows(stable, len(analyzed) - len(stable)))
-    rows.extend(_solver_rows(stable))
+    rows.append(_chain_descent_row(analyzed))
+    rows.append(_expansion_row(analyzed))
+    rows.extend(_chain_rows(analyzed))
+    rows.extend(_solver_rows(analyzed))
     return SuiteResult(rows=rows, fixtures=len(specs), passed=all(r.passed for r in rows))
 
 

@@ -8,15 +8,10 @@ import numpy as np
 import pytest
 
 from daepencil.cli import main
+from daepencil.exceptions import IsomorphismError
 from daepencil.fileio import write_matrix_market, write_vector
 from daepencil.fixtures import FixtureSpec, generate
-
-
-def truncate_chains(monkeypatch, module):
-    """Cut every IV chain that module computes at max_k = 1, as a chain that
-    never stabilizes in float64 would be cut at max_k = n + 2."""
-    real = module.compute_chain
-    monkeypatch.setattr(module, "compute_chain", lambda pencil, tol: real(pencil, tol, max_k=1))
+from daepencil.subspaces import full_space
 
 
 def verify_one_fixture(tmp_path, capsys):
@@ -122,14 +117,6 @@ class TestAnalyze:
 
         monkeypatch.setattr(cli_mod, "analyze_pencil", disagreeing)
         assert main(["analyze", *paths, "--json", str(tmp_path / "r.json")]) == 2
-
-    def test_truncated_chain_exit_1(self, tmp_path, monkeypatch, capsys):
-        import daepencil.analysis as analysis_mod
-
-        truncate_chains(monkeypatch, analysis_mod)
-        pencil, _ = generate(FixtureSpec(1, (2,), 100.0, 0))
-        assert main(["analyze", *write_pencil(tmp_path, pencil.E, pencil.A)]) == 1
-        assert "error: chain hit max_k before stabilizing" in capsys.readouterr().err
 
     def test_tol_leaves_the_nilpotency_route_alone(self, tmp_path):
         # --tol sets the IV chain's rank tolerance only; the kernel chain keeps 1e-10
@@ -238,24 +225,46 @@ class TestVerify:
         assert main(["verify", "--fixtures", str(spec_file)]) == 0
         assert "index_agreement" in capsys.readouterr().out
 
-    def test_truncated_chain_fails_chain_monotone(self, tmp_path, monkeypatch, capsys):
-        import daepencil.analysis as analysis_mod
+    def test_reversing_chain_fails_chain_monotone(self, tmp_path, monkeypatch, capsys):
+        import daepencil.chains as chains_mod
 
-        truncate_chains(monkeypatch, analysis_mod)
+        real, calls = chains_mod.preimage, []
+
+        def reversing(M, S, scale):  # IV_3 is the whole space: dims 4, 3, 2, 4
+            calls.append(S)
+            return full_space(M.shape[0]) if len(calls) == 3 else real(M, S, scale)
+
+        monkeypatch.setattr(chains_mod, "preimage", reversing)
         code, table, rows = verify_one_fixture(tmp_path, capsys)
-        assert code == 1
-        assert "(1 hit max_k before stabilizing)" in table
+        assert code == 1 and len(calls) == 3
         assert table.endswith("overall: FAIL on 1 fixtures\n")
         assert (rows["chain_monotone"]["checked"], rows["chain_monotone"]["failures"]) == (1, 1)
-        # no stabilization step, so the rows that need one leave the fixture out
-        for name in ("chain_descent", "index_agreement", "restricted_iso", "transform_match"):
-            assert rows[name]["checked"] == 0
+        # the stabilization step has no witness: IV_2 and IV_3 differ
+        stab = rows["chain_stabilization"]
+        assert (stab["checked"], stab["failures"]) == (1, 1)
         assert rows["resolvent_identity"]["checked"] == 3
+
+    def test_failing_generator_fails_its_rows(self, tmp_path, monkeypatch, capsys):
+        import daepencil.solvers as solvers_mod
+
+        def failing(chain):
+            raise IsomorphismError("reduced generator residual exceeds its cap")
+
+        monkeypatch.setattr(solvers_mod, "_generator", failing)
+        code, table, rows = verify_one_fixture(tmp_path, capsys)
+        assert code == 1 and table.endswith("overall: FAIL on 1 fixtures\n")
+        counts = {name: (row["checked"], row["failures"]) for name, row in rows.items()}
+        assert counts["transform_match"] == (1, 1)
+        assert counts["classical_residual"] == (2, 2)  # one per consistent basis vector
+        # no solution, so nothing to compare with the oracle
+        assert rows["oracle_agreement"]["checked"] == 0
+        assert rows["inconsistency_detection"]["failures"] == 0
 
     def test_oracle_without_splitting_fails_its_rows(self, tmp_path, monkeypatch, capsys):
         import daepencil.solvers as solvers_mod
 
-        monkeypatch.setattr(solvers_mod, "equal", lambda S, T: False)  # no range repeats
+        # F^j keeps the whole range, which cannot split off the kernel of F
+        monkeypatch.setattr(solvers_mod, "image", lambda M, S, scale: S)
         code, table, rows = verify_one_fixture(tmp_path, capsys)
         assert code == 1 and table.endswith("overall: FAIL on 1 fixtures\n")
         assert (rows["oracle_agreement"]["checked"], rows["oracle_agreement"]["failures"]) == (2, 2)
@@ -330,15 +339,6 @@ class TestGenerate:
             ["solve", str(out_dir / "E.mtx"), str(out_dir / "A.mtx"),
              str(out_dir / "u0.txt"), "--t-end", "1", "--steps", "4"]
         ) == 0
-
-    def test_truncated_chain_writes_no_file(self, tmp_path, monkeypatch, capsys):
-        import daepencil.cli as cli_mod
-
-        truncate_chains(monkeypatch, cli_mod)
-        out_dir = tmp_path / "fx"
-        assert main(["generate", "--n1", "1", "--blocks", "2", "--out", str(out_dir)]) == 1
-        assert "chain hit max_k before stabilizing" in capsys.readouterr().err
-        assert not out_dir.exists()
 
     def test_bad_blocks_exit_1(self, tmp_path, capsys):
         assert main(

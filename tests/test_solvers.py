@@ -306,12 +306,11 @@ class TestDecompositionOracle:
         assert split.kernel_basis.shape[1] == p.n - truth.consistent_dim
         assert 0 < split.basis_sigma_min <= 1.0
 
-    def test_range_that_never_repeats_raises(self, monkeypatch):
-        # as at conditioning 1e5, where images of F can keep their dimension
-        # without testing equal: n + 1 images, then an error, not an endless loop
-        monkeypatch.setattr(solvers_mod, "equal", lambda S, T: False)
+    def test_range_that_never_shrinks_raises(self, monkeypatch):
+        # images of F that keep the whole space leave no room for ker F^3
+        monkeypatch.setattr(solvers_mod, "image", lambda M, S, scale: S)
         p, _ = generate(FixtureSpec(2, (3,), 100.0, 12))
-        with pytest.raises(SingularMatrixError, match="no range of F\\^j repeats by j = 6"):
+        with pytest.raises(SingularMatrixError, match="range dim 5 \\+ kernel dim 3 != 5"):
             fitting_splitting(p)
 
     def test_no_spurious_rejection_on_hard_fixture(self):

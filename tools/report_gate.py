@@ -9,7 +9,8 @@ directory of the same name, the `analyze --json --tol 1e-8` report of two of
 them, the `solve --csv` trajectory of three of them (Kronecker index <= 2)
 for each `--method`, and the stdout, JSON and exit code of
 `verify --random 60 --dim-range 2..20 --index-range 0..4 --seed S` for
-S = 7, 8, 9, 11.  SRC is the `src` directory of the checkout to run (this
+S = 7, 8, 9, 11, and of the same command at `--seed 1 --conditioning 1e5`,
+where the subspace chains meet roundoff well above the rank tolerance.  SRC is the `src` directory of the checkout to run (this
 checkout's by default), so two checkouts can be gated against each other.
 
 `compare` prints every JSON leaf and text line that differs between two
@@ -58,8 +59,10 @@ TOL = "1e-8"
 SOLVE_SEEDS = (1, 3, 26)
 SOLVE_ARGS = ("--t-end", "2", "--steps", "200")
 SOLVE_METHODS = ("exponential", "oracle", "euler")
-VERIFY_SEEDS = (7, 8, 9, 11)
 VERIFY_ARGS = ("--random", "60", "--dim-range", "2..20", "--index-range", "0..4")
+# output name -> the verify options that follow VERIFY_ARGS
+VERIFY_RUNS = {f"verify_seed-{seed}": ("--seed", seed) for seed in (7, 8, 9, 11)}
+VERIFY_RUNS["verify_seed-1_conditioning-1e5"] = ("--seed", 1, "--conditioning", "1e5")
 EXIT_CODES = "exit_codes.json"
 
 
@@ -98,11 +101,10 @@ def run(out: Path, src: Path):
                 "--csv", fixture / f"{method}.csv",
             )
             print(f"{key}: exit {codes[key]}")
-    for seed in VERIFY_SEEDS:
-        name = f"verify_seed-{seed}"
+    for name, options in VERIFY_RUNS.items():
         with open(out / f"{name}.txt", "w", encoding="ascii") as fh:
             codes[name] = _cli(
-                src, "verify", *VERIFY_ARGS, "--seed", seed,
+                src, "verify", *VERIFY_ARGS, *options,
                 "--json", out / f"{name}.json", stdout=fh,
             )
         print(f"{name}: exit {codes[name]}")
