@@ -33,7 +33,6 @@ from .pencils import (
     index_by_nilpotency,
 )
 from .rng import make_rng
-from .solvers import reduced_generator
 from .subspaces import RankTolerance
 from .version import __version__
 
@@ -149,18 +148,9 @@ def analyze_pencil(
         checks.append(verify_expansion(pencil, chain, chain.stabilization))
     checks.append(formula)
     if consistent.dim and a.iso.bijective:
-        checks.append(_transform_match(pencil, chain, consistent))
+        checks.append(verify_transform_match(pencil, chain, consistent.basis[:, 0]))
     report.identity_checks = [_identity_dict(c) for c in checks]
     return report
-
-
-def _transform_match(pencil, chain, consistent):
-    """verify_transform_match from the first consistent basis vector, with s
-    past the solution's growth rate so the Laplace tail decays."""
-    M = reduced_generator(pencil, chain).M
-    alpha = max(0.0, float(np.max(-np.real(np.linalg.eigvals(M)))))
-    u0 = consistent.basis[:, 0].real
-    return verify_transform_match(pencil, chain, u0, (alpha + 3.0, alpha + 4.0), T=10.0)
 
 
 def _jsonable(value):

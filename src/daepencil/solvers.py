@@ -201,8 +201,20 @@ def classical_solution(pencil: Pencil, chain: IvChain, u0, times) -> Trajectory:
     block u0 takes one projection, evolution and lift for all its columns; it
     is rejected if any column is, with the worst distance and projected block.
     """
-    u0 = _check_u0(pencil, u0, block=True)
     times = _check_times(times)
+    gen, c0 = _coordinates(pencil, chain, u0)
+    return _lifted(pencil, gen.basis, gen.M, c0, times, "exponential")
+
+
+def _coordinates(pencil, chain, u0):
+    """The reduced generator and the coordinates B^H u0 of a consistent u0
+    (a vector or an (n, m) block) in its basis B.
+
+    Raises InconsistentInitialValueError, with the worst distance and the
+    projected u0, when u0 is off the consistent space, and IsomorphismError
+    from reduced_generator.
+    """
+    u0 = _check_u0(pencil, u0, block=True)
     ok, dist = is_consistent(pencil, chain, u0)
     if not ok:
         raise InconsistentInitialValueError(
@@ -212,7 +224,7 @@ def classical_solution(pencil: Pencil, chain: IvChain, u0, times) -> Trajectory:
             nearest=nearest_consistent(pencil, chain, u0),
         )
     gen = reduced_generator(pencil, chain)
-    return _lifted(pencil, gen.basis, gen.M, gen.basis.conj().T @ u0, times, "exponential")
+    return gen, gen.basis.conj().T @ u0
 
 
 def _lifted(pencil, B, M, c0, times, method):

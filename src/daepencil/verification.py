@@ -13,11 +13,18 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .analysis import IDENTITY_POINTS, _transform_match, build_analysis
+from .analysis import IDENTITY_POINTS, build_analysis
 from .chains import consistent_space
 from .exceptions import InconsistentInitialValueError, IsomorphismError, SingularMatrixError
 from .fixtures import FixtureSpec, generate
-from .laplace import _frobenius, _norm2_lower, expansion_grid, verify_expansion, verify_identities
+from .laplace import (
+    _frobenius,
+    _norm2_lower,
+    expansion_grid,
+    verify_expansion,
+    verify_identities,
+    verify_transform_match,
+)
 from .pencils import _resolvents
 from .rng import make_rng
 from .solvers import classical_solution, decomposition_oracle
@@ -246,9 +253,9 @@ def _solver_rows(analyzed):
     """Solver rows; the per-column ones get one solution and one norm per metric per fixture.
 
     classical_residual, initial_value, state_invariance and oracle_agreement
-    solve each fixture's consistent basis (real parts) as one block and still
-    count `checked` per column.  A rejected block counts one failure per
-    column, as its rejected columns did before blocks, so no PASS/FAIL moves.
+    solve each fixture's consistent basis as one block and still count
+    `checked` per column.  A rejected block counts one failure per column, as
+    its rejected columns did before blocks, so no PASS/FAIL moves.
     A fixture whose reduced generator fails (IsomorphismError) fails its
     transform_match check and every classical_residual column.
     """
@@ -267,7 +274,7 @@ def _solver_rows(analyzed):
             j = int(np.argmax(np.linalg.norm(off, axis=0)))
             bad = off[:, j] / np.linalg.norm(off[:, j])
             if cons.dim:
-                bad = bad + cons.basis[:, 0].real
+                bad = bad + cons.basis[:, 0]
             caught = 0
             try:
                 classical_solution(p, chain, bad, SOLVE_GRID)
@@ -283,9 +290,9 @@ def _solver_rows(analyzed):
         if not cons.dim:
             continue
 
-        U0, rejected = cons.basis.real, np.zeros(cons.dim, dtype=bool)
+        U0, rejected = cons.basis, np.zeros(cons.dim, dtype=bool)
         try:
-            rep = _transform_match(p, chain, cons)
+            rep = verify_transform_match(p, chain, U0[:, 0])
         except IsomorphismError:  # no reduced generator, so no transform and no solution
             transform.add(None, False)
             residual.add(None, rejected)

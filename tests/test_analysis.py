@@ -1,0 +1,53 @@
+"""analyze_pencil on pencils outside the generated real family."""
+
+import numpy as np
+
+from daepencil.analysis import analyze_pencil
+from daepencil.fixtures import FixtureSpec, generate
+from daepencil.pencils import new_pencil
+
+
+def stokes_like(m):
+    """The 1-D Stokes-like saddle E = diag(I_m, 0_q), A = [[L, B^T], [-B, 0]].
+
+    L is the tridiagonal Laplacian over h^2 with h = 1/(m + 1), and B has
+    q = m/2 rows with +-1/h on the disjoint node pairs (2i, 2i + 1).  At
+    m = 16 its finite eigenvalues run from 17 to 561 in modulus, far outside
+    the |lambda| <= 2.2 of the generated fixtures.
+    """
+    q = m // 2
+    inv_h = float(m + 1)
+    L = (2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)) * inv_h**2
+    B = np.zeros((q, m))
+    B[np.arange(q), 2 * np.arange(q)] = inv_h
+    B[np.arange(q), 2 * np.arange(q) + 1] = -inv_h
+    E = np.zeros((m + q, m + q))
+    E[:m, :m] = np.eye(m)
+    A = np.block([[L, B.T], [-B, np.zeros((q, q))]])
+    return new_pencil(E, A)
+
+
+def test_complex_pencil_with_a_complex_consistent_space():
+    # a complex right factor Q leaves no real vector in the consistent space,
+    # so the transform match must take the basis vector as it is
+    p, _ = generate(FixtureSpec(3, (2,), 100.0, 5))
+    rng = np.random.default_rng(0)
+    Q = np.eye(p.n) + 0.5 * (rng.standard_normal((p.n, p.n)) + 1j * rng.standard_normal((p.n, p.n)))
+    report = analyze_pencil(new_pencil(p.E @ Q, p.A @ Q))
+    assert report.regular and report.consistent_dim == 3
+    checks = {c["identity"]: c for c in report.identity_checks}
+    assert checks["transform_match"]["passed"]
+    assert all(c["passed"] for c in checks.values())
+
+
+def test_stokes_like_saddle():
+    report = analyze_pencil(stokes_like(16))
+    assert report.n == 24 and report.regular
+    assert report.stabilization == 1 and report.consistent_dim == 8
+    assert report.index_nilpotency["k"] == 1
+    checks = {c["identity"]: c for c in report.identity_checks}
+    assert set(checks) == {
+        "commutation_b", "shift_d", "expansion_e", "solution_formula", "transform_match"
+    }
+    assert all(c["passed"] for c in checks.values()), checks
+    assert checks["transform_match"]["max_relative_error"] <= 1e-12

@@ -6,8 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import daepencil.laplace as laplace_mod
+import daepencil.solvers as solvers_mod
 from daepencil.chains import compute_chain, consistent_space
-from daepencil.exceptions import InconsistentInitialValueError, SingularMatrixError
+from daepencil.exceptions import (
+    InconsistentInitialValueError,
+    IsomorphismError,
+    SingularMatrixError,
+)
 from daepencil.fixtures import FixtureSpec, generate
 from daepencil.laplace import (
     _commutation_error,
@@ -25,6 +30,7 @@ from daepencil.laplace import (
     verify_transform_match,
 )
 from daepencil.pencils import new_pencil, resolvent
+from daepencil.verification import random_specs
 
 N2 = np.array([[0.0, 1.0], [0.0, 0.0]])
 N3 = np.eye(3, k=1)
@@ -389,7 +395,7 @@ class TestTransformMatch:
         p = new_pencil(np.eye(2), np.eye(2))
         chain = compute_chain(p)
         u0 = np.array([1.0, 0.0])
-        rep = verify_transform_match(p, chain, u0, (2.0,), T=15.0)
+        rep = verify_transform_match(p, chain, u0)
         assert rep.passed
         np.testing.assert_allclose(hat_solution(p, u0, 2.0), u0 / 3.0)
 
@@ -397,34 +403,68 @@ class TestTransformMatch:
         p = new_pencil(DIAG_1_N2_E, np.eye(3))
         chain = compute_chain(p)
         u0 = np.array([1.0, 0.0, 0.0])
-        rep = verify_transform_match(p, chain, u0, (3.0,), T=10.0)
+        rep = verify_transform_match(p, chain, u0)
         assert rep.passed
         np.testing.assert_allclose(hat_solution(p, u0, 3.0), u0 / 4.0)
 
     def test_zero_initial_value(self):
         p = new_pencil(DIAG_1_N2_E, np.eye(3))
         chain = compute_chain(p)
-        rep = verify_transform_match(p, chain, np.zeros(3), (4.0,), T=10.0)
+        rep = verify_transform_match(p, chain, np.zeros(3))
         assert rep.passed and rep.max_relative_error == 0.0
 
     def test_consistent_fixture(self):
         p, _ = generate(FixtureSpec(3, (2,), 100.0, 9))
         chain = compute_chain(p)
         u0 = consistent_space(p, chain).basis[:, 0].real
-        rep = verify_transform_match(p, chain, u0, (3.0, 4.0), T=10.0)
+        rep = verify_transform_match(p, chain, u0)
         assert rep.passed
 
     def test_rejects_inconsistent_u0(self):
         p = new_pencil(N2, np.eye(2))
         chain = compute_chain(p)
         with pytest.raises(InconsistentInitialValueError):
-            verify_transform_match(p, chain, np.array([1.0, 0.0]), (4.0,), T=10.0)
+            verify_transform_match(p, chain, np.array([1.0, 0.0]))
 
-    def test_rejects_small_sT(self):
-        p = new_pencil(np.eye(2), np.eye(2))
-        chain = compute_chain(p)
-        with pytest.raises(ValueError):
-            verify_transform_match(p, chain, np.array([1.0, 0.0]), (2.0,), T=1.0)
+    def test_points_lie_right_of_the_spectrum(self):
+        # E u' - u = 0 grows as e^t: M = -I, alpha = 1, so s = 4 and 5
+        p = new_pencil(np.eye(2), -np.eye(2))
+        rep = verify_transform_match(p, compute_chain(p), np.array([1.0, 2.0]))
+        assert rep.sample_points == (4.0, 5.0)
+        assert rep.passed and rep.max_relative_error < 1e-15
+
+    def test_fails_on_a_perturbed_generator(self, monkeypatch):
+        # M + 1e-4 ||M||_2 P, P of unit 2-norm, fails on every solvable fixture
+        specs = [
+            *random_specs(60, (2, 20), (0, 4), seed=7),
+            *random_specs(60, (2, 20), (0, 4), seed=1, conditioning=1e5),
+            FixtureSpec(115, (3, 2), 100.0, 5),
+            FixtureSpec(155, (3, 2), 100.0, 5),
+        ]
+        rng = np.random.default_rng(0)
+        generator = solvers_mod._generator
+
+        def perturbed(chain):
+            gen = generator(chain)
+            P = rng.standard_normal(gen.M.shape)
+            P /= np.linalg.norm(P, 2)
+            M = gen.M + 1e-4 * np.linalg.norm(gen.M, 2) * P
+            return solvers_mod.ReducedGenerator(gen.k, gen.basis, M, gen.max_residual)
+
+        monkeypatch.setattr(solvers_mod, "_generator", perturbed)
+        verdicts = []
+        for spec in specs:
+            p, _ = generate(spec)
+            chain = compute_chain(p)
+            cons = consistent_space(p, chain)
+            if not cons.dim:
+                continue
+            try:
+                rep = verify_transform_match(p, chain, cons.basis[:, 0])
+            except IsomorphismError:  # no generator to perturb
+                continue
+            verdicts.append(rep.passed)
+        assert len(verdicts) == 108 and not any(verdicts)
 
     def test_distinct_from_solution_formula_for_inconsistent(self):
         # the algebraic formula passes where the transform match refuses to run
@@ -433,7 +473,7 @@ class TestTransformMatch:
         u0 = np.array([1.0, 0.0])
         assert verify_solution_formula(p, u0, (4.0,)).passed
         with pytest.raises(InconsistentInitialValueError):
-            verify_transform_match(p, chain, u0, (4.0,), T=10.0)
+            verify_transform_match(p, chain, u0)
 
 
 class TestNaNFails:
@@ -472,12 +512,12 @@ class TestNaNFails:
         p, _ = generate(FixtureSpec(3, (2,), 100.0, 9))
         chain = compute_chain(p)
         u0 = consistent_space(p, chain).basis[:, 0].real
-        assert verify_transform_match(p, chain, u0, (3.0, 4.0), T=10.0).passed
+        assert verify_transform_match(p, chain, u0).passed
         hat = laplace_mod.hat_solution
 
         def nan_at_four(pencil, u0, s):
             return np.full(pencil.n, np.nan) if s == 4.0 else hat(pencil, u0, s)
 
         monkeypatch.setattr(laplace_mod, "hat_solution", nan_at_four)
-        rep = verify_transform_match(p, chain, u0, (3.0, 4.0), T=10.0)
+        rep = verify_transform_match(p, chain, u0)
         assert np.isnan(rep.max_relative_error) and not rep.passed

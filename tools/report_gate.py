@@ -10,8 +10,14 @@ them, the `solve --csv` trajectory of three of them (Kronecker index <= 2)
 for each `--method`, and the stdout, JSON and exit code of
 `verify --random 60 --dim-range 2..20 --index-range 0..4 --seed S` for
 S = 7, 8, 9, 11, and of the same command at `--seed 1 --conditioning 1e5`,
-where the subspace chains meet roundoff well above the rank tolerance.  SRC is the `src` directory of the checkout to run (this
-checkout's by default), so two checkouts can be gated against each other.
+where the subspace chains meet roundoff well above the rank tolerance.  It
+also writes the `analyze --json` report of a 1-D Stokes-like saddle at
+m = 16 (n = 24), whose `E.mtx` and `A.mtx` it writes itself with exact
+entries.  The saddle's finite eigenvalues run from 17 to 561 in modulus, far
+outside the |lambda| <= 2.2 of every generated fixture, so the gate also
+covers a pencil with a wide finite spectrum.  SRC is the `src` directory of
+the checkout to run (this checkout's by default), so two checkouts can be
+gated against each other.
 
 `compare` prints every JSON leaf and text line that differs between two
 `run` directories as old -> new, marking numbers that went down and giving
@@ -59,6 +65,8 @@ TOL = "1e-8"
 SOLVE_SEEDS = (1, 3, 26)
 SOLVE_ARGS = ("--t-end", "2", "--steps", "200")
 SOLVE_METHODS = ("exponential", "oracle", "euler")
+# m of the Stokes-like saddle E = diag(I_m, 0_{m/2}), A = [[L, B^T], [-B, 0]]
+STOKES_M = 16
 VERIFY_ARGS = ("--random", "60", "--dim-range", "2..20", "--index-range", "0..4")
 # output name -> the verify options that follow VERIFY_ARGS
 VERIFY_RUNS = {f"verify_seed-{seed}": ("--seed", seed) for seed in (7, 8, 9, 11)}
@@ -71,6 +79,35 @@ def _cli(src, *args, stdout=subprocess.DEVNULL):
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
     cmd = (sys.executable, "-m", "daepencil", *map(str, args))
     return subprocess.run(cmd, env=env, stdout=stdout, check=False).returncode
+
+
+def _write_coordinate(path, n, entries):
+    """A Matrix Market coordinate file of the n x n matrix {(i, j): value}, 0-based."""
+    lines = ["%%MatrixMarket matrix coordinate real general", f"{n} {n} {len(entries)}"]
+    lines += [f"{i + 1} {j + 1} {v}" for (i, j), v in sorted(entries.items())]
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
+def _write_stokes(fixture: Path, m: int):
+    """E.mtx and A.mtx of the Stokes-like saddle E = diag(I_m, 0_q),
+    A = [[L, B^T], [-B, 0]], q = m/2, h = 1/(m + 1).
+
+    L is the tridiagonal Laplacian over h^2 (2/h^2 on the diagonal, -1/h^2
+    beside it) and row i of B holds 1/h at node 2i and -1/h at node 2i + 1,
+    so every entry is an integer and is written exactly.
+    """
+    q, inv_h = m // 2, m + 1
+    E = {(i, i): 1 for i in range(m)}
+    A = {(i, i): 2 * inv_h**2 for i in range(m)}
+    for i in range(m - 1):
+        A[i, i + 1] = A[i + 1, i] = -inv_h**2
+    for i in range(q):
+        for node, b in ((2 * i, inv_h), (2 * i + 1, -inv_h)):
+            A[node, m + i] = b  # B^T
+            A[m + i, node] = -b  # -B
+    fixture.mkdir(parents=True, exist_ok=True)
+    _write_coordinate(fixture / "E.mtx", m + q, E)
+    _write_coordinate(fixture / "A.mtx", m + q, A)
 
 
 def run(out: Path, src: Path):
@@ -101,6 +138,11 @@ def run(out: Path, src: Path):
                 "--csv", fixture / f"{method}.csv",
             )
             print(f"{key}: exit {codes[key]}")
+    name = f"analyze_stokes_m-{STOKES_M}"
+    _write_stokes(out / name, STOKES_M)
+    E, A = out / name / "E.mtx", out / name / "A.mtx"
+    codes[name] = _cli(src, "analyze", E, A, "--json", out / f"{name}.json")
+    print(f"{name}: exit {codes[name]}")
     for name, options in VERIFY_RUNS.items():
         with open(out / f"{name}.txt", "w", encoding="ascii") as fh:
             codes[name] = _cli(
