@@ -4,6 +4,14 @@ The Matrix Market reader accepts the dense `array` and sparse `coordinate`
 variants for real general matrices and reports malformed input with 1-based
 line numbers.  All writers serialize floats with 17 significant digits so a
 write/parse round trip reproduces every double exactly.
+
+Every writer goes through one vectorized kernel, `_write_rows`, which writes
+the bytes of `"%.17g" % v` for a block of values at once.  It takes the
+decimal exponent and the 17 digits of each value from one long-double
+product with a proven error bound.  A value the bound cannot certify, a zero
+and a non-finite value go through Python's own `"%.17g"`, so the bytes are
+the same on every platform; the kernel is fast where long double has a
+64-bit mantissa, and where it is plain float64 every value falls back.
 """
 
 from __future__ import annotations
@@ -31,12 +39,166 @@ def _real(values, what):
     return np.asarray(real, dtype=float)
 
 
+# values formatted per block of _write_rows; bounds the kernel's memory
+_BLOCK_ENTRIES = 2**14
+
+# floor(log10|x|) over the finite nonzero doubles; the kernel's tables run
+# over this range of decimal exponents E, indexed by E - _E_LO
+_E_LO, _E_HI = -324, 308
+
+
+def _power_of_ten(k, bits):
+    """10**k rounded to the nearest long double of `bits` bits, and whether exactly."""
+    num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+    s = bits + den.bit_length() - num.bit_length()  # num * 2**s / den has bits or bits + 1 bits
+    q, r = divmod(num << s, den) if s >= 0 else divmod(num, den << -s)
+    if q >> bits:
+        s -= 1
+        q, r = divmod(num << s, den) if s >= 0 else divmod(num, den << -s)
+    half = (den << max(0, -s)) - 2 * r  # sign of 1/2 - remainder, in units of the divisor
+    q += half < 0 or (half == 0 and q & 1)  # to nearest, ties to even
+    return np.ldexp(np.longdouble(q), -s), r == 0  # numpy parses the int: exact below 2**bits
+
+
+def _power_table():
+    """10**(16 - E) per exponent E, and the relative error bound of y = |x| * 10**(16 - E).
+
+    That bound is one rounding of the product, plus one more where the
+    power itself is rounded; it is exact only for 5**(16 - E) < 2**bits and
+    E <= 16.  The factors 1.5 and 2.5 of the unit roundoff u, not 1 and 2,
+    leave room for the rounding of the test.  The test runs in float64 on y
+    and on y - D, which is exact in long double; its roundings add at most
+    2**-53, which the term 2**-50 / 10**16 covers for y > 10**16.  Where
+    long double is plain float64, y * bound exceeds 1/2, so every value
+    falls back.
+    """
+    info = np.finfo(np.longdouble)
+    with np.errstate(over="ignore"):  # 10**340 overflows a float64 long double
+        tables = [_power_of_ten(16 - E, info.nmant + 1) for E in range(_E_LO, _E_HI + 1)]
+    powers, exact = zip(*tables)
+    bound = np.where(exact, 1.5, 2.5) * float(info.eps / 2) + 2.0**-50 / 1e16
+    return np.array(powers, dtype=np.longdouble), bound
+
+
+_POW, _BOUND = _power_table()
+
+
+def _bytes(lo, hi):
+    """0xFF on bytes lo..hi-1 of a 24-byte string, as an int."""
+    return ((1 << (8 * (hi - lo))) - 1) << (8 * lo) if hi > lo else 0
+
+
+def _text(pos, text):
+    """The ASCII text at byte pos of a 24-byte string, as an int."""
+    return int.from_bytes(text.encode(), "little") << (8 * pos)
+
+
+def _layout(E):
+    """Where the 17 digits d0..d16 of a value of decimal exponent E go.
+
+    Byte 0 holds the sign and bytes 1..23 the text, with zero bytes as holes
+    that the writer drops.  The digits are written twice: once from byte 1,
+    kept on the integer-part bytes, and once from byte `shift`, kept on the
+    fraction bytes with trailing zeros already dropped.  Returned as 24-byte
+    ints: those two byte masks, the constant bytes, the decimal point
+    (written only when a fraction digit is kept); then `shift` in bits.
+    """
+    if -4 <= E < 0:  # 0.000ddd
+        zeros = -E - 1
+        return 0, _bytes(0, 24), _text(1, "0." + "0" * zeros), 0, 8 * (3 + zeros)
+    if 0 <= E <= 16:  # ddd.ddd
+        return _bytes(1, E + 2), _bytes(E + 3, 19), 0, _text(E + 2, "."), 16
+    exponent = f"{abs(E):02d}"  # d.ddde+XX, bytes 19..23
+    const = _text(19, "e" + "-+"[E > 0]) | _text(24 - len(exponent), exponent)
+    return _bytes(1, 2), _bytes(3, 19), const, _text(2, "."), 16
+
+
+def _words(column):
+    """A column of 24-byte ints as three rows of little-endian uint64 words."""
+    words = [[(v >> (64 * w)) & (2**64 - 1) for v in column] for w in range(3)]
+    return np.array(words, dtype=np.uint64)
+
+
+_INT_MASK, _FRAC_MASK, _CONST, _POINT, _SHIFT = zip(*(_layout(E) for E in range(_E_LO, _E_HI + 1)))
+_INT_MASK, _FRAC_MASK, _CONST, _POINT = map(_words, (_INT_MASK, _FRAC_MASK, _CONST, _POINT))
+_SHIFT = np.array(_SHIFT, dtype=np.uint64)
+
+
+def _digit_values(n):
+    """Each n < 10**8 as its 8 decimal digits, one per byte, first digit lowest."""
+    v = n // 10000
+    v = v | ((n - v * 10000) << 32)  # two 4-digit halves
+    q = ((v * 5243) >> 19) & 0x0000007F0000007F  # // 100 in each half
+    v = q | ((v - q * 100) << 16)
+    q = ((v * 103) >> 10) & 0x000F000F000F000F  # // 10 in each quarter
+    return q | ((v - q * 10) << 8)
+
+
+def _through_last_nonzero(v):
+    """0xFF on every byte of v up to its last nonzero one (bytes below 16)."""
+    v = v | (v >> 8)
+    v = v | (v >> 16)
+    v = v | (v >> 32)
+    return (((v + 0x7F7F7F7F7F7F7F7F) >> 7) & 0x0101010101010101) * 255
+
+
+def _decimal(x):
+    """Each x as 17 digits times 10**(E - 16): E - _E_LO, the digits, and
+    whether both are certified, which finite nonzero values only can be."""
+    a = np.abs(x)
+    fast = np.isfinite(a) & (a != 0)
+    a = np.where(fast, a, 1.0)
+    j = np.floor(np.log10(a)).astype(np.intp) - _E_LO  # E may be one off near 10**E
+    y = a.astype(np.longdouble) * _POW[j]  # |x| * 10**(16 - E)
+    D = np.rint(y)
+    digits = D.astype(np.uint64)
+    # 17 digits, so E is right, and their rounding certified; 10**16 falls back
+    margin = 0.5 - np.abs((y - D).astype(float))
+    ok = fast & (digits > 10**16) & (digits < 10**17) & (margin > y.astype(float) * _BOUND[j])
+    return j, digits, ok
+
+
+def _format_block(x, seps):
+    """`"%.17g" % v` followed by the character of code sep, for each v, sep in x, seps."""
+    j, digits, ok = _decimal(x)
+    lead = digits // 10**16
+    rest = digits - lead * 10**16
+    upper = rest // 10**8
+    hv, lv = _digit_values(upper), _digit_values(rest - upper * 10**8)
+    zeros = 0x3030303030303030
+    d0, hc, lc = lead | 48, hv | zeros, lv | zeros
+    # trailing zero digits become holes in the fraction copy
+    hct = hc & _through_last_nonzero(hv | ((lv != 0).astype(np.uint64) << 56))
+    lct = lc & _through_last_nonzero(lv)
+    s = _SHIFT[j]
+    f0 = ((d0 << s) | (hct << (s + 8))) & _FRAC_MASK[0][j]
+    f1 = ((hct >> (56 - s)) | (lct << (s + 8))) & _FRAC_MASK[1][j]
+    f2 = (lct >> (56 - s)) & _FRAC_MASK[2][j]
+    point = (f0 | f1 | f2) != 0
+    rows = np.empty((x.size, 4), dtype="<u8")
+    sign = np.signbit(x).astype(np.uint64) * ord("-")
+    rows[:, 0] = ((d0 << 8) | (hc << 16)) & _INT_MASK[0][j] | f0 | sign
+    rows[:, 1] = ((hc >> 48) | (lc << 16)) & _INT_MASK[1][j] | f1
+    rows[:, 2] = (lc >> 48) & _INT_MASK[2][j] | f2
+    for w in range(3):
+        rows[:, w] |= _CONST[w][j] | _POINT[w][j] * point
+    rows[:, 3] = seps
+
+    slow = np.flatnonzero(~ok)
+    if slow.size:  # at most 24 characters each; "%.17g" prints no space, so spaces are holes
+        text = ("%-24.17g" * slow.size % tuple(x[slow].tolist())).encode("ascii")
+        rows[slow, :3] = np.frombuffer(text, dtype="<u8").reshape(-1, 3)
+    return rows.tobytes().translate(None, b"\0 ").decode("ascii")
+
+
 def _write_rows(fh, table, sep):
     """One `sep`-joined `%.17g` line per row of a real 2-D table (none if empty)."""
-    if table.size:
-        line = sep.join(["%.17g"] * table.shape[1]) + "\n"
-        for row in table:
-            fh.write(line % tuple(row.tolist()))
+    values = table.ravel()
+    with np.errstate(all="ignore"):  # where long double is float64, y overflows for tiny |x|
+        for start in range(0, values.size, _BLOCK_ENTRIES):
+            block = values[start : start + _BLOCK_ENTRIES]
+            row_end = (np.arange(start + 1, start + 1 + block.size) % table.shape[1]) == 0
+            fh.write(_format_block(block, np.where(row_end, ord("\n"), ord(sep))))
 
 
 def _data_lines(lines):
@@ -84,27 +246,7 @@ def parse_matrix_market(path) -> np.ndarray:
                 "array size line must be 'rows cols'", path=path, line=size_line_no
             )
         rows, cols = _parse_dims(parts, path, size_line_no)
-        total = rows * cols
-        values = np.empty(total)
-        count = 0
-        last_line = size_line_no
-        for line_no, raw in enumerate(lines[size_line_no:], start=size_line_no + 1):
-            try:
-                values[count] = float(raw)  # one entry per line, as write_matrix_market writes
-            except (ValueError, IndexError):  # anything else, or an entry past the last
-                tokens = raw.split()
-                if not tokens or tokens[0].startswith("%"):
-                    continue
-                count = _store_tokens(values, count, tokens, path, line_no)
-            else:
-                count += 1
-            last_line = line_no
-        if count < total:
-            raise MatrixMarketError(
-                f"expected {total} entries, found {count}",
-                path=path,
-                line=last_line,
-            )
+        values = _parse_array(lines, size_line_no, rows * cols, path)
         matrix = values.reshape((cols, rows)).T  # array format is column-major
     else:
         if len(parts) != 3:
@@ -159,6 +301,35 @@ def parse_matrix_market(path) -> np.ndarray:
     if rows != cols:
         raise MatrixMarketError(f"matrix is {rows} x {cols}, expected square", path=path)
     return matrix
+
+
+def _parse_array(lines, size_line_no, total, path):
+    """The `total` entries of an array file after its size line, in file order."""
+    data = lines[size_line_no:]
+    if len(data) == total:  # one entry per line, as write_matrix_market writes
+        try:
+            return np.array(data, dtype=float)
+        except ValueError:  # a comment, a blank, several tokens or a bad one
+            pass
+    values = np.empty(total)
+    count = 0
+    last_line = size_line_no
+    for line_no, raw in enumerate(data, start=size_line_no + 1):
+        try:
+            values[count] = float(raw)
+        except (ValueError, IndexError):  # anything else, or an entry past the last
+            tokens = raw.split()
+            if not tokens or tokens[0].startswith("%"):
+                continue
+            count = _store_tokens(values, count, tokens, path, line_no)
+        else:
+            count += 1
+        last_line = line_no
+    if count < total:
+        raise MatrixMarketError(
+            f"expected {total} entries, found {count}", path=path, line=last_line
+        )
+    return values
 
 
 def _parse_dims(parts, path, line_no):

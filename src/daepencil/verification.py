@@ -113,9 +113,11 @@ def _subspace_laws_row(seed):
         S = span(list(rng.standard_normal((max(1, n // 2), n))))
         v = rng.standard_normal(n)
 
+        scale = np.linalg.norm(M, 2)
+        MS, MinvS = image(M, S, scale), preimage(M, S, scale)
         gram_err = max(
             float(np.max(np.abs(T.basis.conj().T @ T.basis - np.eye(T.dim)), initial=0.0))
-            for T in (S, image(M, S), preimage(M, S), kernel(M))
+            for T in (S, MS, MinvS, kernel(M))
         )
         row.add(gram_err, gram_err <= 10 * eps * n)
 
@@ -129,8 +131,8 @@ def _subspace_laws_row(seed):
         idem = np.linalg.norm(p2 - p1) <= 1e-12 * max(1.0, np.linalg.norm(p1))
         row.add(None, shrink and idem)
 
-        fwd = contains(S, image(M, preimage(M, S)))
-        bwd = contains(preimage(M, image(M, S)), S)
+        fwd = contains(S, image(M, MinvS, scale))
+        bwd = contains(preimage(M, MS, scale), S)
         row.add(None, fwd and bwd)
     return row.done()
 

@@ -1,8 +1,14 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from daepencil import fileio
+from daepencil.chains import compute_chain, consistent_space
 from daepencil.exceptions import MatrixMarketError
 from daepencil.fileio import (
     parse_matrix_market,
@@ -11,7 +17,8 @@ from daepencil.fileio import (
     write_trajectory_csv,
     write_vector,
 )
-from daepencil.solvers import Trajectory
+from daepencil.fixtures import FixtureSpec, generate
+from daepencil.solvers import Trajectory, classical_solution
 
 
 def write(tmp_path, name, text):
@@ -341,3 +348,98 @@ class TestByteIdentity:
         path = tmp_path / "v.txt"
         write_vector(path, v)
         assert path.read_text() == _reference([[x] for x in v], ",")
+
+
+def _written(table, sep):
+    buf = io.StringIO()
+    fileio._write_rows(buf, table, sep)
+    return buf.getvalue()
+
+
+NEG_NAN = -np.float64(np.nan)
+EDGES = [
+    0.0, -0.0, np.inf, -np.inf, np.nan, NEG_NAN, 5e-324, -5e-324, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, 1e16, 1e17, 1e-4, 1e-5, 1e-300, 1e300,
+    123456789012345678.0, 0.1, 1.0, 10.0,
+]
+
+
+class TestKernel:
+    """The vectorized `%.17g` writer against the per-value reference."""
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(13).integers(0, 2**64, 2_000_000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        table = values.reshape(-1, 10)
+        expected = _reference(table.tolist(), ",")
+        assert _written(table, ",") == expected
+        assert _written(values[None, :], "\n") == expected.replace(",", "\n")  # one per line
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(0, 12), st.integers(1, 6)),
+            elements=st.one_of(st.floats(width=64), st.sampled_from(EDGES)),
+        )
+    )
+    def test_any_table(self, table):
+        assert _written(table, ",") == _reference(table.tolist(), ",")
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        # floor(log10|x|) can be one off here; such values must fall back
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        values = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+        table = np.concatenate([values, -values])[:, None]
+        assert _written(table, ",") == _reference(table.tolist(), ",")
+
+    def test_negative_nan_has_no_sign(self):
+        assert np.signbit(NEG_NAN)
+        assert _written(np.array([[NEG_NAN, np.nan, -0.0]]), ",") == "nan,nan,-0\n"
+
+    def test_table_and_vector_longer_than_a_block(self, tmp_path):
+        rows = 2 * fileio._BLOCK_ENTRIES // 7 + 3  # blocks end inside rows
+        table = _values((rows, 7), seed=3)
+        assert _written(table, ",") == _reference(table.tolist(), ",")
+        v = _values((2 * fileio._BLOCK_ENTRIES + 5,), seed=4)
+        path = tmp_path / "v.txt"
+        write_vector(path, v)
+        assert path.read_text() == _reference([[x] for x in v], ",")
+
+    def test_every_value_through_the_fallback(self, monkeypatch):
+        table = _values((300, 7), seed=5)
+        expected = _reference(table.tolist(), ",")
+        monkeypatch.setattr(fileio, "_BOUND", np.full_like(fileio._BOUND, 1.0))
+        assert not fileio._decimal(table.ravel())[2].any()
+        assert _written(table, ",") == expected
+
+    @pytest.mark.parametrize("factor", [10, 0.1])
+    def test_an_exponent_one_off_falls_back(self, monkeypatch, factor):
+        table = _values((50, 7), seed=6)
+        expected = _reference(table.tolist(), ",")
+        monkeypatch.setattr(fileio, "_POW", fileio._POW * factor)
+        assert not fileio._decimal(table.ravel())[2].any()
+        assert _written(table, ",") == expected
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).nmant < 63, reason="long double has no 64-bit mantissa"
+    )
+    def test_fast_path_certifies_a_trajectory(self):
+        pencil, _ = generate(FixtureSpec(37, (2, 1), 100.0, 11))
+        chain = compute_chain(pencil)
+        basis = consistent_space(pencil, chain).basis.real
+        u0 = basis @ np.random.default_rng(2).standard_normal(basis.shape[1])
+        times = np.linspace(0.0, 2.0, 2001)
+        traj = classical_solution(pencil, chain, u0 / np.linalg.norm(u0), times)
+        table = np.column_stack((traj.times, traj.states.real, traj.derivative_residuals))
+        assert table.shape == (2001, 42)
+        assert fileio._decimal(table.ravel())[2].mean() >= 0.9
+
+    def test_writers_emit_no_runtime_warning(self, tmp_path):
+        M = np.array(EDGES[:16]).reshape(4, 4)
+        traj = Trajectory(np.arange(4.0), M, np.array(EDGES[16:20]), "exponential")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            write_matrix_market(tmp_path / "m.mtx", M)
+            write_vector(tmp_path / "v.txt", np.array(EDGES))
+            write_trajectory_csv(io.StringIO(), traj)

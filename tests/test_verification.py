@@ -3,9 +3,10 @@
 import numpy as np
 
 import daepencil.solvers as solvers_mod
+import daepencil.verification as verification_mod
 from daepencil.chains import compute_chain, consistent_space
 from daepencil.fixtures import generate
-from daepencil.verification import _Row, random_specs, run_suite
+from daepencil.verification import _Row, _subspace_laws_row, random_specs, run_suite
 
 
 def test_three_evolutions_per_fixture_with_consistent_values(monkeypatch):
@@ -44,3 +45,27 @@ def test_a_nan_metric_is_the_worst_of_its_row():
     done = row.done()
     assert np.isnan(done.worst)
     assert (done.checked, done.failures, done.passed) == (4, 1, False)
+
+
+def test_subspace_laws_build_each_space_once(monkeypatch):
+    """Per trial: M S, M^-1 S and I S, then M (M^-1 S) and M^-1 (M S).
+
+    The Gram check and the two containment checks share M S and M^-1 S,
+    so each of the 25 trials builds 3 images and 2 preimages.
+    """
+    calls = {"image": 0, "preimage": 0}
+
+    def counted(name):
+        build = getattr(verification_mod, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return build(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(verification_mod, name, counted(name))
+    row = _subspace_laws_row(0)
+    assert row.passed and row.checked == 25 * 4
+    assert calls == {"image": 3 * 25, "preimage": 2 * 25}
