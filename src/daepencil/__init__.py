@@ -7,7 +7,14 @@ values, solves Eu' + Au = 0 classically through the restricted generator,
 and verifies the governing resolvent identities in the Laplace domain.
 """
 
-from .analysis import Analysis, AnalysisReport, analyze_pencil, build_analysis, report_to_json
+from .analysis import (
+    Analysis,
+    AnalysisReport,
+    analyze_pencil,
+    build_analysis,
+    identity_checks,
+    report_to_json,
+)
 from .chains import (
     IsoReport,
     IvChain,
@@ -123,6 +130,7 @@ __all__ = [
     "full_space",
     "generate",
     "hat_solution",
+    "identity_checks",
     "image",
     "implicit_euler",
     "index_by_chain",

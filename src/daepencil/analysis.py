@@ -2,9 +2,10 @@
 
 build_analysis runs the regularity certificate, all three index routes, the
 IV chain and the restricted-isomorphism check once, into one Analysis record
-that solvers, verifiers and the property suite share.  analyze_pencil adds the
-identity verifiers and formats the record as one serializable report.  Given
-identical inputs and seed the JSON output is byte-identical between runs.
+that solvers, verifiers and the property suite share.  identity_checks runs
+the Laplace checks of a pencil, which analyze_pencil formats with the record
+as one serializable report and the property suite folds into its rows.
+Given identical inputs and seed the JSON output is byte-identical between runs.
 """
 
 from __future__ import annotations
@@ -23,7 +24,14 @@ from .chains import (
     consistent_space,
     index_by_chain,
 )
-from .laplace import expansion_grid, verify_expansion, verify_identities, verify_transform_match
+from .exceptions import IsomorphismError
+from .laplace import (
+    IdentityReport,
+    expansion_grid,
+    verify_expansion,
+    verify_identities,
+    verify_transform_match,
+)
 from .pencils import (
     IndexEstimate,
     Pencil,
@@ -36,7 +44,14 @@ from .rng import make_rng
 from .subspaces import RankTolerance
 from .version import __version__
 
-__all__ = ["Analysis", "AnalysisReport", "build_analysis", "analyze_pencil", "report_to_json"]
+__all__ = [
+    "Analysis",
+    "AnalysisReport",
+    "build_analysis",
+    "identity_checks",
+    "analyze_pencil",
+    "report_to_json",
+]
 
 IDENTITY_POINTS = tuple(np.geomspace(0.5, 50.0, 20))
 
@@ -113,10 +128,34 @@ def _identity_dict(report):
     return out
 
 
+def identity_checks(a: Analysis, seed: int) -> list:
+    """The Laplace reports of a regular pencil, in report order: commutation_b,
+    shift_d, expansion_e at k = stabilization unless k is too high for float64,
+    solution_formula with a unit u0 drawn from seed, and transform_match on the
+    first consistent basis vector unless there is none.  A failing reduced
+    generator fails transform_match with no error value and its message in
+    details["error"]."""
+    pencil, chain = a.pencil, a.chain
+    u0 = make_rng(seed).standard_normal(pencil.n)
+    u0 /= np.linalg.norm(u0)
+    commutation, shift, formula = verify_identities(pencil, u0, IDENTITY_POINTS)
+    checks = [commutation, shift]
+    if expansion_grid(chain.stabilization) is not None:
+        checks.append(verify_expansion(pencil, chain, chain.stabilization))
+    checks.append(formula)
+    consistent = consistent_space(pencil, chain)
+    if consistent.dim:
+        try:
+            checks.append(verify_transform_match(pencil, chain, consistent.basis[:, 0]))
+        except IsomorphismError as exc:
+            checks.append(IdentityReport("transform_match", (), None, False, {"error": str(exc)}))
+    return checks
+
+
 def analyze_pencil(
     pencil: Pencil, seed: int = 0, tol: RankTolerance = RankTolerance()
 ) -> AnalysisReport:
-    """The Analysis of the pencil plus the identity verifiers, as one report."""
+    """The Analysis of the pencil plus its identity_checks, as one report."""
     a = build_analysis(pencil, seed, tol)
     report = AnalysisReport(
         n=pencil.n,
@@ -130,26 +169,15 @@ def analyze_pencil(
         return report
 
     chain = a.chain
-    consistent = consistent_space(pencil, chain)
     report.index_growth = asdict(a.growth)
     report.index_nilpotency = asdict(a.nilpotency)
     report.index_chain = asdict(a.chain_index)
     report.indices_agree = a.indices_agree
     report.iv_dims = list(chain.dims)
     report.stabilization = chain.stabilization
-    report.consistent_dim = consistent.dim
+    report.consistent_dim = consistent_space(pencil, chain).dim
     report.iso = asdict(a.iso)
-
-    u0 = make_rng(seed).standard_normal(pencil.n)
-    u0 /= np.linalg.norm(u0)
-    commutation, shift, formula = verify_identities(pencil, u0, IDENTITY_POINTS)
-    checks = [commutation, shift]
-    if expansion_grid(chain.stabilization) is not None:  # None: k too high for float64
-        checks.append(verify_expansion(pencil, chain, chain.stabilization))
-    checks.append(formula)
-    if consistent.dim and a.iso.bijective:
-        checks.append(verify_transform_match(pencil, chain, consistent.basis[:, 0]))
-    report.identity_checks = [_identity_dict(c) for c in checks]
+    report.identity_checks = [_identity_dict(c) for c in identity_checks(a, seed)]
     return report
 
 

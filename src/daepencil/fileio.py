@@ -201,6 +201,24 @@ def _write_rows(fh, table, sep):
             fh.write(_format_block(block, np.where(row_end, ord("\n"), ord(sep))))
 
 
+def _read_lines(path):
+    """The lines of the ASCII text file at path, read in text mode (universal newlines).
+
+    A non-ASCII byte raises MatrixMarketError with the 1-based line of the first one.
+    """
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    pos = next(i for i, byte in enumerate(raw) if byte > 0x7F)
+    head = raw[:pos].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    raise MatrixMarketError(
+        f"non-ASCII byte 0x{raw[pos]:02x}", path=path, line=head.count(b"\n") + 1
+    )
+
+
 def _data_lines(lines):
     """Yield (line_number, stripped_text) skipping comments and blanks."""
     for idx, raw in enumerate(lines, start=1):
@@ -212,8 +230,7 @@ def _data_lines(lines):
 
 def parse_matrix_market(path) -> np.ndarray:
     """Read a square real general matrix in array or coordinate format."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.readlines()
+    lines = _read_lines(path)
     if not lines:
         raise MatrixMarketError("empty file", path=path, line=1)
 
@@ -388,8 +405,7 @@ def write_matrix_market(path, matrix) -> None:
 
 def read_vector(path) -> np.ndarray:
     """Read a whitespace-separated vector of reals (any line layout)."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.readlines()
+    lines = _read_lines(path)
     values = []
     for line_no, raw in enumerate(lines, start=1):
         tokens = raw.split()

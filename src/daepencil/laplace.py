@@ -46,11 +46,14 @@ class IdentityReport:
     normalization (for commutation_b and shift_d an upper bound on the relative
     2-norm error, within a factor of n); for expansion_e it is the remainder
     constant C, compared against EXPANSION_C_MAX instead of a relative tolerance.
+    It is None when the check could not be evaluated, as for a transform_match
+    whose reduced generator fails; such a report has no sample points and
+    passed False.
     """
 
     identity: str  # commutation_b | shift_d | expansion_e | solution_formula | transform_match
     sample_points: tuple
-    max_relative_error: float
+    max_relative_error: float | None
     passed: bool
     details: dict = field(default_factory=dict)
 

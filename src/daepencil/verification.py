@@ -4,7 +4,8 @@ Runs every invariant the package claims - subspace laws, resolvent
 identities, chain monotonicity and stabilization, three-way index agreement,
 solver residuals, oracle agreement, and the Laplace transform match - over a
 list of generated fixtures, and reports one deterministic pass/fail row per
-law.
+law.  The Laplace checks of each fixture are analysis.identity_checks, the
+battery `analyze` reports, folded into one row per identity.
 """
 
 from __future__ import annotations
@@ -13,18 +14,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .analysis import IDENTITY_POINTS, build_analysis
+from .analysis import build_analysis, identity_checks
 from .chains import consistent_space
 from .exceptions import InconsistentInitialValueError, IsomorphismError, SingularMatrixError
 from .fixtures import FixtureSpec, generate
-from .laplace import (
-    _frobenius,
-    _norm2_lower,
-    expansion_grid,
-    verify_expansion,
-    verify_identities,
-    verify_transform_match,
-)
+from .laplace import _frobenius, _norm2_lower
 from .pencils import _resolvents
 from .rng import make_rng
 from .solvers import classical_solution, decomposition_oracle
@@ -164,13 +158,22 @@ def _resolvent_identity_row(analyzed, seed):
 
 
 def _identity_rows(analyzed):
-    rows = [_Row(name) for name in ("resolvent_commutation", "resolvent_shift", "solution_formula")]
+    """The identity_checks rows by identity (u0 from spec.seed + 2), one check per
+    report; a fixture without expansion_e (k >= 5) is counted in that row's note."""
+    rows = {
+        "commutation_b": _Row("resolvent_commutation"),
+        "shift_d": _Row("resolvent_shift"),
+        "solution_formula": _Row("solution_formula"),
+        "expansion_e": _Row("resolvent_expansion"),
+        "transform_match": _Row("transform_match"),
+    }
     for spec, _, a in analyzed:
-        u0 = make_rng(spec.seed + 2).standard_normal(a.pencil.n)
-        u0 /= np.linalg.norm(u0)
-        for row, rep in zip(rows, verify_identities(a.pencil, u0, IDENTITY_POINTS)):
-            row.add(rep.max_relative_error, rep.passed)
-    return [row.done() for row in rows]
+        for rep in identity_checks(a, spec.seed + 2):
+            rows[rep.identity].add(rep.max_relative_error, rep.passed)
+    skipped = len(analyzed) - rows["expansion_e"].checked
+    if skipped:
+        rows["expansion_e"].note = f"{skipped} skipped: k too high for float64 at s >= 1e3"
+    return {identity: row.done() for identity, row in rows.items()}
 
 
 def _chain_descent_row(analyzed):
@@ -202,27 +205,6 @@ def _chain_descent_row(analyzed):
     return row.done()
 
 
-def _expansion_row(analyzed):
-    """Bounded-remainder expansion at k = stabilization.
-
-    The sampled check is only meaningful while s^(k+1) stays below ~1/eps;
-    fixtures whose index pushes that horizon under the nominal grid floor of
-    1e3 (k >= 5) are skipped and counted in the note.
-    """
-    row = _Row("resolvent_expansion")
-    skipped = 0
-    for _, _, a in analyzed:
-        k = a.chain.stabilization
-        if expansion_grid(k) is None:
-            skipped += 1
-            continue
-        rep = verify_expansion(a.pencil, a.chain, k)
-        row.add(rep.max_relative_error, rep.passed)
-    if skipped:
-        row.note = f"{skipped} skipped: k too high for float64 at s >= 1e3"
-    return row.done()
-
-
 def _chain_rows(analyzed):
     """The chain_monotone, chain_stabilization, index_agreement and
     restricted_iso rows, one check per fixture each."""
@@ -239,10 +221,8 @@ def _chain_rows(analyzed):
         mono.add(None, ok)
 
         k_nil = a.nilpotency.k
-        witness = (
-            k_nil == chain.stabilization
-            and len(chain.spaces) > k_nil + 2
-            and equal(chain.spaces[k_nil + 1], chain.spaces[k_nil + 2])
+        witness = k_nil == chain.stabilization and equal(
+            chain.spaces[k_nil + 1], chain.spaces[k_nil + 2]
         )
         stab.add(None, witness)
 
@@ -258,15 +238,12 @@ def _solver_rows(analyzed):
     solve each fixture's consistent basis as one block and still count
     `checked` per column.  A rejected block counts one failure per column, as
     its rejected columns did before blocks, so no PASS/FAIL moves.
-    A fixture whose reduced generator fails (IsomorphismError) fails its
-    transform_match check and every classical_residual column.
     """
     residual = _Row("classical_residual")
     initial = _Row("initial_value")
     invariance = _Row("state_invariance")
     oracle = _Row("oracle_agreement")
     detect = _Row("inconsistency_detection")
-    transform = _Row("transform_match")
 
     for spec, _, a in analyzed:
         p, chain = a.pencil, a.chain
@@ -294,16 +271,9 @@ def _solver_rows(analyzed):
 
         U0, rejected = cons.basis, np.zeros(cons.dim, dtype=bool)
         try:
-            rep = verify_transform_match(p, chain, U0[:, 0])
-        except IsomorphismError:  # no reduced generator, so no transform and no solution
-            transform.add(None, False)
-            residual.add(None, rejected)
-            continue
-        transform.add(rep.max_relative_error, rep.passed)
-        try:
             traj = classical_solution(p, chain, U0, SOLVE_GRID)
-        except InconsistentInitialValueError:
-            residual.add(None, rejected)  # consistent columns were rejected
+        except (InconsistentInitialValueError, IsomorphismError):
+            residual.add(None, rejected)  # consistent columns rejected, or no reduced generator
             continue
         states = traj.states  # (times, n, columns)
         norms = np.linalg.norm(states, axis=1)
@@ -329,7 +299,6 @@ def _solver_rows(analyzed):
         invariance.done(),
         oracle.done(),
         detect.done(),
-        transform.done(),
     ]
 
 
@@ -346,13 +315,14 @@ def run_suite(specs, seed: int = 0, tol: RankTolerance = RankTolerance()) -> Sui
             raise ValueError(f"generated fixture {spec} is not regular")
         analyzed.append((spec, truth, analysis))
 
-    rows = [_subspace_laws_row(seed)]
-    rows.append(_resolvent_identity_row(analyzed, seed))
-    rows.extend(_identity_rows(analyzed))
+    identity = _identity_rows(analyzed)
+    rows = [_subspace_laws_row(seed), _resolvent_identity_row(analyzed, seed)]
+    rows += [identity[name] for name in ("commutation_b", "shift_d", "solution_formula")]
     rows.append(_chain_descent_row(analyzed))
-    rows.append(_expansion_row(analyzed))
+    rows.append(identity["expansion_e"])
     rows.extend(_chain_rows(analyzed))
     rows.extend(_solver_rows(analyzed))
+    rows.append(identity["transform_match"])
     return SuiteResult(rows=rows, fixtures=len(specs), passed=all(r.passed for r in rows))
 
 

@@ -2,9 +2,12 @@
 
 import numpy as np
 
+import daepencil.analysis as analysis_mod
 from daepencil.analysis import analyze_pencil
+from daepencil.exceptions import IsomorphismError
 from daepencil.fixtures import FixtureSpec, generate
 from daepencil.pencils import new_pencil
+from daepencil.verification import random_specs
 
 
 def stokes_like(m):
@@ -51,3 +54,58 @@ def test_stokes_like_saddle():
     }
     assert all(c["passed"] for c in checks.values()), checks
     assert checks["transform_match"]["max_relative_error"] <= 1e-12
+
+
+def test_failing_generator_fails_transform_match(monkeypatch):
+    import daepencil.solvers as solvers_mod
+
+    message = "reduced generator residual exceeds its cap"
+
+    def failing(chain):
+        raise IsomorphismError(message)
+
+    monkeypatch.setattr(solvers_mod, "_generator", failing)
+    report = analyze_pencil(generate(FixtureSpec(2, (2,), seed=1))[0])
+    checks = {c["identity"]: c for c in report.identity_checks}
+    tm = checks["transform_match"]
+    assert not tm["passed"] and tm["max_relative_error"] is None
+    assert tm["points"] == 0 and tm["details"] == {"error": message}
+    assert all(c["passed"] for name, c in checks.items() if name != "transform_match")
+
+
+def test_k5_pencil_lists_no_expansion():
+    # k = 5: the float64 horizon (1/eps)^(1/6) ~ 406 lies below the grid floor 1e3
+    report = analyze_pencil(generate(FixtureSpec(1, (6,), seed=3))[0])
+    assert report.stabilization == 5 and report.consistent_dim == 1
+    assert [c["identity"] for c in report.identity_checks] == [
+        "commutation_b", "shift_d", "solution_formula", "transform_match"
+    ]
+
+
+def test_analyze_pencil_runs_the_battery_once(monkeypatch):
+    calls = []
+    battery = analysis_mod.identity_checks
+
+    def counted(a, seed):
+        calls.append(seed)
+        return battery(a, seed)
+
+    monkeypatch.setattr(analysis_mod, "identity_checks", counted)
+    report = analyze_pencil(generate(FixtureSpec(2, (2,), seed=1))[0], seed=4)
+    assert calls == [4] and len(report.identity_checks) == 5
+
+
+def test_no_abort_on_failing_generators_at_conditioning_1e6():
+    """At conditioning 1e6 the reduced generator fails on 19 of these 60
+    fixtures (17 over its residual cap, 2 with a restricted E that is not
+    bijective); each report carries its failed transform_match."""
+    errors = []
+    for spec in random_specs(60, (2, 20), (0, 4), seed=1, conditioning=1e6):
+        report = analyze_pencil(generate(spec)[0], spec.seed)
+        for c in report.identity_checks:
+            if c["identity"] == "transform_match" and c["max_relative_error"] is None:
+                assert not c["passed"]
+                errors.append(c["details"]["error"])
+    assert len(errors) == 19
+    assert sum(e.startswith("reduced generator residual") for e in errors) == 17
+    assert sum(e.startswith("restricted E is not bijective") for e in errors) == 2

@@ -356,3 +356,34 @@ def test_module_runs_from_a_checkout():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: daepencil")
+
+
+def test_analyze_writes_a_failing_generator_into_its_report(tmp_path, monkeypatch):
+    import daepencil.solvers as solvers_mod
+
+    def failing(chain):
+        raise IsomorphismError("reduced generator residual exceeds its cap")
+
+    monkeypatch.setattr(solvers_mod, "_generator", failing)
+    pencil, _ = generate(FixtureSpec(2, (2,), seed=1))
+    out = tmp_path / "r.json"
+    assert main(["analyze", *write_pencil(tmp_path, pencil.E, pencil.A), "--json", str(out)]) == 0
+    checks = {c["identity"]: c for c in json.loads(out.read_text())["identity_checks"]}
+    assert checks["transform_match"] == {
+        "identity": "transform_match",
+        "points": 0,
+        "max_relative_error": None,
+        "passed": False,
+        "details": {"error": "reduced generator residual exceeds its cap"},
+    }
+
+
+def test_analyze_names_the_line_of_a_non_ascii_byte(tmp_path, capsys):
+    pencil, _ = generate(FixtureSpec(1, (2,), 100.0, 0))
+    e_path, a_path = write_pencil(tmp_path, pencil.E, pencil.A)
+    text = Path(e_path).read_text().splitlines(keepends=True)
+    text.insert(1, "% café\n")
+    Path(e_path).write_bytes("".join(text).encode("utf-8"))
+    assert main(["analyze", e_path, a_path]) == 1
+    err = capsys.readouterr().err
+    assert f"{e_path}:2: non-ASCII byte 0xc3" in err

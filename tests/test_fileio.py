@@ -443,3 +443,46 @@ class TestKernel:
             write_matrix_market(tmp_path / "m.mtx", M)
             write_vector(tmp_path / "v.txt", np.array(EDGES))
             write_trajectory_csv(io.StringIO(), traj)
+
+
+class TestNonAscii:
+    """A non-ASCII byte is a MatrixMarketError naming the file and the 1-based
+    line of the first such byte; newlines count as in text mode."""
+
+    HEADER = b"%%MatrixMarket matrix array real general\n"
+
+    def _raises(self, tmp_path, data, reader, line):
+        path = tmp_path / "f.txt"
+        path.write_bytes(data)
+        with pytest.raises(MatrixMarketError, match="non-ASCII byte 0xc3") as info:
+            reader(path)
+        assert (info.value.path, info.value.line) == (path, line)
+        assert str(info.value).startswith(f"{path}:{line}: ")
+
+    def test_in_a_comment(self, tmp_path):
+        data = self.HEADER + "% café\n1 1\n2.5\n".encode("utf-8")
+        self._raises(tmp_path, data, parse_matrix_market, 2)
+
+    def test_on_a_data_line(self, tmp_path):
+        self._raises(tmp_path, self.HEADER + b"2 2\n1\n0\n0\xc3\n1\n", parse_matrix_market, 5)
+
+    def test_after_carriage_returns(self, tmp_path):
+        # "\r\n" and a lone "\r" each end one line
+        data = self.HEADER + b"% a\r\n% b\r1 1\n\xc3\n"
+        self._raises(tmp_path, data, parse_matrix_market, 5)
+
+    def test_in_a_vector_file(self, tmp_path):
+        self._raises(tmp_path, b"1.0 2.0\n% \xc3\n3.0\n", read_vector, 2)
+
+    def test_line_endings_parse_to_the_same_bits(self, tmp_path):
+        M = np.random.default_rng(3).standard_normal((4, 4))
+        path = tmp_path / "m.mtx"
+        write_matrix_market(path, M)
+        data = path.read_bytes()
+        for newline in (b"\r\n", b"\r"):
+            path.write_bytes(data.replace(b"\n", newline))
+            assert np.array_equal(parse_matrix_market(path), M)
+        v = M[0]
+        write_vector(path, v)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert np.array_equal(read_vector(path), v)

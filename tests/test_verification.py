@@ -5,7 +5,7 @@ import numpy as np
 import daepencil.solvers as solvers_mod
 import daepencil.verification as verification_mod
 from daepencil.chains import compute_chain, consistent_space
-from daepencil.fixtures import generate
+from daepencil.fixtures import FixtureSpec, generate
 from daepencil.verification import _Row, _subspace_laws_row, random_specs, run_suite
 
 
@@ -69,3 +69,30 @@ def test_subspace_laws_build_each_space_once(monkeypatch):
     row = _subspace_laws_row(0)
     assert row.passed and row.checked == 25 * 4
     assert calls == {"image": 3 * 25, "preimage": 2 * 25}
+
+
+def test_k5_fixture_skips_the_expansion_row():
+    result = run_suite([FixtureSpec(1, (6,), seed=3)])
+    row = {r.name: r for r in result.rows}["resolvent_expansion"]
+    assert (row.checked, row.failures, row.passed) == (0, 0, True)
+    assert row.note == "1 skipped: k too high for float64 at s >= 1e3"
+    assert "(1 skipped: k too high for float64 at s >= 1e3)" in result.table()
+
+
+def test_one_identity_battery_per_fixture(monkeypatch):
+    """run_suite takes every Laplace check of a fixture from one identity_checks
+    call, with u0 drawn from spec.seed + 2."""
+    specs = random_specs(6, (2, 12), (0, 3), seed=5)
+    calls = []
+    battery = verification_mod.identity_checks
+
+    def counted(a, seed):
+        calls.append(seed)
+        return battery(a, seed)
+
+    monkeypatch.setattr(verification_mod, "identity_checks", counted)
+    result = run_suite(specs, seed=5)
+    assert calls == [spec.seed + 2 for spec in specs]
+    names = [row.name for row in result.rows]
+    assert names[2:5] == ["resolvent_commutation", "resolvent_shift", "solution_formula"]
+    assert names[6] == "resolvent_expansion" and names[-1] == "transform_match"

@@ -10,7 +10,10 @@ them, the `solve --csv` trajectory of three of them (Kronecker index <= 2)
 for each `--method`, and the stdout, JSON and exit code of
 `verify --random 60 --dim-range 2..20 --index-range 0..4 --seed S` for
 S = 7, 8, 9, 11, and of the same command at `--seed 1 --conditioning 1e5`,
-where the subspace chains meet roundoff well above the rank tolerance.  It
+where the subspace chains meet roundoff well above the rank tolerance, and
+at `--seed 1 --conditioning 1e6`, where the reduced generator fails on 19
+fixtures (17 over its residual cap, 2 with a restricted E that is not
+bijective), so both failure paths of the transform match are gated.  It
 also writes the `analyze --json` report of a 1-D Stokes-like saddle at
 m = 16 (n = 24), whose `E.mtx` and `A.mtx` it writes itself with exact
 entries.  The saddle's finite eigenvalues run from 17 to 561 in modulus, far
@@ -71,6 +74,7 @@ VERIFY_ARGS = ("--random", "60", "--dim-range", "2..20", "--index-range", "0..4"
 # output name -> the verify options that follow VERIFY_ARGS
 VERIFY_RUNS = {f"verify_seed-{seed}": ("--seed", seed) for seed in (7, 8, 9, 11)}
 VERIFY_RUNS["verify_seed-1_conditioning-1e5"] = ("--seed", 1, "--conditioning", "1e5")
+VERIFY_RUNS["verify_seed-1_conditioning-1e6"] = ("--seed", 1, "--conditioning", "1e6")
 EXIT_CODES = "exit_codes.json"
 
 
