@@ -126,8 +126,11 @@ def _cmd_analyze(args):
 def _cmd_solve(args):
     pencil = _load_pencil(args)
     u0 = read_vector(args.u0)
-    if args.t_end <= 0 or args.steps < 1:
-        raise ValueError("require --t-end > 0 and --steps >= 1")
+    if not 0 < args.t_end < np.inf or args.steps < 1:
+        raise ValueError(
+            "require finite --t-end > 0 and --steps >= 1, "
+            f"got --t-end {args.t_end} and --steps {args.steps}"
+        )
     times = np.linspace(0.0, args.t_end, args.steps + 1)
     try:
         if args.method == "exponential":

@@ -5,6 +5,14 @@ variants for real general matrices and reports malformed input with 1-based
 line numbers.  All writers serialize floats with 17 significant digits so a
 write/parse round trip reproduces every double exactly.
 
+Both readers find their data through one generator, `_tokens`, which yields
+the line number and tokens of every line that is neither blank nor a `%`
+comment, and turn every token into a number through one rule, `_number`:
+Python's `float` (or `int`, for sizes, entry counts and coordinates) must
+read it and it must hold no digit separator `_`.  A canonical array file,
+one entry per line, is converted by a single `np.array` call, taken only
+when no line holds a `_`, so it applies the same rule.
+
 Every writer goes through one vectorized kernel, `_write_rows`, which writes
 the bytes of `"%.17g" % v` for a block of values at once.  It takes the
 decimal exponent and the 17 digits of each value from one long-double
@@ -219,13 +227,24 @@ def _read_lines(path):
     )
 
 
-def _data_lines(lines):
-    """Yield (line_number, stripped_text) skipping comments and blanks."""
-    for idx, raw in enumerate(lines, start=1):
-        text = raw.strip()
-        if not text or text.startswith("%"):
-            continue
-        yield idx, text
+def _tokens(lines):
+    """(line number, tokens) of every line that is neither blank nor a `%` comment."""
+    for line_no, raw in enumerate(lines, start=1):
+        tokens = raw.split()
+        if tokens and not tokens[0].startswith("%"):
+            yield line_no, tokens
+
+
+def _number(token, path, line_no, kind=float, message="non-numeric entry {!r}", *shown):
+    """The one number rule: `kind(token)` if Python's `kind` reads the token and
+    it holds no digit separator `_`; otherwise MatrixMarketError at line_no,
+    its message formatted with `shown` (by default the token)."""
+    if "_" not in token:
+        try:
+            return kind(token)
+        except ValueError:
+            pass
+    raise MatrixMarketError(message.format(*(shown or (token,))), path=path, line=line_no)
 
 
 def parse_matrix_market(path) -> np.ndarray:
@@ -249,13 +268,10 @@ def parse_matrix_market(path) -> np.ndarray:
     if symmetry != "general":
         raise MatrixMarketError(f"unsupported symmetry {symmetry!r}", path=path, line=1)
 
-    entries = _data_lines(lines[1:])
-    try:
-        size_line_no, size_text = next(entries)
-    except StopIteration:
-        raise MatrixMarketError("missing size line", path=path, line=len(lines)) from None
-    size_line_no += 1  # offset for the header line
-    parts = size_text.split()
+    entries = _tokens(lines)  # the header is a `%` line
+    size_line_no, parts = next(entries, (len(lines), None))
+    if parts is None:
+        raise MatrixMarketError("missing size line", path=path, line=size_line_no)
 
     if fmt == "array":
         if len(parts) != 2:
@@ -263,7 +279,7 @@ def parse_matrix_market(path) -> np.ndarray:
                 "array size line must be 'rows cols'", path=path, line=size_line_no
             )
         rows, cols = _parse_dims(parts, path, size_line_no)
-        values = _parse_array(lines, size_line_no, rows * cols, path)
+        values = _parse_array(lines[size_line_no:], entries, rows * cols, size_line_no, path)
         matrix = values.reshape((cols, rows)).T  # array format is column-major
     else:
         if len(parts) != 3:
@@ -273,29 +289,19 @@ def parse_matrix_market(path) -> np.ndarray:
                 line=size_line_no,
             )
         rows, cols = _parse_dims(parts[:2], path, size_line_no)
-        try:
-            nnz = int(parts[2])
-        except ValueError:
-            raise MatrixMarketError(
-                f"bad entry count {parts[2]!r}", path=path, line=size_line_no
-            ) from None
+        nnz = _number(parts[2], path, size_line_no, int, "bad entry count {!r}")
         matrix = np.zeros((rows, cols))
         seen = set()
-        count = 0
-        last_line = size_line_no
-        for line_no, text in entries:
-            line_no += 1
-            fields = text.split()
+        line_no = size_line_no  # the last line read, for the count check
+        for line_no, fields in entries:
             if len(fields) != 3:
                 raise MatrixMarketError(
                     "coordinate entries must be 'row col value'", path=path, line=line_no
                 )
-            try:
-                i, j = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise MatrixMarketError(
-                    f"bad coordinates {fields[0]!r} {fields[1]!r}", path=path, line=line_no
-                ) from None
+            i, j = (
+                _number(f, path, line_no, int, "bad coordinates {!r} {!r}", *fields[:2])
+                for f in fields[:2]
+            )
             if not (1 <= i <= rows and 1 <= j <= cols):
                 raise MatrixMarketError(
                     f"coordinates ({i}, {j}) outside {rows} x {cols}",
@@ -307,12 +313,10 @@ def parse_matrix_market(path) -> np.ndarray:
                     f"duplicate entry for ({i}, {j})", path=path, line=line_no
                 )
             seen.add((i, j))
-            matrix[i - 1, j - 1] = _parse_value(fields[2], path, line_no)
-            count += 1
-            last_line = line_no
-        if count != nnz:
+            matrix[i - 1, j - 1] = _number(fields[2], path, line_no)
+        if len(seen) != nnz:
             raise MatrixMarketError(
-                f"declared {nnz} entries, found {count}", path=path, line=last_line
+                f"declared {nnz} entries, found {len(seen)}", path=path, line=line_no
             )
 
     if rows != cols:
@@ -320,75 +324,35 @@ def parse_matrix_market(path) -> np.ndarray:
     return matrix
 
 
-def _parse_array(lines, size_line_no, total, path):
-    """The `total` entries of an array file after its size line, in file order."""
-    data = lines[size_line_no:]
-    if len(data) == total:  # one entry per line, as write_matrix_market writes
+def _parse_array(data, entries, total, line_no, path):
+    """The `total` entries of an array file in file order: `data` holds the
+    lines after the size line (line line_no) and `entries` their tokens."""
+    if len(data) == total and "_" not in "".join(data):  # one entry per line, as written
         try:
             return np.array(data, dtype=float)
         except ValueError:  # a comment, a blank, several tokens or a bad one
             pass
     values = np.empty(total)
     count = 0
-    last_line = size_line_no
-    for line_no, raw in enumerate(data, start=size_line_no + 1):
-        try:
-            values[count] = float(raw)
-        except (ValueError, IndexError):  # anything else, or an entry past the last
-            tokens = raw.split()
-            if not tokens or tokens[0].startswith("%"):
-                continue
-            count = _store_tokens(values, count, tokens, path, line_no)
-        else:
+    for line_no, tokens in entries:
+        for token in tokens:
+            if count == total:  # reported before the token's own syntax
+                raise MatrixMarketError(f"more than {total} entries", path=path, line=line_no)
+            values[count] = _number(token, path, line_no)
             count += 1
-        last_line = line_no
     if count < total:
         raise MatrixMarketError(
-            f"expected {total} entries, found {count}", path=path, line=last_line
+            f"expected {total} entries, found {count}", path=path, line=line_no
         )
     return values
 
 
 def _parse_dims(parts, path, line_no):
-    try:
-        rows, cols = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise MatrixMarketError(
-            f"bad dimensions {' '.join(parts)!r}", path=path, line=line_no
-        ) from None
+    shown = " ".join(parts)
+    rows, cols = (_number(p, path, line_no, int, "bad dimensions {!r}", shown) for p in parts)
     if rows < 1 or cols < 1:
-        raise MatrixMarketError(f"dimensions must be positive", path=path, line=line_no)
+        raise MatrixMarketError("dimensions must be positive", path=path, line=line_no)
     return rows, cols
-
-
-def _parse_value(token, path, line_no):
-    try:
-        return float(token)
-    except ValueError:
-        raise MatrixMarketError(
-            f"non-numeric entry {token!r}", path=path, line=line_no
-        ) from None
-
-
-def _store_tokens(values, count, tokens, path, line_no):
-    """Store one line's tokens at values[count:]; the count after them."""
-    try:
-        for token in tokens:
-            values[count] = float(token)
-            count += 1
-    except (ValueError, IndexError):  # a bad token, or one past the last entry
-        if count < values.size:
-            _raise_bad_token(tokens, path, line_no)
-        raise MatrixMarketError(
-            f"more than {values.size} entries", path=path, line=line_no
-        ) from None
-    return count
-
-
-def _raise_bad_token(tokens, path, line_no):
-    """Raise the MatrixMarketError of the first non-numeric token of a line."""
-    for token in tokens:
-        _parse_value(token, path, line_no)
 
 
 def write_matrix_market(path, matrix) -> None:
@@ -405,16 +369,8 @@ def write_matrix_market(path, matrix) -> None:
 
 def read_vector(path) -> np.ndarray:
     """Read a whitespace-separated vector of reals (any line layout)."""
-    lines = _read_lines(path)
-    values = []
-    for line_no, raw in enumerate(lines, start=1):
-        tokens = raw.split()
-        if not tokens or tokens[0].startswith("%"):
-            continue
-        try:
-            values.extend(map(float, tokens))
-        except ValueError:
-            _raise_bad_token(tokens, path, line_no)
+    entries = _tokens(_read_lines(path))
+    values = [_number(token, path, line_no) for line_no, tokens in entries for token in tokens]
     if not values:
         raise MatrixMarketError("no numeric entries found", path=path)
     return np.array(values)

@@ -15,6 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import (
+    DaePencilError,
     NonFiniteEntriesError,
     NotRegularError,
     ShapeMismatchError,
@@ -56,11 +57,20 @@ def _cached(owner, key, build):
     """owner's artifact under key, built by build() on first use and kept.
 
     Owners are frozen values over read-only arrays (a Pencil from new_pencil,
-    an IvChain from compute_chain), so a kept artifact cannot go stale.
+    an IvChain from compute_chain), so a kept artifact cannot go stale.  A
+    build that fails with a DaePencilError is kept too: every later call
+    raises that error again instead of building once more.
     """
     if key not in owner._cache:
-        owner._cache[key] = build()
-    return owner._cache[key]
+        try:
+            owner._cache[key] = build()
+        except DaePencilError as exc:
+            owner._cache[key] = exc
+            raise
+    kept = owner._cache[key]
+    if isinstance(kept, DaePencilError):
+        raise kept.with_traceback(None)  # not the traceback of an earlier raise
+    return kept
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from .exceptions import (
     ConditioningWarning,
     InconsistentInitialValueError,
     IsomorphismError,
+    NonFiniteEntriesError,
     NotRegularError,
     ShapeMismatchError,
     SingularMatrixError,
@@ -84,12 +85,14 @@ class Trajectory:
 
 
 def _check_u0(pencil, u0, block=False):
-    """u0 as an array of the pencil's dtype: shape (n,), or (n, m) if block."""
+    """u0 as a finite array of the pencil's dtype: shape (n,), or (n, m) if block."""
     u0 = np.asarray(u0, dtype=complex if pencil.is_complex else float)
     if u0.shape[:1] != (pencil.n,) or u0.ndim > 1 + block:
         raise ShapeMismatchError(
             f"initial value shape {u0.shape} does not match pencil size {pencil.n}"
         )
+    if not np.all(np.isfinite(u0)):
+        raise NonFiniteEntriesError("u0 contains non-finite entries")
     return u0
 
 
@@ -97,6 +100,9 @@ def _check_times(times):
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a nonempty 1-d grid")
+    bad = times[~np.isfinite(times)]
+    if bad.size:
+        raise ValueError(f"times must be finite, got {bad[0]}")
     if times[0] < 0 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be nonnegative and strictly increasing")
     return times
@@ -259,8 +265,8 @@ def implicit_euler(pencil: Pencil, u0, h: float, T: float, forcing=None) -> Traj
     a ConditioningWarning; SingularMatrixError when the nudges run out.
     """
     u0 = _check_u0(pencil, u0)
-    if h <= 0 or T <= 0:
-        raise ValueError("require h > 0 and T > 0")
+    if not (0 < h < np.inf and 0 < T < np.inf):
+        raise ValueError(f"require finite h > 0 and T > 0, got h = {h} and T = {T}")
 
     def homogeneous_step(step):  # W with u_{m+1} = W u_m when f = 0
         try:

@@ -387,3 +387,40 @@ def test_analyze_names_the_line_of_a_non_ascii_byte(tmp_path, capsys):
     assert main(["analyze", e_path, a_path]) == 1
     err = capsys.readouterr().err
     assert f"{e_path}:2: non-ASCII byte 0xc3" in err
+
+
+def test_analyze_rejects_a_digit_separator(tmp_path, capsys):
+    path = tmp_path / "E.mtx"
+    path.write_text("%%MatrixMarket matrix array real general\n1 1\n1_0\n")
+    assert main(["analyze", str(path), str(path)]) == 1
+    assert f"{path}:3: non-numeric entry '1_0'" in capsys.readouterr().err
+
+
+@pytest.fixture
+def generated(tmp_path, capsys):
+    out = tmp_path / "fx"
+    assert main(["generate", "--n1", "2", "--blocks", "2", "--seed", "3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    return [str(out / name) for name in ("E.mtx", "A.mtx", "u0.txt")]
+
+
+@pytest.mark.parametrize("method", ["exponential", "euler", "oracle"])
+def test_solve_rejects_a_non_finite_initial_value(generated, method, capsys, tmp_path):
+    u0 = Path(generated[2])
+    lines = u0.read_text().splitlines()
+    u0.write_text("\n".join(["nan", *lines[1:]]) + "\n")
+    csv = tmp_path / "out.csv"
+    args = ["solve", *generated, "--t-end", "1", "--steps", "4", "--method", method]
+    assert main([*args, "--csv", str(csv)]) == 1
+    assert "u0 contains non-finite entries" in capsys.readouterr().err
+    assert not csv.exists()
+
+
+@pytest.mark.parametrize("method", ["exponential", "euler", "oracle"])
+@pytest.mark.parametrize("t_end", ["nan", "inf"])
+def test_solve_rejects_a_non_finite_horizon(generated, method, t_end, capsys, tmp_path):
+    csv = tmp_path / "out.csv"
+    args = ["solve", *generated, "--t-end", t_end, "--steps", "4", "--method", method]
+    assert main([*args, "--csv", str(csv)]) == 1
+    assert f"got --t-end {t_end} and --steps 4" in capsys.readouterr().err
+    assert not csv.exists()

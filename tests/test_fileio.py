@@ -486,3 +486,48 @@ class TestNonAscii:
         write_vector(path, v)
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
         assert np.array_equal(read_vector(path), v)
+
+
+class TestDigitSeparators:
+    """Python's int and float read `1_0` as 10; no field of an input file does."""
+
+    ARRAY = "%%MatrixMarket matrix array real general\n"
+    COORDINATE = "%%MatrixMarket matrix coordinate real general\n"
+
+    def _raises(self, tmp_path, text, reader, message, line):
+        path = write(tmp_path, "f.txt", text)
+        with pytest.raises(MatrixMarketError, match=message) as info:
+            reader(path)
+        assert (info.value.path, info.value.line) == (path, line)
+
+    def test_one_entry_per_line(self, tmp_path):
+        # the canonical layout of the one-np.array fast path
+        text = self.ARRAY + "2 2\n1\n2\n1_0\n4\n"
+        self._raises(tmp_path, text, parse_matrix_market, "non-numeric entry '1_0'", 5)
+
+    def test_several_entries_on_a_line(self, tmp_path):
+        text = self.ARRAY + "2 2\n1 2\n% c\n3 1_0\n"
+        self._raises(tmp_path, text, parse_matrix_market, "non-numeric entry '1_0'", 5)
+
+    def test_size_line(self, tmp_path):
+        text = self.ARRAY + "1_0 1_0\n" + "1\n" * 100
+        self._raises(tmp_path, text, parse_matrix_market, "bad dimensions '1_0 1_0'", 2)
+
+    def test_coordinate_size(self, tmp_path):
+        text = self.COORDINATE + "1_0 1_0 1\n1_0 1 2\n"
+        self._raises(tmp_path, text, parse_matrix_market, "bad dimensions '1_0 1_0'", 2)
+
+    def test_coordinate_entry_count(self, tmp_path):
+        text = self.COORDINATE + "2 2 0_1\n1 1 2\n"
+        self._raises(tmp_path, text, parse_matrix_market, "bad entry count '0_1'", 2)
+
+    def test_coordinate_indices(self, tmp_path):
+        text = self.COORDINATE + "10 10 1\n1_0 1 2\n"
+        self._raises(tmp_path, text, parse_matrix_market, "bad coordinates '1_0' '1'", 3)
+
+    def test_coordinate_value(self, tmp_path):
+        text = self.COORDINATE + "1 1 1\n1 1 1_0\n"
+        self._raises(tmp_path, text, parse_matrix_market, "non-numeric entry '1_0'", 3)
+
+    def test_vector(self, tmp_path):
+        self._raises(tmp_path, "1.0 2.0\n3_0.5\n", read_vector, "non-numeric entry '3_0.5'", 2)

@@ -4,9 +4,12 @@ import scipy.linalg
 
 import daepencil.solvers as solvers_mod
 from daepencil.chains import check_restricted_iso, compute_chain, consistent_space
+from daepencil.analysis import build_analysis, identity_checks
 from daepencil.exceptions import (
     ConditioningWarning,
     InconsistentInitialValueError,
+    IsomorphismError,
+    NonFiniteEntriesError,
     NotRegularError,
     ShapeMismatchError,
     SingularMatrixError,
@@ -482,3 +485,71 @@ class TestBlockInitialValues:
             decomposition_oracle(p, block, self.TIMES, seed=spec.seed)
         assert err.value.distance == pytest.approx(max(per_column), rel=1e-12)
         assert err.value.nearest.shape == block.shape
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+class TestNonFiniteInput:
+    """NaN and infinity in an initial value, a time grid or a step are rejected
+    up front, not turned into NaN states or an OverflowError."""
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_initial_value_on_every_route(self, mixed, bad):
+        p, chain = mixed
+        u0 = np.array([bad, 0.0, 0.0])
+        times = np.linspace(0.0, 1.0, 5)
+        for call in (
+            lambda: classical_solution(p, chain, u0, times),
+            lambda: decomposition_oracle(p, u0, times),
+            lambda: implicit_euler(p, u0, 0.25, 1.0),
+            lambda: is_consistent(p, chain, u0),
+            lambda: nearest_consistent(p, chain, u0),
+            lambda: classical_solution(p, chain, np.column_stack([E1_3, u0]), times),
+        ):
+            with pytest.raises(NonFiniteEntriesError, match="u0 contains non-finite entries"):
+                call()
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_time_grid(self, mixed, bad):
+        p, chain = mixed
+        for times in ([0.0, bad], [bad, 1.0], [0.0, 0.5, bad, 2.0]):
+            for call in (
+                lambda: classical_solution(p, chain, E1_3, times),
+                lambda: decomposition_oracle(p, E1_3, times),
+            ):
+                with pytest.raises(ValueError, match=f"times must be finite, got {bad}"):
+                    call()
+
+    @pytest.mark.parametrize("h, T", [(0.5, np.inf), (np.nan, 1.0), (0.5, np.nan), (np.inf, 1.0)])
+    def test_euler_step_and_horizon(self, mixed, h, T):
+        p, _ = mixed
+        with pytest.raises(ValueError, match=f"got h = {h} and T = {T}"):
+            implicit_euler(p, E1_3, h, T)
+
+
+class TestFailedGeneratorKept:
+    # the residual cap fails this fixture's reduced generator
+    SPEC = FixtureSpec(11, (3,), 1e6, 7769129907283941149)
+
+    def test_built_once_and_raised_on_every_call(self, monkeypatch):
+        builds = []
+        build = solvers_mod._generator
+
+        def counted(chain):
+            builds.append(chain)
+            return build(chain)
+
+        monkeypatch.setattr(solvers_mod, "_generator", counted)
+        p, _ = generate(self.SPEC)
+        a = build_analysis(p, self.SPEC.seed)
+        transform = identity_checks(a, self.SPEC.seed + 2)[-1]
+        assert transform.identity == "transform_match" and not transform.passed
+        basis = consistent_space(p, a.chain).basis
+        messages = {transform.details["error"]}
+        for _ in range(3):
+            with pytest.raises(IsomorphismError, match="reduced generator residual") as err:
+                classical_solution(p, a.chain, basis, np.linspace(0.0, 1.0, 3))
+            messages.add(str(err.value))
+        assert len(builds) == 1
+        assert len(messages) == 1
