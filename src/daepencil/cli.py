@@ -31,7 +31,7 @@ from .fileio import (
     write_vector,
 )
 from .fixtures import FixtureSpec, generate
-from .pencils import new_pencil
+from .pencils import certify_regularity, new_pencil
 from .solvers import classical_solution, decomposition_oracle, implicit_euler
 from .subspaces import RankTolerance
 from .verification import random_specs, run_suite
@@ -125,6 +125,8 @@ def _cmd_analyze(args):
 
 def _cmd_solve(args):
     pencil = _load_pencil(args)
+    if not certify_regularity(pencil, args.seed).regular:
+        raise NotRegularError("the pencil is not regular: det(sE + A) vanishes at n+1 points")
     u0 = read_vector(args.u0)
     if not 0 < args.t_end < np.inf or args.steps < 1:
         raise ValueError(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import IvChain, _check_owner
-from .pencils import Pencil, _resolvents, _solve_shifted
+from .pencils import TINY, Pencil, _norm2, _resolvent_stack, _resolvents, _solve_shifted
 from .solvers import _coordinates
 
 __all__ = [
@@ -35,8 +35,6 @@ SOLUTION_FORMULA_TOL = 1e-10
 EXPANSION_C_MAX = 10.0
 TRANSFORM_TOL = 1e-6
 
-_TINY = 1e-300
-
 
 @dataclass(frozen=True)
 class IdentityReport:
@@ -48,7 +46,7 @@ class IdentityReport:
     constant C, compared against EXPANSION_C_MAX instead of a relative tolerance.
     It is None when the check could not be evaluated, as for a transform_match
     whose reduced generator fails; such a report has no sample points and
-    passed False.
+    passed False.  sample_points are where the resolvents were taken, nudged.
     """
 
     identity: str  # commutation_b | shift_d | expansion_e | solution_formula | transform_match
@@ -105,7 +103,7 @@ def _norm2_lower(X):
 def _commutation_error(pencil, R, s, u0):
     diff = pencil.E @ R @ pencil.A - pencil.A @ R @ pencil.E
     # the scale is grouped so that it neither over- nor underflows where R scales inversely
-    denom = np.maximum((pencil.norm_E * _norm2_lower(R)) * pencil.norm_A, _TINY)
+    denom = np.maximum((pencil.norm_E * _norm2_lower(R)) * pencil.norm_A, TINY)
     return _frobenius(diff) / denom
 
 
@@ -113,7 +111,7 @@ def _shift_error(pencil, R, s, u0):
     s = s[:, None, None]
     lhs = R @ pencil.E
     rhs = np.eye(pencil.n) / s - (R @ pencil.A) / s
-    denom = np.maximum(np.maximum(_norm2_lower(lhs), _norm2_lower(rhs)), _TINY)
+    denom = np.maximum(np.maximum(_norm2_lower(lhs), _norm2_lower(rhs)), TINY)
     return _frobenius(lhs - rhs) / denom
 
 
@@ -122,7 +120,7 @@ def _formula_error(pencil, R, s, u0):
     lhs = R @ (pencil.E @ u0)
     rhs = u0 / s - (R @ (pencil.A @ u0)) / s
     norm_lhs, norm_rhs, norm_diff = (np.sqrt(_sumsq(x[..., None])) for x in (lhs, rhs, lhs - rhs))
-    return norm_diff / np.maximum(np.maximum(norm_lhs, norm_rhs), _TINY)
+    return norm_diff / np.maximum(np.maximum(norm_lhs, norm_rhs), TINY)
 
 
 # identity -> (tolerance, its relative errors on a resolvent stack)
@@ -135,17 +133,19 @@ _IDENTITIES = {
 
 def _sample_identities(pencil, points, names, u0=None):
     """Reports of the named identities, sharing one resolvent per sample point,
-    each evaluated on the stacks of _resolvents."""
+    each evaluated on the stacks of _resolvents at the points they were taken."""
     points = tuple(points)
     if 0 in points and set(names) - {"commutation_b"}:
         raise ValueError("the shift identity and solution formula are undefined at s = 0")
     worst = dict.fromkeys(names, 0.0)
+    used = []
     for R, s in _resolvents(pencil, points):
+        used.extend(s.tolist())
         for name in names:  # np.max keeps a NaN error, which then fails the check
             errors = _IDENTITIES[name][1](pencil, R, s, u0)
             worst[name] = float(np.maximum(worst[name], np.max(errors)))
     return tuple(
-        IdentityReport(name, points, worst[name], worst[name] <= _IDENTITIES[name][0])
+        IdentityReport(name, tuple(used), worst[name], worst[name] <= _IDENTITIES[name][0])
         for name in names
     )
 
@@ -215,26 +215,20 @@ def _fit_expansion_coefficients(pencil, B, k):
     The nodes are s_ref * 2^j, j = 0..k+1, with s_ref = 100 lowered where
     needed so that the top node stays a factor 4 below the float64 horizon
     s_h(k); samples above it would give the fitted x_l roundoff of size
-    ~eps * s^(k+1).  The nodes are one resolvent stack, applied to E B at once.
-    The model y(s) = c_0/s + ... + c_{k+1}/s^{k+2} of (sE+A)^{-1} E x is
-    solved as one Vandermonde system in the scaled variable s_ref/s for all
-    columns; the extra top coefficient absorbs the leading remainder so it
-    cannot contaminate x_k.  Returns the fitted stack, x_l of column j at
-    [l - 1, :, j], and the Vandermonde condition number.
+    ~eps * s^(k+1).  The nodes, nudged where singular, are one resolvent
+    stack, applied to E B at once.  The model y(s) = c_0/s + ... +
+    c_{k+1}/s^{k+2} of (sE+A)^{-1} E x is solved as one Vandermonde system in
+    the scaled variable s_ref/s for all columns; the extra top coefficient
+    absorbs the leading remainder so it cannot contaminate x_k.  Returns the
+    fitted stack, x_l of column j at [l - 1, :, j], and the Vandermonde
+    condition number.
     """
     s_ref = min(100.0, _float64_horizon(k) / (4.0 * 2.0 ** (k + 1)))
     EB = pencil.E @ B
-    samples = []
-    nodes = []
-    for R, s in _resolvents(pencil, s_ref * 2.0 ** np.arange(k + 2), tries=6):
-        samples.append((R @ EB) * s[:, None, None])
-        nodes.append(s)
-    nodes = np.concatenate(nodes)  # retries may have nudged points off the grid
-    tau = nodes[0] / nodes
-    V = np.vander(tau, k + 2, increasing=True)
-    gamma = np.linalg.solve(V, np.concatenate(samples).reshape(k + 2, -1))
-    gamma = gamma.reshape(k + 2, *EB.shape)
-    coeffs = gamma * (nodes[0] ** np.arange(k + 2))[:, None, None]
+    R, nodes = _resolvent_stack(pencil, s_ref * 2.0 ** np.arange(k + 2))
+    V = np.vander(nodes[0] / nodes, k + 2, increasing=True)
+    gamma = np.linalg.solve(V, ((R @ EB) * nodes[:, None, None]).reshape(k + 2, -1))
+    coeffs = gamma.reshape(k + 2, *EB.shape) * (nodes[0] ** np.arange(k + 2))[:, None, None]
     return coeffs[1 : k + 1], float(np.linalg.cond(V))
 
 
@@ -289,8 +283,10 @@ def verify_expansion(pencil: Pencil, chain: IvChain, k: int, s_grid=None) -> Ide
 
     EB = pencil.E @ B
     worst_c = 0.0
-    for R, s in _resolvents(pencil, s_grid, tries=6):
-        bound = 1.0 + np.linalg.svd(R, compute_uv=False)[:, 0] * pencil.norm_A
+    used = []
+    for R, s in _resolvents(pencil, s_grid):
+        used.extend(s.tolist())
+        bound = 1.0 + _norm2(R) * pencil.norm_A
         powers = s[:, None, None] ** -(np.arange(1, k + 1) + 1.0)
         # one gemv and one libm pow per point: a gemm over the chunk or a
         # vectorized power can round differently with the chunk size
@@ -299,9 +295,7 @@ def verify_expansion(pencil: Pencil, chain: IvChain, k: int, s_grid=None) -> Ide
         column = np.max(np.linalg.norm(remainder, axis=-2), axis=-1)
         lift = np.array([x ** (k + 1) for x in s.tolist()])
         worst_c = float(np.maximum(worst_c, np.max(column * lift / bound)))
-    return IdentityReport(
-        "expansion_e", tuple(s_grid), worst_c, worst_c <= EXPANSION_C_MAX, details
-    )
+    return IdentityReport("expansion_e", tuple(used), worst_c, worst_c <= EXPANSION_C_MAX, details)
 
 
 def hat_solution(pencil: Pencil, u0, s):
@@ -330,6 +324,6 @@ def verify_transform_match(pencil: Pencil, chain: IvChain, u0) -> IdentityReport
     for s in points:
         closed = gen.basis @ np.linalg.solve(s * np.eye(gen.dim) + gen.M, c)
         hat = hat_solution(pencil, u0, s)
-        scale = max(float(np.linalg.norm(hat)), _TINY)
+        scale = max(float(np.linalg.norm(hat)), TINY)
         worst = float(np.maximum(worst, np.linalg.norm(closed - hat) / scale))
     return IdentityReport("transform_match", points, worst, worst <= TRANSFORM_TOL)

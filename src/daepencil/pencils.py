@@ -35,8 +35,10 @@ __all__ = [
     "index_by_nilpotency",
 ]
 
-# |det| at or below this counts as an exact zero of the degree-<=n polynomial
+# |det| at or below DET_ZERO counts as an exact zero of the degree-<=n
+# polynomial; TINY floors every scale that a relative error divides by
 DET_ZERO = 1e-300
+TINY = 1e-300
 
 # fractional parts of the fitted growth slope in this band are ambiguous
 SLOPE_AMBIGUOUS = (0.35, 0.65)
@@ -117,14 +119,14 @@ class Pencil:
 def new_pencil(E, A) -> Pencil:
     """Validate and freeze a pencil.
 
-    Both matrices must be square, of equal size, with finite entries.  Real
-    input stays real; complex input promotes both matrices to complex.
+    Both matrices must be square, of equal size, at least 1 x 1, with finite
+    entries.  Real input stays real; complex input promotes both to complex.
     """
     E = np.atleast_2d(np.asarray(E))
     A = np.atleast_2d(np.asarray(A))
     for name, M in (("E", E), ("A", A)):
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise ShapeMismatchError(f"{name} must be square, got shape {M.shape}")
+        if M.ndim != 2 or M.shape[0] != M.shape[1] or M.size == 0:
+            raise ShapeMismatchError(f"{name} must be square and nonempty, got shape {M.shape}")
     if E.shape != A.shape:
         raise ShapeMismatchError(f"size mismatch: E is {E.shape}, A is {A.shape}")
     dtype = complex if (np.iscomplexobj(E) or np.iscomplexobj(A)) else float
@@ -231,10 +233,10 @@ def _round_half_away(x: float) -> int:
     return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
 
 
-def _nudged(solve, x, tries=6):
-    """(solve(x), x) at the first of x, 1.01 x, 1.01^2 x, ... (tries points)
-    where solve raises no SingularMatrixError; the last one's error otherwise."""
-    for _ in range(tries - 1):
+def _nudged(solve, x):
+    """(solve(x), x) at the first of x, 1.01 x, ..., 1.01^5 x where solve raises no
+    SingularMatrixError, else its error: the rule of every resolvent, s0 and Euler h."""
+    for _ in range(5):
         try:
             return solve(x), x
         except SingularMatrixError:
@@ -242,17 +244,16 @@ def _nudged(solve, x, tries=6):
     return solve(x), x
 
 
-def _resolvents(pencil, points, tries=1, drop=False):
+def _resolvents(pencil, points, drop=False):
     """Yield (R, used) per chunk of points, R[j] = (used[j] E + A)^{-1}.
 
     A chunk holds at most STACK_ENTRIES matrix entries (one point at least)
     and takes one stacked solve; its slices are bit for bit the resolvent of
     each point.  A chunk whose solve raises or leaves a non-finite slice is
-    redone point by point: each point through _nudged with `tries` tries
-    (tries=1 takes s as it is), so used[j] is where the resolvent was taken.
-    A point still singular then raises its SingularMatrixError or, with drop,
-    leaves a NaN slice and used[j] = NaN.  Real points on a real pencil are
-    solved in real arithmetic, any other grid in complex.
+    redone point by point through _nudged, so used[j] is where the resolvent
+    was taken.  A point still singular then raises its SingularMatrixError
+    or, with drop, leaves a NaN slice and used[j] = NaN.  Real points on a
+    real pencil are solved in real arithmetic, any other grid in complex.
     """
     points = np.asarray(points, dtype=complex if np.iscomplexobj(points) else float)
     complex_ = pencil.is_complex or bool(np.any(points.imag))
@@ -271,12 +272,23 @@ def _resolvents(pencil, points, tries=1, drop=False):
             R = np.empty(M.shape, M.dtype)
             for j, s in enumerate(used):
                 try:
-                    R[j], used[j] = _nudged(lambda t: resolvent(pencil, t), s, tries)
+                    R[j], used[j] = _nudged(lambda t: resolvent(pencil, t), s)
                 except SingularMatrixError:
                     if not drop:
                         raise
                     R[j], used[j] = np.nan, np.nan
         yield R, used
+
+
+def _resolvent_stack(pencil, points):
+    """(R, used) of _resolvents as one (len(points), n, n) stack and its points."""
+    R, used = zip(*_resolvents(pencil, points))
+    return np.concatenate(R), np.concatenate(used)
+
+
+def _norm2(R):
+    """||R[j]||_2, the largest singular value, of each matrix of the stack R."""
+    return np.linalg.svd(R, compute_uv=False)[:, 0]
 
 
 def index_by_growth(pencil: Pencil) -> IndexEstimate:
@@ -290,7 +302,7 @@ def index_by_growth(pencil: Pencil) -> IndexEstimate:
     residual is large (the latter happens when floating-point saturation of
     the stored pencil caps the observable growth of high-index problems).
     A sample whose resolvent stays singular
-    after its retries, in either half, is saturated outright: it is dropped
+    after its nudges, in either half, is saturated outright: it is dropped
     (counted in samples_dropped) and the estimate is not confident.  Raises
     SingularMatrixError only when fewer than two upper-half samples remain.
     """
@@ -303,12 +315,12 @@ def index_by_growth(pencil: Pencil) -> IndexEstimate:
     norms = np.full(samples, np.nan)
     used = np.full(samples, np.nan)
     lo = 0
-    for R, chunk in _resolvents(pencil, GROWTH_GRID, tries=6, drop=True):
+    for R, chunk in _resolvents(pencil, GROWTH_GRID, drop=True):
         j = slice(lo, lo + len(chunk))
         used[j] = chunk
         fit = (np.arange(j.start, j.stop) >= samples // 2) & ~np.isnan(chunk)
         if fit.any():
-            norms[j][fit] = np.linalg.svd(R[fit], compute_uv=False)[:, 0]
+            norms[j][fit] = _norm2(R[fit])
         lo = j.stop
 
     sampled = ~np.isnan(used)
@@ -354,7 +366,7 @@ def _shifted_kernels(pencil: Pencil, seed: int):
 
     def build():
         s0 = float(make_rng(seed).uniform(1.0, 2.0))
-        R, s0 = _nudged(lambda s: resolvent(pencil, s), s0, tries=10)
+        R, s0 = _nudged(lambda s: resolvent(pencil, s), s0)
         F = R @ pencil.E
         F.setflags(write=False)
         norm_F = float(np.linalg.norm(F, 2))

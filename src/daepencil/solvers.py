@@ -25,7 +25,7 @@ from .exceptions import (
     SingularMatrixError,
 )
 from .expm import expm
-from .pencils import Pencil, _cached, _nudged, _shifted_kernels, certify_regularity
+from .pencils import TINY, Pencil, _cached, _nudged, _shifted_kernels, certify_regularity
 from .subspaces import RankTolerance, _monotone_chain, distance, full_space, image, project
 
 __all__ = [
@@ -248,10 +248,7 @@ def _lifted(pencil, B, M, c0, times, method):
 
 def _difference_quotient_residuals(pencil, times, states, forcing_values):
     """||E q_i + A u_i - f_i|| with q the gradient of the computed states."""
-    if times.size == 1:
-        q = np.zeros_like(states)
-    else:
-        q = np.gradient(states, times, axis=0)
+    q = np.gradient(states, times, axis=0)
     r = q @ pencil.E.T + states @ pencil.A.T - forcing_values
     return np.linalg.norm(r, axis=1).astype(float)
 
@@ -373,7 +370,7 @@ def _split(pencil, seed):
                 stacklevel=5,
             )
     V = np.hstack([ran.basis, ker.basis])
-    smin = float(np.linalg.svd(V, compute_uv=False)[-1]) if n else 0.0
+    smin = float(np.linalg.svd(V, compute_uv=False)[-1])
     if smin < 1e-8:
         warnings.warn(
             f"combined splitting basis has sigma_min {smin:.3e} < 1e-8",
@@ -412,7 +409,7 @@ def decomposition_oracle(pencil: Pencil, u0, times, seed: int = 0) -> Trajectory
     # oblique components amplify input noise by up to 1/sigma_min(V), so the
     # consistency threshold is widened accordingly (capped to keep genuine
     # O(1) kernel components detectable)
-    amplification = min(1e3, 1.0 / max(split.basis_sigma_min, 1e-300))
+    amplification = min(1e3, 1.0 / max(split.basis_sigma_min, TINY))
     unit = np.maximum(1.0, np.linalg.norm(u0, axis=0))
     threshold = CONSISTENT_RTOL * unit * max(1.0, amplification)
     if np.any(knorm > threshold):

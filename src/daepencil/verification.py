@@ -19,7 +19,7 @@ from .chains import consistent_space
 from .exceptions import InconsistentInitialValueError, IsomorphismError, SingularMatrixError
 from .fixtures import FixtureSpec, generate
 from .laplace import _frobenius, _norm2_lower
-from .pencils import _resolvents
+from .pencils import TINY, _norm2, _resolvent_stack
 from .rng import make_rng
 from .solvers import classical_solution, decomposition_oracle
 from .subspaces import (
@@ -131,27 +131,22 @@ def _subspace_laws_row(seed):
     return row.done()
 
 
-def _stack(pencil, points):
-    """The resolvents at points as one stack, (len(points), n, n)."""
-    return np.concatenate([R for R, _ in _resolvents(pencil, points)])
-
-
 def _resolvent_identity_row(analyzed, seed):
     rng = make_rng(seed + 1)
     row = _Row("resolvent_identity")
     for _, _, a in analyzed:
         p = a.pencil
         pairs = rng.uniform(0.5, 50.0, size=(3, 2))  # three (s, t), as three draws of two
-        R = _stack(p, pairs.ravel())
+        R, used = _resolvent_stack(p, pairs.ravel())
         Rs, Rt = R[0::2], R[1::2]
-        gap = (pairs[:, 1] - pairs[:, 0])[:, None, None]
+        gap = (used[1::2] - used[0::2])[:, None, None]
         lhs = Rs - Rt
         rhs = gap * (Rs @ (p.E @ Rt))
         # the product scale keeps cancellation in Rs - Rt for nearby points
         # from inflating the error; Frobenius over lower bounds, as in laplace
         lb_lhs, lb_rhs, lb_s, lb_t = map(_norm2_lower, (lhs, rhs, Rs, Rt))
         product = np.abs(gap[:, 0, 0]) * lb_s * p.norm_E * lb_t
-        scale = np.maximum(np.maximum(np.maximum(lb_lhs, lb_rhs), product), 1e-300)
+        scale = np.maximum(np.maximum(np.maximum(lb_lhs, lb_rhs), product), TINY)
         err = _frobenius(lhs - rhs) / scale
         row.add(err, err <= 1e-9)
     return row.done()
@@ -188,8 +183,8 @@ def _chain_descent_row(analyzed):
     eps = np.finfo(float).eps
     for _, _, a in analyzed:
         p, chain = a.pencil, a.chain
-        R = _stack(p, (3.0, 10.0, 100.0))
-        noise = 10.0 * eps * np.linalg.svd(R, compute_uv=False)[:, :1] * p.norm_E
+        R, _ = _resolvent_stack(p, (3.0, 10.0, 100.0))
+        noise = 10.0 * eps * _norm2(R)[:, None] * p.norm_E
         for k in range(chain.stabilization + 1):
             mapped = R @ (p.E @ chain.spaces[k].basis)  # (point, n, column)
             norms = np.linalg.norm(mapped, axis=1)
@@ -277,13 +272,13 @@ def _solver_rows(analyzed):
             continue
         states = traj.states  # (times, n, columns)
         norms = np.linalg.norm(states, axis=1)
-        peak = np.maximum(np.max(norms, axis=0), 1e-300)
+        peak = np.maximum(np.max(norms, axis=0), TINY)
         r = np.max(traj.derivative_residuals, axis=0) / ((p.norm_E + p.norm_A) * peak)
         residual.add(r, r <= 1e-8)
         d0 = np.linalg.norm(states[0] - U0, axis=0)
         initial.add(d0, d0 <= 1e-12 * np.linalg.norm(U0, axis=0))
         off = distance(cons, np.hstack(states)).reshape(norms.shape)  # column t*m + j
-        worst_inv = np.max(off / np.maximum(norms, 1e-300), axis=0)
+        worst_inv = np.max(off / np.maximum(norms, TINY), axis=0)
         invariance.add(worst_inv, worst_inv <= 1e-9)
         try:
             ref = decomposition_oracle(p, U0, SOLVE_GRID, seed=spec.seed)

@@ -189,6 +189,16 @@ class TestSolve:
 
         assert worst_residual(80) < worst_residual(40)
 
+    @pytest.mark.parametrize("method", ["exponential", "euler", "oracle"])
+    def test_not_regular_exit_3(self, tmp_path, method, capsys):
+        M = np.diag([1.0, 0.0])
+        paths = write_pencil(tmp_path, M, M, np.array([1.0, 0.0]))
+        csv = tmp_path / "out.csv"
+        args = ["solve", *paths, "--t-end", "1", "--steps", "4", "--method", method]
+        assert main([*args, "--csv", str(csv)]) == 3
+        assert "not regular" in capsys.readouterr().err
+        assert not csv.exists()
+
     def test_csv_to_stdout(self, mixed_files, capsys):
         _, paths = mixed_files
         assert main(["solve", *paths, "--t-end", "1", "--steps", "2"]) == 0

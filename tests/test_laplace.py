@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import daepencil.laplace as laplace_mod
+import daepencil.pencils as pencils_mod
 import daepencil.solvers as solvers_mod
+from daepencil.analysis import IDENTITY_POINTS
 from daepencil.chains import compute_chain, consistent_space
 from daepencil.exceptions import (
     InconsistentInitialValueError,
@@ -42,15 +44,17 @@ ACCEPTANCE_K2 = FixtureSpec(11, (3,), 34.402767867042435, 8402350920931806502)
 
 def _count_resolvents(monkeypatch):
     """Record every sample point whose resolvent laplace takes; it takes them
-    all through the stacked sampling of pencils._resolvents."""
+    all through the stacked sampling of pencils._resolvents, directly or by
+    pencils._resolvent_stack."""
     calls = []
-    real = laplace_mod._resolvents
+    real = pencils_mod._resolvents
 
     def counted(pencil, points, *args, **kwargs):
         calls.extend(np.asarray(points).tolist())
         return real(pencil, points, *args, **kwargs)
 
     monkeypatch.setattr(laplace_mod, "_resolvents", counted)
+    monkeypatch.setattr(pencils_mod, "_resolvents", counted)
     return calls
 
 
@@ -321,6 +325,25 @@ class TestHatSolution:
         np.testing.assert_allclose(
             hat_solution(p, u0, np.conj(s)), np.conj(hat_solution(p, u0, s)), rtol=1e-12
         )
+
+
+class TestSingularSamplePoint:
+    """A pole exactly on a sample point is nudged to 1.01 s, the point reported."""
+
+    def test_identities(self):
+        s = IDENTITY_POINTS[3]
+        p = new_pencil(np.eye(2), -s * np.eye(2))
+        reports = verify_identities(p, np.array([0.6, 0.8]), IDENTITY_POINTS)
+        expected = IDENTITY_POINTS[:3] + (s * 1.01,) + IDENTITY_POINTS[4:]
+        for rep in reports:
+            assert rep.passed and rep.sample_points == expected
+
+    def test_expansion(self):
+        grid = expansion_grid(0)
+        p = new_pencil(np.eye(2), -grid[4] * np.eye(2))
+        rep = verify_expansion(p, compute_chain(p), 0)
+        assert rep.passed
+        assert rep.sample_points == (*grid[:4], grid[4] * 1.01, *grid[5:])
 
 
 class TestSharedIdentities:

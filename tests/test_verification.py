@@ -1,12 +1,22 @@
 """The property suite behind `daepencil verify`: how much solver work it does."""
 
+from types import SimpleNamespace
+
 import numpy as np
 
 import daepencil.solvers as solvers_mod
 import daepencil.verification as verification_mod
 from daepencil.chains import compute_chain, consistent_space
 from daepencil.fixtures import FixtureSpec, generate
-from daepencil.verification import _Row, _subspace_laws_row, random_specs, run_suite
+from daepencil.pencils import new_pencil
+from daepencil.rng import make_rng
+from daepencil.verification import (
+    _resolvent_identity_row,
+    _Row,
+    _subspace_laws_row,
+    random_specs,
+    run_suite,
+)
 
 
 def test_three_evolutions_per_fixture_with_consistent_values(monkeypatch):
@@ -96,3 +106,13 @@ def test_one_identity_battery_per_fixture(monkeypatch):
     names = [row.name for row in result.rows]
     assert names[2:5] == ["resolvent_commutation", "resolvent_shift", "solution_formula"]
     assert names[6] == "resolvent_expansion" and names[-1] == "transform_match"
+
+
+def test_resolvent_identity_takes_its_gap_from_the_points_used():
+    # a pole exactly on the first drawn s: the sample moves to 1.01 s, and
+    # R(s) - R(t) = (t - s) R(s) E R(t) holds only with the moved s
+    seed = 4
+    s = make_rng(seed + 1).uniform(0.5, 50.0, size=(3, 2))[0, 0]
+    pencil = new_pencil(np.eye(2), -s * np.eye(2))
+    row = _resolvent_identity_row([(None, None, SimpleNamespace(pencil=pencil))], seed)
+    assert row.passed and row.checked == 3

@@ -14,7 +14,10 @@ where the subspace chains meet roundoff well above the rank tolerance, and
 at `--seed 1 --conditioning 1e6`, where the reduced generator fails on 19
 fixtures (17 over its residual cap, 2 with a restricted E that is not
 bijective), so both failure paths of the transform match are gated.  It
-also writes the `analyze --json` report of a 1-D Stokes-like saddle at
+writes the singular pencil E = A = diag(1, 0) and u0 = (1, 0) as exact
+array files and records the exit codes of `analyze` and of `solve` for each
+`--method` on it, which the CLI's contract sets to 3.  It also writes the
+`analyze --json` report of a 1-D Stokes-like saddle at
 m = 16 (n = 24), whose `E.mtx` and `A.mtx` it writes itself with exact
 entries.  The saddle's finite eigenvalues run from 17 to 561 in modulus, far
 outside the |lambda| <= 2.2 of every generated fixture, so the gate also
@@ -114,6 +117,15 @@ def _write_stokes(fixture: Path, m: int):
     _write_coordinate(fixture / "A.mtx", m + q, A)
 
 
+def _write_singular(fixture: Path):
+    """E.mtx = A.mtx = diag(1, 0) in array format and u0.txt = (1, 0), all exact."""
+    fixture.mkdir(parents=True, exist_ok=True)
+    for name in ("E.mtx", "A.mtx"):
+        text = "%%MatrixMarket matrix array real general\n2 2\n1\n0\n0\n0\n"
+        (fixture / name).write_text(text, encoding="ascii")
+    (fixture / "u0.txt").write_text("1 0\n", encoding="ascii")
+
+
 def run(out: Path, src: Path):
     out.mkdir(parents=True, exist_ok=True)
     codes = {}
@@ -142,6 +154,15 @@ def run(out: Path, src: Path):
                 "--csv", fixture / f"{method}.csv",
             )
             print(f"{key}: exit {codes[key]}")
+    fixture = out / "singular"
+    _write_singular(fixture)
+    E, A, u0 = fixture / "E.mtx", fixture / "A.mtx", fixture / "u0.txt"
+    runs = {"analyze_singular": ("analyze", E, A)}
+    for method in SOLVE_METHODS:
+        runs[f"solve_singular_{method}"] = ("solve", E, A, u0, *SOLVE_ARGS, "--method", method)
+    for key, args in runs.items():
+        codes[key] = _cli(src, *args)
+        print(f"{key}: exit {codes[key]}")
     name = f"analyze_stokes_m-{STOKES_M}"
     _write_stokes(out / name, STOKES_M)
     E, A = out / name / "E.mtx", out / name / "A.mtx"
