@@ -38,8 +38,8 @@ class IvChain:
 
     The chain also holds the pencil the spaces belong to and the images
     E[IV_j] compute_chain found on the way (one per space but the last); the
-    restricted-isomorphism report and the reduced generator are computed once
-    from them and kept on the chain.
+    restricted map with its isomorphism report and the reduced generator are
+    computed once from them and kept on the chain.
     """
 
     spaces: tuple
@@ -109,7 +109,7 @@ class IsoReport:
     sigma_min/sigma_max are the extreme singular values of the restricted
     matrix expressed in the orthonormal bases of domain and codomain (None
     when both are zero-dimensional, where the map is vacuously bijective).
-    bijective requires equal dimensions and sigma_min above the rank cutoff.
+    bijective requires equal dimensions and full rank under chain.tol, against ||E||.
     """
 
     k: int
@@ -126,30 +126,30 @@ def check_restricted_iso(pencil: Pencil, chain: IvChain) -> IsoReport:
     Computed once per chain and kept on it.
     """
     _check_owner(pencil, chain)
-    return _cached(chain, "iso", lambda: _restricted_iso(chain))
+    return _restricted_iso(chain)[0]
 
 
 def _restricted_iso(chain):
+    """(IsoReport, read-only C^H (E B) for the bases B of IV_{k+1} and C of E[IV_k],
+    None if either is empty), built once per chain and kept on it."""
+    return _cached(chain, "iso", lambda: _build_iso(chain))
+
+
+def _build_iso(chain):
     pencil = chain.pencil
     k = chain.stabilization
     domain = chain.spaces[k + 1]
     codomain = chain.images[k]
-    if domain.dim == 0 and codomain.dim == 0:
-        return IsoReport(k, 0, 0, None, None, True)
+    if domain.dim == 0 or codomain.dim == 0:
+        # bijective iff both sides are trivial; otherwise the dimensions disagree
+        bijective = domain.dim == codomain.dim
+        return IsoReport(k, domain.dim, codomain.dim, None, None, bijective), None
     restricted = codomain.basis.conj().T @ (pencil.E @ domain.basis)
-    if restricted.size == 0:
-        # one side trivial, the other not: dimensions already disagree
-        return IsoReport(k, domain.dim, codomain.dim, None, None, False)
+    restricted.setflags(write=False)
     svals = np.linalg.svd(restricted, compute_uv=False)
-    # bijectivity floor measured against ||E||, not against the restricted
-    # matrix itself, so a map that vanishes on IV_{k+1} cannot look invertible
-    cutoff = chain.tol.relative * pencil.norm_E * max(restricted.shape)
-    bijective = domain.dim == codomain.dim and float(svals[-1]) > cutoff
-    return IsoReport(
-        k=k,
-        dim_domain=domain.dim,
-        dim_codomain=codomain.dim,
-        sigma_min=float(svals[-1]),
-        sigma_max=float(svals[0]),
-        bijective=bool(bijective),
-    )
+    # ranked against ||E||, not against the restricted matrix itself, so a
+    # map that vanishes on IV_{k+1} cannot look invertible
+    rank = chain.tol.rank(svals, restricted.shape, reference=pencil.norm_E)
+    bijective = domain.dim == codomain.dim == rank
+    report = IsoReport(k, domain.dim, codomain.dim, float(svals[-1]), float(svals[0]), bijective)
+    return report, restricted

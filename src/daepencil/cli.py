@@ -161,17 +161,27 @@ def _load_fixture_specs(path):
         raw = json.load(fh)
     if not isinstance(raw, list):
         raise ValueError("fixture file must hold a JSON list of spec objects")
-    specs = []
-    for entry in raw:
-        specs.append(
-            FixtureSpec(
-                n1=int(entry["n1"]),
-                nilpotent_blocks=tuple(entry.get("nilpotent_blocks", ())),
-                conditioning=float(entry.get("conditioning", 100.0)),
-                seed=int(entry.get("seed", 0)),
-            )
-        )
-    return specs
+    return [_fixture_spec(i, entry) for i, entry in enumerate(raw)]
+
+
+def _fixture_spec(i, entry):
+    """The FixtureSpec of entry i of a fixture file: an object whose n1, seed and
+    nilpotent_blocks items are JSON integers; a ValueError naming i otherwise."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"fixture entry {i} is not a JSON object: {json.dumps(entry)}")
+    blocks = entry.get("nilpotent_blocks", [])
+    if not isinstance(blocks, list):
+        raise ValueError(f"fixture entry {i}: nilpotent_blocks must be a list")
+    seed, conditioning = entry.get("seed", 0), entry.get("conditioning", 100.0)
+    for key, value in (("n1", entry.get("n1")), ("seed", seed), *(("block", b) for b in blocks)):
+        if type(value) is not int:
+            raise ValueError(f"fixture entry {i}: {key} {json.dumps(value)} is not a JSON integer")
+    if type(conditioning) not in (int, float):
+        raise ValueError(f"fixture entry {i}: conditioning must be a JSON number")
+    try:
+        return FixtureSpec(entry["n1"], tuple(blocks), float(conditioning), seed)
+    except ValueError as exc:
+        raise ValueError(f"fixture entry {i}: {exc}") from None
 
 
 def _cmd_verify(args):

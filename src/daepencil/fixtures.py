@@ -40,8 +40,10 @@ class FixtureSpec:
             raise ValueError("nilpotent block sizes must be >= 1")
         if self.n1 + sum(self.nilpotent_blocks) < 1:
             raise ValueError("total dimension must be >= 1")
-        if self.conditioning < 1.0:
-            raise ValueError("conditioning bound must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, not {self.seed}")
+        if not 1.0 <= self.conditioning < np.inf:
+            raise ValueError(f"conditioning bound must be finite and >= 1, not {self.conditioning}")
 
     @property
     def dim(self) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import IvChain, check_restricted_iso, consistent_space
+from .chains import IvChain, _restricted_iso, check_restricted_iso, consistent_space
 from .exceptions import (
     ConditioningWarning,
     InconsistentInitialValueError,
@@ -40,9 +40,6 @@ __all__ = [
     "fitting_splitting",
     "decomposition_oracle",
 ]
-
-# relative distance from the consistent space below which u0 counts as consistent
-CONSISTENT_RTOL = 1e-9
 
 # generator residual cap: ||E lift(M e_j) - A b_j|| <= this * (||E|| + ||A||)
 GENERATOR_RTOL = 1e-8
@@ -111,12 +108,12 @@ def _check_times(times):
 def is_consistent(pencil: Pencil, chain: IvChain, u0):
     """Whether u0 admits a classical solution, with its distance to IV_{k+1}.
 
-    An (n, m) block takes one projection: whether every column is consistent,
-    with the largest column distance.
+    Consistent means distance <= chain.tol.membership * max(1, ||u0||).  An (n, m)
+    block takes one projection; every column must pass, and the largest distance is given.
     """
     u0 = _check_u0(pencil, u0, block=True)
     dist = distance(consistent_space(pencil, chain), u0)
-    ok = np.all(dist <= CONSISTENT_RTOL * np.maximum(1.0, np.linalg.norm(u0, axis=0)))
+    ok = np.all(dist <= chain.tol.membership * np.maximum(1.0, np.linalg.norm(u0, axis=0)))
     return bool(ok), float(np.max(dist, initial=0.0))
 
 
@@ -150,10 +147,8 @@ def _generator(chain):
     d = B.shape[1]
     if d == 0:
         return ReducedGenerator(k, B, np.zeros((0, 0)), 0.0)
-    C = chain.images[k].basis
-    restricted = C.conj().T @ (pencil.E @ B)
-    rhs = C.conj().T @ (pencil.A @ B)
-    M = np.linalg.lstsq(restricted, rhs, rcond=None)[0]
+    rhs = chain.images[k].basis.conj().T @ (pencil.A @ B)
+    M = np.linalg.lstsq(_restricted_iso(chain)[1], rhs, rcond=None)[0]
 
     defect = pencil.E @ (B @ M) - pencil.A @ B
     scale = pencil.norm_E + pencil.norm_A
@@ -313,8 +308,8 @@ class FittingSplit:
     splitting itself is oblique; basis_sigma_min (smallest singular value of
     the combined basis) measures how oblique.  generator is F_r^{-1} G_r on
     the range part (G = I - s0 F), so solutions there are exp(-t generator)
-    applied to the range component.  All arrays are read-only: the split is
-    kept on its pencil and shared.
+    applied to the range component; tol decided both summands.  All arrays
+    are read-only: the split is kept on its pencil and shared.
     """
 
     shift: float
@@ -322,6 +317,7 @@ class FittingSplit:
     kernel_basis: np.ndarray
     generator: np.ndarray
     basis_sigma_min: float
+    tol: RankTolerance
 
     def components(self, u0):
         """Oblique components (range part, kernel part) of u0."""
@@ -352,7 +348,7 @@ def _split(pencil, seed):
     s0, F, norm_F, kernels = _shifted_kernels(pencil, seed)
     ker = kernels[-2]
     n = pencil.n
-    ran = _monotone_chain(lambda S: image(F, S, norm_F), full_space(n, RankTolerance()))[-2]
+    ran = _monotone_chain(lambda S: image(F, S, norm_F), full_space(n, ker.tol))[-2]
 
     if ran.dim + ker.dim != n:
         raise SingularMatrixError(
@@ -389,7 +385,7 @@ def _split(pencil, seed):
     else:
         generator = np.zeros((0, 0))
     generator.setflags(write=False)
-    return FittingSplit(s0, ran.basis, ker.basis, generator, smin)
+    return FittingSplit(s0, ran.basis, ker.basis, generator, smin, ker.tol)
 
 
 def decomposition_oracle(pencil: Pencil, u0, times, seed: int = 0) -> Trajectory:
@@ -411,7 +407,7 @@ def decomposition_oracle(pencil: Pencil, u0, times, seed: int = 0) -> Trajectory
     # O(1) kernel components detectable)
     amplification = min(1e3, 1.0 / max(split.basis_sigma_min, TINY))
     unit = np.maximum(1.0, np.linalg.norm(u0, axis=0))
-    threshold = CONSISTENT_RTOL * unit * max(1.0, amplification)
+    threshold = split.tol.membership * unit * max(1.0, amplification)
     if np.any(knorm > threshold):
         worst = float(np.max(knorm))
         raise InconsistentInitialValueError(

@@ -45,8 +45,13 @@ class RankTolerance:
     relative: float = 1e-10
 
     def __post_init__(self):
-        if not self.relative > 0:
-            raise ValueError(f"rank tolerance must be positive, got {self.relative!r}")
+        if not 0 < self.relative < np.inf:
+            raise ValueError(f"rank tolerance must be positive and finite, got {self.relative!r}")
+
+    @property
+    def membership(self) -> float:
+        """Relative distance up to which a vector lies in a subspace (every such test)."""
+        return 10.0 * self.relative
 
     def rank(self, singular_values, shape, reference=None) -> int:
         """Numerical rank; `reference` overrides sigma_max as the scale.
@@ -59,8 +64,7 @@ class RankTolerance:
         scale = float(reference) if reference is not None else (s[0] if s.size else 0.0)
         if s.size == 0 or scale == 0.0:
             return 0
-        cutoff = self.relative * scale * max(shape)
-        return int(np.count_nonzero(s > cutoff))
+        return int(np.count_nonzero(s > self.relative * scale * max(shape)))
 
     def coarser(self, other: "RankTolerance") -> "RankTolerance":
         """The looser of two tolerances; set operations on two subspaces use this."""
@@ -260,15 +264,15 @@ def distance(S: Subspace, v):
 def contains(S: Subspace, T: Subspace) -> bool:
     """Whether T is a subset of S, decided basis-vector-wise.
 
-    Each unit basis vector t of T must satisfy distance(S, t) <= 10 * tol,
-    with tol the coarser of the two operands' relative tolerances (one projection for all).
+    Each unit basis vector t of T must satisfy distance(S, t) <= membership of
+    the coarser of the two operands' tolerances (one projection for all).
     """
     _check_same_ambient(S, T)
     if T.dim == 0:
         return True
     if T.dim > S.dim:
         return False
-    cutoff = 10.0 * S.tol.coarser(T.tol).relative
+    cutoff = S.tol.coarser(T.tol).membership
     return bool(np.all(distance(S, T.basis) <= cutoff * np.linalg.norm(T.basis, axis=0)))
 
 

@@ -279,7 +279,7 @@ def _solver_rows(analyzed):
         initial.add(d0, d0 <= 1e-12 * np.linalg.norm(U0, axis=0))
         off = distance(cons, np.hstack(states)).reshape(norms.shape)  # column t*m + j
         worst_inv = np.max(off / np.maximum(norms, TINY), axis=0)
-        invariance.add(worst_inv, worst_inv <= 1e-9)
+        invariance.add(worst_inv, worst_inv <= chain.tol.membership)
         try:
             ref = decomposition_oracle(p, U0, SOLVE_GRID, seed=spec.seed)
         except (InconsistentInitialValueError, SingularMatrixError):

@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from daepencil.analysis import build_analysis
-from daepencil.chains import compute_chain, consistent_space
+from daepencil.chains import check_restricted_iso, compute_chain, consistent_space
 from daepencil.cli import main
 from daepencil.exceptions import InconsistentInitialValueError
 from daepencil.expm import expm
@@ -31,7 +31,7 @@ from daepencil.solvers import (
     fitting_splitting,
     implicit_euler,
 )
-from daepencil.subspaces import contains, equal
+from daepencil.subspaces import RankTolerance, contains, equal
 from daepencil.verification import random_specs
 
 MASTER_SEED = 20260809
@@ -280,6 +280,27 @@ def test_criterion_4_restricted_isomorphism():
         f"bijective on all 200 fixtures; sigma_min distribution "
         f"min {q[0]:.2e} / q25 {q[1]:.2e} / med {q[2]:.2e} / q75 {q[3]:.2e} / max {q[4]:.2e}",
     )
+
+
+def test_restricted_iso_decides_through_the_rank_rule():
+    # bijective iff the dimensions agree and tol.rank, against ||E||, keeps all
+    # of C^H (E B); coarse tolerances make both verdicts and rank-deficient maps occur
+    verdicts, deficient = set(), 0
+    for _, _, a in bundle():
+        p = a.pencil
+        for chain in (a.chain, *(compute_chain(p, RankTolerance(t)) for t in (1e-4, 1e-3, 1e-2))):
+            k = chain.stabilization
+            B, C = chain.spaces[k + 1].basis, chain.images[k].basis
+            iso = check_restricted_iso(p, chain)
+            rank = 0
+            if B.size and C.size:
+                svals = np.linalg.svd(C.conj().T @ (p.E @ B), compute_uv=False)
+                rank = chain.tol.rank(svals, (C.shape[1], B.shape[1]), reference=p.norm_E)
+            same = B.shape[1] == C.shape[1]
+            assert iso.bijective == (same and rank == B.shape[1])
+            verdicts.add(iso.bijective)
+            deficient += same and rank < B.shape[1]
+    assert verdicts == {True, False} and deficient > 0
 
 
 def _oracle_states(pencil, split, u0, times):

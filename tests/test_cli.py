@@ -7,11 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from daepencil.chains import compute_chain, consistent_space
 from daepencil.cli import main
 from daepencil.exceptions import IsomorphismError
 from daepencil.fileio import write_matrix_market, write_vector
 from daepencil.fixtures import FixtureSpec, generate
-from daepencil.subspaces import full_space
+from daepencil.subspaces import RankTolerance, full_space
 
 
 def verify_one_fixture(tmp_path, capsys):
@@ -130,6 +131,13 @@ class TestAnalyze:
         assert reports[1]["tol"] == 1e-8
         assert reports[0]["index_nilpotency"] == reports[1]["index_nilpotency"]
 
+    def test_non_finite_tol_exit_1(self, tmp_path, capsys):
+        pencil, _ = generate(FixtureSpec(1, (2,), 100.0, 0))
+        paths = write_pencil(tmp_path, pencil.E, pencil.A)
+        for tol in ("inf", "nan", "0"):
+            assert main(["analyze", *paths, "--tol", tol]) == 1
+            assert "rank tolerance must be positive and finite" in capsys.readouterr().err
+
     def test_byte_identical_reports(self, tmp_path):
         pencil, _ = generate(FixtureSpec(2, (2,), 100.0, 3))
         paths = write_pencil(tmp_path, pencil.E, pencil.A)
@@ -162,6 +170,21 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "away from the consistent space" in err
         assert "nearest consistent" in err
+
+    def test_tol_reaches_the_consistency_test(self, tmp_path, capsys):
+        # u0 = b + 1e-7 w, b a consistent basis vector and w a unit normal:
+        # consistent under --tol 1e-7 (membership 1e-6), not under the default
+        pencil, _ = generate(FixtureSpec(3, (2,), 100.0, 5))
+        chain = compute_chain(pencil, RankTolerance(1e-7))
+        cons = consistent_space(pencil, chain)
+        off = np.eye(pencil.n) - cons.basis @ cons.basis.T
+        w = off[:, np.argmax(np.linalg.norm(off, axis=0))]
+        u0 = cons.basis[:, 0] + 1e-7 * w / np.linalg.norm(w)
+        paths = write_pencil(tmp_path, pencil.E, pencil.A, u0)
+        args = ["solve", *paths, "--t-end", "1", "--steps", "4"]
+        assert main([*args, "--tol", "1e-7"]) == 0
+        assert main(args) == 4
+        assert "away from the consistent space" in capsys.readouterr().err
 
     def test_oracle_matches_exponential(self, mixed_files, tmp_path):
         _, paths = mixed_files
@@ -314,6 +337,30 @@ class TestVerify:
         assert main(["verify", "--fixtures", str(bad)]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "entries,message",
+        [
+            ([1, 2], "0 is not a JSON object: 1"),
+            ([{"n1": 2, "nilpotent_blocks": 3}], "0: nilpotent_blocks must be a list"),
+            ([{"n1": 1}, {"n1": 2.7}], "1: n1 2.7 is not a JSON integer"),
+            ([{"seed": 1}], "0: n1 null is not a JSON integer"),
+            ([{"n1": 1, "nilpotent_blocks": [2, True]}], "0: block true is not a JSON integer"),
+            ([{"n1": 1, "conditioning": "10"}], "0: conditioning must be a JSON number"),
+            ([{"n1": 1, "conditioning": 0.5}], "0: conditioning bound must be finite and >= 1"),
+            ([{"n1": 1, "seed": -1}], "0: seed must be nonnegative, not -1"),
+        ],
+    )
+    def test_malformed_fixture_entry_exit_1(self, tmp_path, capsys, entries, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(entries))
+        assert main(["verify", "--fixtures", str(bad)]) == 1
+        assert f"error: fixture entry {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("conditioning", ["inf", "nan"])
+    def test_non_finite_conditioning_exit_1(self, capsys, conditioning):
+        assert main(["verify", "--random", "3", "--conditioning", conditioning]) == 1
+        assert "conditioning bound must be finite and >= 1" in capsys.readouterr().err
+
     def test_deterministic_output(self, tmp_path, capsys):
         args = ["verify", "--random", "3", "--dim-range", "2..6",
                 "--index-range", "0..1", "--seed", "11"]
@@ -349,6 +396,14 @@ class TestGenerate:
             ["solve", str(out_dir / "E.mtx"), str(out_dir / "A.mtx"),
              str(out_dir / "u0.txt"), "--t-end", "1", "--steps", "4"]
         ) == 0
+
+    @pytest.mark.parametrize("conditioning", ["nan", "inf"])
+    def test_non_finite_conditioning_exit_1(self, tmp_path, capsys, conditioning):
+        out = tmp_path / "d"
+        args = ["generate", "--n1", "2", "--blocks", "2", "--conditioning", conditioning]
+        assert main([*args, "--out", str(out)]) == 1
+        assert "conditioning bound must be finite and >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_blocks_exit_1(self, tmp_path, capsys):
         assert main(

@@ -19,6 +19,11 @@ class TestFixtureSpec:
             FixtureSpec(1, (0,))
         with pytest.raises(ValueError):
             FixtureSpec(1, (2,), conditioning=0.5)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite and >= 1"):
+                FixtureSpec(1, (2,), conditioning=bad)
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            FixtureSpec(1, (2,), seed=-1)
 
 
 class TestGenerate:

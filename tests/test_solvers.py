@@ -16,7 +16,7 @@ from daepencil.exceptions import (
 )
 from daepencil.fixtures import FixtureSpec, generate
 from daepencil.laplace import verify_expansion
-from daepencil.pencils import new_pencil
+from daepencil.pencils import _shifted_kernels, new_pencil
 from daepencil.solvers import (
     classical_solution,
     decomposition_oracle,
@@ -26,7 +26,7 @@ from daepencil.solvers import (
     nearest_consistent,
     reduced_generator,
 )
-from daepencil.subspaces import distance
+from daepencil.subspaces import RankTolerance, contains, distance, span
 
 N2 = np.array([[0.0, 1.0], [0.0, 0.0]])
 DIAG_1_N2_E = np.array([[1.0, 0, 0], [0, 0, 1.0], [0, 0, 0]])
@@ -37,6 +37,17 @@ E1_3 = np.array([1.0, 0.0, 0.0])
 def mixed():
     p = new_pencil(DIAG_1_N2_E, np.eye(3))
     return p, compute_chain(p)
+
+
+def offset_consistent(tol, step=1e-7):
+    """(pencil, chain at tol, u0) for FixtureSpec(3, (2,), 100, 5): u0 is a consistent
+    basis vector plus step times a unit normal to the consistent space."""
+    p, _ = generate(FixtureSpec(3, (2,), 100.0, 5))
+    chain = compute_chain(p, tol)
+    cons = consistent_space(p, chain)
+    off = np.eye(p.n) - cons.basis @ cons.basis.T
+    w = off[:, np.argmax(np.linalg.norm(off, axis=0))]
+    return p, chain, cons.basis[:, 0] + step * w / np.linalg.norm(w)
 
 
 @pytest.fixture
@@ -63,6 +74,22 @@ class TestConsistency:
         p, chain = mixed
         ok, dist = is_consistent(p, chain, E1_3)
         assert ok and dist < 1e-12
+
+    def test_chain_tolerance_decides_consistency(self):
+        # u0 and span([u0]) get one verdict: the chain's membership tolerance
+        p, chain, u0 = offset_consistent(RankTolerance(1e-7))
+        assert contains(consistent_space(p, chain), span([u0], chain.tol))
+        ok, dist = is_consistent(p, chain, u0)
+        assert ok and dist == pytest.approx(1e-7)
+        traj = classical_solution(p, chain, u0, np.linspace(0.0, 1.0, 5))
+        np.testing.assert_allclose(traj.states[0], nearest_consistent(p, chain, u0), atol=1e-14)
+
+    def test_default_tolerance_rejects_the_same_offset(self):
+        p, chain, u0 = offset_consistent(RankTolerance())
+        assert not contains(consistent_space(p, chain), span([u0], chain.tol))
+        assert not is_consistent(p, chain, u0)[0]
+        with pytest.raises(InconsistentInitialValueError):
+            classical_solution(p, chain, u0, np.linspace(0.0, 1.0, 5))
 
     def test_nearest_consistent_projects(self, nilpotent, mixed):
         p, chain = nilpotent
@@ -301,6 +328,12 @@ class TestDecompositionOracle:
         M = np.array([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(NotRegularError):
             decomposition_oracle(new_pencil(M, M), np.ones(2), np.array([0.0, 1.0]))
+
+    def test_split_keeps_the_shift_routes_one_tolerance(self):
+        p, _ = generate(FixtureSpec(3, (2,), 100.0, 5))
+        split = fitting_splitting(p, seed=2)
+        assert split.tol is _shifted_kernels(p, 2)[3][0].tol
+        assert split.tol == RankTolerance()
 
     def test_splitting_dimensions(self):
         p, truth = generate(FixtureSpec(2, (3,), 100.0, 12))

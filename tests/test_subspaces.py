@@ -54,6 +54,14 @@ class TestRankTolerance:
             RankTolerance(0.0)
         with pytest.raises(ValueError):
             RankTolerance(-1e-3)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                RankTolerance(bad)
+
+    def test_membership_is_ten_times_relative(self):
+        # exact at the default: the membership bound stays 1e-9
+        assert RankTolerance().membership == 1e-9
+        assert RankTolerance(1e-7).membership == 10.0 * 1e-7
 
     def test_coarser(self):
         a, b = RankTolerance(1e-10), RankTolerance(1e-6)

@@ -9,7 +9,9 @@ directory of the same name, the `analyze --json --tol 1e-8` report of two of
 them, the `solve --csv` trajectory of three of them (Kronecker index <= 2)
 for each `--method`, and the stdout, JSON and exit code of
 `verify --random 60 --dim-range 2..20 --index-range 0..4 --seed S` for
-S = 7, 8, 9, 11, and of the same command at `--seed 1 --conditioning 1e5`,
+S = 7, 8, 9, 11, of the same command at `--seed 7 --tol 1e-8`, where every
+rank, membership, bijectivity and consistency cutoff moves with the
+tolerance, at `--seed 1 --conditioning 1e5`,
 where the subspace chains meet roundoff well above the rank tolerance, and
 at `--seed 1 --conditioning 1e6`, where the reduced generator fails on 19
 fixtures (17 over its residual cap, 2 with a restricted E that is not
@@ -76,6 +78,7 @@ STOKES_M = 16
 VERIFY_ARGS = ("--random", "60", "--dim-range", "2..20", "--index-range", "0..4")
 # output name -> the verify options that follow VERIFY_ARGS
 VERIFY_RUNS = {f"verify_seed-{seed}": ("--seed", seed) for seed in (7, 8, 9, 11)}
+VERIFY_RUNS[f"verify_seed-7_tol-{TOL}"] = ("--seed", 7, "--tol", TOL)
 VERIFY_RUNS["verify_seed-1_conditioning-1e5"] = ("--seed", 1, "--conditioning", "1e5")
 VERIFY_RUNS["verify_seed-1_conditioning-1e6"] = ("--seed", 1, "--conditioning", "1e6")
 EXIT_CODES = "exit_codes.json"
