@@ -134,20 +134,13 @@ def _cmd_solve(args):
             f"got --t-end {args.t_end} and --steps {args.steps}"
         )
     times = np.linspace(0.0, args.t_end, args.steps + 1)
-    try:
-        if args.method == "exponential":
-            chain = compute_chain(pencil, RankTolerance(args.tol))
-            trajectory = classical_solution(pencil, chain, u0, times)
-        elif args.method == "oracle":
-            trajectory = decomposition_oracle(pencil, u0, times, seed=args.seed)
-        else:
-            trajectory = implicit_euler(pencil, u0, args.t_end / args.steps, args.t_end)
-    except InconsistentInitialValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if exc.nearest is not None:
-            nearest = " ".join(format(x, ".17g") for x in np.real_if_close(exc.nearest))
-            print(f"nearest consistent initial value: {nearest}", file=sys.stderr)
-        return EXIT_INCONSISTENT
+    if args.method == "exponential":
+        chain = compute_chain(pencil, RankTolerance(args.tol))
+        trajectory = classical_solution(pencil, chain, u0, times)
+    elif args.method == "oracle":
+        trajectory = decomposition_oracle(pencil, u0, times, seed=args.seed)
+    else:
+        trajectory = implicit_euler(pencil, u0, args.t_end / args.steps, args.t_end)
     if args.csv_out:
         with open(args.csv_out, "w", encoding="ascii", newline="\n") as fh:
             write_trajectory_csv(fh, trajectory)
@@ -245,6 +238,9 @@ def main(argv=None) -> int:
         return EXIT_NOT_REGULAR if args.command in ("analyze", "solve") else EXIT_ERROR
     except InconsistentInitialValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if exc.nearest is not None:
+            nearest = " ".join(format(x, ".17g") for x in np.real_if_close(exc.nearest))
+            print(f"nearest consistent initial value: {nearest}", file=sys.stderr)
         return EXIT_INCONSISTENT if args.command == "solve" else EXIT_ERROR
     except (DaePencilError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

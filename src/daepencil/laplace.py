@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import IvChain, _check_owner
-from .pencils import TINY, Pencil, _norm2, _resolvent_stack, _resolvents, _solve_shifted
+from .pencils import TINY, Pencil, _norm2, _sampled, _solve_shifted
 from .solvers import _coordinates
 
 __all__ = [
@@ -64,7 +64,7 @@ def _peaks(X):
 
 def _sumsq(X):
     """Sum of |entry|^2 of each matrix of the stack X, one BLAS dot each."""
-    flat = X.reshape(*X.shape[:-2], 1, -1)
+    flat = X.reshape(*X.shape[:-2], 1, X.shape[-2] * X.shape[-1])  # no -1: stacks may be empty
     return (flat.conj() @ flat.swapaxes(-2, -1))[..., 0, 0].real
 
 
@@ -133,20 +133,20 @@ _IDENTITIES = {
 
 def _sample_identities(pencil, points, names, u0=None):
     """Reports of the named identities, sharing one resolvent per sample point,
-    each evaluated on the stacks of _resolvents at the points they were taken."""
+    each evaluated on the stacks of _sampled at the points they were taken."""
     points = tuple(points)
     if 0 in points and set(names) - {"commutation_b"}:
         raise ValueError("the shift identity and solution formula are undefined at s = 0")
-    worst = dict.fromkeys(names, 0.0)
-    used = []
-    for R, s in _resolvents(pencil, points):
-        used.extend(s.tolist())
-        for name in names:  # np.max keeps a NaN error, which then fails the check
-            errors = _IDENTITIES[name][1](pencil, R, s, u0)
-            worst[name] = float(np.maximum(worst[name], np.max(errors)))
+    errors, used = _sampled(
+        pencil,
+        points,
+        lambda R, s: np.stack([_IDENTITIES[name][1](pencil, R, s, u0) for name in names], -1),
+    )
+    # np.max keeps a NaN error, which then fails the check
+    worst = np.max(errors, axis=0, initial=0.0).tolist()
     return tuple(
-        IdentityReport(name, tuple(used), worst[name], worst[name] <= _IDENTITIES[name][0])
-        for name in names
+        IdentityReport(name, tuple(used.tolist()), w, w <= _IDENTITIES[name][0])
+        for name, w in zip(names, worst)
     )
 
 
@@ -225,9 +225,9 @@ def _fit_expansion_coefficients(pencil, B, k):
     """
     s_ref = min(100.0, _float64_horizon(k) / (4.0 * 2.0 ** (k + 1)))
     EB = pencil.E @ B
-    R, nodes = _resolvent_stack(pencil, s_ref * 2.0 ** np.arange(k + 2))
+    REB, nodes = _sampled(pencil, s_ref * 2.0 ** np.arange(k + 2), lambda R, s: R @ EB)
     V = np.vander(nodes[0] / nodes, k + 2, increasing=True)
-    gamma = np.linalg.solve(V, ((R @ EB) * nodes[:, None, None]).reshape(k + 2, -1))
+    gamma = np.linalg.solve(V, (REB * nodes[:, None, None]).reshape(k + 2, -1))
     coeffs = gamma.reshape(k + 2, *EB.shape) * (nodes[0] ** np.arange(k + 2))[:, None, None]
     return coeffs[1 : k + 1], float(np.linalg.cond(V))
 
@@ -282,10 +282,8 @@ def verify_expansion(pencil: Pencil, chain: IvChain, k: int, s_grid=None) -> Ide
         details["ill_conditioned_fit"] = True
 
     EB = pencil.E @ B
-    worst_c = 0.0
-    used = []
-    for R, s in _resolvents(pencil, s_grid):
-        used.extend(s.tolist())
+
+    def constants(R, s):  # the remainder constant C of every point
         bound = 1.0 + _norm2(R) * pencil.norm_A
         powers = s[:, None, None] ** -(np.arange(1, k + 1) + 1.0)
         # one gemv and one libm pow per point: a gemm over the chunk or a
@@ -294,8 +292,11 @@ def verify_expansion(pencil: Pencil, chain: IvChain, k: int, s_grid=None) -> Ide
         remainder = R @ EB - B / s[:, None, None] - series
         column = np.max(np.linalg.norm(remainder, axis=-2), axis=-1)
         lift = np.array([x ** (k + 1) for x in s.tolist()])
-        worst_c = float(np.maximum(worst_c, np.max(column * lift / bound)))
-    return IdentityReport("expansion_e", tuple(used), worst_c, worst_c <= EXPANSION_C_MAX, details)
+        return column * lift / bound
+
+    C, used = _sampled(pencil, s_grid, constants)
+    c = float(np.max(C, initial=0.0))
+    return IdentityReport("expansion_e", tuple(used.tolist()), c, c <= EXPANSION_C_MAX, details)
 
 
 def hat_solution(pencil: Pencil, u0, s):

@@ -50,7 +50,7 @@ SLOPE_RMS_MAX = 0.1
 # sample points of index_by_growth; the fit reads the upper half
 GROWTH_GRID = tuple(np.geomspace(1e2, 1e7, 24))
 
-# matrix entries per stacked solve of _resolvents: max(1, STACK_ENTRIES // n^2)
+# matrix entries per stacked solve of _sampled: max(1, STACK_ENTRIES // n^2)
 # sample points per chunk (a whole small-pencil grid, one point at n = 160)
 STACK_ENTRIES = 2**15
 
@@ -204,19 +204,32 @@ def resolvent(pencil: Pencil, s):
 
 
 def _solve_shifted(pencil: Pencil, s, rhs=None):
-    """X with (sE + A) X = rhs (the identity when None), raising
-    SingularMatrixError off the resolvent set; R(s) v needs no full inverse."""
-    s = complex(s)
-    if s.imag == 0.0 and not pencil.is_complex:
+    """X with (sE + A) X = rhs (the identity when None), for one shift s or a
+    1-d array of shifts, stacked along X's first axis in one solve; R(s) v
+    needs no full inverse.  Real shifts on a real pencil are solved in real
+    arithmetic, any other in complex; off the resolvent set SingularMatrixError."""
+    s = np.asarray(s, dtype=complex)
+    if not (pencil.is_complex or np.any(s.imag)):
         s = s.real
-    M = s * pencil.E + pencil.A
+    M = s[..., None, None] * pencil.E + pencil.A
+    if rhs is None:
+        rhs = np.broadcast_to(np.eye(pencil.n, dtype=M.dtype), M.shape)
+    return _solve(M, rhs, "sE + A", "s", s)
+
+
+def _solve(M, rhs, name, symbol, value):
+    """np.linalg.solve(M, rhs) for M = name at symbol = value, raising
+    SingularMatrixError where LAPACK refuses or leaves a non-finite entry: the
+    one singular rule of every resolvent sample and of implicit Euler's E/h + A."""
     try:
-        X = np.linalg.solve(M, np.eye(pencil.n, dtype=M.dtype) if rhs is None else rhs)
+        X = np.linalg.solve(M, rhs)
     except np.linalg.LinAlgError:
-        raise SingularMatrixError(f"sE + A is singular at s = {s}") from None
-    if not np.all(np.isfinite(X)):
-        raise SingularMatrixError(f"sE + A is numerically singular at s = {s}")
-    return X
+        kind = "singular"
+    else:
+        if np.all(np.isfinite(X)):
+            return X
+        kind = "numerically singular"
+    raise SingularMatrixError(f"{name} is {kind} at {symbol} = {np.asarray(value).tolist()}")
 
 
 @dataclass(frozen=True)
@@ -227,10 +240,6 @@ class IndexEstimate:
     method: str  # "growth" | "ivchain" | "nilpotency"
     confident: bool
     diagnostics: dict = field(default_factory=dict)
-
-
-def _round_half_away(x: float) -> int:
-    return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
 
 
 def _nudged(solve, x):
@@ -244,46 +253,47 @@ def _nudged(solve, x):
     return solve(x), x
 
 
-def _resolvents(pencil, points, drop=False):
-    """Yield (R, used) per chunk of points, R[j] = (used[j] E + A)^{-1}.
+def _sampled(pencil, points, f, drop=False):
+    """(values, used): f(R, s) of every chunk of points, concatenated, where
+    R[j] = (s[j] E + A)^{-1} and used, like s, holds where each was taken.
 
     A chunk holds at most STACK_ENTRIES matrix entries (one point at least)
-    and takes one stacked solve; its slices are bit for bit the resolvent of
-    each point.  A chunk whose solve raises or leaves a non-finite slice is
-    redone point by point through _nudged, so used[j] is where the resolvent
-    was taken.  A point still singular then raises its SingularMatrixError
-    or, with drop, leaves a NaN slice and used[j] = NaN.  Real points on a
-    real pencil are solved in real arithmetic, any other grid in complex.
+    and takes one stacked solve (_stack), whose slices are bit for bit the
+    resolvent of each point.  A point still singular after its nudges raises
+    its SingularMatrixError or, with drop, is left out of f's chunk and reads
+    NaN in used.  This is the one loop over resolvent chunks.
     """
     points = np.asarray(points, dtype=complex if np.iscomplexobj(points) else float)
-    complex_ = pencil.is_complex or bool(np.any(points.imag))
-    shifts = points.astype(complex) if complex_ else points.real
-    n = pencil.n
-    step = max(1, STACK_ENTRIES // (n * n))
-    for lo in range(0, points.size, step):
-        M = shifts[lo : lo + step, None, None] * pencil.E + pencil.A
-        used = points[lo : lo + step].copy()
-        try:
-            R = np.linalg.solve(M, np.broadcast_to(np.eye(n, dtype=M.dtype), M.shape))
-            stacked = bool(np.isfinite(R).all())
-        except np.linalg.LinAlgError:
-            stacked = False
-        if not stacked:
-            R = np.empty(M.shape, M.dtype)
-            for j, s in enumerate(used):
-                try:
-                    R[j], used[j] = _nudged(lambda t: resolvent(pencil, t), s)
-                except SingularMatrixError:
-                    if not drop:
-                        raise
-                    R[j], used[j] = np.nan, np.nan
-        yield R, used
+    step = max(1, STACK_ENTRIES // pencil.n**2)
+    values, used = [], []
+    for lo in range(0, points.size or 1, step):  # an empty grid is one empty chunk
+        s = points[lo : lo + step].copy()
+        # _stack writes the points used into s before f reads them; the chunk's
+        # stack is freed before the next one is solved
+        values.append(f(_stack(pencil, s, drop), s[~np.isnan(s)]))
+        used.append(s)
+    return np.concatenate(values), np.concatenate(used)
 
 
-def _resolvent_stack(pencil, points):
-    """(R, used) of _resolvents as one (len(points), n, n) stack and its points."""
-    R, used = zip(*_resolvents(pencil, points))
-    return np.concatenate(R), np.concatenate(used)
+def _stack(pencil, s, drop):
+    """R[j] = (s[j] E + A)^{-1} by one stacked solve.  A failing stack is
+    halved until its failing points stand alone; only those go through
+    _nudged, which writes where it solved into s, or NaN for a point dropped
+    after its nudges, whose slice is left out of R."""
+    try:
+        return _solve_shifted(pencil, s)
+    except SingularMatrixError:
+        if s.size > 1:
+            half = s.size // 2
+            return np.concatenate((_stack(pencil, s[:half], drop), _stack(pencil, s[half:], drop)))
+    try:
+        R, s[0] = _nudged(lambda t: resolvent(pencil, t), s[0])
+    except SingularMatrixError:
+        if not drop:
+            raise
+        s[0] = np.nan
+        return np.empty((0, pencil.n, pencil.n))
+    return R[None]
 
 
 def _norm2(R):
@@ -297,13 +307,13 @@ def index_by_growth(pencil: Pencil) -> IndexEstimate:
     Samples GROWTH_GRID on the positive real axis by stacked solves and
     fits a least squares line over the upper half, the only samples whose
     2-norm is taken (one singular-value stack per chunk); the index is the
-    slope rounded half away from zero, clamped at zero.  The estimate is not
-    confident when the slope's fractional part is ambiguous or the fit
-    residual is large (the latter happens when floating-point saturation of
-    the stored pencil caps the observable growth of high-index problems).
-    A sample whose resolvent stays singular
-    after its nudges, in either half, is saturated outright: it is dropped
-    (counted in samples_dropped) and the estimate is not confident.  Raises
+    slope rounded to the nearest integer, halves up, clamped at zero.  The
+    estimate is not confident when the slope's fractional part is ambiguous
+    or the fit residual is large (the latter happens when floating-point
+    saturation of the stored pencil caps the observable growth of high-index
+    problems).  A sample whose resolvent stays singular after its nudges, in
+    either half, is saturated outright: it is dropped (counted in
+    samples_dropped) and the estimate is not confident.  Raises
     SingularMatrixError only when fewer than two upper-half samples remain.
     """
     # the verdict is seed-independent, so any certificate kept on the pencil will do
@@ -311,32 +321,21 @@ def index_by_growth(pencil: Pencil) -> IndexEstimate:
     if not (next(kept, None) or certify_regularity(pencil)).regular:
         raise NotRegularError("growth sampling needs a regular pencil")
 
-    samples = len(GROWTH_GRID)
-    norms = np.full(samples, np.nan)
-    used = np.full(samples, np.nan)
-    lo = 0
-    for R, chunk in _resolvents(pencil, GROWTH_GRID, drop=True):
-        j = slice(lo, lo + len(chunk))
-        used[j] = chunk
-        fit = (np.arange(j.start, j.stop) >= samples // 2) & ~np.isnan(chunk)
-        if fit.any():
-            norms[j][fit] = _norm2(R[fit])
-        lo = j.stop
-
-    sampled = ~np.isnan(used)
-    upper = ~np.isnan(norms)
-    if np.count_nonzero(upper) < 2:
-        raise SingularMatrixError(
-            f"only {np.count_nonzero(upper)} resolvent samples left to fit a line"
-        )
-    logs = np.log(used[upper])
-    logn = np.log(norms[upper])
+    half = len(GROWTH_GRID) // 2
+    lower, _ = _sampled(pencil, GROWTH_GRID[:half], lambda R, s: s, drop=True)
+    norms, upper = _sampled(pencil, GROWTH_GRID[half:], lambda R, s: _norm2(R), drop=True)
+    upper = upper[~np.isnan(upper)]
+    if upper.size < 2:
+        raise SingularMatrixError(f"only {upper.size} resolvent samples left to fit a line")
+    logs = np.log(upper)
+    logn = np.log(norms)
     (slope, intercept), res = np.polyfit(logs, logn, 1, full=True)[:2]
     rms = float(np.sqrt(res[0] / logs.size)) if res.size else 0.0
 
-    k = max(_round_half_away(float(slope)), 0)
+    k = max(math.floor(slope + 0.5), 0)
     frac = float(slope - math.floor(slope))
-    dropped = samples - int(np.count_nonzero(sampled))
+    sampled = np.concatenate((lower, upper))
+    dropped = len(GROWTH_GRID) - sampled.size
     confident = not (SLOPE_AMBIGUOUS[0] <= frac <= SLOPE_AMBIGUOUS[1])
     confident = confident and rms <= SLOPE_RMS_MAX and not dropped
     diagnostics = {
@@ -344,7 +343,7 @@ def index_by_growth(pencil: Pencil) -> IndexEstimate:
         "intercept": float(intercept),
         "fit_residual": rms,
         "points_fitted": int(logs.size),
-        "s_range": (float(used[sampled][0]), float(used[sampled][-1])),
+        "s_range": (float(sampled[0]), float(sampled[-1])),
     }
     if dropped:
         diagnostics["samples_dropped"] = dropped

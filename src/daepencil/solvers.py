@@ -25,7 +25,7 @@ from .exceptions import (
     SingularMatrixError,
 )
 from .expm import expm
-from .pencils import TINY, Pencil, _cached, _nudged, _shifted_kernels, certify_regularity
+from .pencils import TINY, Pencil, _cached, _nudged, _shifted_kernels, _solve, certify_regularity
 from .subspaces import RankTolerance, _monotone_chain, distance, full_space, image, project
 
 __all__ = [
@@ -252,21 +252,20 @@ def implicit_euler(pencil: Pencil, u0, h: float, T: float, forcing=None) -> Traj
     """Backward Euler for E u' + A u = f with constant step h.
 
     Each step solves (E/h + A) u_{m+1} = (E/h) u_m + f(t_{m+1}), a single
-    resolvent application at s = 1/h.  A singular step matrix nudges h off
-    the singular point as pencils._nudged nudges every resolvent sample, with
-    a ConditioningWarning; SingularMatrixError when the nudges run out.
+    resolvent application at s = 1/h.  A step matrix singular by the rule of
+    every resolvent sample (pencils._solve; so also where E/h overflows) nudges
+    h off the singular point as pencils._nudged nudges every resolvent sample,
+    with a ConditioningWarning; SingularMatrixError when the nudges run out.
     """
     u0 = _check_u0(pencil, u0)
     if not (0 < h < np.inf and 0 < T < np.inf):
         raise ValueError(f"require finite h > 0 and T > 0, got h = {h} and T = {T}")
 
-    def homogeneous_step(step):  # W with u_{m+1} = W u_m when f = 0
-        try:
-            return np.linalg.solve(pencil.E / step + pencil.A, pencil.E / step)
-        except np.linalg.LinAlgError:
-            raise SingularMatrixError(f"E/h + A is singular at h = {step}") from None
+    def solve_step(step, rhs):  # (E/h + A)^{-1} rhs, E/h + A formed as written
+        return _solve(pencil.E / step + pencil.A, rhs, "E/h + A", "h", step)
 
-    W, nudged = _nudged(homogeneous_step, h)
+    # W with u_{m+1} = W u_m when f = 0
+    W, nudged = _nudged(lambda step: solve_step(step, pencil.E / step), h)
     if nudged != h:
         warnings.warn(
             f"step matrix singular at h={h:.6g}; stepping with h={nudged:.6g}",
@@ -289,7 +288,9 @@ def implicit_euler(pencil: Pencil, u0, h: float, T: float, forcing=None) -> Traj
         forcing_values = np.array([np.asarray(forcing(t), dtype=dtype) for t in times])
         if forcing_values.shape != (steps + 1, n):
             raise ShapeMismatchError("forcing must return vectors of pencil size")
-        driven = np.linalg.solve(pencil.E / h + pencil.A, forcing_values.T).T
+        if not np.all(np.isfinite(forcing_values)):  # else the solve would call E/h + A singular
+            raise NonFiniteEntriesError("forcing returned non-finite entries")
+        driven = solve_step(h, forcing_values.T).T
 
     u = u0
     for m in range(steps):

@@ -19,7 +19,7 @@ from .chains import consistent_space
 from .exceptions import InconsistentInitialValueError, IsomorphismError, SingularMatrixError
 from .fixtures import FixtureSpec, generate
 from .laplace import _frobenius, _norm2_lower
-from .pencils import TINY, _norm2, _resolvent_stack
+from .pencils import TINY, _norm2, _sampled
 from .rng import make_rng
 from .solvers import classical_solution, decomposition_oracle
 from .subspaces import (
@@ -72,11 +72,13 @@ class SuiteResult:
 
 
 class _Row:
-    """Accumulates (metric, threshold) observations, one per entry of ok; NaN stays worst."""
+    """Accumulates (metric, threshold) observations, one per entry of ok; NaN stays
+    worst.  worse picks the worse of two metrics: np.minimum for a margin."""
 
-    def __init__(self, name, note=""):
+    def __init__(self, name, note="", worse=np.maximum):
         self.name = name
         self.note = note
+        self.worse = worse
         self.checked = 0
         self.failures = 0
         self.worst = None
@@ -86,8 +88,8 @@ class _Row:
         self.checked += ok.size
         self.failures += ok.size - int(np.count_nonzero(ok))
         if metric is not None and ok.size:
-            m = float(np.max(metric))
-            self.worst = m if self.worst is None else float(np.maximum(self.worst, m))
+            m = float(self.worse.reduce(metric, axis=None))
+            self.worst = m if self.worst is None else float(self.worse(self.worst, m))
 
     def done(self):
         return CheckRow(
@@ -137,7 +139,7 @@ def _resolvent_identity_row(analyzed, seed):
     for _, _, a in analyzed:
         p = a.pencil
         pairs = rng.uniform(0.5, 50.0, size=(3, 2))  # three (s, t), as three draws of two
-        R, used = _resolvent_stack(p, pairs.ravel())
+        R, used = _sampled(p, pairs.ravel(), lambda R, s: R)
         Rs, Rt = R[0::2], R[1::2]
         gap = (used[1::2] - used[0::2])[:, None, None]
         lhs = Rs - Rt
@@ -183,7 +185,7 @@ def _chain_descent_row(analyzed):
     eps = np.finfo(float).eps
     for _, _, a in analyzed:
         p, chain = a.pencil, a.chain
-        R, _ = _resolvent_stack(p, (3.0, 10.0, 100.0))
+        R, _ = _sampled(p, (3.0, 10.0, 100.0), lambda R, s: R)
         noise = 10.0 * eps * _norm2(R)[:, None] * p.norm_E
         for k in range(chain.stabilization + 1):
             mapped = R @ (p.E @ chain.spaces[k].basis)  # (point, n, column)
@@ -206,7 +208,7 @@ def _chain_rows(analyzed):
     mono = _Row("chain_monotone")
     stab = _Row("chain_stabilization")
     agree = _Row("index_agreement")
-    iso_row = _Row("restricted_iso")
+    iso_row = _Row("restricted_iso", worse=np.minimum)
     for _, truth, a in analyzed:
         chain = a.chain
         ok = all(

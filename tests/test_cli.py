@@ -489,3 +489,13 @@ def test_solve_rejects_a_non_finite_horizon(generated, method, t_end, capsys, tm
     assert main([*args, "--csv", str(csv)]) == 1
     assert f"got --t-end {t_end} and --steps 4" in capsys.readouterr().err
     assert not csv.exists()
+
+
+def test_solve_refuses_an_overflowing_euler_step(generated, capsys, tmp_path):
+    # E/h overflows at h = 1e-310: no row of NaN, but the singular-step error
+    csv = tmp_path / "out.csv"
+    args = ["solve", *generated, "--t-end", "1e-310", "--steps", "1", "--method", "euler"]
+    with np.errstate(over="ignore"):
+        assert main([*args, "--csv", str(csv)]) == 1
+    assert "E/h + A is numerically singular" in capsys.readouterr().err
+    assert not csv.exists()

@@ -44,17 +44,16 @@ ACCEPTANCE_K2 = FixtureSpec(11, (3,), 34.402767867042435, 8402350920931806502)
 
 def _count_resolvents(monkeypatch):
     """Record every sample point whose resolvent laplace takes; it takes them
-    all through the stacked sampling of pencils._resolvents, directly or by
-    pencils._resolvent_stack."""
+    all through the one sampler, pencils._sampled."""
     calls = []
-    real = pencils_mod._resolvents
+    real = pencils_mod._sampled
 
     def counted(pencil, points, *args, **kwargs):
         calls.extend(np.asarray(points).tolist())
         return real(pencil, points, *args, **kwargs)
 
-    monkeypatch.setattr(laplace_mod, "_resolvents", counted)
-    monkeypatch.setattr(pencils_mod, "_resolvents", counted)
+    monkeypatch.setattr(laplace_mod, "_sampled", counted)
+    monkeypatch.setattr(pencils_mod, "_sampled", counted)
     return calls
 
 
@@ -368,6 +367,14 @@ class TestSharedIdentities:
         verify_identities(p, np.ones(p.n), POINTS)
         assert len(calls) == len(POINTS)
 
+    def test_empty_grid_samples_nothing_and_passes(self):
+        # the sampler's one empty chunk reaches every error function
+        p = new_pencil(N2, np.eye(2))
+        chain = compute_chain(p)
+        reports = (*verify_identities(p, np.ones(2), ()), verify_expansion(p, chain, 1, ()))
+        for rep in reports:
+            assert rep.sample_points == () and rep.max_relative_error == 0.0 and rep.passed
+
     def test_rejects_zero_point(self):
         p = new_pencil(np.eye(2), np.eye(2))
         with pytest.raises(ValueError):
@@ -521,13 +528,15 @@ class TestNaNFails:
         chain = compute_chain(p)
         grid = expansion_grid(1)
         assert verify_expansion(p, chain, 1).passed
-        sample = laplace_mod._resolvents
+        sample = laplace_mod._sampled
 
-        def nan_at_one_grid_point(pencil, points, *args, **kwargs):
-            for R, used in sample(pencil, points, *args, **kwargs):
-                yield R, np.where(used == grid[4], np.nan, used)
+        def nan_at_one_grid_point(pencil, points, f, *args, **kwargs):
+            def nan_point(R, s):
+                return f(R, np.where(s == grid[4], np.nan, s))
 
-        monkeypatch.setattr(laplace_mod, "_resolvents", nan_at_one_grid_point)
+            return sample(pencil, points, nan_point, *args, **kwargs)
+
+        monkeypatch.setattr(laplace_mod, "_sampled", nan_at_one_grid_point)
         rep = verify_expansion(p, chain, 1)
         assert np.isnan(rep.max_relative_error) and not rep.passed
 

@@ -241,7 +241,7 @@ class TestResolvent:
 
 
 class TestStackedResolvents:
-    """pencils._resolvents: every resolvent grid as chunked stacked solves."""
+    """pencils._sampled: every resolvent grid as chunked stacked solves."""
 
     @staticmethod
     def _pencil(n, seed, complex_, singular_at=None):
@@ -257,8 +257,14 @@ class TestStackedResolvents:
 
     @staticmethod
     def _sampled(pencil, points, **kwargs):
-        chunks = list(pencils_mod._resolvents(pencil, points, **kwargs))
-        return np.concatenate([R for R, _ in chunks]), np.concatenate([u for _, u in chunks])
+        """(R, used): the stack of every point kept and where each was taken."""
+        return pencils_mod._sampled(pencil, points, lambda R, s: R, **kwargs)
+
+    @staticmethod
+    def _chunk_sizes(pencil, points):
+        sizes = []
+        pencils_mod._sampled(pencil, points, lambda R, s: sizes.append(len(s)) or s)
+        return sizes
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -284,11 +290,13 @@ class TestStackedResolvents:
             R, used = self._sampled(p, points, drop=True)
         else:
             R, used = self._sampled(p, points)
-        for Rj, sj, ref in zip(R, used, pointwise):
+        kept = iter(R)  # a dropped point is left out of the stack
+        for sj, ref in zip(used, pointwise):
             if ref is None:
-                assert np.isnan(sj) and np.all(np.isnan(Rj))
+                assert np.isnan(sj)
             else:
-                assert sj == ref[1] and np.array_equal(Rj, ref[0])
+                assert sj == ref[1] and np.array_equal(next(kept), ref[0])
+        assert next(kept, None) is None
         if singular:
             assert used[-1] == 2.0 * 1.01
 
@@ -304,12 +312,32 @@ class TestStackedResolvents:
 
     def test_chunks_hold_at_most_stack_entries(self):
         p = self._pencil(5, 4, False)
-        sizes = [len(u) for _, u in pencils_mod._resolvents(p, np.arange(1.0, 21.0))]
-        assert sizes == [20]
+        assert self._chunk_sizes(p, np.arange(1.0, 21.0)) == [20]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(pencils_mod, "STACK_ENTRIES", 7 * 25 + 24)
-            sizes = [len(u) for _, u in pencils_mod._resolvents(p, np.arange(1.0, 21.0))]
-        assert sizes == [7, 7, 6]
+            assert self._chunk_sizes(p, np.arange(1.0, 21.0)) == [7, 7, 6]
+
+    def test_a_pole_costs_only_its_own_nudges(self, monkeypatch):
+        # one exact pole in a 20-point chunk: the failing stack is halved until
+        # the pole stands alone, so only it and its nudge are solved point by
+        # point, and the stack is still bit for bit the pointwise one
+        p = self._pencil(5, 6, False, singular_at=2.0)
+        points = np.insert(np.geomspace(0.5, 50.0, 19), 7, 2.0)
+        pointwise = [pencils_mod._nudged(lambda t: resolvent(p, t), s) for s in points]
+        calls, real = [], pencils_mod.resolvent
+
+        def counted(pencil, s):
+            calls.append(s)
+            return real(pencil, s)
+
+        monkeypatch.setattr(pencils_mod, "resolvent", counted)
+        assert self._chunk_sizes(p, points) == [20]
+        calls.clear()
+        R, used = self._sampled(p, points)
+        assert calls[0] == 2.0 and len(calls) <= 6
+        assert used[7] == 2.0 * 1.01
+        for Rj, sj, (ref, at) in zip(R, used, pointwise):
+            assert sj == at and np.array_equal(Rj, ref)
 
     def test_every_resolvent_two_norm_is_one_norm2(self, monkeypatch):
         # the growth fit's 12 upper-half samples, the expansion bound's 12 grid

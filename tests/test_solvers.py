@@ -288,6 +288,19 @@ class TestImplicitEuler:
         with pytest.raises(SingularMatrixError, match="E/h \\+ A is singular"):
             implicit_euler(p, np.ones(2), 0.1, 1.0)
 
+    def test_non_finite_forcing_is_refused_as_such(self):
+        p = new_pencil(np.eye(2), np.eye(2))
+        with pytest.raises(NonFiniteEntriesError, match="forcing returned non-finite"):
+            implicit_euler(p, np.ones(2), 0.1, 0.3, forcing=lambda t: np.array([np.nan, 0.0]))
+
+    def test_overflowing_step_matrix_raises(self):
+        # E/h overflows to inf at h = 1e-310 and the solve returns NaN, which
+        # the singular rule of every shifted solve refuses
+        p = new_pencil(np.eye(2), np.eye(2))
+        with np.errstate(over="ignore"):
+            with pytest.raises(SingularMatrixError, match="E/h \\+ A is numerically singular"):
+                implicit_euler(p, np.ones(2), 1e-310, 1e-310)
+
 
 class TestDecompositionOracle:
     def test_plain_ode_reproduces_exponential(self):

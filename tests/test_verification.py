@@ -6,11 +6,13 @@ import numpy as np
 
 import daepencil.solvers as solvers_mod
 import daepencil.verification as verification_mod
+from daepencil.analysis import build_analysis
 from daepencil.chains import compute_chain, consistent_space
 from daepencil.fixtures import FixtureSpec, generate
 from daepencil.pencils import new_pencil
 from daepencil.rng import make_rng
 from daepencil.verification import (
+    _chain_rows,
     _resolvent_identity_row,
     _Row,
     _subspace_laws_row,
@@ -116,3 +118,15 @@ def test_resolvent_identity_takes_its_gap_from_the_points_used():
     pencil = new_pencil(np.eye(2), -s * np.eye(2))
     row = _resolvent_identity_row([(None, None, SimpleNamespace(pencil=pencil))], seed)
     assert row.passed and row.checked == 3
+
+
+def test_restricted_iso_reports_its_smallest_sigma_min():
+    # the row's worst map is the one nearest to losing bijectivity
+    analyzed = []
+    for spec in random_specs(20, (2, 20), (0, 4), seed=7):
+        pencil, truth = generate(spec)
+        analyzed.append((spec, truth, build_analysis(pencil, spec.seed)))
+    row = _chain_rows(analyzed)[3]
+    sigmas = [a.iso.sigma_min for _, _, a in analyzed if a.iso.sigma_min is not None]
+    assert row.name == "restricted_iso"
+    assert row.worst == min(sigmas) < max(sigmas)

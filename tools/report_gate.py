@@ -18,8 +18,12 @@ fixtures (17 over its residual cap, 2 with a restricted E that is not
 bijective), so both failure paths of the transform match are gated.  It
 writes the singular pencil E = A = diag(1, 0) and u0 = (1, 0) as exact
 array files and records the exit codes of `analyze` and of `solve` for each
-`--method` on it, which the CLI's contract sets to 3.  It also writes the
-`analyze --json` report of a 1-D Stokes-like saddle at
+`--method` on it, which the CLI's contract sets to 3.  It writes the
+`analyze --json` report of the pole pencil E = I_2, A = -s I_2 with
+s = IDENTITY_POINTS[3] of `daepencil.analysis`, as exact array files: sE + A
+is exactly zero at an identity point, so the stacked solve of the identity
+grid fails there, is halved down to that point, and the point is nudged to
+1.01 s.  It also writes the `analyze --json` report of a 1-D Stokes-like saddle at
 m = 16 (n = 24), whose `E.mtx` and `A.mtx` it writes itself with exact
 entries.  The saddle's finite eigenvalues run from 17 to 561 in modulus, far
 outside the |lambda| <= 2.2 of every generated fixture, so the gate also
@@ -73,6 +77,8 @@ TOL = "1e-8"
 SOLVE_SEEDS = (1, 3, 26)
 SOLVE_ARGS = ("--t-end", "2", "--steps", "200")
 SOLVE_METHODS = ("exponential", "oracle", "euler")
+# IDENTITY_POINTS[3] = np.geomspace(0.5, 50.0, 20)[3], exactly, the pole of the pole pencil
+POLE = "1.0345690405573948"
 # m of the Stokes-like saddle E = diag(I_m, 0_{m/2}), A = [[L, B^T], [-B, 0]]
 STOKES_M = 16
 VERIFY_ARGS = ("--random", "60", "--dim-range", "2..20", "--index-range", "0..4")
@@ -120,13 +126,25 @@ def _write_stokes(fixture: Path, m: int):
     _write_coordinate(fixture / "A.mtx", m + q, A)
 
 
+def _write_diagonal(path, d0, d1):
+    """A Matrix Market array file of diag(d0, d1), entries written as given."""
+    text = f"%%MatrixMarket matrix array real general\n2 2\n{d0}\n0\n0\n{d1}\n"
+    path.write_text(text, encoding="ascii")
+
+
 def _write_singular(fixture: Path):
     """E.mtx = A.mtx = diag(1, 0) in array format and u0.txt = (1, 0), all exact."""
     fixture.mkdir(parents=True, exist_ok=True)
     for name in ("E.mtx", "A.mtx"):
-        text = "%%MatrixMarket matrix array real general\n2 2\n1\n0\n0\n0\n"
-        (fixture / name).write_text(text, encoding="ascii")
+        _write_diagonal(fixture / name, 1, 0)
     (fixture / "u0.txt").write_text("1 0\n", encoding="ascii")
+
+
+def _write_pole(fixture: Path):
+    """E.mtx = I_2 and A.mtx = -POLE I_2 in array format, both exact."""
+    fixture.mkdir(parents=True, exist_ok=True)
+    _write_diagonal(fixture / "E.mtx", 1, 1)
+    _write_diagonal(fixture / "A.mtx", f"-{POLE}", f"-{POLE}")
 
 
 def run(out: Path, src: Path):
@@ -166,6 +184,11 @@ def run(out: Path, src: Path):
     for key, args in runs.items():
         codes[key] = _cli(src, *args)
         print(f"{key}: exit {codes[key]}")
+    name = "analyze_pole"
+    _write_pole(out / name)
+    E, A = out / name / "E.mtx", out / name / "A.mtx"
+    codes[name] = _cli(src, "analyze", E, A, "--json", out / f"{name}.json")
+    print(f"{name}: exit {codes[name]}")
     name = f"analyze_stokes_m-{STOKES_M}"
     _write_stokes(out / name, STOKES_M)
     E, A = out / name / "E.mtx", out / name / "A.mtx"
