@@ -54,6 +54,28 @@ GROWTH_GRID = tuple(np.geomspace(1e2, 1e7, 24))
 # sample points per chunk (a whole small-pencil grid, one point at n = 160)
 STACK_ENTRIES = 2**15
 
+# _norm2's block Rayleigh-Ritz estimate of sigma_max, measured with one BLAS
+# thread on the 3,048 resolvents whose 2-norm analyze_pencil takes on the
+# analyze-large pencils of bench seeds 29, 41, 53 and on
+# random_specs(100, (40, 160), (0, 4), seed=11).  Below NORM2_MIN_N columns
+# the SVD is about as fast as one round or faster (medians of 1,500 calls:
+# SVD 57-97 us at n = 24-32 and 128-186 us at n = 40-48, a round 70-110 us
+# at any of these sizes).  A block of NORM2_BLOCK vectors separates the
+# clustered top values of pencils with several equal nilpotent blocks.  A
+# matrix stops when its top Ritz pair's residual is at most NORM2_STOP times
+# the Ritz value: all that converged did so within NORM2_ROUNDS rounds.  Where
+# the block's smallest Ritz value is above NORM2_CLUSTER times its largest
+# (0.57 or more on every matrix that never converged in 12 rounds, 0.45 or
+# less on every one that converged), the SVD decides at once.  The computed
+# Ritz value exceeded the SVD's by up to 4.4 eps, so it is shaded down by
+# NORM2_SHADE to stay a lower bound.
+NORM2_MIN_N = 48
+NORM2_BLOCK = 4
+NORM2_ROUNDS = 3
+NORM2_STOP = 1e-13
+NORM2_CLUSTER = 0.5
+NORM2_SHADE = 8 * np.finfo(float).eps
+
 
 def _cached(owner, key, build):
     """owner's artifact under key, built by build() on first use and kept.
@@ -182,7 +204,8 @@ def _certify(pencil, seed):
     points = radius * np.exp(1j * angles)
     values, witness = [], None
     for s in points:
-        values.append(complex(np.linalg.det(s * pencil.E + pencil.A)))
+        with np.errstate(over="ignore"):  # an overflow to inf is a witness all the same
+            values.append(complex(np.linalg.det(s * pencil.E + pencil.A)))
         if not np.isnan(values[-1]) and abs(values[-1]) > DET_ZERO:
             witness = complex(s)
             break
@@ -253,13 +276,14 @@ def _nudged(solve, x):
     return solve(x), x
 
 
-def _sampled(pencil, points, f, drop=False):
-    """(values, used): f(R, s) of every chunk of points, concatenated, where
-    R[j] = (s[j] E + A)^{-1} and used, like s, holds where each was taken.
+def _sampled(pencil, points, f, drop=False, rhs=None):
+    """(values, used): f(X, s) of every chunk of points, concatenated, where
+    X[j] = (s[j] E + A)^{-1} rhs (the resolvent itself when rhs is None) and
+    used, like s, holds where each was taken.
 
     A chunk holds at most STACK_ENTRIES matrix entries (one point at least)
     and takes one stacked solve (_stack), whose slices are bit for bit the
-    resolvent of each point.  A point still singular after its nudges raises
+    solve of each point.  A point still singular after its nudges raises
     its SingularMatrixError or, with drop, is left out of f's chunk and reads
     NaN in used.  This is the one loop over resolvent chunks.
     """
@@ -270,35 +294,83 @@ def _sampled(pencil, points, f, drop=False):
         s = points[lo : lo + step].copy()
         # _stack writes the points used into s before f reads them; the chunk's
         # stack is freed before the next one is solved
-        values.append(f(_stack(pencil, s, drop), s[~np.isnan(s)]))
+        values.append(f(_stack(pencil, s, drop, rhs), s[~np.isnan(s)]))
         used.append(s)
     return np.concatenate(values), np.concatenate(used)
 
 
-def _stack(pencil, s, drop):
-    """R[j] = (s[j] E + A)^{-1} by one stacked solve.  A failing stack is
+def _stack(pencil, s, drop, rhs):
+    """X[j] = (s[j] E + A)^{-1} rhs by one stacked solve.  A failing stack is
     halved until its failing points stand alone; only those go through
     _nudged, which writes where it solved into s, or NaN for a point dropped
-    after its nudges, whose slice is left out of R."""
+    after its nudges, whose slice is left out of X."""
     try:
-        return _solve_shifted(pencil, s)
+        return _solve_shifted(pencil, s, rhs)
     except SingularMatrixError:
         if s.size > 1:
             half = s.size // 2
-            return np.concatenate((_stack(pencil, s[:half], drop), _stack(pencil, s[half:], drop)))
+            return np.concatenate(
+                (_stack(pencil, s[:half], drop, rhs), _stack(pencil, s[half:], drop, rhs))
+            )
     try:
-        R, s[0] = _nudged(lambda t: resolvent(pencil, t), s[0])
+        X, s[0] = _nudged(lambda t: _solve_shifted(pencil, t, rhs), s[0])
     except SingularMatrixError:
         if not drop:
             raise
         s[0] = np.nan
-        return np.empty((0, pencil.n, pencil.n))
-    return R[None]
+        return np.empty((0, pencil.n, pencil.n if rhs is None else rhs.shape[-1]))
+    return X[None]
 
 
 def _norm2(R):
-    """||R[j]||_2, the largest singular value, of each matrix of the stack R."""
-    return np.linalg.svd(R, compute_uv=False)[:, 0]
+    """||R[j]||_2, the largest singular value, of each matrix of the stack R.
+
+    A matrix of NORM2_MIN_N columns or more takes the block Rayleigh-Ritz
+    estimate of _ritz_norm2; one below that size, or on which the estimate
+    gives up, takes the SVD, all such matrices of R in one stacked call.  An
+    estimate is a lower bound within 1e-12 relative of the SVD's value, so a
+    shortfall can only raise the expansion constant C, never pass it.  Each
+    matrix is decided on its own, so its value is bit for bit the same alone
+    or in any stack.
+    """
+    if R.shape[-1] < NORM2_MIN_N:
+        return np.linalg.svd(R, compute_uv=False)[:, 0]
+    norms = np.array([_ritz_norm2(X) for X in R], dtype=float)
+    svd = np.isnan(norms)
+    if svd.any():
+        norms[svd] = np.linalg.svd(R[svd], compute_uv=False)[:, 0]
+    return norms
+
+
+def _ritz_norm2(X):
+    """sigma_max(X) by block Rayleigh-Ritz on X, or NaN where the SVD must decide.
+
+    X is scaled by its largest entry, so that no square over- or underflows.
+    The block starts as X^H times X's NORM2_BLOCK largest columns.  Each round
+    orthonormalizes the block to Q, takes the SVD of the n x NORM2_BLOCK matrix
+    X Q, whose largest value theta (the Ritz value, at most sigma_max) has the
+    left vector u and the right vector v, and continues with X^H times the
+    left vectors.  It stops with theta once ||X^H u - theta v|| <= NORM2_STOP
+    theta (Kuczynski and Wozniakowski, SIAM J. Matrix Anal. Appl. 13(4),
+    1992).  It gives up when the block's Ritz values are clustered or after
+    NORM2_ROUNDS rounds.
+    """
+    peak = np.abs(X).max()
+    if peak == 0.0:
+        return 0.0
+    X = X / peak
+    XH = X.conj().T
+    largest = np.argsort(np.einsum("ij,ij->j", X.conj(), X).real)[-NORM2_BLOCK:]
+    block = XH @ X[:, largest]
+    for _ in range(NORM2_ROUNDS):
+        Q = np.linalg.qr(block)[0]
+        U, ritz, Vh = np.linalg.svd(X @ Q, full_matrices=False)
+        block = XH @ U
+        if np.linalg.norm(block[:, 0] - ritz[0] * (Q @ Vh[0].conj())) <= NORM2_STOP * ritz[0]:
+            return peak * ritz[0] * (1.0 - NORM2_SHADE)
+        if ritz[-1] > NORM2_CLUSTER * ritz[0]:
+            break
+    return np.nan
 
 
 def index_by_growth(pencil: Pencil) -> IndexEstimate:
@@ -306,12 +378,13 @@ def index_by_growth(pencil: Pencil) -> IndexEstimate:
 
     Samples GROWTH_GRID on the positive real axis by stacked solves and
     fits a least squares line over the upper half, the only samples whose
-    2-norm is taken (one singular-value stack per chunk); the index is the
-    slope rounded to the nearest integer, halves up, clamped at zero.  The
-    estimate is not confident when the slope's fractional part is ambiguous
-    or the fit residual is large (the latter happens when floating-point
-    saturation of the stored pencil caps the observable growth of high-index
-    problems).  A sample whose resolvent stays singular after its nudges, in
+    2-norm is taken (by _norm2); the lower half is solved for one column
+    only, which meets its poles by the same singular rule and nudges.  The
+    index is the slope rounded to the nearest integer, halves up, clamped at
+    zero.  The estimate is not confident when the slope's fractional part is
+    ambiguous or the fit residual is large (the latter happens when
+    floating-point saturation of the stored pencil caps the observable growth
+    of high-index problems).  A sample whose resolvent stays singular after its nudges, in
     either half, is saturated outright: it is dropped (counted in
     samples_dropped) and the estimate is not confident.  Raises
     SingularMatrixError only when fewer than two upper-half samples remain.
@@ -322,7 +395,9 @@ def index_by_growth(pencil: Pencil) -> IndexEstimate:
         raise NotRegularError("growth sampling needs a regular pencil")
 
     half = len(GROWTH_GRID) // 2
-    lower, _ = _sampled(pencil, GROWTH_GRID[:half], lambda R, s: s, drop=True)
+    # the lower half is only probed for poles, one column of each resolvent
+    probe = np.eye(pencil.n, 1)
+    lower, _ = _sampled(pencil, GROWTH_GRID[:half], lambda X, s: s, drop=True, rhs=probe)
     norms, upper = _sampled(pencil, GROWTH_GRID[half:], lambda R, s: _norm2(R), drop=True)
     upper = upper[~np.isnan(upper)]
     if upper.size < 2:

@@ -264,8 +264,11 @@ def implicit_euler(pencil: Pencil, u0, h: float, T: float, forcing=None) -> Traj
     def solve_step(step, rhs):  # (E/h + A)^{-1} rhs, E/h + A formed as written
         return _solve(pencil.E / step + pencil.A, rhs, "E/h + A", "h", step)
 
-    # W with u_{m+1} = W u_m when f = 0
-    W, nudged = _nudged(lambda step: solve_step(step, pencil.E / step), h)
+    def step_matrix(step):  # W with u_{m+1} = W u_m when f = 0
+        with np.errstate(over="ignore"):  # an E/h that overflows is refused as singular
+            return solve_step(step, pencil.E / step)
+
+    W, nudged = _nudged(step_matrix, h)
     if nudged != h:
         warnings.warn(
             f"step matrix singular at h={h:.6g}; stepping with h={nudged:.6g}",

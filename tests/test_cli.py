@@ -412,15 +412,44 @@ class TestGenerate:
         assert "error" in capsys.readouterr().err
 
 
-def test_module_runs_from_a_checkout():
+def run_module(*args, cwd=None):
+    """`python -m daepencil ARGS` from this checkout's src, in a fresh process."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run(
-        [sys.executable, "-m", "daepencil", "--help"],
-        env=env, capture_output=True, text=True, timeout=60,
+    return subprocess.run(
+        [sys.executable, "-m", "daepencil", *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def test_module_runs_from_a_checkout():
+    done = run_module("--help")
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: daepencil")
+
+
+class TestQuietStderr:
+    """numpy's RuntimeWarnings stay off the CLI's stderr."""
+
+    @pytest.fixture(scope="class")
+    def n160(self, tmp_path_factory):
+        # det(sE + A) overflows to inf at the certificate's first point
+        out = tmp_path_factory.mktemp("n160")
+        args = ["generate", "--n1", "155", "--blocks", "3,2", "--seed", "24", "--out", str(out)]
+        assert main(args) == 0
+        return out
+
+    def test_analyze_with_an_overflowing_determinant(self, n160):
+        done = run_module("analyze", "E.mtx", "A.mtx", cwd=n160)
+        assert done.returncode == 0
+        assert json.loads(done.stdout)["regular"] is True
+        assert done.stderr == ""
+
+    def test_euler_step_whose_E_over_h_overflows(self, n160):
+        args = ["--method", "euler", "--t-end", "1e-310", "--steps", "1"]
+        done = run_module("solve", "E.mtx", "A.mtx", "u0.txt", *args, cwd=n160)
+        assert done.returncode == 1
+        assert done.stderr == "error: E/h + A is numerically singular at h = 1.0510100501e-310\n"
 
 
 def test_analyze_writes_a_failing_generator_into_its_report(tmp_path, monkeypatch):

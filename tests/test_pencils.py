@@ -110,6 +110,15 @@ class TestNewPencil:
 
 
 class TestCertifyRegularity:
+    def test_an_overflowing_determinant_is_a_quiet_witness(self):
+        # every det of this pencil times 1e100 overflows to inf; the caller's
+        # numpy error state does not reach the certificate's det
+        pencil, _ = generate(FixtureSpec(2, (1,), seed=1))
+        with np.errstate(over="raise"):
+            cert = certify_regularity(new_pencil(1e100 * pencil.E, 1e100 * pencil.A))
+        assert cert.regular and np.isinf(cert.determinant_values[0])
+        assert cert.witness == cert.sample_points[0]
+
     def test_identity_E_always_regular(self):
         rng = np.random.default_rng(0)
         cert = certify_regularity(new_pencil(np.eye(4), rng.standard_normal((4, 4))))
@@ -324,13 +333,14 @@ class TestStackedResolvents:
         p = self._pencil(5, 6, False, singular_at=2.0)
         points = np.insert(np.geomspace(0.5, 50.0, 19), 7, 2.0)
         pointwise = [pencils_mod._nudged(lambda t: resolvent(p, t), s) for s in points]
-        calls, real = [], pencils_mod.resolvent
+        calls, real = [], pencils_mod._solve_shifted
 
-        def counted(pencil, s):
-            calls.append(s)
-            return real(pencil, s)
+        def counted(pencil, s, rhs=None):
+            if np.ndim(s) == 0:  # a solve point by point, not a stack
+                calls.append(s)
+            return real(pencil, s, rhs)
 
-        monkeypatch.setattr(pencils_mod, "resolvent", counted)
+        monkeypatch.setattr(pencils_mod, "_solve_shifted", counted)
         assert self._chunk_sizes(p, points) == [20]
         calls.clear()
         R, used = self._sampled(p, points)
@@ -341,7 +351,8 @@ class TestStackedResolvents:
 
     def test_every_resolvent_two_norm_is_one_norm2(self, monkeypatch):
         # the growth fit's 12 upper-half samples, the expansion bound's 12 grid
-        # points and chain_descent's 3 points; no other SVD takes a stack
+        # points and chain_descent's 3 points all go through _norm2; a stacked
+        # SVD is taken only of the matrices its estimate gives up on
         through, stacked = [], []
         norm2, svd = pencils_mod._norm2, np.linalg.svd
 
@@ -357,13 +368,24 @@ class TestStackedResolvents:
         for module in (pencils_mod, laplace_mod, verification_mod):
             monkeypatch.setattr(module, "_norm2", counted_norm2)
         monkeypatch.setattr(np.linalg, "svd", counted_svd)
-        spec = FixtureSpec(3, (2,), 100.0, 5)
-        analyze_pencil(generate(spec)[0], seed=3)
-        assert len(through) == len(stacked) == 12 + 12
-        through.clear()
-        stacked.clear()
-        run_suite([spec], seed=3)
-        assert len(through) == len(stacked) == 12 + 12 + 3
+        # (fixture, SVDs on analyze, SVDs on verify)
+        cases = [
+            # n = 5, below NORM2_MIN_N: every 2-norm is a stacked SVD
+            (FixtureSpec(3, (2,), 100.0, 5), 24, 27),
+            # n = 60, growth 2: only chain_descent's s = 3 falls back
+            (FixtureSpec(55, (3, 2), 100.0, 5), 0, 1),
+            # n = 50, E invertible: clustered Ritz values, every one falls back
+            (FixtureSpec(50, (), 100.0, 5), 24, 27),
+        ]
+        for spec, on_analyze, on_verify in cases:
+            through.clear()
+            stacked.clear()
+            analyze_pencil(generate(spec)[0], seed=3)
+            assert (len(through), len(stacked)) == (12 + 12, on_analyze)
+            through.clear()
+            stacked.clear()
+            run_suite([spec], seed=3)
+            assert (len(through), len(stacked)) == (12 + 12 + 3, on_verify)
 
     @pytest.mark.parametrize("points_per_chunk", [1, 3, 7])
     def test_every_report_equals_the_one_chunk_report(self, monkeypatch, points_per_chunk):
@@ -377,6 +399,84 @@ class TestStackedResolvents:
         pencils = [generate(spec)[0] for spec in specs]
         assert [report_to_json(analyze_pencil(p, seed=3)) for p in pencils] == reference
         assert run_suite(specs, seed=3).to_dict() == suite
+
+
+def norm2_case(seed, n, kind, complex_, exponent):
+    """A test matrix for _norm2: n x n, scaled by 10**exponent.
+
+    "gaussian" has clustered top singular values, "rank_one" one nonzero
+    value, "equal_top" sigma_1 = sigma_2 = 1 above values of at most 1e-3,
+    and "dominant" a Gaussian plus a large random term of rank 1 to 3.
+    """
+    rng = np.random.default_rng(seed)
+
+    def gaussian(*shape):
+        G = rng.standard_normal(shape)
+        return G + 1j * rng.standard_normal(shape) if complex_ else G
+
+    if kind == "gaussian":
+        X = gaussian(n, n)
+    elif kind == "rank_one":
+        X = gaussian(n, 1) @ gaussian(1, n)
+    elif kind == "equal_top":
+        U, V = np.linalg.qr(gaussian(n, n))[0], np.linalg.qr(gaussian(n, n))[0]
+        sigma = np.concatenate(([1.0, 1.0], 1e-3 * rng.uniform(0.0, 1.0, n)))[:n]
+        X = (U * sigma) @ V.conj().T
+    else:
+        r = int(rng.integers(1, 4))
+        X = gaussian(n, n) + 100.0 * gaussian(n, r) @ gaussian(r, n)
+    return X * 10.0**exponent
+
+
+class TestNorm2:
+    """pencils._norm2: a block Rayleigh-Ritz estimate of each sigma_max, the SVD as fallback."""
+
+    norm2_cases = given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from([1, 2, 5, 47, 48, 64, 96]),
+        kind=st.sampled_from(["gaussian", "rank_one", "equal_top", "dominant"]),
+        complex_=st.booleans(),
+        exponent=st.sampled_from([-150, 0, 150]),
+    )
+
+    @settings(max_examples=80, deadline=None)
+    @norm2_cases
+    def test_within_the_svd_bracket(self, seed, n, kind, complex_, exponent):
+        X = norm2_case(seed, n, kind, complex_, exponent)
+        svd = np.linalg.svd(X, compute_uv=False)[0]
+        est = pencils_mod._norm2(X[None])[0]
+        eps = np.finfo(float).eps
+        assert svd * (1.0 - 1e-12) <= est <= svd * (1.0 + 4.0 * eps)
+
+    @settings(max_examples=40, deadline=None)
+    @norm2_cases
+    def test_bit_identical_alone_or_in_any_stack(self, seed, n, kind, complex_, exponent):
+        X = norm2_case(seed, n, kind, complex_, exponent)
+        alone = pencils_mod._norm2(X[None])[0]
+        # the other matrices of a stack take the other branch or the same one
+        others = [norm2_case(seed + 1, n, other, complex_, 0) for other in ("gaussian", "rank_one")]
+        for before, after in ((others[:1], []), ([], others[::-1]), (others[1:] * 2, [])):
+            stack = np.array([*before, X, *after])
+            assert pencils_mod._norm2(stack)[len(before)] == alone
+
+    def test_converged_estimates_take_no_svd(self, matrix_norm2_calls):
+        rank_one = norm2_case(1, 64, "rank_one", False, 0)
+        matrix_norm2_calls.clear()
+        pencils_mod._norm2(np.array([rank_one, 2.0 * rank_one]))
+        assert matrix_norm2_calls == []
+
+    def test_clustered_and_small_matrices_fall_back_to_the_svd(self, matrix_norm2_calls):
+        # a 64 x 64 Gaussian has clustered top singular values; 47 < NORM2_MIN_N
+        clustered = norm2_case(1, 64, "gaussian", False, 0)
+        small = norm2_case(1, 47, "rank_one", False, 0)
+        matrix_norm2_calls.clear()
+        for X in (clustered, small):
+            assert pencils_mod._norm2(X[None])[0] == np.linalg.svd(X, compute_uv=False)[0]
+        assert len(matrix_norm2_calls) == 2
+
+    def test_zero_and_empty_stacks(self):
+        assert pencils_mod._norm2(np.zeros((2, 64, 64))).tolist() == [0.0, 0.0]
+        assert pencils_mod._norm2(np.zeros((0, 64, 64))).shape == (0,)
 
 
 class TestIndexByGrowth:
@@ -443,6 +543,29 @@ class TestIndexByGrowth:
         assert est.diagnostics["samples_dropped"] == 1
         assert est.diagnostics["points_fitted"] == 12
         assert est.diagnostics["s_range"][0] == np.geomspace(1e2, 1e7, 24)[1]
+
+    def test_lower_half_is_probed_with_one_column(self, monkeypatch):
+        # s = 1e2 stays singular through its five nudges: it is dropped and
+        # counted, and every lower-half solve, nudges included, has one column
+        self._singular_between(monkeypatch, 50.0, 106.0)
+        columns, real = {}, pencils_mod._solve_shifted
+
+        def recorded(pencil, s, rhs=None):
+            for point in np.atleast_1d(s):
+                width = pencil.n if rhs is None else rhs.shape[-1]
+                columns.setdefault(float(point), set()).add(width)
+            return real(pencil, s, rhs)
+
+        monkeypatch.setattr(pencils_mod, "_solve_shifted", recorded)
+        est = index_by_growth(new_pencil(N3, np.eye(3)))
+        assert est.diagnostics["samples_dropped"] == 1 and not est.confident
+        lower, upper = np.split(np.geomspace(1e2, 1e7, 24), 2)
+        nudges = [1e2]
+        for _ in range(5):
+            nudges.append(nudges[-1] * 1.01)
+        assert sorted(columns) == sorted([*nudges, *lower[1:], *upper])
+        assert all(columns[s] == {1} for s in [*nudges, *lower[1:]])
+        assert all(columns[s] == {3} for s in upper)
 
     def test_two_norms_only_for_the_fitted_half(self, matrix_norm2_calls):
         est = index_by_growth(new_pencil(N3, np.eye(3)))
