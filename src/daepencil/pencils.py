@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -55,20 +55,24 @@ GROWTH_GRID = tuple(np.geomspace(1e2, 1e7, 24))
 STACK_ENTRIES = 2**15
 
 # _norm2's block Rayleigh-Ritz estimate of sigma_max, measured with one BLAS
-# thread on the 3,048 resolvents whose 2-norm analyze_pencil takes on the
-# analyze-large pencils of bench seeds 29, 41, 53 and on
-# random_specs(100, (40, 160), (0, 4), seed=11).  Below NORM2_MIN_N columns
-# the SVD is about as fast as one round or faster (medians of 1,500 calls:
-# SVD 57-97 us at n = 24-32 and 128-186 us at n = 40-48, a round 70-110 us
-# at any of these sizes).  A block of NORM2_BLOCK vectors separates the
-# clustered top values of pencils with several equal nilpotent blocks.  A
-# matrix stops when its top Ritz pair's residual is at most NORM2_STOP times
-# the Ritz value: all that converged did so within NORM2_ROUNDS rounds.  Where
-# the block's smallest Ritz value is above NORM2_CLUSTER times its largest
-# (0.57 or more on every matrix that never converged in 12 rounds, 0.45 or
-# less on every one that converged), the SVD decides at once.  The computed
-# Ritz value exceeded the SVD's by up to 4.4 eps, so it is shaded down by
-# NORM2_SHADE to stay a lower bound.
+# thread on the resolvents of 48 or more columns whose 2-norm analyze_pencil
+# takes: 2,856 on the analyze-large pencils of bench seeds 29, 41, 53 and on
+# random_specs(100, (40, 160), (0, 4), seed=11), where the constants were
+# chosen, and 3,192 on seeds 61, 73, 89, on random_specs seed=13 and on
+# Stokes-like saddles and block-diagonal pencils, where they were checked.
+# Below NORM2_MIN_N columns the SVD is about as fast as one round or faster
+# (medians of 1,500 calls: SVD 57-97 us at n = 24-32 and 128-186 us at
+# n = 40-48, a round 70-110 us at any of these sizes).  A block of
+# NORM2_BLOCK vectors separates the clustered top values of pencils with
+# several equal nilpotent blocks.  A matrix stops when its top Ritz pair's
+# residual is at most NORM2_STOP times the Ritz value: every matrix that
+# converged within 12 rounds did so within NORM2_ROUNDS.  Where the block's
+# smallest Ritz value is above NORM2_CLUSTER times its largest, the SVD
+# decides at once: every matrix that converged read 0.45 or less after its
+# first round (0.005 or less out of sample), and 624 of the 696 that fell
+# back stopped after one round, none of them one that would have converged.
+# The computed Ritz value exceeded the SVD's by up to 4.8 eps, so it is
+# shaded down by NORM2_SHADE to stay a lower bound.
 NORM2_MIN_N = 48
 NORM2_BLOCK = 4
 NORM2_ROUNDS = 3
@@ -328,8 +332,10 @@ def _norm2(R):
     A matrix of NORM2_MIN_N columns or more takes the block Rayleigh-Ritz
     estimate of _ritz_norm2; one below that size, or on which the estimate
     gives up, takes the SVD, all such matrices of R in one stacked call.  An
-    estimate is a lower bound within 1e-12 relative of the SVD's value, so a
-    shortfall can only raise the expansion constant C, never pass it.  Each
+    estimate is a lower bound, within 1e-12 relative of the SVD's value on
+    every matrix measured (see NORM2_MIN_N); that it finds the largest value
+    and not a lower one rests on _ritz_norm2's random start.  A shortfall can
+    only raise the expansion constant C, never pass it.  Each
     matrix is decided on its own, so its value is bit for bit the same alone
     or in any stack.
     """
@@ -346,12 +352,18 @@ def _ritz_norm2(X):
     """sigma_max(X) by block Rayleigh-Ritz on X, or NaN where the SVD must decide.
 
     X is scaled by its largest entry, so that no square over- or underflows.
-    The block starts as X^H times X's NORM2_BLOCK largest columns.  Each round
-    orthonormalizes the block to Q, takes the SVD of the n x NORM2_BLOCK matrix
-    X Q, whose largest value theta (the Ritz value, at most sigma_max) has the
-    left vector u and the right vector v, and continues with X^H times the
-    left vectors.  It stops with theta once ||X^H u - theta v|| <= NORM2_STOP
-    theta (Kuczynski and Wozniakowski, SIAM J. Matrix Anal. Appl. 13(4),
+    The block starts as X^H times X's NORM2_BLOCK - 1 largest columns and X
+    times a fixed random vector (_random_start): the columns make the common
+    case converge in one round, and the random vector gives the block a part
+    along the top right singular vector even where the largest columns have
+    none, as in a block-diagonal matrix whose largest columns lie in a block
+    of lower norm.  Each round orthonormalizes the block to Q, takes the SVD
+    of the n x NORM2_BLOCK matrix X Q, whose largest value theta (the Ritz
+    value, at most sigma_max) has the left vector u and the right vector v,
+    and continues with X^H times the left vectors.  It stops with theta once
+    ||X^H u - theta v|| <= NORM2_STOP theta.  A small residual puts theta
+    next to some singular value; that it is the largest rests on the random
+    start (Kuczynski and Wozniakowski, SIAM J. Matrix Anal. Appl. 13(4),
     1992).  It gives up when the block's Ritz values are clustered or after
     NORM2_ROUNDS rounds.
     """
@@ -360,8 +372,8 @@ def _ritz_norm2(X):
         return 0.0
     X = X / peak
     XH = X.conj().T
-    largest = np.argsort(np.einsum("ij,ij->j", X.conj(), X).real)[-NORM2_BLOCK:]
-    block = XH @ X[:, largest]
+    largest = np.argsort(np.einsum("ij,ij->j", X.conj(), X).real)[1 - NORM2_BLOCK :]
+    block = XH @ np.column_stack((X[:, largest], X @ _random_start(X.shape[1])))
     for _ in range(NORM2_ROUNDS):
         Q = np.linalg.qr(block)[0]
         U, ritz, Vh = np.linalg.svd(X @ Q, full_matrices=False)
@@ -373,21 +385,33 @@ def _ritz_norm2(X):
     return np.nan
 
 
+@lru_cache(maxsize=None)
+def _random_start(n):
+    """The random start vector of _ritz_norm2 at n columns, the same on every call."""
+    g = make_rng(0).standard_normal(n)
+    g.setflags(write=False)
+    return g
+
+
 def index_by_growth(pencil: Pencil) -> IndexEstimate:
     """Index from the slope of log ||(sE+A)^{-1}|| against log s.
 
     Samples GROWTH_GRID on the positive real axis by stacked solves and
     fits a least squares line over the upper half, the only samples whose
-    2-norm is taken (by _norm2); the lower half is solved for one column
-    only, which meets its poles by the same singular rule and nudges.  The
-    index is the slope rounded to the nearest integer, halves up, clamped at
-    zero.  The estimate is not confident when the slope's fractional part is
-    ambiguous or the fit residual is large (the latter happens when
-    floating-point saturation of the stored pencil caps the observable growth
-    of high-index problems).  A sample whose resolvent stays singular after its nudges, in
-    either half, is saturated outright: it is dropped (counted in
-    samples_dropped) and the estimate is not confident.  Raises
-    SingularMatrixError only when fewer than two upper-half samples remain.
+    2-norm is taken (by _norm2).  The index is the slope rounded to the
+    nearest integer, halves up, clamped at zero.  The estimate is not
+    confident when the slope's fractional part is ambiguous or the fit
+    residual is large (the latter happens when floating-point saturation of
+    the stored pencil caps the observable growth of high-index problems).  A
+    sample that stays singular after its nudges, in either half, is
+    saturated outright: it is dropped (counted in samples_dropped) and the
+    estimate is not confident.  The lower half is solved for one column
+    only, (sE + A)^{-1} times the all-ones vector, under the same singular
+    rule and nudges: LAPACK refuses an exactly singular sE + A whatever the
+    right-hand side, but the non-finite test reads that one column, so a
+    lower-half point is dropped where the probe column overflows, not where
+    some other column of the inverse would.  Raises SingularMatrixError only
+    when fewer than two upper-half samples remain.
     """
     # the verdict is seed-independent, so any certificate kept on the pencil will do
     kept = (c for key, c in pencil._cache.items() if key[0] == "certificate")
@@ -395,8 +419,8 @@ def index_by_growth(pencil: Pencil) -> IndexEstimate:
         raise NotRegularError("growth sampling needs a regular pencil")
 
     half = len(GROWTH_GRID) // 2
-    # the lower half is only probed for poles, one column of each resolvent
-    probe = np.eye(pencil.n, 1)
+    # the lower half is only probed for poles, one dense column of each resolvent
+    probe = np.ones((pencil.n, 1))
     lower, _ = _sampled(pencil, GROWTH_GRID[:half], lambda X, s: s, drop=True, rhs=probe)
     norms, upper = _sampled(pencil, GROWTH_GRID[half:], lambda R, s: _norm2(R), drop=True)
     upper = upper[~np.isnan(upper)]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -406,7 +407,10 @@ def norm2_case(seed, n, kind, complex_, exponent):
 
     "gaussian" has clustered top singular values, "rank_one" one nonzero
     value, "equal_top" sigma_1 = sigma_2 = 1 above values of at most 1e-3,
-    and "dominant" a Gaussian plus a large random term of rank 1 to 3.
+    "dominant" a Gaussian plus a large random term of rank 1 to 3, and
+    "block_diagonal" a multiple of the identity beside a rank-one block of
+    unimodular entries, rows and columns permuted: the identity's columns
+    are the largest, the rank-one block holds sigma_max.
     """
     rng = np.random.default_rng(seed)
 
@@ -422,10 +426,36 @@ def norm2_case(seed, n, kind, complex_, exponent):
         U, V = np.linalg.qr(gaussian(n, n))[0], np.linalg.qr(gaussian(n, n))[0]
         sigma = np.concatenate(([1.0, 1.0], 1e-3 * rng.uniform(0.0, 1.0, n)))[:n]
         X = (U * sigma) @ V.conj().T
-    else:
+    elif kind == "dominant":
         r = int(rng.integers(1, 4))
         X = gaussian(n, n) + 100.0 * gaussian(n, r) @ gaussian(r, n)
+    else:
+        k = min(4, n // 2)
+        m = n - k
+        u, v = (gaussian(m, 1) for _ in range(2))
+        X = np.zeros((n, n), dtype=u.dtype)
+        X[:k, :k] = 1.5 * np.sqrt(m) * np.eye(k)
+        X[k:, k:] = (u / np.abs(u)) @ (v / np.abs(v)).conj().T
+        X = X[rng.permutation(n)][:, rng.permutation(n)]
     return X * 10.0**exponent
+
+
+def block_diagonal_pencil(p, q, scale):
+    """The pencil (diag(p.E, scale q.E), diag(p.A, scale q.A))."""
+    return new_pencil(*(scipy.linalg.block_diag(X, scale * Y) for X, Y in ((p.E, q.E), (p.A, q.A))))
+
+
+def stokes_pencil(m):
+    """The Stokes-like saddle E = diag(I_m, 0_q), A = [[L, B^T], [-B, 0]], q = m/2,
+    of the report gate (tools/report_gate.py), n = 3m/2."""
+    q, inv_h = m // 2, m + 1
+    E = np.diag(np.concatenate((np.ones(m), np.zeros(q))))
+    A = np.zeros((m + q, m + q))
+    A[:m, :m] = inv_h**2 * (2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1))
+    for i in range(q):
+        A[2 * i, m + i], A[2 * i + 1, m + i] = inv_h, -inv_h
+    A[m:, :m] = -A[:m, m:].T
+    return new_pencil(E, A)
 
 
 class TestNorm2:
@@ -434,7 +464,7 @@ class TestNorm2:
     norm2_cases = given(
         seed=st.integers(0, 2**32 - 1),
         n=st.sampled_from([1, 2, 5, 47, 48, 64, 96]),
-        kind=st.sampled_from(["gaussian", "rank_one", "equal_top", "dominant"]),
+        kind=st.sampled_from(["gaussian", "rank_one", "equal_top", "dominant", "block_diagonal"]),
         complex_=st.booleans(),
         exponent=st.sampled_from([-150, 0, 150]),
     )
@@ -473,6 +503,37 @@ class TestNorm2:
         for X in (clustered, small):
             assert pencils_mod._norm2(X[None])[0] == np.linalg.svd(X, compute_uv=False)[0]
         assert len(matrix_norm2_calls) == 2
+
+    def test_top_value_outside_the_largest_columns(self):
+        # the largest columns span e_0..e_3, an invariant subspace of X^H X at
+        # sigma = 10; started from them alone, the block stops there with a
+        # zero residual.  The random start vector reaches sigma_max = 44.
+        X = np.zeros((48, 48))
+        X[:4, :4] = 10.0 * np.eye(4)
+        X[4:, 4:] = 1.0
+        est = pencils_mod._norm2(X[None])[0]
+        assert 44.0 * (1.0 - 1e-12) <= est <= 44.0 * (1.0 + 4.0 * np.finfo(float).eps)
+
+    @pytest.mark.parametrize(
+        "pencil",
+        [
+            stokes_pencil(64),
+            block_diagonal_pencil(
+                generate(FixtureSpec(57, (3,), 100.0, 8))[0],
+                generate(FixtureSpec(48, (2,), 100.0, 9))[0],
+                1e3,
+            ),
+        ],
+        ids=["stokes_m64", "block_diagonal"],
+    )
+    def test_structured_resolvents_within_the_svd_bracket(self, pencil):
+        # the growth fit's and the expansion bound's grids on structured pencils
+        points = np.concatenate((pencils_mod.GROWTH_GRID[12:], np.geomspace(1e3, 1e6, 12)))
+        R, _ = pencils_mod._sampled(pencil, points, lambda R, s: R)
+        svd = np.linalg.svd(R, compute_uv=False)[:, 0]
+        est = pencils_mod._norm2(R)
+        eps = np.finfo(float).eps
+        assert np.all((svd * (1.0 - 1e-12) <= est) & (est <= svd * (1.0 + 4.0 * eps)))
 
     def test_zero_and_empty_stacks(self):
         assert pencils_mod._norm2(np.zeros((2, 64, 64))).tolist() == [0.0, 0.0]
@@ -566,6 +627,30 @@ class TestIndexByGrowth:
         assert sorted(columns) == sorted([*nudges, *lower[1:], *upper])
         assert all(columns[s] == {1} for s in [*nudges, *lower[1:]])
         assert all(columns[s] == {3} for s in upper)
+
+    @pytest.mark.parametrize("first", [True, False], ids=["overflow_first", "overflow_last"])
+    def test_lower_half_drops_where_the_resolvent_overflows(self, first):
+        # block-diagonal: 1/(s 1e-311) overflows for s below about 556, so the
+        # lower half's four points up to 449 (and their nudges) are dropped by
+        # the probe wherever the overflowing block sits, as they are by the
+        # full inverse; regular, since the other block lifts det(sE + A)
+        blocks = [new_pencil([[1e-311]], [[0.0]]), new_pencil(1e150 * N2, 1e150 * np.eye(2))]
+        if not first:
+            blocks.reverse()
+        pencil = block_diagonal_pencil(*blocks, 1.0)
+
+        def full_inverse_drops(s):
+            try:
+                pencils_mod._nudged(lambda t: resolvent(pencil, t), s)
+            except SingularMatrixError:
+                return True
+            return False
+
+        lower = np.geomspace(1e2, 1e7, 24)[:12]
+        est = index_by_growth(pencil)
+        assert est.diagnostics["samples_dropped"] == sum(map(full_inverse_drops, lower)) == 4
+        assert not est.confident
+        assert est.diagnostics["s_range"][0] == lower[4]
 
     def test_two_norms_only_for_the_fitted_half(self, matrix_norm2_calls):
         est = index_by_growth(new_pencil(N3, np.eye(3)))

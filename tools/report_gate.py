@@ -24,12 +24,14 @@ s = IDENTITY_POINTS[3] of `daepencil.analysis`, as exact array files: sE + A
 is exactly zero at an identity point, so the stacked solve of the identity
 grid fails there, is halved down to that point, and the point is nudged to
 1.01 s.  It also writes the `analyze --json` report of a 1-D Stokes-like saddle at
-m = 16 (n = 24), whose `E.mtx` and `A.mtx` it writes itself with exact
-entries.  The saddle's finite eigenvalues run from 17 to 561 in modulus, far
-outside the |lambda| <= 2.2 of every generated fixture, so the gate also
-covers a pencil with a wide finite spectrum.  SRC is the `src` directory of
-the checkout to run (this checkout's by default), so two checkouts can be
-gated against each other.
+m = 16 (n = 24) and at m = 64 (n = 96), whose `E.mtx` and `A.mtx` it writes
+itself with exact entries.  The small saddle's finite eigenvalues run from 17
+to 561 in modulus, far outside the |lambda| <= 2.2 of every generated
+fixture, so the gate also covers a pencil with a wide finite spectrum; the
+large one's resolvents are sparse-structured, not randomly rotated, and have
+the 48 or more columns at which `pencils._norm2` estimates instead of taking
+the SVD.  SRC is the `src` directory of the checkout to run (this checkout's
+by default), so two checkouts can be gated against each other.
 
 `compare` prints every JSON leaf and text line that differs between two
 `run` directories as old -> new, marking numbers that went down and giving
@@ -79,8 +81,8 @@ SOLVE_ARGS = ("--t-end", "2", "--steps", "200")
 SOLVE_METHODS = ("exponential", "oracle", "euler")
 # IDENTITY_POINTS[3] = np.geomspace(0.5, 50.0, 20)[3], exactly, the pole of the pole pencil
 POLE = "1.0345690405573948"
-# m of the Stokes-like saddle E = diag(I_m, 0_{m/2}), A = [[L, B^T], [-B, 0]]
-STOKES_M = 16
+# m of the Stokes-like saddles E = diag(I_m, 0_{m/2}), A = [[L, B^T], [-B, 0]]
+STOKES_M = (16, 64)
 VERIFY_ARGS = ("--random", "60", "--dim-range", "2..20", "--index-range", "0..4")
 # output name -> the verify options that follow VERIFY_ARGS
 VERIFY_RUNS = {f"verify_seed-{seed}": ("--seed", seed) for seed in (7, 8, 9, 11)}
@@ -189,11 +191,12 @@ def run(out: Path, src: Path):
     E, A = out / name / "E.mtx", out / name / "A.mtx"
     codes[name] = _cli(src, "analyze", E, A, "--json", out / f"{name}.json")
     print(f"{name}: exit {codes[name]}")
-    name = f"analyze_stokes_m-{STOKES_M}"
-    _write_stokes(out / name, STOKES_M)
-    E, A = out / name / "E.mtx", out / name / "A.mtx"
-    codes[name] = _cli(src, "analyze", E, A, "--json", out / f"{name}.json")
-    print(f"{name}: exit {codes[name]}")
+    for m in STOKES_M:
+        name = f"analyze_stokes_m-{m}"
+        _write_stokes(out / name, m)
+        E, A = out / name / "E.mtx", out / name / "A.mtx"
+        codes[name] = _cli(src, "analyze", E, A, "--json", out / f"{name}.json")
+        print(f"{name}: exit {codes[name]}")
     for name, options in VERIFY_RUNS.items():
         with open(out / f"{name}.txt", "w", encoding="ascii") as fh:
             codes[name] = _cli(
