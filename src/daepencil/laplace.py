@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import IvChain, _check_owner
-from .pencils import TINY, Pencil, _norm2, _sampled, _solve_shifted
+from .pencils import TINY, Pencil, _frobenius, _norm2, _sampled, _solve_shifted, _sumsq
 from .solvers import _coordinates
 
 __all__ = [
@@ -56,46 +56,6 @@ class IdentityReport:
     details: dict = field(default_factory=dict)
 
 
-def _peaks(X):
-    """(max |entry| of each matrix of the stack X, the same with 1 for 0)."""
-    peak = np.abs(X).max(axis=(-2, -1))
-    return peak, np.where(peak == 0.0, 1.0, peak)
-
-
-def _sumsq(X):
-    """Sum of |entry|^2 of each matrix of the stack X, one BLAS dot each."""
-    flat = X.reshape(*X.shape[:-2], 1, X.shape[-2] * X.shape[-1])  # no -1: stacks may be empty
-    return (flat.conj() @ flat.swapaxes(-2, -1))[..., 0, 0].real
-
-
-def _frobenius(X):
-    """||X||_F of each matrix of the stack X, taken of X / max|X| so that no
-    square over- or underflows."""
-    peak, scale = _peaks(X)
-    return peak * np.sqrt(_sumsq(X / scale[..., None, None]))
-
-
-def _norm2_lower(X):
-    """Certified lower bound on ||X||_2, at least ||X||_F / sqrt(n), for each
-    matrix of the stack X (..., m, n), by matvecs.
-
-    The largest ||X v|| / ||v|| of the largest column and three power steps on
-    X^H X from it; X is scaled by its largest entry so that no square overflows.
-    A zero matrix gets 0.
-    """
-    peak, scale = _peaks(X)
-    X = X / scale[..., None, None]
-    XH = X.conj().swapaxes(-2, -1)
-    largest = np.einsum("...ji,...ij->...j", XH, X).real.argmax(axis=-1)
-    w = np.take_along_axis(X, largest[..., None, None], axis=-1)  # largest column
-    best = _sumsq(w)
-    for _ in range(3):
-        v = XH @ w
-        w = X @ v
-        best = np.maximum(best, _sumsq(w) / np.where(peak == 0.0, 1.0, _sumsq(v)))
-    return peak * np.sqrt(best)
-
-
 # The errors below take a stack R[j] = (s[j] E + A)^{-1} and return one
 # relative error per point.
 
@@ -103,7 +63,7 @@ def _norm2_lower(X):
 def _commutation_error(pencil, R, s, u0):
     diff = pencil.E @ R @ pencil.A - pencil.A @ R @ pencil.E
     # the scale is grouped so that it neither over- nor underflows where R scales inversely
-    denom = np.maximum((pencil.norm_E * _norm2_lower(R)) * pencil.norm_A, TINY)
+    denom = np.maximum((pencil.norm_E * _norm2(R)) * pencil.norm_A, TINY)
     return _frobenius(diff) / denom
 
 
@@ -111,7 +71,7 @@ def _shift_error(pencil, R, s, u0):
     s = s[:, None, None]
     lhs = R @ pencil.E
     rhs = np.eye(pencil.n) / s - (R @ pencil.A) / s
-    denom = np.maximum(np.maximum(_norm2_lower(lhs), _norm2_lower(rhs)), TINY)
+    denom = np.maximum(np.maximum(_norm2(lhs), _norm2(rhs)), TINY)
     return _frobenius(lhs - rhs) / denom
 
 
@@ -153,7 +113,8 @@ def _sample_identities(pencil, points, names, u0=None):
 def verify_commutation(pencil: Pencil, points) -> IdentityReport:
     """E (sE+A)^{-1} A = A (sE+A)^{-1} E at every sample point.
 
-    Frobenius error over ||E|| ||A|| times a certified lower bound on ||R||_2.
+    Frobenius error over ||E|| ||A|| times pencils._norm2's lower bound on
+    ||R||_2, so an upper bound on the relative 2-norm error.
     """
     return _sample_identities(pencil, points, ("commutation_b",))[0]
 
@@ -161,7 +122,8 @@ def verify_commutation(pencil: Pencil, points) -> IdentityReport:
 def verify_shift(pencil: Pencil, points) -> IdentityReport:
     """(sE+A)^{-1} E = I/s - (1/s)(sE+A)^{-1} A at every nonzero sample point.
 
-    Frobenius error over the larger certified lower bound on ||lhs||_2, ||rhs||_2.
+    Frobenius error over the larger of pencils._norm2's lower bounds on
+    ||lhs||_2 and ||rhs||_2, so an upper bound on the relative 2-norm error.
     """
     return _sample_identities(pencil, points, ("shift_d",))[0]
 
@@ -241,6 +203,8 @@ def verify_expansion(pencil: Pencil, chain: IvChain, k: int, s_grid=None) -> Ide
     across the grid with C <= EXPANSION_C_MAX.  The reported
     max_relative_error is the observed C, worst over the basis.  Each fit
     node and grid point takes one resolvent, applied to the whole basis.
+    ||(sE+A)^{-1}|| is pencils._norm2's lower bound, so C is at least the
+    value the exact 2-norm would give.
 
     The fit assumes its nodes (s from s_ref to 2^(k+1) s_ref, s_ref <= 100,
     about 10.6 at k = 4) lie well above the finite spectrum of the pencil,

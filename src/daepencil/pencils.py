@@ -54,32 +54,6 @@ GROWTH_GRID = tuple(np.geomspace(1e2, 1e7, 24))
 # sample points per chunk (a whole small-pencil grid, one point at n = 160)
 STACK_ENTRIES = 2**15
 
-# _norm2's block Rayleigh-Ritz estimate of sigma_max, measured with one BLAS
-# thread on the resolvents of 48 or more columns whose 2-norm analyze_pencil
-# takes: 2,856 on the analyze-large pencils of bench seeds 29, 41, 53 and on
-# random_specs(100, (40, 160), (0, 4), seed=11), where the constants were
-# chosen, and 3,192 on seeds 61, 73, 89, on random_specs seed=13 and on
-# Stokes-like saddles and block-diagonal pencils, where they were checked.
-# Below NORM2_MIN_N columns the SVD is about as fast as one round or faster
-# (medians of 1,500 calls: SVD 57-97 us at n = 24-32 and 128-186 us at
-# n = 40-48, a round 70-110 us at any of these sizes).  A block of
-# NORM2_BLOCK vectors separates the clustered top values of pencils with
-# several equal nilpotent blocks.  A matrix stops when its top Ritz pair's
-# residual is at most NORM2_STOP times the Ritz value: every matrix that
-# converged within 12 rounds did so within NORM2_ROUNDS.  Where the block's
-# smallest Ritz value is above NORM2_CLUSTER times its largest, the SVD
-# decides at once: every matrix that converged read 0.45 or less after its
-# first round (0.005 or less out of sample), and 624 of the 696 that fell
-# back stopped after one round, none of them one that would have converged.
-# The computed Ritz value exceeded the SVD's by up to 4.8 eps, so it is
-# shaded down by NORM2_SHADE to stay a lower bound.
-NORM2_MIN_N = 48
-NORM2_BLOCK = 4
-NORM2_ROUNDS = 3
-NORM2_STOP = 1e-13
-NORM2_CLUSTER = 0.5
-NORM2_SHADE = 8 * np.finfo(float).eps
-
 
 def _cached(owner, key, build):
     """owner's artifact under key, built by build() on first use and kept.
@@ -326,69 +300,68 @@ def _stack(pencil, s, drop, rhs):
     return X[None]
 
 
+def _peaks(X):
+    """(max |entry| of each matrix of the stack X, the same with 1 for 0)."""
+    peak = np.abs(X).max(axis=(-2, -1))
+    return peak, np.where(peak == 0.0, 1.0, peak)
+
+
+def _sumsq(X):
+    """Sum of |entry|^2 of each matrix of the stack X, one BLAS dot each."""
+    flat = X.reshape(*X.shape[:-2], 1, X.shape[-2] * X.shape[-1])  # no -1: stacks may be empty
+    return (flat.conj() @ flat.swapaxes(-2, -1))[..., 0, 0].real
+
+
+def _frobenius(X):
+    """||X||_F of each matrix of the stack X, taken of X / max|X| so that no
+    square over- or underflows."""
+    peak, scale = _peaks(X)
+    return peak * np.sqrt(_sumsq(X / scale[..., None, None]))
+
+
+def _column_sumsq(X):
+    """Sum of |entry|^2 of each column of each matrix of the stack X."""
+    return np.einsum("...ij,...ij->...j", X.conj(), X).real
+
+
 def _norm2(R):
-    """||R[j]||_2, the largest singular value, of each matrix of the stack R.
+    """A lower bound on ||R[j]||_2 of each matrix of the stack R (..., m, n),
+    at least its largest column norm and at most sigma_max, with no SVD.
 
-    A matrix of NORM2_MIN_N columns or more takes the block Rayleigh-Ritz
-    estimate of _ritz_norm2; one below that size, or on which the estimate
-    gives up, takes the SVD, all such matrices of R in one stacked call.  An
-    estimate is a lower bound, within 1e-12 relative of the SVD's value on
-    every matrix measured (see NORM2_MIN_N); that it finds the largest value
-    and not a lower one rests on _ritz_norm2's random start.  A shortfall can
-    only raise the expansion constant C, never pass it.  Each
-    matrix is decided on its own, so its value is bit for bit the same alone
-    or in any stack.
+    The largest column and the fixed random vector _random_start(m) take
+    three power steps v = R^H w, w = R v as one block; the value is the
+    largest ||R v|| / ||v|| met.  The random vector reaches sigma_max where
+    the largest columns miss it, as in a block-diagonal matrix whose largest
+    columns lie in a block of lower norm (Kuczynski and Wozniakowski, SIAM J.
+    Matrix Anal. Appl. 13(4), 1992).  Close top singular values leave a
+    shortfall, to 0.75 sigma_max at worst on 122,000 test matrices.  It only
+    makes the expansion, identity and chain_descent checks stricter, but can
+    move the growth slope either way.  R is divided by its largest entry
+    into C order, so that no square over- or underflows and every matrix is
+    multiplied alike: its value is bit for bit the same alone or in any stack.
     """
-    if R.shape[-1] < NORM2_MIN_N:
-        return np.linalg.svd(R, compute_uv=False)[:, 0]
-    norms = np.array([_ritz_norm2(X) for X in R], dtype=float)
-    svd = np.isnan(norms)
-    if svd.any():
-        norms[svd] = np.linalg.svd(R[svd], compute_uv=False)[:, 0]
-    return norms
-
-
-def _ritz_norm2(X):
-    """sigma_max(X) by block Rayleigh-Ritz on X, or NaN where the SVD must decide.
-
-    X is scaled by its largest entry, so that no square over- or underflows.
-    The block starts as X^H times X's NORM2_BLOCK - 1 largest columns and X
-    times a fixed random vector (_random_start): the columns make the common
-    case converge in one round, and the random vector gives the block a part
-    along the top right singular vector even where the largest columns have
-    none, as in a block-diagonal matrix whose largest columns lie in a block
-    of lower norm.  Each round orthonormalizes the block to Q, takes the SVD
-    of the n x NORM2_BLOCK matrix X Q, whose largest value theta (the Ritz
-    value, at most sigma_max) has the left vector u and the right vector v,
-    and continues with X^H times the left vectors.  It stops with theta once
-    ||X^H u - theta v|| <= NORM2_STOP theta.  A small residual puts theta
-    next to some singular value; that it is the largest rests on the random
-    start (Kuczynski and Wozniakowski, SIAM J. Matrix Anal. Appl. 13(4),
-    1992).  It gives up when the block's Ritz values are clustered or after
-    NORM2_ROUNDS rounds.
-    """
-    peak = np.abs(X).max()
-    if peak == 0.0:
-        return 0.0
-    X = X / peak
-    XH = X.conj().T
-    largest = np.argsort(np.einsum("ij,ij->j", X.conj(), X).real)[1 - NORM2_BLOCK :]
-    block = XH @ np.column_stack((X[:, largest], X @ _random_start(X.shape[1])))
-    for _ in range(NORM2_ROUNDS):
-        Q = np.linalg.qr(block)[0]
-        U, ritz, Vh = np.linalg.svd(X @ Q, full_matrices=False)
-        block = XH @ U
-        if np.linalg.norm(block[:, 0] - ritz[0] * (Q @ Vh[0].conj())) <= NORM2_STOP * ritz[0]:
-            return peak * ritz[0] * (1.0 - NORM2_SHADE)
-        if ritz[-1] > NORM2_CLUSTER * ritz[0]:
-            break
-    return np.nan
+    peak, scale = _peaks(R)
+    X = np.divide(R, scale[..., None, None], order="C")
+    XH = X.conj().swapaxes(-2, -1)
+    columns = _column_sumsq(X)
+    largest = columns.argmax(axis=-1)[..., None, None]
+    start = np.broadcast_to(_random_start(X.shape[-2])[:, None], (*X.shape[:-1], 1))
+    w = np.concatenate((np.take_along_axis(X, largest, axis=-1), start), axis=-1)
+    best = columns.max(axis=-1)
+    for _ in range(3):
+        v = XH @ w
+        w = X @ v
+        # a zero v (of a zero matrix) has a zero w: its ratio is 0
+        ratio = _column_sumsq(w) / np.maximum(_column_sumsq(v), TINY)
+        best = np.maximum(best, ratio.max(axis=-1))
+    return peak * np.sqrt(best)
 
 
 @lru_cache(maxsize=None)
-def _random_start(n):
-    """The random start vector of _ritz_norm2 at n columns, the same on every call."""
-    g = make_rng(0).standard_normal(n)
+def _random_start(m):
+    """The random left start vector of _norm2 at m rows: drawn from a fixed
+    seed, so that every 2-norm is reproducible, and kept per m."""
+    g = make_rng(0).standard_normal(m)
     g.setflags(write=False)
     return g
 
@@ -398,8 +371,9 @@ def index_by_growth(pencil: Pencil) -> IndexEstimate:
 
     Samples GROWTH_GRID on the positive real axis by stacked solves and
     fits a least squares line over the upper half, the only samples whose
-    2-norm is taken (by _norm2).  The index is the slope rounded to the
-    nearest integer, halves up, clamped at zero.  The estimate is not
+    2-norm is taken, by _norm2, whose lower bound can move the slope either
+    way where it falls short of sigma_max.  The index is the slope rounded
+    to the nearest integer, halves up, clamped at zero.  The estimate is not
     confident when the slope's fractional part is ambiguous or the fit
     residual is large (the latter happens when floating-point saturation of
     the stored pencil caps the observable growth of high-index problems).  A

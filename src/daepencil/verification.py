@@ -18,8 +18,7 @@ from .analysis import build_analysis, identity_checks
 from .chains import consistent_space
 from .exceptions import InconsistentInitialValueError, IsomorphismError, SingularMatrixError
 from .fixtures import FixtureSpec, generate
-from .laplace import _frobenius, _norm2_lower
-from .pencils import TINY, _norm2, _sampled
+from .pencils import TINY, _frobenius, _norm2, _sampled
 from .rng import make_rng
 from .solvers import classical_solution, decomposition_oracle
 from .subspaces import (
@@ -145,8 +144,9 @@ def _resolvent_identity_row(analyzed, seed):
         lhs = Rs - Rt
         rhs = gap * (Rs @ (p.E @ Rt))
         # the product scale keeps cancellation in Rs - Rt for nearby points
-        # from inflating the error; Frobenius over lower bounds, as in laplace
-        lb_lhs, lb_rhs, lb_s, lb_t = map(_norm2_lower, (lhs, rhs, Rs, Rt))
+        # from inflating the error; Frobenius over _norm2's lower bounds on the
+        # 2-norms, as in laplace, so the error is never below the exact one
+        lb_lhs, lb_rhs, lb_s, lb_t = map(_norm2, (lhs, rhs, Rs, Rt))
         product = np.abs(gap[:, 0, 0]) * lb_s * p.norm_E * lb_t
         scale = np.maximum(np.maximum(np.maximum(lb_lhs, lb_rhs), product), TINY)
         err = _frobenius(lhs - rhs) / scale

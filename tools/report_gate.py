@@ -28,9 +28,9 @@ m = 16 (n = 24) and at m = 64 (n = 96), whose `E.mtx` and `A.mtx` it writes
 itself with exact entries.  The small saddle's finite eigenvalues run from 17
 to 561 in modulus, far outside the |lambda| <= 2.2 of every generated
 fixture, so the gate also covers a pencil with a wide finite spectrum; the
-large one's resolvents are sparse-structured, not randomly rotated, and have
-the 48 or more columns at which `pencils._norm2` estimates instead of taking
-the SVD.  SRC is the `src` directory of the checkout to run (this checkout's
+large one's resolvents are sparse-structured, not randomly rotated, and
+their top singular values lie close enough together that the power steps of
+`pencils._norm2` fall short of `sigma_max` (to 0.91 of it).  SRC is the `src` directory of the checkout to run (this checkout's
 by default), so two checkouts can be gated against each other.
 
 `compare` prints every JSON leaf and text line that differs between two
