@@ -2,8 +2,9 @@
 
 The pencil s -> sE + A is regular when det(sE + A) is not identically zero.
 Two independent index estimators live here: resolvent-growth sampling on the
-positive real axis and the kernel-chain (nilpotency) route through a single
-resolvent of the pencil.  A third route via the IV chain is in `chains`.
+positive real axis and the nilpotency route through the second Wong sequence
+W_{j+1} = E^{-1}(A W_j).  A third route via the IV chain, the first Wong
+sequence, is in `chains`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .exceptions import (
     SingularMatrixError,
 )
 from .rng import make_rng
-from .subspaces import RankTolerance, _monotone_chain, preimage, zero_space
+from .subspaces import RankTolerance, _monotone_chain, image, preimage, zero_space
 
 __all__ = [
     "Pencil",
@@ -80,7 +81,7 @@ class Pencil:
     """Validated pair of same-size square matrices over a common scalar field.
 
     Build it with new_pencil, which makes both arrays read-only; the
-    per-pencil artifacts (norms, certificates, shifts, splittings) are then
+    per-pencil artifacts (norms, certificates, Wong chain, splittings) are then
     computed once and kept on the pencil.  Pencils compare by value.
     """
 
@@ -245,7 +246,7 @@ class IndexEstimate:
 
 def _nudged(solve, x):
     """(solve(x), x) at the first of x, 1.01 x, ..., 1.01^5 x where solve raises no
-    SingularMatrixError, else its error: the rule of every resolvent, s0 and Euler h."""
+    SingularMatrixError, else its error: the rule of every resolvent sample and Euler h."""
     for _ in range(5):
         try:
             return solve(x), x
@@ -423,48 +424,44 @@ def index_by_growth(pencil: Pencil) -> IndexEstimate:
     return IndexEstimate(k=k, method="growth", confident=confident, diagnostics=diagnostics)
 
 
-def _shifted_kernels(pencil: Pencil, seed: int):
-    """(s0, F, ||F||_2, kernels) for the seed-derived shift, kept on the pencil.
+def _wong_chain(pencil: Pencil):
+    """The second Wong sequence W_0 = {0} <= W_1 = ker E <= W_2 <= ...,
+    W_{j+1} = E^{-1}(A W_j), kept on the pencil.
 
-    s0 is drawn from [1, 2] and nudged off singular points like any other
-    resolvent sample; F = (s0 E + A)^{-1} E is read-only.  kernels is
-    ker F^0 = {0} <= ker F <= ker F^2 <= ..., computed by iterated preimages
-    rather than explicit powers of F (which keeps every rank decision at the
-    scale of F itself), while the dimensions strictly rise
-    (subspaces._monotone_chain): the last kernel repeats (or reverses) the
-    dimension, so kernels[-2] is the stabilized one.  Both the nilpotency
-    index and the Fitting splitting read it.
+    Each step is a preimage under E of an image under A, ranked against
+    ||E|| and ||A|| as the IV chain is; it runs while the dimensions strictly
+    rise (subspaces._monotone_chain), so the last space repeats (or reverses)
+    the dimension and chain[-2] is the stabilized W*, the kernel part of the
+    quasi-Weierstrass split.  Both the nilpotency index and the Fitting
+    splitting read it.
     """
 
     def build():
-        s0 = float(make_rng(seed).uniform(1.0, 2.0))
-        R, s0 = _nudged(lambda s: resolvent(pencil, s), s0)
-        F = R @ pencil.E
-        F.setflags(write=False)
-        norm_F = float(np.linalg.norm(F, 2))
-        kernels = _monotone_chain(
-            lambda K: preimage(F, K, norm_F), zero_space(pencil.n, RankTolerance())
-        )
-        return s0, F, norm_F, tuple(kernels)
+        def step(W):
+            return preimage(pencil.E, image(pencil.A, W, pencil.norm_A), pencil.norm_E)
 
-    return _cached(pencil, ("shift", seed), build)
+        return tuple(_monotone_chain(step, zero_space(pencil.n, RankTolerance())))
+
+    return _cached(pencil, "wong", build)
 
 
 def index_by_nilpotency(pencil: Pencil, seed: int = 0) -> IndexEstimate:
-    """Index from the kernel chain of F = (s0 E + A)^{-1} E.
+    """Index from the second Wong sequence W_{j+1} = E^{-1}(A W_j).
 
-    The chain ker F^0 = {0} <= ker F <= ker F^2 <= ... (see _shifted_kernels)
-    stabilizes at step nu, the nilpotency degree of the eigenvalue-zero part
-    of F.  The nilpotent part contributes resolvent growth |s|^(nu-1) while
-    the invertible part decays, so the growth index is max(nu - 1, 0).
+    The chain {0} = W_0 <= W_1 <= ... (see _wong_chain) stabilizes at step
+    nu, the nilpotency degree of the pencil's infinite part: W_j is ker F^j
+    for F = (s0 E + A)^{-1} E at any s0 in the resolvent set, and no F is
+    formed.  The nilpotent part contributes resolvent growth |s|^(nu-1) while
+    the finite part decays, so the growth index is max(nu - 1, 0).  The
+    seed picks only the regularity certificate.
     """
     if not certify_regularity(pencil, seed).regular:
         raise NotRegularError("the kernel-chain oracle needs a regular pencil")
-    s0, _, _, kernels = _shifted_kernels(pencil, seed)
-    nu = len(kernels) - 2
+    chain = _wong_chain(pencil)
+    nu = len(chain) - 2
     return IndexEstimate(
         k=max(nu - 1, 0),
         method="nilpotency",
         confident=True,
-        diagnostics={"kernel_dims": [K.dim for K in kernels], "shift": s0, "nilpotency": nu},
+        diagnostics={"kernel_dims": [W.dim for W in chain], "nilpotency": nu},
     )

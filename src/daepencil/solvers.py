@@ -3,8 +3,9 @@
 The main route restricts E to an isomorphism IV_{k+1} -> E[IV_k], forms the
 reduced generator M representing E~^{-1}A there, and evolves coordinates with
 the matrix exponential.  An implicit Euler stepper provides a first-order
-reference, and a spectral-splitting oracle built from a single resolvent
-gives an independent cross-check of uniqueness and consistency.
+reference, and a splitting oracle built from the two Wong sequences (the
+quasi-Weierstrass split) gives an independent cross-check of uniqueness and
+consistency.
 """
 
 from __future__ import annotations
@@ -14,7 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import IvChain, _restricted_iso, check_restricted_iso, consistent_space
+from .chains import (
+    IvChain,
+    _restricted_iso,
+    check_restricted_iso,
+    compute_chain,
+    consistent_space,
+)
 from .exceptions import (
     ConditioningWarning,
     InconsistentInitialValueError,
@@ -25,8 +32,8 @@ from .exceptions import (
     SingularMatrixError,
 )
 from .expm import expm
-from .pencils import TINY, Pencil, _cached, _nudged, _shifted_kernels, _solve, certify_regularity
-from .subspaces import RankTolerance, _monotone_chain, distance, full_space, image, project
+from .pencils import TINY, Pencil, _cached, _nudged, _solve, _wong_chain, certify_regularity
+from .subspaces import RankTolerance, distance, project
 
 __all__ = [
     "ReducedGenerator",
@@ -306,17 +313,19 @@ def implicit_euler(pencil: Pencil, u0, h: float, T: float, forcing=None) -> Traj
 
 @dataclass(frozen=True)
 class FittingSplit:
-    """Decomposition H = range(F^n) (+) ker(F^n) for F = (s0 E + A)^{-1} E.
+    """The quasi-Weierstrass split H = V* (+) W* of the pencil.
 
+    V* is the consistent space IV_{k+1} of the first Wong sequence (the IV
+    chain) and W* the stabilized second Wong sequence W_{j+1} = E^{-1}(A W_j);
+    in the Weierstrass form they carry the finite and the infinite part.
     range_basis and kernel_basis are orthonormal within each summand but the
     splitting itself is oblique; basis_sigma_min (smallest singular value of
-    the combined basis) measures how oblique.  generator is F_r^{-1} G_r on
-    the range part (G = I - s0 F), so solutions there are exp(-t generator)
+    the combined basis) measures how oblique.  generator is the J with
+    E V J = A V for the range basis V, so solutions there are exp(-t J)
     applied to the range component; tol decided both summands.  All arrays
     are read-only: the split is kept on its pencil and shared.
     """
 
-    shift: float
     range_basis: np.ndarray
     kernel_basis: np.ndarray
     generator: np.ndarray
@@ -332,43 +341,33 @@ class FittingSplit:
 
 
 def fitting_splitting(pencil: Pencil, seed: int = 0) -> FittingSplit:
-    """Split the space along the eigenvalue-zero structure of F.
+    """Split the space along the two Wong sequences (quasi-Weierstrass split).
 
-    F = (s0 E + A)^{-1} E with the seed-derived shift of index_by_nilpotency.
-    The two invariant subspaces are found by iterating images (for the range
-    part) and preimages (for the kernel part, shared with the nilpotency
-    index) of F until they stabilize; no canonical-form transformation is
-    involved.  Warns when the spectral gap between the zero cluster and the
-    rest, or the conditioning of the combined basis, is below 1e-8.
-    Computed once per (pencil, seed) and kept on the pencil, so the warnings
-    come with the first call only.
+    The range part is the consistent space of the IV chain, computed here at
+    the tolerance of the Wong chain; the kernel part is the stabilized second
+    Wong sequence, shared with the nilpotency index (pencils._wong_chain).
+    No shift, resolvent or canonical-form transformation is involved, and
+    the generator on the range part is solved from E and A themselves, not
+    taken from the reduced generator it is compared with.  Raises
+    SingularMatrixError when the two dimensions do not add up to n, and
+    warns when the combined basis has sigma_min below 1e-8.  The seed picks
+    only the regularity certificate.  Computed once per pencil and kept on
+    it, so the warning comes with the first call only.
     """
     if not certify_regularity(pencil, seed).regular:
         raise NotRegularError("the splitting oracle needs a regular pencil")
-    return _cached(pencil, ("split", seed), lambda: _split(pencil, seed))
+    return _cached(pencil, "split", lambda: _split(pencil))
 
 
-def _split(pencil, seed):
-    s0, F, norm_F, kernels = _shifted_kernels(pencil, seed)
-    ker = kernels[-2]
+def _split(pencil):
+    ker = _wong_chain(pencil)[-2]
+    ran = consistent_space(pencil, compute_chain(pencil, ker.tol))
     n = pencil.n
-    ran = _monotone_chain(lambda S: image(F, S, norm_F), full_space(n, ker.tol))[-2]
-
     if ran.dim + ker.dim != n:
         raise SingularMatrixError(
             f"splitting failed: range dim {ran.dim} + kernel dim {ker.dim} != {n}"
         )
 
-    mags = np.sort(np.abs(np.linalg.eigvals(F)))
-    if 0 < ker.dim < n:
-        gap = float(mags[ker.dim] - mags[ker.dim - 1])
-        if gap < 1e-8:
-            warnings.warn(
-                f"spectral gap {gap:.3e} between the zero cluster and the rest "
-                "is below 1e-8; the splitting may be ill-conditioned",
-                ConditioningWarning,
-                stacklevel=5,
-            )
     V = np.hstack([ran.basis, ker.basis])
     smin = float(np.linalg.svd(V, compute_uv=False)[-1])
     if smin < 1e-8:
@@ -378,27 +377,23 @@ def _split(pencil, seed):
             stacklevel=5,
         )
 
-    if ran.dim:
-        Br = ran.basis
-        Fr = Br.conj().T @ (F @ Br)
-        Gr = Br.conj().T @ ((np.eye(n) - s0 * F) @ Br)
-        try:
-            generator = np.linalg.solve(Fr, Gr)
-        except np.linalg.LinAlgError:
-            raise SingularMatrixError("F is singular on its stabilized range") from None
-    else:
-        generator = np.zeros((0, 0))
+    B = ran.basis
+    generator = np.linalg.lstsq(pencil.E @ B, pencil.A @ B, rcond=None)[0]
     generator.setflags(write=False)
-    return FittingSplit(s0, ran.basis, ker.basis, generator, smin, ker.tol)
+    return FittingSplit(B, ker.basis, generator, smin, ker.tol)
 
 
 def decomposition_oracle(pencil: Pencil, u0, times, seed: int = 0) -> Trajectory:
-    """Independent solution via the splitting H = range(F^n) (+) ker(F^n).
+    """Independent solution via the quasi-Weierstrass split H = V* (+) W*.
 
-    On the range part F is invertible and Eu' + Au = 0 reduces to the plain
-    ODE u' = -F_r^{-1} G_r u; on the kernel part the only classical solution
-    is zero, so a nonzero kernel component of u0 is flagged as inconsistent.
-    An (n, m) block u0 is solved at once and rejected, like classical_solution's,
+    On V* (the range part) E is injective and Eu' + Au = 0 reduces to the
+    plain ODE c' = -J c in the range coordinates; on W* (the kernel part) the
+    only classical solution is zero, so a nonzero W* component of u0 is
+    flagged as inconsistent.  V* is the consistent space classical_solution
+    also reads, so two things stay independent checks: consistency is
+    decided by the oblique W* component, not by membership in the IV chain,
+    and J is solved from E and A, not taken from the reduced generator.  An
+    (n, m) block u0 is solved at once and rejected, like classical_solution's,
     if any column is, with the largest kernel component and the range part.
     """
     u0 = _check_u0(pencil, u0, block=True)

@@ -5,7 +5,6 @@ import pytest
 
 import daepencil.chains as chains_mod
 import daepencil.pencils as pencils_mod
-import daepencil.solvers as solvers_mod
 from daepencil.chains import (
     check_restricted_iso,
     compute_chain,
@@ -215,16 +214,6 @@ class TestOneStoppingRule:
         pencil, _ = generate(FixtureSpec(3, (2,), 100.0, 1))
         n = pencil.n
         calls = oscillating(monkeypatch, pencils_mod, "preimage", n, (n, n - 1))
-        kernels = pencils_mod._shifted_kernels(pencil, 0)[3]
+        kernels = pencils_mod._wong_chain(pencil)
         assert len(calls) <= n + 1
         assert [K.dim for K in kernels] == [0, n, n - 1]
-
-    def test_fitting_range_chain(self, monkeypatch):
-        pencil, _ = generate(FixtureSpec(4, (1,), 100.0, 2))  # ker F^j has dim 1
-        n = pencil.n
-        calls = oscillating(monkeypatch, solvers_mod, "image", n, (n - 1, n))
-        split = solvers_mod._split(pencil, 0)
-        assert len(calls) <= n + 1
-        # the stabilized range is the one before the reversal
-        np.testing.assert_array_equal(split.range_basis, np.eye(n)[:, : n - 1])
-        assert split.kernel_basis.shape == (n, 1)

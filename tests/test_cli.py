@@ -269,7 +269,8 @@ class TestVerify:
 
         monkeypatch.setattr(chains_mod, "preimage", reversing)
         code, table, rows = verify_one_fixture(tmp_path, capsys)
-        assert code == 1 and len(calls) == 3
+        # three for the reversed chain, three for the oracle's own IV chain
+        assert code == 1 and len(calls) == 6
         assert table.endswith("overall: FAIL on 1 fixtures\n")
         assert (rows["chain_monotone"]["checked"], rows["chain_monotone"]["failures"]) == (1, 1)
         # the stabilization step has no witness: IV_2 and IV_3 differ
@@ -296,8 +297,8 @@ class TestVerify:
     def test_oracle_without_splitting_fails_its_rows(self, tmp_path, monkeypatch, capsys):
         import daepencil.solvers as solvers_mod
 
-        # F^j keeps the whole range, which cannot split off the kernel of F
-        monkeypatch.setattr(solvers_mod, "image", lambda M, S, scale: S)
+        # a W chain stopped at the whole space leaves no room for the range part
+        monkeypatch.setattr(solvers_mod, "_wong_chain", lambda p: (full_space(p.n),) * 2)
         code, table, rows = verify_one_fixture(tmp_path, capsys)
         assert code == 1 and table.endswith("overall: FAIL on 1 fixtures\n")
         assert (rows["oracle_agreement"]["checked"], rows["oracle_agreement"]["failures"]) == (2, 2)

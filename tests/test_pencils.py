@@ -759,10 +759,12 @@ class TestIndexByNilpotency:
         est = index_by_nilpotency(new_pencil(np.zeros((2, 2)), np.eye(2)))
         assert est.k == 0 and est.diagnostics["nilpotency"] == 1
 
-    def test_seed_changes_shift_not_result(self):
+    def test_seed_picks_only_the_certificate(self):
         p = new_pencil(N3, np.eye(3))
-        ks = {index_by_nilpotency(p, seed).k for seed in range(5)}
-        assert ks == {2}
+        estimates = [index_by_nilpotency(p, seed) for seed in range(5)]
+        assert {est.k for est in estimates} == {2}
+        assert all(est.diagnostics == estimates[0].diagnostics for est in estimates)
+        assert estimates[0].diagnostics == {"kernel_dims": [0, 1, 2, 3, 3], "nilpotency": 3}
 
     def test_not_regular_raises(self):
         M = np.array([[1.0, 0.0], [0.0, 0.0]])

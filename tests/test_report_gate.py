@@ -14,8 +14,9 @@ _SPEC.loader.exec_module(report_gate)
 TABLE = "check  checked  failed  worst  status\noracle_agreement  4  0  1.000e-11  PASS\n"
 
 
-def _report(worst=1e-11, passed=True):
-    return {"rows": [{"name": "oracle_agreement", "worst": worst, "passed": passed}]}
+def _report(worst=1e-11, passed=True, failures=0):
+    row = {"name": "oracle_agreement", "failures": failures, "worst": worst, "passed": passed}
+    return {"rows": [row]}
 
 
 def _write(root, report=None, table=TABLE, codes=None):
@@ -48,6 +49,23 @@ def test_changed_number_passes_and_prints_its_relative_change(old, tmp_path, cap
     out = capsys.readouterr().out
     assert "rows[oracle_agreement].worst: 1e-11 -> 1.00001e-11  (rel 1.00e-05)" in out
     assert "largest relative change per key:\n  oracle_agreement.worst: 1.00e-05\n" in out
+
+
+def test_risen_failures_are_marked_and_listed(old, tmp_path, capsys):
+    new = _write(tmp_path / "new", report=_report(failures=2))
+    assert report_gate.compare(old, new) == 0  # a rise alone gates nothing
+    out = capsys.readouterr().out
+    assert "rows[oracle_agreement].failures: 0 -> 2  (rel inf, higher)" in out
+    assert "failures that rose:\n  verify_seed-7.json: oracle_agreement.failures: 0 -> 2\n" in out
+
+
+def test_fallen_failures_are_not_listed(tmp_path, capsys):
+    old = _write(tmp_path / "old", report=_report(failures=3))
+    new = _write(tmp_path / "new", report=_report(failures=1))
+    assert report_gate.compare(old, new) == 0
+    out = capsys.readouterr().out
+    assert "rows[oracle_agreement].failures: 3 -> 1  (rel 6.67e-01, lower)" in out
+    assert "failures that rose" not in out
 
 
 def test_missing_file_fails(old, tmp_path, capsys):

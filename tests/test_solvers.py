@@ -16,7 +16,7 @@ from daepencil.exceptions import (
 )
 from daepencil.fixtures import FixtureSpec, generate
 from daepencil.laplace import verify_expansion
-from daepencil.pencils import _shifted_kernels, new_pencil
+from daepencil.pencils import _wong_chain, index_by_nilpotency, new_pencil
 from daepencil.solvers import (
     classical_solution,
     decomposition_oracle,
@@ -26,7 +26,8 @@ from daepencil.solvers import (
     nearest_consistent,
     reduced_generator,
 )
-from daepencil.subspaces import RankTolerance, contains, distance, span
+from daepencil.subspaces import RankTolerance, contains, distance, full_space, span
+from daepencil.verification import random_specs
 
 N2 = np.array([[0.0, 1.0], [0.0, 0.0]])
 DIAG_1_N2_E = np.array([[1.0, 0, 0], [0, 0, 1.0], [0, 0, 0]])
@@ -342,10 +343,16 @@ class TestDecompositionOracle:
         with pytest.raises(NotRegularError):
             decomposition_oracle(new_pencil(M, M), np.ones(2), np.array([0.0, 1.0]))
 
-    def test_split_keeps_the_shift_routes_one_tolerance(self):
+    def test_split_keeps_the_wong_chains_tolerance(self, monkeypatch):
+        # the range part's IV chain is computed at the tolerance of the W chain
+        tols, real = [], solvers_mod.compute_chain
+        monkeypatch.setattr(
+            solvers_mod, "compute_chain", lambda p, tol: tols.append(tol) or real(p, tol)
+        )
         p, _ = generate(FixtureSpec(3, (2,), 100.0, 5))
         split = fitting_splitting(p, seed=2)
-        assert split.tol is _shifted_kernels(p, 2)[3][0].tol
+        assert split.tol is _wong_chain(p)[0].tol
+        assert len(tols) == 1 and tols[0] is split.tol
         assert split.tol == RankTolerance()
 
     def test_splitting_dimensions(self):
@@ -356,8 +363,8 @@ class TestDecompositionOracle:
         assert 0 < split.basis_sigma_min <= 1.0
 
     def test_range_that_never_shrinks_raises(self, monkeypatch):
-        # images of F that keep the whole space leave no room for ker F^3
-        monkeypatch.setattr(solvers_mod, "image", lambda M, S, scale: S)
+        # a range part that keeps the whole space leaves no room for W*
+        monkeypatch.setattr(solvers_mod, "consistent_space", lambda p, chain: full_space(p.n))
         p, _ = generate(FixtureSpec(2, (3,), 100.0, 12))
         with pytest.raises(SingularMatrixError, match="range dim 5 \\+ kernel dim 3 != 5"):
             fitting_splitting(p)
@@ -376,21 +383,64 @@ class TestDecompositionOracle:
             assert np.max(np.linalg.norm(traj.states - ref.states, axis=1)) <= 1e-7 * peak
 
 
+def _wong_dims(p):
+    """The W chain's dimensions and the split's range dimension."""
+    kernel_dims = index_by_nilpotency(p).diagnostics["kernel_dims"]
+    return kernel_dims, fitting_splitting(p).range_basis.shape[1]
+
+
+class TestWongSplit:
+    def test_dimensions_survive_transpose_and_equivalence(self):
+        # dim W_j and dim V* depend only on the Weierstrass form, which
+        # transposition and equivalence keep
+        rng = np.random.default_rng(8)
+        for spec in random_specs(60, (2, 20), (0, 4), seed=5):
+            p, _ = generate(spec)
+            n = p.n
+            P, Q = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+            D, G = (np.diag(10.0 ** rng.uniform(-0.5, 0.5, n)) for _ in range(2))  # cond <= 10
+            want = _wong_dims(p)
+            for name, E, A in (
+                ("transpose", p.E.T, p.A.T),
+                ("orthogonal", P @ p.E @ Q, P @ p.A @ Q),
+                ("diagonal", D @ p.E @ G, D @ p.A @ G),
+            ):
+                assert _wong_dims(new_pencil(E, A)) == want, (spec, name)
+
+    @pytest.mark.filterwarnings("ignore::daepencil.exceptions.ConditioningWarning")
+    def test_split_refuses_no_pencil_whose_routes_are_right(self):
+        # at conditioning 1e6 the split may refuse a pencil, but only one
+        # whose IV chain or W chain is wrong
+        right = 0
+        for spec in random_specs(60, (2, 20), (0, 4), seed=1, conditioning=1e6):
+            p, truth = generate(spec)
+            chain = compute_chain(p)
+            if (
+                chain.stabilization == truth.growth_index
+                and consistent_space(p, chain).dim == truth.consistent_dim
+                and index_by_nilpotency(p).diagnostics["nilpotency"] == truth.kronecker_index
+            ):
+                right += 1
+                fitting_splitting(p)  # SingularMatrixError if refused
+        assert right >= 30
+
+
 class TestCachedArtifacts:
     def test_second_call_returns_same_object(self):
         p, _ = generate(FixtureSpec(2, (3,), 100.0, 12))
         chain = compute_chain(p)
         assert fitting_splitting(p, seed=3) is fitting_splitting(p, seed=3)
-        assert fitting_splitting(p, seed=3) is not fitting_splitting(p, seed=4)
+        assert fitting_splitting(p, seed=3) is fitting_splitting(p, seed=4)
         assert reduced_generator(p, chain) is reduced_generator(p, chain)
         assert check_restricted_iso(p, chain) is check_restricted_iso(p, chain)
 
-    def test_one_two_norm_of_F_for_kernels_and_split(self, matrix_norm2_calls):
+    def test_no_two_norm_beyond_norm_E_and_norm_A(self, matrix_norm2_calls):
         p, _ = generate(FixtureSpec(4, (3, 2), 100.0, 12))
         p = new_pencil(p.E, p.A)  # nothing kept yet
         matrix_norm2_calls.clear()
         fitting_splitting(p)
-        assert [F.shape for F in matrix_norm2_calls] == [(p.n, p.n)]
+        index_by_nilpotency(p)
+        assert sorted(map(id, matrix_norm2_calls)) == sorted((id(p.E), id(p.A)))
 
     def test_cached_arrays_are_read_only(self):
         p, _ = generate(FixtureSpec(2, (3,), 100.0, 12))

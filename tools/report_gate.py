@@ -34,13 +34,14 @@ their top singular values lie close enough together that the power steps of
 by default), so two checkouts can be gated against each other.
 
 `compare` prints every JSON leaf and text line that differs between two
-`run` directories as old -> new, marking numbers that went down and giving
-each changed number's relative change |new - old| / |old|, and exits 1 if
-any exit code or `passed` flag differs, a file is missing on one side or a
-text file changes its line count.  It ends with the largest relative
-change per key, such as `transform_match.max_relative_error` or
-`oracle_agreement.worst`, so that a roundoff-sized move reads at a glance,
-and with the number of differing lines of each text file that has any.
+`run` directories as old -> new, marking numbers that went down, and
+`failures` counts that went up, and giving each changed number's relative
+change |new - old| / |old|, and exits 1 if any exit code or `passed` flag
+differs, a file is missing on one side or a text file changes its line
+count.  It ends with the largest relative change per key, such as
+`transform_match.max_relative_error` or `oracle_agreement.worst`, so that a
+roundoff-sized move reads at a glance, with every `failures` count that
+rose, and with the number of differing lines of each text file that has any.
 
 Only the standard library and the CLI are used.
 """
@@ -245,6 +246,7 @@ def compare(old_dir: Path, new_dir: Path) -> int:
     bad = 0
     largest = {}  # key -> largest relative change of its numbers
     differing = {}  # text file -> number of differing lines
+    rises = []  # "file: key: old -> new" of every failures count that rose
     names = sorted(
         {p.relative_to(root).as_posix() for root in (old_dir, new_dir) for p in root.rglob("*")
          if p.is_file()}
@@ -261,12 +263,17 @@ def compare(old_dir: Path, new_dir: Path) -> int:
             for key in sorted(old.keys() | new.keys()):
                 a, b = old.get(key, "<missing>"), new.get(key, "<missing>")
                 if a != b:
+                    leaf = key.rsplit(".", 1)[-1]
                     rel = _relative(a, b)
-                    mark = "" if rel is None else f"  (rel {rel:.2e}{', lower' if b < a else ''})"
+                    rose = rel is not None and b > a and leaf == "failures"
+                    trend = ", higher" if rose else ", lower" if rel is not None and b < a else ""
+                    mark = "" if rel is None else f"  (rel {rel:.2e}{trend})"
                     print(f"{name}: {key}: {a!r} -> {b!r}{mark}")
+                    if rose:
+                        rises.append(f"{name}: {_key(key)}: {a} -> {b}")
                     if rel is not None:
                         largest[_key(key)] = max(largest.get(_key(key), 0.0), rel)
-                    gated = name == EXIT_CODES or key.rsplit(".", 1)[-1] == "passed"
+                    gated = name == EXIT_CODES or leaf == "passed"
                     bad += gated or "<missing>" in (a, b)
         else:
             old_lines = old_path.read_text().splitlines()
@@ -282,6 +289,10 @@ def compare(old_dir: Path, new_dir: Path) -> int:
         print("largest relative change per key:")
         for key in sorted(largest):
             print(f"  {key}: {largest[key]:.2e}")
+    if rises:
+        print("failures that rose:")
+        for line in rises:
+            print(f"  {line}")
     if differing:
         print("differing lines per text file:")
         for name in sorted(differing):
