@@ -62,17 +62,24 @@ def compute_chain(pencil: Pencil, tol: RankTolerance = RankTolerance()) -> IvCha
     dimensions stop strictly falling (subspaces._monotone_chain).
 
     The space that repeats (or reverses) the dimension is kept as the witness.
+    Spaces and images are kept on the pencil per tolerance; the IvChain is
+    not, since it refers back to the pencil and would pin it in a cycle.
     """
-    images = []
 
-    def step(space):
-        images.append(image(pencil.E, space, pencil.norm_E))
-        return preimage(pencil.A, images[-1], pencil.norm_A)
+    def build():
+        images = []
 
-    spaces = [full_space(pencil.n, tol)]
-    spaces += _monotone_chain(step, step(spaces[0]))
+        def step(space):
+            images.append(image(pencil.E, space, pencil.norm_E))
+            return preimage(pencil.A, images[-1], pencil.norm_A)
+
+        spaces = [full_space(pencil.n, tol)]
+        spaces += _monotone_chain(step, step(spaces[0]))
+        return tuple(spaces), tuple(images)
+
+    spaces, images = _cached(pencil, ("iv", tol), build)
     # the last space is IV_j with j = len(spaces) - 1, the witness of k = j - 2
-    return IvChain(tuple(spaces), len(spaces) - 3, pencil, tuple(images))
+    return IvChain(spaces, len(spaces) - 3, pencil, images)
 
 
 def _check_owner(pencil: Pencil, chain: IvChain):

@@ -9,6 +9,7 @@ sequence, is in `chains`.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -61,18 +62,18 @@ def _cached(owner, key, build):
 
     Owners are frozen values over read-only arrays (a Pencil from new_pencil,
     an IvChain from compute_chain), so a kept artifact cannot go stale.  A
-    build that fails with a DaePencilError is kept too: every later call
-    raises that error again instead of building once more.
+    build that fails with a DaePencilError is kept too, less its traceback
+    (whose frames would pin the owner): every later call raises a fresh copy.
     """
     if key not in owner._cache:
         try:
             owner._cache[key] = build()
         except DaePencilError as exc:
-            owner._cache[key] = exc
+            owner._cache[key] = copy.copy(exc)
             raise
     kept = owner._cache[key]
     if isinstance(kept, DaePencilError):
-        raise kept.with_traceback(None)  # not the traceback of an earlier raise
+        raise copy.copy(kept)
     return kept
 
 
@@ -81,8 +82,8 @@ class Pencil:
     """Validated pair of same-size square matrices over a common scalar field.
 
     Build it with new_pencil, which makes both arrays read-only; the
-    per-pencil artifacts (norms, certificates, Wong chain, splittings) are then
-    computed once and kept on the pencil.  Pencils compare by value.
+    per-pencil artifacts (norms, certificates, Wong chain, IV chain spaces per
+    tolerance, splittings) are then computed once and kept.  Pencils compare by value.
     """
 
     E: np.ndarray

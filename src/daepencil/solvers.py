@@ -343,8 +343,8 @@ class FittingSplit:
 def fitting_splitting(pencil: Pencil, seed: int = 0) -> FittingSplit:
     """Split the space along the two Wong sequences (quasi-Weierstrass split).
 
-    The range part is the consistent space of the IV chain, computed here at
-    the tolerance of the Wong chain; the kernel part is the stabilized second
+    The range part is the consistent space of the IV chain kept on the pencil
+    at the tolerance of the Wong chain; the kernel part is the stabilized second
     Wong sequence, shared with the nilpotency index (pencils._wong_chain).
     No shift, resolvent or canonical-form transformation is involved, and
     the generator on the range part is solved from E and A themselves, not

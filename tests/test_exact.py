@@ -2,20 +2,21 @@
 
 tests/exact.py decides regularity and the dimensions of both Wong sequences
 of small sparse integer pencils by row reduction over the rationals; every
-exactly regular pencil must get the same dimensions from the float routes.
-Exactly singular pencils are drawn too but left out: no route claims to
-decide them yet.
+exactly regular pencil must get the same dimensions from the float routes,
+and every exactly singular one must fail the regularity certificate.
 """
 
 import importlib.util
 import random
 from collections import Counter
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from daepencil.chains import compute_chain
-from daepencil.pencils import index_by_nilpotency, new_pencil
+from daepencil.pencils import certify_regularity, index_by_nilpotency, new_pencil
 from daepencil.solvers import fitting_splitting
 
 _SPEC = importlib.util.spec_from_file_location("exact", Path(__file__).with_name("exact.py"))
@@ -46,13 +47,64 @@ class TestOracle:
         assert exact.det([[1, 2], [2, 4]]) == 0
 
 
+@lru_cache(maxsize=None)
+def _drawn(seed, count):
+    """count random integer pencils (E, A), n = 2..5, in draw order."""
+    rng = random.Random(seed)
+    return [
+        exact.random_pencil(rng, rng.randint(2, 5), rng.choice((0.3, 0.4))) for _ in range(count)
+    ]
+
+
 def _regular_pencils(seed, count):
     """(E, A) of the exactly regular pencils among count random ones, n = 2..5."""
-    rng = random.Random(seed)
-    drawn = (
-        exact.random_pencil(rng, rng.randint(2, 5), rng.choice((0.3, 0.4))) for _ in range(count)
-    )
-    return [(E, A) for E, A in drawn if exact.regular(E, A)]
+    return [(E, A) for E, A in _drawn(seed, count) if exact.regular(E, A)]
+
+
+def _float(E, A):
+    return new_pencil(np.array(E, dtype=float), np.array(A, dtype=float))
+
+
+# exactly singular draws of _drawn(1, 400) that certify_regularity calls regular
+# at every seed: det(sE + A) evaluates to roundoff, not to an exact zero
+CALLED_REGULAR = (209, 293, 295)
+
+
+def test_exactly_singular_pencils_fail_the_certificate():
+    drawn = _drawn(1, 400)
+    singular = [i for i, (E, A) in enumerate(drawn) if not exact.regular(E, A)]
+    assert len(singular) == 121 and set(CALLED_REGULAR) <= set(singular)
+    checked = [i for i in singular if i not in CALLED_REGULAR]
+    assert [i for i in checked if certify_regularity(_float(*drawn[i]), 0).regular] == []
+    assert len(checked) == 118
+
+
+@pytest.mark.parametrize(
+    "index",
+    [
+        pytest.param(i, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 4"))
+        for i in CALLED_REGULAR
+    ],
+)
+def test_singular_pencil_called_regular(index):
+    E, A = _drawn(1, 400)[index]
+    assert not exact.regular(E, A)
+    assert not certify_regularity(_float(E, A), 0).regular
+
+
+def test_zero_row_or_column_is_called_singular():
+    # a row (or column) that is zero in both E and A makes det(sE + A) vanish
+    rng = random.Random(2)
+    for _ in range(200):
+        n = rng.randint(2, 5)
+        E, A = exact.random_pencil(rng, n, rng.choice((0.3, 0.4)))
+        i, column = rng.randrange(n), rng.random() < 0.5
+        for M in (E, A):
+            for j in range(n):
+                M[j if column else i][i if column else j] = 0
+        assert not exact.regular(E, A)
+        for seed in (0, 1):
+            assert not certify_regularity(_float(E, A), seed).regular, (E, A, seed)
 
 
 def test_float_routes_match_the_exact_chains():
@@ -64,7 +116,7 @@ def test_float_routes_match_the_exact_chains():
         assert iv[-1] + wong[-1] == n  # V* (+) W* is the whole space
         nilpotency[len(wong) - 2] += 1
 
-        p = new_pencil(np.array(E, dtype=float), np.array(A, dtype=float))
+        p = _float(E, A)
         est = index_by_nilpotency(p)
         split = fitting_splitting(p)
         assert est.diagnostics["kernel_dims"] == wong, (E, A)

@@ -1,10 +1,13 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 import daepencil.solvers as solvers_mod
 from daepencil.chains import check_restricted_iso, compute_chain, consistent_space
-from daepencil.analysis import build_analysis, identity_checks
+from daepencil.analysis import analyze_pencil, build_analysis, identity_checks
 from daepencil.exceptions import (
     ConditioningWarning,
     InconsistentInitialValueError,
@@ -27,7 +30,7 @@ from daepencil.solvers import (
     reduced_generator,
 )
 from daepencil.subspaces import RankTolerance, contains, distance, full_space, span
-from daepencil.verification import random_specs
+from daepencil.verification import random_specs, run_suite
 
 N2 = np.array([[0.0, 1.0], [0.0, 0.0]])
 DIAG_1_N2_E = np.array([[1.0, 0, 0], [0, 0, 1.0], [0, 0, 0]])
@@ -383,30 +386,7 @@ class TestDecompositionOracle:
             assert np.max(np.linalg.norm(traj.states - ref.states, axis=1)) <= 1e-7 * peak
 
 
-def _wong_dims(p):
-    """The W chain's dimensions and the split's range dimension."""
-    kernel_dims = index_by_nilpotency(p).diagnostics["kernel_dims"]
-    return kernel_dims, fitting_splitting(p).range_basis.shape[1]
-
-
 class TestWongSplit:
-    def test_dimensions_survive_transpose_and_equivalence(self):
-        # dim W_j and dim V* depend only on the Weierstrass form, which
-        # transposition and equivalence keep
-        rng = np.random.default_rng(8)
-        for spec in random_specs(60, (2, 20), (0, 4), seed=5):
-            p, _ = generate(spec)
-            n = p.n
-            P, Q = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
-            D, G = (np.diag(10.0 ** rng.uniform(-0.5, 0.5, n)) for _ in range(2))  # cond <= 10
-            want = _wong_dims(p)
-            for name, E, A in (
-                ("transpose", p.E.T, p.A.T),
-                ("orthogonal", P @ p.E @ Q, P @ p.A @ Q),
-                ("diagonal", D @ p.E @ G, D @ p.A @ G),
-            ):
-                assert _wong_dims(new_pencil(E, A)) == want, (spec, name)
-
     @pytest.mark.filterwarnings("ignore::daepencil.exceptions.ConditioningWarning")
     def test_split_refuses_no_pencil_whose_routes_are_right(self):
         # at conditioning 1e6 the split may refuse a pencil, but only one
@@ -433,6 +413,25 @@ class TestCachedArtifacts:
         assert fitting_splitting(p, seed=3) is fitting_splitting(p, seed=4)
         assert reduced_generator(p, chain) is reduced_generator(p, chain)
         assert check_restricted_iso(p, chain) is check_restricted_iso(p, chain)
+
+    def test_one_iv_chain_per_pencil_and_tolerance(self):
+        p, _ = generate(FixtureSpec(2, (3,), 100.0, 12))
+        assert compute_chain(p).spaces is compute_chain(p).spaces
+        assert compute_chain(p).images is compute_chain(p, RankTolerance(1e-10)).images
+        assert compute_chain(p, RankTolerance(1e-8)).spaces is not compute_chain(p).spaces
+        # the split's range part is the consistent space of the kept chain
+        assert fitting_splitting(p).range_basis is consistent_space(p, compute_chain(p)).basis
+
+    def test_verify_builds_one_iv_chain_per_fixture(self, monkeypatch):
+        import daepencil.chains as chains_mod
+
+        spec = FixtureSpec(2, (2,), 100.0, 1)
+        steps = len(compute_chain(generate(spec)[0]).spaces) - 1
+        calls, real = [], chains_mod.preimage
+        monkeypatch.setattr(chains_mod, "preimage", lambda *a: calls.append(a) or real(*a))
+        assert run_suite([spec], seed=1).passed
+        # the oracle's split reads the chain the analysis built
+        assert len(calls) == steps
 
     def test_no_two_norm_beyond_norm_E_and_norm_A(self, matrix_norm2_calls):
         p, _ = generate(FixtureSpec(4, (3, 2), 100.0, 12))
@@ -649,3 +648,41 @@ class TestFailedGeneratorKept:
             messages.add(str(err.value))
         assert len(builds) == 1
         assert len(messages) == 1
+
+
+class TestKeptArtifactsFreeTheirPencil:
+    """Kept artifacts must not refer back to their pencil: with the cyclic
+    collector off, a pencil is freed by reference counting once its last
+    outside reference goes, after every route below."""
+
+    @staticmethod
+    def freed_after(spec, flow):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            p = generate(spec)[0]  # a fresh new_pencil
+            alive = weakref.ref(p)
+            flow(p)
+            del p
+            return alive() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_after_analysis(self):
+        assert self.freed_after(FixtureSpec(2, (3,), 100.0, 12), lambda p: analyze_pencil(p, 1))
+
+    def test_after_a_solve(self):
+        def solve(p):
+            chain = compute_chain(p)
+            u0 = consistent_space(p, chain).basis[:, 0]
+            times = np.linspace(0.0, 1.0, 3)
+            classical_solution(p, chain, u0, times)
+            decomposition_oracle(p, u0, times, seed=1)
+
+        assert self.freed_after(FixtureSpec(2, (3,), 100.0, 12), solve)
+
+    def test_after_a_kept_failure(self):
+        # the reduced generator of this fixture fails and is kept as its error
+        spec = TestFailedGeneratorKept.SPEC
+        assert self.freed_after(spec, lambda p: analyze_pencil(p, spec.seed))
