@@ -56,67 +56,52 @@ class IdentityReport:
     details: dict = field(default_factory=dict)
 
 
-# The errors below take a stack R[j] = (s[j] E + A)^{-1} and return one
-# relative error per point.
+def _identity_errors(pencil, R, s, u0):
+    """The relative errors of the commutation identity, the shift identity
+    and the solution formula at u0, one column each, one row per matrix of
+    the stack R[j] = (s[j] E + A)^{-1}.
 
-
-def _commutation_error(pencil, R, s, u0):
-    diff = pencil.E @ R @ pencil.A - pencil.A @ R @ pencil.E
+    Each stack is normed as it is formed, at the chunk's size: one stack of
+    all three sides would triple the temporaries of pencils._norm2, which
+    costs page faults at n = 80..160.
+    """
+    E, A = pencil.E, pencil.A
+    t = s[:, None, None]
+    lhs = R @ E
+    rhs = np.eye(pencil.n) / t - (R @ A) / t
+    norm_R, norm_lhs, norm_rhs = map(_norm2, (R, lhs, rhs))
     # the scale is grouped so that it neither over- nor underflows where R scales inversely
-    denom = np.maximum((pencil.norm_E * _norm2(R)) * pencil.norm_A, TINY)
-    return _frobenius(diff) / denom
-
-
-def _shift_error(pencil, R, s, u0):
-    s = s[:, None, None]
-    lhs = R @ pencil.E
-    rhs = np.eye(pencil.n) / s - (R @ pencil.A) / s
-    denom = np.maximum(np.maximum(_norm2(lhs), _norm2(rhs)), TINY)
-    return _frobenius(lhs - rhs) / denom
-
-
-def _formula_error(pencil, R, s, u0):
-    s = s[:, None]
-    lhs = R @ (pencil.E @ u0)
-    rhs = u0 / s - (R @ (pencil.A @ u0)) / s
+    scale = np.maximum((pencil.norm_E * norm_R) * pencil.norm_A, TINY)
+    commutation = _frobenius(E @ R @ A - A @ R @ E) / scale
+    shift = _frobenius(lhs - rhs) / np.maximum(np.maximum(norm_lhs, norm_rhs), TINY)
+    t = s[:, None]  # the solution formula: the shift identity applied to u0
+    lhs, rhs = R @ (E @ u0), u0 / t - (R @ (A @ u0)) / t
     norm_lhs, norm_rhs, norm_diff = (np.sqrt(_sumsq(x[..., None])) for x in (lhs, rhs, lhs - rhs))
-    return norm_diff / np.maximum(np.maximum(norm_lhs, norm_rhs), TINY)
+    formula = norm_diff / np.maximum(np.maximum(norm_lhs, norm_rhs), TINY)
+    return np.stack((commutation, shift, formula), -1)
 
 
-# identity -> (tolerance, its relative errors on a resolvent stack)
-_IDENTITIES = {
-    "commutation_b": (COMMUTATION_TOL, _commutation_error),
-    "shift_d": (SHIFT_TOL, _shift_error),
-    "solution_formula": (SOLUTION_FORMULA_TOL, _formula_error),
-}
-
-
-def _sample_identities(pencil, points, names, u0=None):
-    """Reports of the named identities, sharing one resolvent per sample point,
-    each evaluated on the stacks of _sampled at the points they were taken."""
-    points = tuple(points)
-    if 0 in points and set(names) - {"commutation_b"}:
-        raise ValueError("the shift identity and solution formula are undefined at s = 0")
-    errors, used = _sampled(
-        pencil,
-        points,
-        lambda R, s: np.stack([_IDENTITIES[name][1](pencil, R, s, u0) for name in names], -1),
-    )
+def _identity_reports(pencil, u0, points):
+    """The three identities' reports from one _identity_errors pass per chunk."""
+    errors, used = _sampled(pencil, points, lambda R, s: _identity_errors(pencil, R, s, u0))
     # np.max keeps a NaN error, which then fails the check
     worst = np.max(errors, axis=0, initial=0.0).tolist()
-    return tuple(
-        IdentityReport(name, tuple(used.tolist()), w, w <= _IDENTITIES[name][0])
-        for name, w in zip(names, worst)
-    )
+    names = ("commutation_b", "shift_d", "solution_formula")
+    tols = (COMMUTATION_TOL, SHIFT_TOL, SOLUTION_FORMULA_TOL)
+    at = tuple(used.tolist())
+    return tuple(IdentityReport(name, at, w, w <= tol) for name, tol, w in zip(names, tols, worst))
 
 
 def verify_commutation(pencil: Pencil, points) -> IdentityReport:
-    """E (sE+A)^{-1} A = A (sE+A)^{-1} E at every sample point.
+    """E (sE+A)^{-1} A = A (sE+A)^{-1} E at every sample point, s = 0 included.
 
     Frobenius error over ||E|| ||A|| times pencils._norm2's lower bound on
-    ||R||_2, so an upper bound on the relative 2-norm error.
+    ||R||_2, so an upper bound on the relative 2-norm error.  The first
+    column of the one identity pass at u0 = 0; the other two, undefined at
+    s = 0, are discarded unwarned.
     """
-    return _sample_identities(pencil, points, ("commutation_b",))[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _identity_reports(pencil, np.zeros(pencil.n), points)[0]
 
 
 def verify_shift(pencil: Pencil, points) -> IdentityReport:
@@ -124,26 +109,31 @@ def verify_shift(pencil: Pencil, points) -> IdentityReport:
 
     Frobenius error over the larger of pencils._norm2's lower bounds on
     ||lhs||_2 and ||rhs||_2, so an upper bound on the relative 2-norm error.
+    The shift_d report of verify_identities.
     """
-    return _sample_identities(pencil, points, ("shift_d",))[0]
+    return verify_identities(pencil, np.zeros(pencil.n), points)[1]
 
 
 def verify_solution_formula(pencil: Pencil, u0, points) -> IdentityReport:
     """hat u(s) = u0/s - (sE+A)^{-1} A u0 / s at every nonzero sample point.
 
     This is the shift identity applied to u0, so it holds for every initial
-    value, consistent or not.
+    value, consistent or not.  The solution_formula report of verify_identities.
     """
-    return _sample_identities(pencil, points, ("solution_formula",), np.asarray(u0))[0]
+    return verify_identities(pencil, u0, points)[2]
 
 
 def verify_identities(pencil: Pencil, u0, points) -> tuple:
     """(commutation_b, shift_d, solution_formula) reports from one resolvent per point.
 
-    Bit for bit the reports (bounds included) of verify_commutation, verify_shift
-    and verify_solution_formula on the same points and u0, at a third of the solves.
+    One pass per chunk of the resolvent stack gives all three errors, so
+    verify_commutation, verify_shift and verify_solution_formula, which
+    select their report from the same pass, give the same bits.
     """
-    return _sample_identities(pencil, points, tuple(_IDENTITIES), np.asarray(u0))
+    points = tuple(points)
+    if 0 in points:
+        raise ValueError("the shift identity and solution formula are undefined at s = 0")
+    return _identity_reports(pencil, np.asarray(u0), points)
 
 
 def _float64_horizon(k: int) -> float:
@@ -171,8 +161,8 @@ def expansion_grid(k: int):
     return np.geomspace(1e3, min(1e6, limit), 12)
 
 
-def _fit_expansion_coefficients(pencil, B, k):
-    """Fit x_1..x_k for every column x of the basis matrix B at k+2 geometric points.
+def _fit_expansion_coefficients(pencil, EB, k):
+    """Fit x_1..x_k for every column x of a basis matrix B, given E B, at k+2 geometric points.
 
     The nodes are s_ref * 2^j, j = 0..k+1, with s_ref = 100 lowered where
     needed so that the top node stays a factor 4 below the float64 horizon
@@ -186,7 +176,6 @@ def _fit_expansion_coefficients(pencil, B, k):
     condition number.
     """
     s_ref = min(100.0, _float64_horizon(k) / (4.0 * 2.0 ** (k + 1)))
-    EB = pencil.E @ B
     REB, nodes = _sampled(pencil, s_ref * 2.0 ** np.arange(k + 2), lambda R, s: R @ EB)
     V = np.vander(nodes[0] / nodes, k + 2, increasing=True)
     gamma = np.linalg.solve(V, (REB * nodes[:, None, None]).reshape(k + 2, -1))
@@ -240,12 +229,11 @@ def verify_expansion(pencil: Pencil, chain: IvChain, k: int, s_grid=None) -> Ide
         return IdentityReport("expansion_e", tuple(s_grid), 0.0, True, details)
 
     B = iv_k.basis
-    coeffs, cond = _fit_expansion_coefficients(pencil, B, k)
+    EB = pencil.E @ B
+    coeffs, cond = _fit_expansion_coefficients(pencil, EB, k)
     details["fit_condition"] = cond
     if cond > 1e10:
         details["ill_conditioned_fit"] = True
-
-    EB = pencil.E @ B
 
     def constants(R, s):  # the remainder constant C of every point
         bound = 1.0 + _norm2(R) * pencil.norm_A

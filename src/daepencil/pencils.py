@@ -162,16 +162,18 @@ def certify_regularity(pencil: Pencil, seed: int = 0) -> RegularityCertificate:
     """Sample det(sE + A) on a circle of radius 1 + ||E||_F + ||A||_F.
 
     Computed once per (pencil, seed) and kept on the pencil.  The n+1 angles
-    are equally spaced with a seed-dependent rotation, which keeps the
-    verdict seed-independent while avoiding any fixed unlucky alignment of
-    sample points with determinant roots.  Evaluation stops at the first
-    nonzero value: usually one det for a regular pencil, n+1 for a singular.
+    are equally spaced with a seed-dependent rotation, which avoids any
+    fixed unlucky alignment of sample points with determinant roots.
+    Evaluation stops at the first nonzero value: usually one det for a
+    regular pencil, n+1 for a singular.
 
     The zero test is the absolute floor DET_ZERO, so it recognizes pencils
     whose determinant collapses to an exact floating-point zero (structural
     zero rows/columns and the like).  A pencil that is singular only
     analytically can evaluate to roundoff-level determinants and be certified
     regular; that is consistent with treating the stored floats as the pencil.
+    Where only some of the points give an exact zero, the verdict depends on
+    the seed.
     """
     return _cached(pencil, ("certificate", seed), lambda: _certify(pencil, seed))
 
@@ -389,7 +391,8 @@ def index_by_growth(pencil: Pencil) -> IndexEstimate:
     some other column of the inverse would.  Raises SingularMatrixError only
     when fewer than two upper-half samples remain.
     """
-    # the verdict is seed-independent, so any certificate kept on the pencil will do
+    # any certificate kept on the pencil will do, though seeds can disagree on a
+    # pencil whose det(sE + A) is roundoff at some points and exactly 0 at others
     kept = (c for key, c in pencil._cache.items() if key[0] == "certificate")
     if not (next(kept, None) or certify_regularity(pencil)).regular:
         raise NotRegularError("growth sampling needs a regular pencil")

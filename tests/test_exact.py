@@ -68,12 +68,15 @@ def _float(E, A):
 # exactly singular draws of _drawn(1, 400) that certify_regularity calls regular
 # at every seed: det(sE + A) evaluates to roundoff, not to an exact zero
 CALLED_REGULAR = (209, 293, 295)
+# an exactly singular draw of _drawn(1, 400) whose verdict depends on the seed:
+# called singular at seeds 0, 2, 19 and 38 and regular at the other 36 of 0..39
+SEED_DEPENDENT = 305
 
 
 def test_exactly_singular_pencils_fail_the_certificate():
     drawn = _drawn(1, 400)
     singular = [i for i, (E, A) in enumerate(drawn) if not exact.regular(E, A)]
-    assert len(singular) == 121 and set(CALLED_REGULAR) <= set(singular)
+    assert len(singular) == 121 and {*CALLED_REGULAR, SEED_DEPENDENT} <= set(singular)
     checked = [i for i in singular if i not in CALLED_REGULAR]
     assert [i for i in checked if certify_regularity(_float(*drawn[i]), 0).regular] == []
     assert len(checked) == 118
@@ -90,6 +93,12 @@ def test_singular_pencil_called_regular(index):
     E, A = _drawn(1, 400)[index]
     assert not exact.regular(E, A)
     assert not certify_regularity(_float(E, A), 0).regular
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
+def test_singular_pencil_called_singular_at_every_seed():
+    p = _float(*_drawn(1, 400)[SEED_DEPENDENT])
+    assert [seed for seed in range(40) if certify_regularity(p, seed).regular] == []
 
 
 def test_zero_row_or_column_is_called_singular():

@@ -17,10 +17,9 @@ from daepencil.exceptions import (
 )
 from daepencil.fixtures import FixtureSpec, generate
 from daepencil.laplace import (
-    _commutation_error,
     _fit_expansion_coefficients,
     _float64_horizon,
-    _shift_error,
+    _identity_errors,
     expansion_grid,
     hat_solution,
     verify_commutation,
@@ -83,9 +82,10 @@ def _check_certified(p, points=POINTS):
         for lb, Xj in zip(pencils_mod._norm2(X), X):
             assert np.max(np.linalg.norm(Xj, axis=0)) * (1 - 1e-12) <= lb
             assert lb <= np.linalg.norm(Xj, 2) * (1 + 1e-12)
+    errors = _identity_errors(p, R, s, np.zeros(p.n))
     for got, exact in (
-        (_commutation_error(p, R, s, None), [_exact_commutation(p, Rj) for Rj in R]),
-        (_shift_error(p, R, s, None), [_exact_shift(p, Rj, t) for Rj, t in zip(R, s)]),
+        (errors[:, 0], [_exact_commutation(p, Rj) for Rj in R]),
+        (errors[:, 1], [_exact_shift(p, Rj, t) for Rj, t in zip(R, s)]),
     ):
         exact = np.array(exact)
         assert np.all(exact * (1 - 1e-12) <= got) and np.all(got <= p.n * exact * (1 + 1e-12))
@@ -248,7 +248,7 @@ class TestExpansion:
         k = chain.stabilization
         assert k == 2
         B = chain.spaces[k].basis
-        coeffs, cond = _fit_expansion_coefficients(p, B, k)
+        coeffs, cond = _fit_expansion_coefficients(p, p.E @ B, k)
         assert coeffs.shape == (k, p.n, B.shape[1])
         s_ref = min(100.0, _float64_horizon(k) / (4.0 * 2.0 ** (k + 1)))
         nodes = s_ref * 2.0 ** np.arange(k + 2)
@@ -363,7 +363,34 @@ class TestSharedIdentities:
         p = new_pencil(np.eye(2), np.eye(2))
         with pytest.raises(ValueError):
             verify_identities(p, np.ones(2), (1.0, 0.0))
-        assert verify_commutation(p, (0.0,)).passed
+        # verify_commutation's pass divides by s = 0 in the columns it discards
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert verify_commutation(p, (0.0,)).passed
+            rep = verify_commutation(new_pencil(N2, np.eye(2)), (0.0, 1.0))
+        assert rep.passed and rep.sample_points == (0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "spec, chunks",
+        [(FixtureSpec(3, (2,), 100.0, 5), 1), (FixtureSpec(55, (3, 2), 100.0, 5), 3)],
+    )
+    def test_each_stack_normed_once_per_chunk(self, monkeypatch, spec, chunks):
+        # R and both shift sides take one _norm2 call each, both defects one
+        # _frobenius call each, at the chunk's size: one stack of all of them
+        # would triple _norm2's temporaries.  n = 5 samples the 20 points in
+        # one chunk, n = 60 in three.
+        p, _ = generate(spec)
+        calls = {"_norm2": 0, "_frobenius": 0}
+        for name in calls:
+            real = getattr(laplace_mod, name)
+
+            def counted(X, name=name, real=real):
+                calls[name] += 1
+                return real(X)
+
+            monkeypatch.setattr(laplace_mod, name, counted)
+        verify_identities(p, np.ones(p.n), POINTS)
+        assert calls == {"_norm2": 3 * chunks, "_frobenius": 2 * chunks}
 
 
 class TestSolutionFormula:
@@ -493,14 +520,19 @@ class TestTransformMatch:
 class TestNaNFails:
     """A NaN sample error reaches the reported value, so the check fails."""
 
-    @pytest.mark.parametrize("name", ["commutation_b", "shift_d", "solution_formula"])
+    COLUMNS = ("commutation_b", "shift_d", "solution_formula")  # of _identity_errors
+
+    @pytest.mark.parametrize("name", COLUMNS)
     def test_nan_at_one_point_fails_the_sampled_identity(self, monkeypatch, name):
-        tol, error = laplace_mod._IDENTITIES[name]
+        column = self.COLUMNS.index(name)
+        errors = laplace_mod._identity_errors
 
         def nan_at_third_point(pencil, R, s, u0):
-            return np.where(s == POINTS[2], np.nan, error(pencil, R, s, u0))
+            out = errors(pencil, R, s, u0)
+            out[:, column] = np.where(s == POINTS[2], np.nan, out[:, column])
+            return out
 
-        monkeypatch.setitem(laplace_mod._IDENTITIES, name, (tol, nan_at_third_point))
+        monkeypatch.setattr(laplace_mod, "_identity_errors", nan_at_third_point)
         p, _ = generate(FixtureSpec(3, (2,), 100.0, 5))
         u0 = np.ones(p.n) / np.sqrt(p.n)
         for rep in verify_identities(p, u0, POINTS):

@@ -511,13 +511,23 @@ class TestNorm2:
     @settings(max_examples=40, deadline=None)
     @norm2_cases
     def test_bit_identical_alone_or_in_any_stack(self, seed, n, kind, complex_, exponent):
+        # _norm2 and _frobenius alike; the other matrices of a stack take the
+        # other branch or the same one, or hold inf and NaN, as the identity
+        # checks' shift side I/s - R A/s does at s = 0
         X = norm2_case(seed, n, kind, complex_, exponent)
-        alone = pencils_mod._norm2(X[None])[0]
-        # the other matrices of a stack take the other branch or the same one
         others = [norm2_case(seed + 1, n, other, complex_, 0) for other in ("gaussian", "rank_one")]
-        for before, after in ((others[:1], []), ([], others[::-1]), (others[1:] * 2, [])):
-            stack = np.array([*before, X, *after])
-            assert pencils_mod._norm2(stack)[len(before)] == alone
+        with np.errstate(divide="ignore", invalid="ignore"):
+            blown = [np.eye(n) / 0.0 - others[0] / 0.0, np.full_like(X, np.nan)]
+            for norm in (pencils_mod._norm2, pencils_mod._frobenius):
+                alone = norm(X[None])[0]
+                for before, after in (
+                    (others[:1], []),
+                    ([], others[::-1]),
+                    (others[1:] * 2, []),
+                    (blown[:1], blown[1:]),
+                ):
+                    stack = np.array([*before, X, *after])
+                    assert norm(stack)[len(before)] == alone
 
     @staticmethod
     def assert_no_svd(cases, matrix_norm2_calls):

@@ -81,15 +81,38 @@ def test_changed_stdout_line_count_fails(old, tmp_path, capsys):
     assert "verify_seed-7.txt: 2 lines -> 3 lines" in capsys.readouterr().out
 
 
-def test_changed_csv_line_is_printed_and_counted(old, tmp_path, capsys):
+def _write_csv(root, text):
+    (root / "fixture").mkdir()
+    (root / "fixture" / "euler.csv").write_text(text)
+
+
+def test_changed_csv_cells_are_counted_per_column(old, tmp_path, capsys):
     new = _write(tmp_path / "new")
-    for root, last in ((old, "2,0.5,1e-16"), (new, "2,0.50000000000000011,1e-16")):
-        (root / "fixture").mkdir()
-        (root / "fixture" / "euler.csv").write_text(f"t,u_1,residual\n0,1,0\n{last}\n")
+    _write_csv(old, "t,u_1,u_2,residual\n0,1,-2,0\n1,0.5,0.25,1e-16\n2,0.5,0.125,2e-16\n")
+    _write_csv(new, "t,u_1,u_2,residual\n0,1,-2,0\n1,0.5,0.25,3e-16\n2,0.5000001,0.125,1e-16\n")
     assert report_gate.compare(old, new) == 0
     out = capsys.readouterr().out
-    assert "fixture/euler.csv:\n  - 2,0.5,1e-16\n  + 2,0.50000000000000011,1e-16\n" in out
+    assert (
+        "fixture/euler.csv: 3 differing cell(s), by column:\n"
+        "  residual: 2, largest relative change 2.00e+00\n"
+        "  u_1: 1, largest relative change 2.00e-07\n"
+    ) in out
+    assert "0.5000001" not in out  # no line is printed
     assert out.endswith(
-        "differing lines per text file:\n  fixture/euler.csv: 1\n1 differing line(s)\n"
+        "differing lines per text file:\n  fixture/euler.csv: 2\n2 differing line(s)\n"
         "4 files compared, 0 gated difference(s)\n"
     )
+
+
+def test_csv_header_or_ragged_row_is_printed_as_a_line(old, tmp_path, capsys):
+    new = _write(tmp_path / "new")
+    _write_csv(old, "t,u_1\n0,1\n1,nan\n")
+    _write_csv(new, "t,u_2\n0,1,2\n1,0.5\n")
+    assert report_gate.compare(old, new) == 0
+    out = capsys.readouterr().out
+    assert "fixture/euler.csv:\n  - t,u_1\n  + t,u_2\n" in out
+    assert "fixture/euler.csv:\n  - 0,1\n  + 0,1,2\n" in out
+    assert (
+        "fixture/euler.csv: 1 differing cell(s), by column:\n"
+        "  u_1: 1, largest relative change inf\n"
+    ) in out

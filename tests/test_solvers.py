@@ -255,6 +255,19 @@ class TestImplicitEuler:
         ratio = err(0.02) / err(0.01)
         assert 1.7 <= ratio <= 2.3
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_index_three_stays_near_the_exponential_route(self, seed):
+        # stepping a vector keeps the roundoff of W's nilpotent block in check;
+        # squaring W, as a grid filled by doubling would, reads NaN on all six
+        p, _ = generate(FixtureSpec(36, (3,), 100.0, seed))
+        chain = compute_chain(p)
+        u0 = consistent_space(p, chain).basis[:, 0]
+        traj = implicit_euler(p, u0, 1e-3, 2.0)
+        ref = classical_solution(p, chain, u0, traj.times)
+        assert np.all(np.isfinite(traj.states))
+        err = np.max(np.linalg.norm(traj.states - ref.states, axis=1))
+        assert err <= 1e-2 * np.max(np.linalg.norm(ref.states, axis=1))
+
     def test_delayed_forcing_causality(self, mixed):
         p, _ = mixed
 

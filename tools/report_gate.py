@@ -42,6 +42,9 @@ count.  It ends with the largest relative change per key, such as
 `transform_match.max_relative_error` or `oracle_agreement.worst`, so that a
 roundoff-sized move reads at a glance, with every `failures` count that
 rose, and with the number of differing lines of each text file that has any.
+A `.csv` of the same line count is compared cell by cell under its header
+line: for each column it prints the number of differing cells and their
+largest relative change (inf where either cell is not a finite number), not the lines.
 
 Only the standard library and the CLI are used.
 """
@@ -231,6 +234,14 @@ def _relative(old, new):
     return abs(new - old) / abs(old)
 
 
+def _number(cell):
+    """A CSV cell as a float, or as the text it is."""
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
 def _key(path):
     """The path's last list label and its leaf.
 
@@ -281,10 +292,27 @@ def compare(old_dir: Path, new_dir: Path) -> int:
             if len(old_lines) != len(new_lines):
                 print(f"{name}: {len(old_lines)} lines -> {len(new_lines)} lines")
                 bad += 1
-            for a, b in zip(old_lines, new_lines):
-                if a != b:
+            header = old_lines[0].split(",") if name.endswith(".csv") and old_lines else None
+            columns = {}  # CSV column header -> (differing cells, largest relative change)
+            for i, (a, b) in enumerate(zip(old_lines, new_lines)):
+                if a == b:
+                    continue
+                differing[name] = differing.get(name, 0) + 1
+                cells = a.split(","), b.split(",")
+                if not (header and i and len(cells[0]) == len(cells[1]) == len(header)):
                     print(f"{name}:\n  - {a}\n  + {b}")
-                    differing[name] = differing.get(name, 0) + 1
+                    continue
+                for column, x, y in zip(header, *cells):
+                    if x != y:
+                        rel = _relative(_number(x), _number(y))
+                        rel = math.inf if rel is None or math.isnan(rel) else rel
+                        count, most = columns.get(column, (0, 0.0))
+                        columns[column] = count + 1, max(most, rel)
+            if columns:
+                total = sum(count for count, _ in columns.values())
+                print(f"{name}: {total} differing cell(s), by column:")
+                for column, (count, most) in columns.items():
+                    print(f"  {column}: {count}, largest relative change {most:.2e}")
     if largest:
         print("largest relative change per key:")
         for key in sorted(largest):
