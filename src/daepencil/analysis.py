@@ -128,27 +128,36 @@ def _identity_dict(report):
     return out
 
 
+def _evaluated(identity, check):
+    """check(), or identity's report of not evaluated, with no error value and the
+    message in details["error"], where the reduced generator fails."""
+    try:
+        return check()
+    except IsomorphismError as exc:
+        return IdentityReport(identity, (), None, False, {"error": str(exc)})
+
+
 def identity_checks(a: Analysis, seed: int) -> list:
     """The Laplace reports of a regular pencil, in report order: commutation_b,
     shift_d, expansion_e at k = stabilization unless k is too high for float64,
     solution_formula with a unit u0 drawn from seed, and transform_match on the
     first consistent basis vector unless there is none.  A failing reduced
-    generator fails transform_match with no error value and its message in
-    details["error"]."""
+    generator leaves expansion_e (for k > 0) and transform_match not evaluated:
+    they fail with no error value and its message in details["error"]."""
     pencil, chain = a.pencil, a.chain
+    k = chain.stabilization
     u0 = make_rng(seed).standard_normal(pencil.n)
     u0 /= np.linalg.norm(u0)
     commutation, shift, formula = verify_identities(pencil, u0, IDENTITY_POINTS)
     checks = [commutation, shift]
-    if expansion_grid(chain.stabilization) is not None:
-        checks.append(verify_expansion(pencil, chain, chain.stabilization))
+    if expansion_grid(k) is not None:
+        checks.append(_evaluated("expansion_e", lambda: verify_expansion(pencil, chain, k)))
     checks.append(formula)
     consistent = consistent_space(pencil, chain)
     if consistent.dim:
-        try:
-            checks.append(verify_transform_match(pencil, chain, consistent.basis[:, 0]))
-        except IsomorphismError as exc:
-            checks.append(IdentityReport("transform_match", (), None, False, {"error": str(exc)}))
+        u = consistent.basis[:, 0]
+        match = _evaluated("transform_match", lambda: verify_transform_match(pencil, chain, u))
+        checks.append(match)
     return checks
 
 

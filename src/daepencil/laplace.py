@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import IvChain, _check_owner
+from .chains import IvChain, _check_owner, _restricted_iso
 from .pencils import TINY, Pencil, _frobenius, _norm2, _sampled, _solve_shifted, _sumsq
-from .solvers import _coordinates
+from .solvers import _coordinates, reduced_generator
 
 __all__ = [
     "IdentityReport",
@@ -43,10 +43,14 @@ class IdentityReport:
     max_relative_error is the worst sampled error in the identity's own
     normalization (for commutation_b and shift_d an upper bound on the relative
     2-norm error, within a factor of n); for expansion_e it is the remainder
-    constant C, compared against EXPANSION_C_MAX instead of a relative tolerance.
-    It is None when the check could not be evaluated, as for a transform_match
-    whose reduced generator fails; such a report has no sample points and
-    passed False.  sample_points are where the resolvents were taken, nudged.
+    constant C about the closed-form coefficients x_l = (-1)^l V M^l c of the
+    reduced generator M, compared against EXPANSION_C_MAX instead of a
+    relative tolerance.
+    It is None when the check could not be evaluated, as for an expansion_e
+    (k > 0) or a transform_match whose reduced generator fails; such a report
+    has no sample points, passed False and the error in details["error"]
+    (analysis.identity_checks).  sample_points are where the resolvents were
+    taken, nudged; an expansion_e lists no point it dropped.
     """
 
     identity: str  # commutation_b | shift_d | expansion_e | solution_formula | transform_match
@@ -161,44 +165,49 @@ def expansion_grid(k: int):
     return np.geomspace(1e3, min(1e6, limit), 12)
 
 
-def _fit_expansion_coefficients(pencil, EB, k):
-    """Fit x_1..x_k for every column x of a basis matrix B, given E B, at k+2 geometric points.
+def _expansion_coefficients(chain, EB, k):
+    """x_1..x_k of every column x of a basis matrix B of IV_k, given E B, in closed form.
 
-    The nodes are s_ref * 2^j, j = 0..k+1, with s_ref = 100 lowered where
-    needed so that the top node stays a factor 4 below the float64 horizon
-    s_h(k); samples above it would give the fitted x_l roundoff of size
-    ~eps * s^(k+1).  The nodes, nudged where singular, are one resolvent
-    stack, applied to E B at once.  The model y(s) = c_0/s + ... +
-    c_{k+1}/s^{k+2} of (sE+A)^{-1} E x is solved as one Vandermonde system in
-    the scaled variable s_ref/s for all columns; the extra top coefficient
-    absorbs the leading remainder so it cannot contaminate x_k.  Returns the
-    fitted stack, x_l of column j at [l - 1, :, j], and the Vandermonde
-    condition number.
+    For k = stabilization or stabilization + 1, E B lies in E[V] with
+    V = IV_{stabilization+1}, so E B = E V c with c = S^{-1} C^H (E B), where
+    S = C^H E V is the restricted map on the chain and C the basis of
+    E[IV_stabilization].  Since A V = E V M for the reduced generator M,
+    (sE+A)^{-1} E B = V (sI + M)^{-1} c exactly, whose series gives
+    x_l = (-1)^l V M^l c.  Returns x_l of column j at [l - 1, :, j]; k = 0
+    needs no coefficient and no generator.  Raises IsomorphismError from
+    reduced_generator.
     """
-    s_ref = min(100.0, _float64_horizon(k) / (4.0 * 2.0 ** (k + 1)))
-    REB, nodes = _sampled(pencil, s_ref * 2.0 ** np.arange(k + 2), lambda R, s: R @ EB)
-    V = np.vander(nodes[0] / nodes, k + 2, increasing=True)
-    gamma = np.linalg.solve(V, (REB * nodes[:, None, None]).reshape(k + 2, -1))
-    coeffs = gamma.reshape(k + 2, *EB.shape) * (nodes[0] ** np.arange(k + 2))[:, None, None]
-    return coeffs[1 : k + 1], float(np.linalg.cond(V))
+    if k == 0:
+        return np.zeros((0, *EB.shape))
+    gen = reduced_generator(chain.pencil, chain)
+    S = _restricted_iso(chain)[1]
+    if S is None:  # V = {0}, so E B = 0
+        return np.zeros((k, *EB.shape))
+    z = np.linalg.solve(S, chain.images[chain.stabilization].basis.conj().T @ EB)
+    coeffs = []
+    for _ in range(k):
+        z = -(gen.M @ z)
+        coeffs.append(gen.basis @ z)
+    return np.stack(coeffs)
 
 
 def verify_expansion(pencil: Pencil, chain: IvChain, k: int, s_grid=None) -> IdentityReport:
-    """Bounded-remainder form of the resolvent expansion on IV_k.
+    """Bounded-remainder form of the resolvent expansion on IV_k, k = stabilization
+    or stabilization + 1.
 
-    For each basis vector x of IV_k, coefficients x_l are fitted from
-    resolvent samples; the check is that s^{k+1} times the remainder
+    For each basis vector x of IV_k the coefficients x_l = (-1)^l V M^l c of
+    (sE+A)^{-1} E x = V (sI + M)^{-1} c come in closed form from the reduced
+    generator M on V = IV_{stabilization+1} (_expansion_coefficients); the
+    check is that s^{k+1} times the remainder
     y(s) - x/s - sum x_l / s^{l+1} stays below C * (1 + ||(sE+A)^{-1}|| ||A||)
     across the grid with C <= EXPANSION_C_MAX.  The reported
-    max_relative_error is the observed C, worst over the basis.  Each fit
-    node and grid point takes one resolvent, applied to the whole basis.
-    ||(sE+A)^{-1}|| is pencils._norm2's lower bound, so C is at least the
-    value the exact 2-norm would give.
-
-    The fit assumes its nodes (s from s_ref to 2^(k+1) s_ref, s_ref <= 100,
-    about 10.6 at k = 4) lie well above the finite spectrum of the pencil,
-    so that the 1/s series converges there; nothing checks this, and a pencil
-    with finite eigenvalues of comparable modulus gets a meaningless C.
+    max_relative_error is the observed C, worst over the basis.  Each grid
+    point takes one resolvent, applied to the whole basis, and no other
+    resolvent is taken.  ||(sE+A)^{-1}|| is pencils._norm2's lower bound, so
+    C is at least the value the exact 2-norm would give.  A grid point still
+    singular after its nudges is dropped, counted in details["samples_dropped"],
+    and fails the check.  Where k > 0 and the reduced generator fails, this
+    raises its IsomorphismError.
 
     In floating point the sampled remainder carries roundoff of the stored
     pencil of size ~eps * s^(k+1), so the check is only meaningful below the
@@ -208,11 +217,9 @@ def verify_expansion(pencil: Pencil, chain: IvChain, k: int, s_grid=None) -> Ide
     sampled further out.
     """
     _check_owner(pencil, chain)
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if k > chain.stabilization + 1:
+    if k not in (chain.stabilization, chain.stabilization + 1):
         raise ValueError(
-            f"k = {k} exceeds stabilization + 1 = {chain.stabilization + 1}"
+            f"k = {k} is neither the stabilization {chain.stabilization} nor one past it"
         )
     if s_grid is None:
         s_grid = expansion_grid(k)
@@ -230,10 +237,7 @@ def verify_expansion(pencil: Pencil, chain: IvChain, k: int, s_grid=None) -> Ide
 
     B = iv_k.basis
     EB = pencil.E @ B
-    coeffs, cond = _fit_expansion_coefficients(pencil, EB, k)
-    details["fit_condition"] = cond
-    if cond > 1e10:
-        details["ill_conditioned_fit"] = True
+    coeffs = _expansion_coefficients(chain, EB, k)
 
     def constants(R, s):  # the remainder constant C of every point
         bound = 1.0 + _norm2(R) * pencil.norm_A
@@ -246,9 +250,13 @@ def verify_expansion(pencil: Pencil, chain: IvChain, k: int, s_grid=None) -> Ide
         lift = np.array([x ** (k + 1) for x in s.tolist()])
         return column * lift / bound
 
-    C, used = _sampled(pencil, s_grid, constants)
+    C, used = _sampled(pencil, s_grid, constants, drop=True)
     c = float(np.max(C, initial=0.0))
-    return IdentityReport("expansion_e", tuple(used.tolist()), c, c <= EXPANSION_C_MAX, details)
+    dropped = int(np.count_nonzero(np.isnan(used)))
+    if dropped:
+        details["samples_dropped"] = dropped
+    points = tuple(used[~np.isnan(used)].tolist())
+    return IdentityReport("expansion_e", points, c, c <= EXPANSION_C_MAX and not dropped, details)
 
 
 def hat_solution(pencil: Pencil, u0, s):

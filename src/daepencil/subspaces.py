@@ -23,8 +23,6 @@ __all__ = [
     "image",
     "preimage",
     "kernel",
-    "sum",
-    "intersect",
     "contains",
     "equal",
     "project",
@@ -214,33 +212,6 @@ def kernel(M, tol: RankTolerance = RankTolerance()) -> Subspace:
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ShapeMismatchError(f"expected a square matrix, got shape {M.shape}")
     return Subspace(_nullspace_columns(M, tol), tol)
-
-
-def sum(S: Subspace, T: Subspace) -> Subspace:
-    """Smallest subspace containing both S and T."""
-    _check_same_ambient(S, T)
-    tol = S.tol.coarser(T.tol)
-    stacked = np.hstack([S.basis, T.basis])
-    if stacked.shape[1] == 0:
-        return zero_space(S.ambient_dim, tol)
-    return Subspace(_orthonormal_columns(stacked, tol), tol)
-
-
-def intersect(S: Subspace, T: Subspace) -> Subspace:
-    """S intersected with T: kernel of the stacked complement projectors.
-
-    Projectors have unit scale, so rank decisions use reference 1; the
-    roundoff left behind by a complement of a (numerically) full space then
-    counts as zero.
-    """
-    _check_same_ambient(S, T)
-    tol = S.tol.coarser(T.tol)
-    n = S.ambient_dim
-    eye = np.eye(n)
-    comp_s = eye - S.basis @ S.basis.conj().T
-    comp_t = eye - T.basis @ T.basis.conj().T
-    stacked = np.vstack([comp_s, comp_t])
-    return Subspace(_nullspace_columns(stacked, tol, reference=1.0), tol)
 
 
 def project(S: Subspace, v):

@@ -67,10 +67,13 @@ def test_failing_generator_fails_transform_match(monkeypatch):
     monkeypatch.setattr(solvers_mod, "_generator", failing)
     report = analyze_pencil(generate(FixtureSpec(2, (2,), seed=1))[0])
     checks = {c["identity"]: c for c in report.identity_checks}
-    tm = checks["transform_match"]
-    assert not tm["passed"] and tm["max_relative_error"] is None
-    assert tm["points"] == 0 and tm["details"] == {"error": message}
-    assert all(c["passed"] for name, c in checks.items() if name != "transform_match")
+    # stabilization 1: the expansion's coefficients need the generator too
+    unevaluated = ("expansion_e", "transform_match")
+    for name in unevaluated:
+        c = checks[name]
+        assert not c["passed"] and c["max_relative_error"] is None
+        assert c["points"] == 0 and c["details"] == {"error": message}
+    assert all(c["passed"] for name, c in checks.items() if name not in unevaluated)
 
 
 def test_k5_pencil_lists_no_expansion():
@@ -98,14 +101,18 @@ def test_analyze_pencil_runs_the_battery_once(monkeypatch):
 def test_no_abort_on_failing_generators_at_conditioning_1e6():
     """At conditioning 1e6 the reduced generator fails on 19 of these 60
     fixtures (17 over its residual cap, 2 with a restricted E that is not
-    bijective); each report carries its failed transform_match."""
-    errors = []
+    bijective); each report carries its failed transform_match, and the 13
+    past k = 0 their unevaluated expansion_e, the only expansions that fail."""
+    errors, expansions = [], []
     for spec in random_specs(60, (2, 20), (0, 4), seed=1, conditioning=1e6):
         report = analyze_pencil(generate(spec)[0], spec.seed)
         for c in report.identity_checks:
             if c["identity"] == "transform_match" and c["max_relative_error"] is None:
                 assert not c["passed"]
                 errors.append(c["details"]["error"])
-    assert len(errors) == 19
+            if c["identity"] == "expansion_e" and not c["passed"]:
+                assert c["max_relative_error"] is None and report.stabilization > 0
+                expansions.append(c["details"]["error"])
+    assert len(errors) == 19 and len(expansions) == 13 and set(expansions) <= set(errors)
     assert sum(e.startswith("reduced generator residual") for e in errors) == 17
     assert sum(e.startswith("restricted E is not bijective") for e in errors) == 2

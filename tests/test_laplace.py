@@ -17,8 +17,7 @@ from daepencil.exceptions import (
 )
 from daepencil.fixtures import FixtureSpec, generate
 from daepencil.laplace import (
-    _fit_expansion_coefficients,
-    _float64_horizon,
+    _expansion_coefficients,
     _identity_errors,
     expansion_grid,
     hat_solution,
@@ -30,7 +29,7 @@ from daepencil.laplace import (
     verify_transform_match,
 )
 from daepencil.pencils import new_pencil, resolvent
-from daepencil.verification import random_specs
+from daepencil.verification import random_specs, run_suite
 
 N2 = np.array([[0.0, 1.0], [0.0, 0.0]])
 N3 = np.eye(3, k=1)
@@ -38,6 +37,8 @@ DIAG_1_N2_E = np.array([[1.0, 0, 0], [0, 0, 1.0], [0, 0, 0]])
 POINTS = tuple(np.geomspace(0.5, 50.0, 20))
 # acceptance_specs()[7] of the acceptance suite: Kronecker index 3, k = 2, n = 14
 ACCEPTANCE_K2 = FixtureSpec(11, (3,), 34.402767867042435, 8402350920931806502)
+# fixture 18 of random_specs(60, (2, 20), (0, 4), seed=7, conditioning=1e6)
+SINGULAR_TOP = FixtureSpec(0, (2,), 1e6, 6105875996742672204)
 
 
 def _count_resolvents(monkeypatch):
@@ -226,7 +227,7 @@ class TestExpansion:
 
     @pytest.mark.parametrize("spec", [ACCEPTANCE_K2, FixtureSpec(3, (2,), 100.0, 31)])
     def test_one_resolvent_per_sample_point(self, monkeypatch, spec):
-        # k+2 fit nodes and one per grid point, however many vectors IV_k has
+        # one per grid point, however many vectors IV_k has, and no other
         p, _ = generate(spec)
         chain = compute_chain(p)
         k = chain.stabilization
@@ -234,37 +235,75 @@ class TestExpansion:
         calls = _count_resolvents(monkeypatch)
         rep = verify_expansion(p, chain, k)
         assert rep.passed
-        assert len(calls) == (k + 2) + len(expansion_grid(k))
+        assert len(calls) == len(expansion_grid(k))
         calls.clear()
         verify_expansion(p, chain, k, expansion_grid(k)[:5])
-        assert len(calls) == (k + 2) + 5
+        assert len(calls) == 5
 
-    def test_batched_fit_matches_per_column_fit(self):
-        # The fit amplifies roundoff of its samples (about 1e-2 of x_2 here,
-        # so a column sampled on its own differs at that level); the reference
-        # therefore fits each column of the same sampled R(s) E B on its own.
-        p, _ = generate(ACCEPTANCE_K2)
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("past", [0, 1])
+    def test_closed_form_coefficients_on_canonical_pencils(self, complex_, past):
+        # E = diag(I, N), A = diag(J, I): x = (r, w) in IV_k has N w = 0, so
+        # (sE+A)^{-1} E x = ((sI + J)^{-1} r, 0) and x_l = (-1)^l (J^l r, 0)
+        rng = np.random.default_rng(7)
+        n1, N = 3, np.zeros((5, 5))
+        N[:3, :3], N[3:, 3:] = N3, N2  # Kronecker index 3, stabilization 2
+        J = rng.standard_normal((n1, n1)) + complex_ * 1j * rng.standard_normal((n1, n1))
+        E = np.block([[np.eye(n1), np.zeros((n1, 5))], [np.zeros((5, n1)), N]])
+        A = np.block([[J, np.zeros((n1, 5))], [np.zeros((5, n1)), np.eye(5)]])
+        p = new_pencil(E + 0j if complex_ else E, A)
         chain = compute_chain(p)
-        k = chain.stabilization
-        assert k == 2
+        k = chain.stabilization + past
+        assert chain.stabilization == 2
         B = chain.spaces[k].basis
-        coeffs, cond = _fit_expansion_coefficients(p, p.E @ B, k)
+        coeffs = _expansion_coefficients(chain, p.E @ B, k)
         assert coeffs.shape == (k, p.n, B.shape[1])
-        s_ref = min(100.0, _float64_horizon(k) / (4.0 * 2.0 ** (k + 1)))
-        nodes = s_ref * 2.0 ** np.arange(k + 2)
-        samples = np.array([resolvent(p, s) @ (p.E @ B) * s for s in nodes])
-        V = np.vander(nodes[0] / nodes, k + 2, increasing=True)
-        assert cond == np.linalg.cond(V)
-        for j in range(B.shape[1]):
-            ref = np.linalg.solve(V, samples[:, :, j]) * (s_ref ** np.arange(k + 2))[:, None]
-            err = np.linalg.norm(coeffs[:, :, j] - ref[1 : k + 1])
-            assert err <= 1e-10 * np.linalg.norm(ref[1 : k + 1])
+        r, zero = B[:n1], np.zeros((5, B.shape[1]))
+        for l in range(1, k + 1):
+            expected = np.vstack([(-1) ** l * np.linalg.matrix_power(J, l) @ r, zero])
+            assert np.linalg.norm(coeffs[l - 1] - expected) <= 1e-13 * np.linalg.norm(J, 2) ** l
 
     def test_k_out_of_range(self):
-        p = new_pencil(N2, np.eye(2))
+        p = new_pencil(N3, np.eye(3))
         chain = compute_chain(p)
-        with pytest.raises(ValueError):
-            verify_expansion(p, chain, chain.stabilization + 2)
+        for k in (-1, chain.stabilization - 1, chain.stabilization + 2):
+            with pytest.raises(ValueError, match="stabilization"):
+                verify_expansion(p, chain, k)
+
+    def test_conditioning_ladder_fixtures_pass(self):
+        # fixtures 27, 48 and 59 of the 1e5 ladder: a Vandermonde fit of the
+        # coefficients from extra resolvents moved their C to 34.9, 19.8 and 31.3
+        specs = random_specs(60, (2, 20), (0, 4), seed=1, conditioning=1e5)
+        for i in (27, 48, 59):
+            p, _ = generate(specs[i])
+            chain = compute_chain(p)
+            rep = verify_expansion(p, chain, chain.stabilization)
+            assert rep.passed, (i, rep.max_relative_error)
+
+    def test_point_singular_after_its_nudges_is_dropped_and_fails(self):
+        # sE + A stays numerically singular at 1e6 * 1.01^j, j = 0..5, from the
+        # top grid point; other points are sampled after nudges
+        p, _ = generate(SINGULAR_TOP)
+        chain = compute_chain(p)
+        k = chain.stabilization
+        grid = expansion_grid(k)
+        rep = verify_expansion(p, chain, k)
+        assert not rep.passed and rep.details["samples_dropped"] == 1
+        assert len(rep.sample_points) == len(grid) - 1 and max(rep.sample_points) < grid[-1]
+        assert rep.max_relative_error <= 10.0  # the points sampled pass
+        row = {r.name: r for r in run_suite([SINGULAR_TOP]).rows}["resolvent_expansion"]
+        assert (row.checked, row.failures, row.passed) == (1, 1, False)
+
+    def test_failing_generator_raises_past_k0(self, monkeypatch):
+        def failing(chain):
+            raise IsomorphismError("reduced generator residual exceeds its cap")
+
+        monkeypatch.setattr(solvers_mod, "_generator", failing)
+        p, _ = generate(FixtureSpec(2, (2,), seed=1))
+        with pytest.raises(IsomorphismError):
+            verify_expansion(p, compute_chain(p), 1)
+        p = new_pencil(np.eye(3), np.random.default_rng(1).standard_normal((3, 3)))
+        assert verify_expansion(p, compute_chain(p), 0).passed  # k = 0 needs no coefficient
 
 
 class TestHatSolution:

@@ -15,7 +15,10 @@ tolerance, at `--seed 1 --conditioning 1e5`,
 where the subspace chains meet roundoff well above the rank tolerance, and
 at `--seed 1 --conditioning 1e6`, where the reduced generator fails on 19
 fixtures (17 over its residual cap, 2 with a restricted E that is not
-bijective), so both failure paths of the transform match are gated.  It
+bijective), so both failure paths of the transform match and the expansion
+check are gated, and at `--seed 7 --conditioning 1e6`, where one expansion
+grid point stays singular after its nudges and is dropped, failing the
+check without aborting the run.  It
 writes the singular pencil E = A = diag(1, 0) and u0 = (1, 0) as exact
 array files and records the exit codes of `analyze` and of `solve` for each
 `--method` on it, which the CLI's contract sets to 3.  It writes the
@@ -93,6 +96,7 @@ VERIFY_RUNS = {f"verify_seed-{seed}": ("--seed", seed) for seed in (7, 8, 9, 11)
 VERIFY_RUNS[f"verify_seed-7_tol-{TOL}"] = ("--seed", 7, "--tol", TOL)
 VERIFY_RUNS["verify_seed-1_conditioning-1e5"] = ("--seed", 1, "--conditioning", "1e5")
 VERIFY_RUNS["verify_seed-1_conditioning-1e6"] = ("--seed", 1, "--conditioning", "1e6")
+VERIFY_RUNS["verify_seed-7_conditioning-1e6"] = ("--seed", 7, "--conditioning", "1e6")
 EXIT_CODES = "exit_codes.json"
 
 
