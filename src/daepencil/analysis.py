@@ -60,9 +60,10 @@ IDENTITY_POINTS = tuple(np.geomspace(0.5, 50.0, 20))
 class Analysis:
     """The per-pencil artifacts, each computed once by build_analysis.
 
-    The certificate and the nilpotency index use the seed build_analysis was
-    given.  Every field after certificate is None when the pencil is not
-    regular.
+    The certificate is the one of the seed build_analysis was given; the
+    index routes read the first certificate kept on the pencil, which is
+    that one unless the pencil kept another before.  Every field after
+    certificate is None when the pencil is not regular.
     """
 
     pencil: Pencil
@@ -84,7 +85,11 @@ class Analysis:
 def build_analysis(
     pencil: Pencil, seed: int = 0, tol: RankTolerance = RankTolerance()
 ) -> Analysis:
-    """Certify regularity and, for a regular pencil, run every analysis stage."""
+    """Certify regularity at seed and, for a regular pencil, run every analysis stage.
+
+    The seed picks only the certificate: every stage keeps its artifacts on
+    the pencil, and the routes read the certificate kept there.
+    """
     certificate = certify_regularity(pencil, seed)
     if not certificate.regular:
         return Analysis(pencil, certificate)
@@ -94,7 +99,7 @@ def build_analysis(
         certificate,
         chain=chain,
         growth=index_by_growth(pencil),
-        nilpotency=index_by_nilpotency(pencil, seed),
+        nilpotency=index_by_nilpotency(pencil),
         chain_index=index_by_chain(chain),
         iso=check_restricted_iso(pencil, chain),
     )

@@ -39,14 +39,14 @@ class IvChain:
     The chain also holds the pencil the spaces belong to and the images
     E[IV_j] compute_chain found on the way (one per space but the last); the
     restricted map with its isomorphism report and the reduced generator are
-    computed once from them and kept on the chain.
+    computed once from them and kept on the pencil per tolerance, like the
+    spaces, so every IvChain of one pencil and tolerance shares them.
     """
 
     spaces: tuple
     stabilization: int
     pencil: Pencil = field(repr=False, compare=False)
     images: tuple = field(repr=False, compare=False)
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dims(self) -> tuple:
@@ -130,7 +130,7 @@ class IsoReport:
 def check_restricted_iso(pencil: Pencil, chain: IvChain) -> IsoReport:
     """Form the matrix of E from IV_{k+1} into E[IV_k] and test bijectivity.
 
-    Computed once per chain and kept on it.
+    Computed once per pencil and tolerance and kept on the pencil.
     """
     _check_owner(pencil, chain)
     return _restricted_iso(chain)[0]
@@ -138,8 +138,8 @@ def check_restricted_iso(pencil: Pencil, chain: IvChain) -> IsoReport:
 
 def _restricted_iso(chain):
     """(IsoReport, read-only C^H (E B) for the bases B of IV_{k+1} and C of E[IV_k],
-    None if either is empty), built once per chain and kept on it."""
-    return _cached(chain, "iso", lambda: _build_iso(chain))
+    None if either is empty), built once per pencil and tolerance and kept on the pencil."""
+    return _cached(chain.pencil, ("iso", chain.tol), lambda: _build_iso(chain))
 
 
 def _build_iso(chain):

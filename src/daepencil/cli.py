@@ -78,7 +78,11 @@ def _build_parser():
     p_verify.add_argument("--fixtures", help="JSON file with a list of fixture specs")
     p_verify.add_argument("--random", type=int, help="number of random fixtures to draw")
     p_verify.add_argument("--dim-range", default="2..20", help="dimensions, e.g. 2..20")
-    p_verify.add_argument("--index-range", default="0..3", help="growth indices, e.g. 0..4")
+    p_verify.add_argument(
+        "--index-range",
+        default="0..3",
+        help="growth indices, e.g. 0..4; a fixture of dimension n gets at most n - 1",
+    )
     p_verify.add_argument("--conditioning", type=float, default=100.0)
     p_verify.add_argument("--json", dest="json_out", help="also write results as JSON")
     common(p_verify)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .chains import IvChain, _check_owner, _restricted_iso
 from .pencils import TINY, Pencil, _frobenius, _norm2, _sampled, _solve_shifted, _sumsq
-from .solvers import _coordinates, reduced_generator
+from .solvers import _check_u0, _coordinates, reduced_generator
 
 __all__ = [
     "IdentityReport",
@@ -85,27 +85,15 @@ def _identity_errors(pencil, R, s, u0):
     return np.stack((commutation, shift, formula), -1)
 
 
-def _identity_reports(pencil, u0, points):
-    """The three identities' reports from one _identity_errors pass per chunk."""
-    errors, used = _sampled(pencil, points, lambda R, s: _identity_errors(pencil, R, s, u0))
-    # np.max keeps a NaN error, which then fails the check
-    worst = np.max(errors, axis=0, initial=0.0).tolist()
-    names = ("commutation_b", "shift_d", "solution_formula")
-    tols = (COMMUTATION_TOL, SHIFT_TOL, SOLUTION_FORMULA_TOL)
-    at = tuple(used.tolist())
-    return tuple(IdentityReport(name, at, w, w <= tol) for name, tol, w in zip(names, tols, worst))
-
-
 def verify_commutation(pencil: Pencil, points) -> IdentityReport:
-    """E (sE+A)^{-1} A = A (sE+A)^{-1} E at every sample point, s = 0 included.
+    """E (sE+A)^{-1} A = A (sE+A)^{-1} E at every nonzero sample point.
 
     Frobenius error over ||E|| ||A|| times pencils._norm2's lower bound on
-    ||R||_2, so an upper bound on the relative 2-norm error.  The first
-    column of the one identity pass at u0 = 0; the other two, undefined at
-    s = 0, are discarded unwarned.
+    ||R||_2, so an upper bound on the relative 2-norm error.  The
+    commutation_b report of verify_identities, which refuses s = 0, where
+    this identity reads E = E.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _identity_reports(pencil, np.zeros(pencil.n), points)[0]
+    return verify_identities(pencil, np.zeros(pencil.n), points)[0]
 
 
 def verify_shift(pencil: Pencil, points) -> IdentityReport:
@@ -132,12 +120,20 @@ def verify_identities(pencil: Pencil, u0, points) -> tuple:
 
     One pass per chunk of the resolvent stack gives all three errors, so
     verify_commutation, verify_shift and verify_solution_formula, which
-    select their report from the same pass, give the same bits.
+    select their report from the same pass, give the same bits.  A point
+    s = 0 is a ValueError, and u0 is checked as solvers' initial values are.
     """
     points = tuple(points)
     if 0 in points:
         raise ValueError("the shift identity and solution formula are undefined at s = 0")
-    return _identity_reports(pencil, np.asarray(u0), points)
+    u0 = _check_u0(pencil, u0)
+    errors, used = _sampled(pencil, points, lambda R, s: _identity_errors(pencil, R, s, u0))
+    # np.max keeps a NaN error, which then fails the check
+    worst = np.max(errors, axis=0, initial=0.0).tolist()
+    names = ("commutation_b", "shift_d", "solution_formula")
+    tols = (COMMUTATION_TOL, SHIFT_TOL, SOLUTION_FORMULA_TOL)
+    at = tuple(used.tolist())
+    return tuple(IdentityReport(name, at, w, w <= tol) for name, tol, w in zip(names, tols, worst))
 
 
 def _float64_horizon(k: int) -> float:
@@ -263,9 +259,9 @@ def hat_solution(pencil: Pencil, u0, s):
     """(sE+A)^{-1} E u0: the Laplace transform of the distributional solution.
 
     One solve with E u0 as right-hand side; raises SingularMatrixError where
-    resolvent would.
+    resolvent would.  u0 is checked as solvers' initial values are.
     """
-    return _solve_shifted(pencil, s, pencil.E @ np.asarray(u0))
+    return _solve_shifted(pencil, s, pencil.E @ _check_u0(pencil, u0))
 
 
 def verify_transform_match(pencil: Pencil, chain: IvChain, u0) -> IdentityReport:

@@ -57,21 +57,21 @@ GROWTH_GRID = tuple(np.geomspace(1e2, 1e7, 24))
 STACK_ENTRIES = 2**15
 
 
-def _cached(owner, key, build):
-    """owner's artifact under key, built by build() on first use and kept.
+def _cached(pencil, key, build):
+    """The pencil's artifact under key, built by build() on first use and kept.
 
-    Owners are frozen values over read-only arrays (a Pencil from new_pencil,
-    an IvChain from compute_chain), so a kept artifact cannot go stale.  A
+    The pencil is the one owner of every kept artifact: a frozen value over
+    read-only arrays (new_pencil), so a kept artifact cannot go stale.  A
     build that fails with a DaePencilError is kept too, less its traceback
-    (whose frames would pin the owner): every later call raises a fresh copy.
+    (whose frames would pin the pencil): every later call raises a fresh copy.
     """
-    if key not in owner._cache:
+    if key not in pencil._cache:
         try:
-            owner._cache[key] = build()
+            pencil._cache[key] = build()
         except DaePencilError as exc:
-            owner._cache[key] = copy.copy(exc)
+            pencil._cache[key] = copy.copy(exc)
             raise
-    kept = owner._cache[key]
+    kept = pencil._cache[key]
     if isinstance(kept, DaePencilError):
         raise copy.copy(kept)
     return kept
@@ -82,8 +82,9 @@ class Pencil:
     """Validated pair of same-size square matrices over a common scalar field.
 
     Build it with new_pencil, which makes both arrays read-only; the
-    per-pencil artifacts (norms, certificates, Wong chain, IV chain spaces per
-    tolerance, splittings) are then computed once and kept.  Pencils compare by value.
+    per-pencil artifacts (norms, certificates, Wong chain, per tolerance the
+    IV chain's spaces, restricted map and reduced generator, splittings) are
+    then computed once and kept.  Pencils compare by value.
     """
 
     E: np.ndarray
@@ -370,6 +371,16 @@ def _random_start(m):
     return g
 
 
+def _require_regular(pencil: Pencil):
+    """Raise NotRegularError unless the pencil's certificate says regular: the
+    first one kept on it, else seed 0's.  The one reader of kept certificates,
+    so only entry points choose a seed, by certifying first; seeds disagree
+    only where det(sE + A) is roundoff at some points and exactly 0 at others."""
+    kept = (c for key, c in pencil._cache.items() if key[0] == "certificate")
+    if not (next(kept, None) or certify_regularity(pencil)).regular:
+        raise NotRegularError("the pencil's regularity certificate says it is not regular")
+
+
 def index_by_growth(pencil: Pencil) -> IndexEstimate:
     """Index from the slope of log ||(sE+A)^{-1}|| against log s.
 
@@ -391,12 +402,7 @@ def index_by_growth(pencil: Pencil) -> IndexEstimate:
     some other column of the inverse would.  Raises SingularMatrixError only
     when fewer than two upper-half samples remain.
     """
-    # any certificate kept on the pencil will do, though seeds can disagree on a
-    # pencil whose det(sE + A) is roundoff at some points and exactly 0 at others
-    kept = (c for key, c in pencil._cache.items() if key[0] == "certificate")
-    if not (next(kept, None) or certify_regularity(pencil)).regular:
-        raise NotRegularError("growth sampling needs a regular pencil")
-
+    _require_regular(pencil)
     half = len(GROWTH_GRID) // 2
     # the lower half is only probed for poles, one dense column of each resolvent
     probe = np.ones((pencil.n, 1))
@@ -437,8 +443,9 @@ def _wong_chain(pencil: Pencil):
     rise (subspaces._monotone_chain), so the last space repeats (or reverses)
     the dimension and chain[-2] is the stabilized W*, the kernel part of the
     quasi-Weierstrass split.  Both the nilpotency index and the Fitting
-    splitting read it.
+    splitting read it.  Raises NotRegularError as _require_regular does.
     """
+    _require_regular(pencil)
 
     def build():
         def step(W):
@@ -449,18 +456,15 @@ def _wong_chain(pencil: Pencil):
     return _cached(pencil, "wong", build)
 
 
-def index_by_nilpotency(pencil: Pencil, seed: int = 0) -> IndexEstimate:
+def index_by_nilpotency(pencil: Pencil) -> IndexEstimate:
     """Index from the second Wong sequence W_{j+1} = E^{-1}(A W_j).
 
     The chain {0} = W_0 <= W_1 <= ... (see _wong_chain) stabilizes at step
     nu, the nilpotency degree of the pencil's infinite part: W_j is ker F^j
     for F = (s0 E + A)^{-1} E at any s0 in the resolvent set, and no F is
     formed.  The nilpotent part contributes resolvent growth |s|^(nu-1) while
-    the finite part decays, so the growth index is max(nu - 1, 0).  The
-    seed picks only the regularity certificate.
+    the finite part decays, so the growth index is max(nu - 1, 0).
     """
-    if not certify_regularity(pencil, seed).regular:
-        raise NotRegularError("the kernel-chain oracle needs a regular pencil")
     chain = _wong_chain(pencil)
     nu = len(chain) - 2
     return IndexEstimate(

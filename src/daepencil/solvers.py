@@ -59,7 +59,7 @@ class ReducedGenerator:
     For every basis vector b_j the lifted image satisfies
     E (basis @ M[:, j]) = A b_j up to GENERATOR_RTOL * (||E|| + ||A||);
     max_residual records the worst observed defect.  Both arrays are
-    read-only: the generator is kept on its chain and shared.
+    read-only: the generator is kept on its pencil and shared.
     """
 
     k: int
@@ -89,8 +89,10 @@ class Trajectory:
 
 
 def _check_u0(pencil, u0, block=False):
-    """u0 as a finite array of the pencil's dtype: shape (n,), or (n, m) if block."""
-    u0 = np.asarray(u0, dtype=complex if pencil.is_complex else float)
+    """u0 as a finite array, complex if the pencil or u0 is, else real: shape
+    (n,), or (n, m) if block.  The one check of every initial value."""
+    complex_ = pencil.is_complex or np.iscomplexobj(u0)
+    u0 = np.asarray(u0, dtype=complex if complex_ else float)
     if u0.shape[:1] != (pencil.n,) or u0.ndim > 1 + block:
         raise ShapeMismatchError(
             f"initial value shape {u0.shape} does not match pencil size {pencil.n}"
@@ -136,7 +138,7 @@ def reduced_generator(pencil: Pencil, chain: IvChain) -> ReducedGenerator:
     (never through a pseudo-inverse of E on the whole space, which would be
     wrong off the subspace).  Raises IsomorphismError when the restricted map
     is not bijective or the lifted solutions fail the residual cap.  Computed
-    once per chain and kept on it.
+    once per pencil and tolerance and kept on the pencil.
     """
     iso = check_restricted_iso(pencil, chain)
     if not iso.bijective:
@@ -144,7 +146,7 @@ def reduced_generator(pencil: Pencil, chain: IvChain) -> ReducedGenerator:
             f"restricted E is not bijective (domain dim {iso.dim_domain}, "
             f"codomain dim {iso.dim_codomain}, sigma_min {iso.sigma_min})"
         )
-    return _cached(chain, "generator", lambda: _generator(chain))
+    return _cached(chain.pencil, ("generator", chain.tol), lambda: _generator(chain))
 
 
 def _generator(chain):
@@ -340,7 +342,7 @@ class FittingSplit:
         return self.range_basis @ c[:r], self.kernel_basis @ c[r:], c[:r]
 
 
-def fitting_splitting(pencil: Pencil, seed: int = 0) -> FittingSplit:
+def fitting_splitting(pencil: Pencil) -> FittingSplit:
     """Split the space along the two Wong sequences (quasi-Weierstrass split).
 
     The range part is the consistent space of the IV chain kept on the pencil
@@ -349,13 +351,11 @@ def fitting_splitting(pencil: Pencil, seed: int = 0) -> FittingSplit:
     No shift, resolvent or canonical-form transformation is involved, and
     the generator on the range part is solved from E and A themselves, not
     taken from the reduced generator it is compared with.  Raises
-    SingularMatrixError when the two dimensions do not add up to n, and
-    warns when the combined basis has sigma_min below 1e-8.  The seed picks
-    only the regularity certificate.  Computed once per pencil and kept on
-    it, so the warning comes with the first call only.
+    SingularMatrixError when the two dimensions do not add up to n,
+    NotRegularError as _wong_chain does, and warns when the combined basis
+    has sigma_min below 1e-8.  Computed once per pencil and kept on it, so
+    the warning comes with the first call only.
     """
-    if not certify_regularity(pencil, seed).regular:
-        raise NotRegularError("the splitting oracle needs a regular pencil")
     return _cached(pencil, "split", lambda: _split(pencil))
 
 
@@ -395,10 +395,13 @@ def decomposition_oracle(pencil: Pencil, u0, times, seed: int = 0) -> Trajectory
     and J is solved from E and A, not taken from the reduced generator.  An
     (n, m) block u0 is solved at once and rejected, like classical_solution's,
     if any column is, with the largest kernel component and the range part.
+    NotRegularError unless the seed's regularity certificate says regular.
     """
     u0 = _check_u0(pencil, u0, block=True)
     times = _check_times(times)
-    split = fitting_splitting(pencil, seed)
+    if not certify_regularity(pencil, seed).regular:
+        raise NotRegularError("the splitting oracle needs a regular pencil")
+    split = fitting_splitting(pencil)
     range_part, kernel_part, c_r = split.components(u0)
     knorm = np.linalg.norm(kernel_part, axis=0)
     # oblique components amplify input noise by up to 1/sigma_min(V), so the

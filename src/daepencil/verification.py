@@ -156,7 +156,9 @@ def _resolvent_identity_row(analyzed, seed):
 
 def _identity_rows(analyzed):
     """The identity_checks rows by identity (u0 from spec.seed + 2), one check per
-    report; a fixture without expansion_e (k >= 5) is counted in that row's note."""
+    report.  The resolvent_expansion note counts why checks are missing or
+    failed: fixtures without expansion_e (k >= 5), checks not evaluated because
+    the reduced generator was refused, and checks that dropped a grid point."""
     rows = {
         "commutation_b": _Row("resolvent_commutation"),
         "shift_d": _Row("resolvent_shift"),
@@ -164,12 +166,20 @@ def _identity_rows(analyzed):
         "expansion_e": _Row("resolvent_expansion"),
         "transform_match": _Row("transform_match"),
     }
+    refused = dropped = 0
     for spec, _, a in analyzed:
         for rep in identity_checks(a, spec.seed + 2):
             rows[rep.identity].add(rep.max_relative_error, rep.passed)
+            if rep.identity == "expansion_e":
+                refused += "error" in rep.details
+                dropped += "samples_dropped" in rep.details
     skipped = len(analyzed) - rows["expansion_e"].checked
-    if skipped:
-        rows["expansion_e"].note = f"{skipped} skipped: k too high for float64 at s >= 1e3"
+    notes = (
+        (skipped, "skipped: k too high for float64 at s >= 1e3"),
+        (refused, "not evaluated: reduced generator refused"),
+        (dropped, "dropped a grid point singular after its nudges"),
+    )
+    rows["expansion_e"].note = "; ".join(f"{count} {text}" for count, text in notes if count)
     return {identity: row.done() for identity, row in rows.items()}
 
 
@@ -324,7 +334,9 @@ def run_suite(specs, seed: int = 0, tol: RankTolerance = RankTolerance()) -> Sui
 
 
 def random_specs(count, dim_range, index_range, seed, conditioning=100.0):
-    """Draw fixture specs with growth indices and dimensions in the given ranges."""
+    """Draw fixture specs with dimensions in dim_range and growth indices drawn
+    from index_range, each capped at n - 1: a growth index k needs a nilpotent
+    block of size k + 1, so a fixture of dimension n asked for k >= n gets n - 1."""
     d_lo, d_hi = dim_range
     i_lo, i_hi = index_range
     if not (1 <= d_lo <= d_hi):

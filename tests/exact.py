@@ -120,6 +120,25 @@ def _fractions(M):
     return [list(map(Fraction, row)) for row in M]
 
 
+def stokes_like(m):
+    """(E, A) of the 1-D Stokes-like saddle E = diag(I_m, 0_q),
+    A = [[L, B^T], [-B, 0]], q = m/2, n = 3m/2, in integers: L is the
+    Laplacian (m + 1)^2 tridiag(-1, 2, -1) over h^2, h = 1/(m + 1), and B has
+    +-(m + 1) = +-1/h on the disjoint node pairs (2i, 2i + 1)."""
+    q, h = m // 2, m + 1
+    n = m + q
+    E = [[int(i == j < m) for j in range(n)] for i in range(n)]
+    A = [[0] * n for _ in range(n)]
+    for i in range(m):
+        A[i][i] = 2 * h * h
+        if i + 1 < m:
+            A[i][i + 1] = A[i + 1][i] = -h * h
+    for i in range(q):
+        A[2 * i][m + i], A[2 * i + 1][m + i] = h, -h
+        A[m + i][2 * i], A[m + i][2 * i + 1] = -h, h
+    return E, A
+
+
 def random_pencil(rng: random.Random, n, density=0.4):
     """(E, A), n x n integer matrices whose entries are 0, or +-1 or +-2
     with probability density."""

@@ -320,7 +320,7 @@ def test_criterion_5_classical_solution():
         if cons.dim == 0:
             continue
         scale = a.pencil.norm_E + a.pencil.norm_A
-        split = fitting_splitting(a.pencil, seed=spec.seed)
+        split = fitting_splitting(a.pencil)
         for u0 in cons.basis.T.real:
             traj = classical_solution(a.pencil, a.chain, u0, SOLVE_GRID)
             trajectories += 1

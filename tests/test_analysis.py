@@ -1,5 +1,8 @@
 """analyze_pencil on pencils outside the generated real family."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 
 import daepencil.analysis as analysis_mod
@@ -9,25 +12,18 @@ from daepencil.fixtures import FixtureSpec, generate
 from daepencil.pencils import new_pencil
 from daepencil.verification import random_specs
 
+_SPEC = importlib.util.spec_from_file_location("exact", Path(__file__).with_name("exact.py"))
+exact = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(exact)
+
 
 def stokes_like(m):
-    """The 1-D Stokes-like saddle E = diag(I_m, 0_q), A = [[L, B^T], [-B, 0]].
+    """The 1-D Stokes-like saddle of tests/exact.py, n = 3m/2, as a float pencil.
 
-    L is the tridiagonal Laplacian over h^2 with h = 1/(m + 1), and B has
-    q = m/2 rows with +-1/h on the disjoint node pairs (2i, 2i + 1).  At
-    m = 16 its finite eigenvalues run from 17 to 561 in modulus, far outside
-    the |lambda| <= 2.2 of the generated fixtures.
+    At m = 16 its finite eigenvalues run from 17 to 561 in modulus, far
+    outside the |lambda| <= 2.2 of the generated fixtures.
     """
-    q = m // 2
-    inv_h = float(m + 1)
-    L = (2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)) * inv_h**2
-    B = np.zeros((q, m))
-    B[np.arange(q), 2 * np.arange(q)] = inv_h
-    B[np.arange(q), 2 * np.arange(q) + 1] = -inv_h
-    E = np.zeros((m + q, m + q))
-    E[:m, :m] = np.eye(m)
-    A = np.block([[L, B.T], [-B, np.zeros((q, q))]])
-    return new_pencil(E, A)
+    return new_pencil(*(np.array(M, dtype=float) for M in exact.stokes_like(m)))
 
 
 def test_complex_pencil_with_a_complex_consistent_space():

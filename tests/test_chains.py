@@ -117,7 +117,7 @@ class TestChainLawsOnFixtures:
         chain = compute_chain(pencil)
         for j in range(len(chain.spaces) - 1):
             assert contains(chain.spaces[j], chain.spaces[j + 1])
-        k = index_by_nilpotency(pencil, seed=seed).k
+        k = index_by_nilpotency(pencil).k
         assert k == chain.stabilization == truth.growth_index
         assert equal(chain.spaces[k + 1], chain.spaces[k + 2])
 

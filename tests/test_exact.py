@@ -116,22 +116,34 @@ def test_zero_row_or_column_is_called_singular():
             assert not certify_regularity(_float(E, A), seed).regular, (E, A, seed)
 
 
+def _assert_routes_match(E, A):
+    """The float IV chain, W chain, nilpotency and split dimensions of the
+    exactly regular (E, A) are the exact ones; returns the exact IV and W dims."""
+    iv, wong = exact.iv_dims(E, A), exact.wong_dims(E, A)
+    assert iv[-1] + wong[-1] == len(E)  # V* (+) W* is the whole space
+    p = _float(E, A)
+    est = index_by_nilpotency(p)
+    split = fitting_splitting(p)
+    assert est.diagnostics["kernel_dims"] == wong, (E, A)
+    assert est.diagnostics["nilpotency"] == len(wong) - 2
+    assert list(compute_chain(p).dims) == iv, (E, A)
+    assert (split.range_basis.shape[1], split.kernel_basis.shape[1]) == (iv[-1], wong[-1])
+    return iv, wong
+
+
 def test_float_routes_match_the_exact_chains():
     pencils = _regular_pencils(1, 400)
-    nilpotency = Counter()
-    for E, A in pencils:
-        iv, wong = exact.iv_dims(E, A), exact.wong_dims(E, A)
-        n = len(E)
-        assert iv[-1] + wong[-1] == n  # V* (+) W* is the whole space
-        nilpotency[len(wong) - 2] += 1
-
-        p = _float(E, A)
-        est = index_by_nilpotency(p)
-        split = fitting_splitting(p)
-        assert est.diagnostics["kernel_dims"] == wong, (E, A)
-        assert est.diagnostics["nilpotency"] == len(wong) - 2
-        assert list(compute_chain(p).dims) == iv, (E, A)
-        assert (split.range_basis.shape[1], split.kernel_basis.shape[1]) == (iv[-1], wong[-1])
+    nilpotency = Counter(len(_assert_routes_match(E, A)[1]) - 2 for E, A in pencils)
     # enough pencils, with W chains that stabilize at every step from 0 to 3
     assert len(pencils) >= 250
     assert {0, 1, 2, 3} <= nilpotency.keys()
+
+
+@pytest.mark.parametrize("m", [2, 4, 6, 8, 10])
+def test_float_routes_match_the_exact_chains_on_stokes_saddles(m):
+    # n = 3m/2 with q = m/2 constraints: the consistent space is the m - q
+    # divergence-free velocities, and the W chain stops at nilpotency 2
+    E, A = exact.stokes_like(m)
+    assert exact.regular(E, A) and certify_regularity(_float(E, A), 0).regular
+    q = m // 2
+    assert _assert_routes_match(E, A) == ([m + q, m, m - q, m - q], [0, q, 2 * q, 2 * q])

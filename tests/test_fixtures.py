@@ -83,7 +83,7 @@ class TestGenerate:
             pencil, truth = generate(spec)
             chain = compute_chain(pencil)
             assert index_by_chain(chain).k == truth.growth_index
-            assert index_by_nilpotency(pencil, seed=spec.seed).k == truth.growth_index
+            assert index_by_nilpotency(pencil).k == truth.growth_index
             assert consistent_space(pencil, chain).dim == truth.consistent_dim
 
     def test_block_sizes_one_are_index_zero(self):

@@ -13,6 +13,7 @@ from daepencil.chains import compute_chain, consistent_space
 from daepencil.exceptions import (
     InconsistentInitialValueError,
     IsomorphismError,
+    ShapeMismatchError,
     SingularMatrixError,
 )
 from daepencil.fixtures import FixtureSpec, generate
@@ -398,16 +399,28 @@ class TestSharedIdentities:
         for rep in reports:
             assert rep.sample_points == () and rep.max_relative_error == 0.0 and rep.passed
 
+    @pytest.mark.parametrize("u0", [np.ones((2, 1)), np.ones(3), np.ones(1)])
+    def test_rejects_a_misshapen_initial_value(self, u0):
+        p = new_pencil(np.eye(2), np.diag([1.0, 2.0]))
+        for call in (
+            lambda: verify_identities(p, u0, (1.0, 2.0)),
+            lambda: verify_solution_formula(p, u0, (1.0,)),
+            lambda: hat_solution(p, u0, 2.0),
+        ):
+            with pytest.raises(ShapeMismatchError, match="initial value shape"):
+                call()
+
     def test_rejects_zero_point(self):
+        # every identity check is a selection from verify_identities, which
+        # refuses s = 0, where the commutation identity reads E = E
         p = new_pencil(np.eye(2), np.eye(2))
-        with pytest.raises(ValueError):
-            verify_identities(p, np.ones(2), (1.0, 0.0))
-        # verify_commutation's pass divides by s = 0 in the columns it discards
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert verify_commutation(p, (0.0,)).passed
-            rep = verify_commutation(new_pencil(N2, np.eye(2)), (0.0, 1.0))
-        assert rep.passed and rep.sample_points == (0.0, 1.0)
+        for check in (
+            lambda points: verify_identities(p, np.ones(2), points),
+            lambda points: verify_commutation(p, points),
+            lambda points: verify_solution_formula(p, np.ones(2), points),
+        ):
+            with pytest.raises(ValueError, match="undefined at s = 0"):
+                check((1.0, 0.0))
 
     @pytest.mark.parametrize(
         "spec, chunks",

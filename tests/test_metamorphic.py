@@ -25,7 +25,7 @@ def decisions(p):
     if not certify_regularity(p, SEED).regular:
         return {"regular": False}, None
     chain = compute_chain(p)
-    kernel_dims = index_by_nilpotency(p, SEED).diagnostics["kernel_dims"]
+    kernel_dims = index_by_nilpotency(p).diagnostics["kernel_dims"]
     return {
         "regular": True,
         "chain": chain.stabilization,

@@ -27,6 +27,7 @@ from daepencil.pencils import (
     resolvent,
 )
 from daepencil.rng import make_rng
+from daepencil.solvers import fitting_splitting
 from daepencil.verification import random_specs, run_suite
 
 N2 = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -769,12 +770,13 @@ class TestIndexByNilpotency:
         est = index_by_nilpotency(new_pencil(np.zeros((2, 2)), np.eye(2)))
         assert est.k == 0 and est.diagnostics["nilpotency"] == 1
 
-    def test_seed_picks_only_the_certificate(self):
+    def test_reads_the_kept_certificate(self):
         p = new_pencil(N3, np.eye(3))
-        estimates = [index_by_nilpotency(p, seed) for seed in range(5)]
-        assert {est.k for est in estimates} == {2}
-        assert all(est.diagnostics == estimates[0].diagnostics for est in estimates)
-        assert estimates[0].diagnostics == {"kernel_dims": [0, 1, 2, 3, 3], "nilpotency": 3}
+        certify_regularity(p, 3)
+        est = index_by_nilpotency(p)
+        assert est.k == 2
+        assert est.diagnostics == {"kernel_dims": [0, 1, 2, 3, 3], "nilpotency": 3}
+        assert [key for key in p._cache if key[0] == "certificate"] == [("certificate", 3)]
 
     def test_not_regular_raises(self):
         M = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -799,8 +801,8 @@ class TestCachedArtifacts:
         p = new_pencil(N3, np.eye(3))
         index_by_growth(p)
         index_by_nilpotency(p)
-        index_by_nilpotency(p, seed=1)
-        assert calls == [0, 1]
+        fitting_splitting(p)
+        assert calls == [0]
 
     def test_growth_route_reuses_a_kept_certificate(self, monkeypatch):
         calls = []
@@ -814,8 +816,11 @@ class TestCachedArtifacts:
         assert calls == [5]
 
     def test_build_analysis_keeps_one_certificate(self):
+        # the routes after it read the analysis' certificate; they build none
         p, _ = generate(FixtureSpec(4, (3, 1), seed=12))
         build_analysis(p, seed=7)
+        index_by_nilpotency(p)
+        fitting_splitting(p)
         assert [key for key in p._cache if key[0] == "certificate"] == [("certificate", 7)]
 
     def test_equal_pencils_compare_by_value(self):

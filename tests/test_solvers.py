@@ -1,4 +1,5 @@
 import gc
+import warnings
 import weakref
 
 import numpy as np
@@ -18,7 +19,7 @@ from daepencil.exceptions import (
     SingularMatrixError,
 )
 from daepencil.fixtures import FixtureSpec, generate
-from daepencil.laplace import verify_expansion
+from daepencil.laplace import hat_solution, verify_expansion, verify_identities
 from daepencil.pencils import _wong_chain, index_by_nilpotency, new_pencil
 from daepencil.solvers import (
     classical_solution,
@@ -366,7 +367,7 @@ class TestDecompositionOracle:
             solvers_mod, "compute_chain", lambda p, tol: tols.append(tol) or real(p, tol)
         )
         p, _ = generate(FixtureSpec(3, (2,), 100.0, 5))
-        split = fitting_splitting(p, seed=2)
+        split = fitting_splitting(p)
         assert split.tol is _wong_chain(p)[0].tol
         assert len(tols) == 1 and tols[0] is split.tol
         assert split.tol == RankTolerance()
@@ -422,10 +423,20 @@ class TestCachedArtifacts:
     def test_second_call_returns_same_object(self):
         p, _ = generate(FixtureSpec(2, (3,), 100.0, 12))
         chain = compute_chain(p)
-        assert fitting_splitting(p, seed=3) is fitting_splitting(p, seed=3)
-        assert fitting_splitting(p, seed=3) is fitting_splitting(p, seed=4)
+        assert fitting_splitting(p) is fitting_splitting(p)
         assert reduced_generator(p, chain) is reduced_generator(p, chain)
         assert check_restricted_iso(p, chain) is check_restricted_iso(p, chain)
+
+    def test_chain_artifacts_are_kept_on_the_pencil(self):
+        # every compute_chain call wraps the kept spaces in a new IvChain; the
+        # restricted map and the reduced generator are shared across them
+        p, _ = generate(FixtureSpec(2, (3,), 100.0, 12))
+        first, second = compute_chain(p), compute_chain(p)
+        assert first is not second
+        assert check_restricted_iso(p, first) is check_restricted_iso(p, second)
+        assert reduced_generator(p, first) is reduced_generator(p, second)
+        other = compute_chain(p, RankTolerance(1e-8))
+        assert reduced_generator(p, other) is not reduced_generator(p, compute_chain(p))
 
     def test_one_iv_chain_per_pencil_and_tolerance(self):
         p, _ = generate(FixtureSpec(2, (3,), 100.0, 12))
@@ -614,6 +625,8 @@ class TestNonFiniteInput:
             lambda: is_consistent(p, chain, u0),
             lambda: nearest_consistent(p, chain, u0),
             lambda: classical_solution(p, chain, np.column_stack([E1_3, u0]), times),
+            lambda: verify_identities(p, u0, (1.0, 2.0)),
+            lambda: hat_solution(p, u0, 2.0),
         ):
             with pytest.raises(NonFiniteEntriesError, match="u0 contains non-finite entries"):
                 call()
@@ -634,6 +647,22 @@ class TestNonFiniteInput:
         p, _ = mixed
         with pytest.raises(ValueError, match=f"got h = {h} and T = {T}"):
             implicit_euler(p, E1_3, h, T)
+
+
+def test_complex_initial_value_on_a_real_pencil():
+    # the imaginary part is kept, not cast away with a ComplexWarning
+    p = new_pencil(np.eye(2), np.diag([1.0, 2.0]))
+    u0 = np.array([1.0 + 1.0j, 0.0])
+    times = np.linspace(0.0, 1.0, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exact = classical_solution(p, compute_chain(p), u0, times)
+        oracle = decomposition_oracle(p, u0, times)
+        euler = implicit_euler(p, u0, 0.5, 1.0)
+    for traj in (exact, oracle, euler):
+        np.testing.assert_array_equal(traj.states[0], u0)
+    np.testing.assert_allclose(exact.states[-1], [np.exp(-1.0) * (1.0 + 1.0j), 0.0])
+    np.testing.assert_allclose(oracle.states, exact.states, rtol=1e-12)
 
 
 class TestFailedGeneratorKept:

@@ -91,6 +91,27 @@ def test_k5_fixture_skips_the_expansion_row():
     assert "(1 skipped: k too high for float64 at s >= 1e3)" in result.table()
 
 
+def test_expansion_note_says_why_checks_failed():
+    # a k = 5 fixture; two whose reduced generator is refused, at k = 0, where
+    # the expansion needs none, and at k = 2 (fixture 52 of random_specs(60,
+    # (2, 20), (0, 4), seed=1, conditioning=1e6)); and one whose grid point
+    # stays singular (fixture 18 of the same draw at seed=7)
+    specs = [
+        FixtureSpec(1, (6,), seed=3),
+        FixtureSpec(11, (3,), 1e6, 7769129907283941149),
+        FixtureSpec(11, (3,), 1e6, 3180602004695187180),
+        FixtureSpec(0, (2,), 1e6, 6105875996742672204),
+    ]
+    analyzed = [(spec, None, build_analysis(generate(spec)[0], spec.seed)) for spec in specs]
+    row = verification_mod._identity_rows(analyzed)["expansion_e"]
+    assert (row.checked, row.failures) == (3, 2)
+    assert row.note == (
+        "1 skipped: k too high for float64 at s >= 1e3; "
+        "1 not evaluated: reduced generator refused; "
+        "1 dropped a grid point singular after its nudges"
+    )
+
+
 def test_one_identity_battery_per_fixture(monkeypatch):
     """run_suite takes every Laplace check of a fixture from one identity_checks
     call, with u0 drawn from spec.seed + 2."""
@@ -130,3 +151,16 @@ def test_restricted_iso_reports_its_smallest_sigma_min():
     sigmas = [a.iso.sigma_min for _, _, a in analyzed if a.iso.sigma_min is not None]
     assert row.name == "restricted_iso"
     assert row.worst == min(sigmas) < max(sigmas)
+
+
+def test_random_specs_cap_the_growth_index_at_n_minus_1():
+    # a growth index k needs a nilpotent block of size k + 1
+    capped = 0
+    for n in range(2, 21):
+        for asked in range(5):
+            for seed in range(5):
+                (spec,) = random_specs(1, (n, n), (asked, asked), seed)
+                assert spec.dim == n
+                assert generate(spec)[1].growth_index == min(asked, n - 1)
+                capped += asked > n - 1
+    assert capped == 30
