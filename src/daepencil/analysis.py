@@ -60,10 +60,8 @@ IDENTITY_POINTS = tuple(np.geomspace(0.5, 50.0, 20))
 class Analysis:
     """The per-pencil artifacts, each computed once by build_analysis.
 
-    The certificate is the one of the seed build_analysis was given; the
-    index routes read the first certificate kept on the pencil, which is
-    that one unless the pencil kept another before.  Every field after
-    certificate is None when the pencil is not regular.
+    Every field after certificate, the one kept on the pencil, is None when
+    the pencil is not regular.
     """
 
     pencil: Pencil
@@ -82,15 +80,9 @@ class Analysis:
         return k == self.nilpotency.k and (not self.growth.confident or self.growth.k == k)
 
 
-def build_analysis(
-    pencil: Pencil, seed: int = 0, tol: RankTolerance = RankTolerance()
-) -> Analysis:
-    """Certify regularity at seed and, for a regular pencil, run every analysis stage.
-
-    The seed picks only the certificate: every stage keeps its artifacts on
-    the pencil, and the routes read the certificate kept there.
-    """
-    certificate = certify_regularity(pencil, seed)
+def build_analysis(pencil: Pencil, tol: RankTolerance = RankTolerance()) -> Analysis:
+    """Certify regularity and, for a regular pencil, run every stage, each kept on the pencil."""
+    certificate = certify_regularity(pencil)
     if not certificate.regular:
         return Analysis(pencil, certificate)
     chain = compute_chain(pencil, tol)
@@ -170,7 +162,7 @@ def analyze_pencil(
     pencil: Pencil, seed: int = 0, tol: RankTolerance = RankTolerance()
 ) -> AnalysisReport:
     """The Analysis of the pencil plus its identity_checks, as one report."""
-    a = build_analysis(pencil, seed, tol)
+    a = build_analysis(pencil, tol)
     report = AnalysisReport(
         n=pencil.n,
         seed=seed,

@@ -49,6 +49,9 @@ SLOPE_AMBIGUOUS = (0.35, 0.65)
 # saturated or pole-polluted samples show residuals well above this
 SLOPE_RMS_MAX = 0.1
 
+# angle of the regularity certificate's first point: make_rng(0).uniform(0, 2 pi)
+CERTIFICATE_ROTATION = 0.0883857918099689
+
 # sample points of index_by_growth; the fit reads the upper half
 GROWTH_GRID = tuple(np.geomspace(1e2, 1e7, 24))
 
@@ -82,7 +85,7 @@ class Pencil:
     """Validated pair of same-size square matrices over a common scalar field.
 
     Build it with new_pencil, which makes both arrays read-only; the
-    per-pencil artifacts (norms, certificates, Wong chain, per tolerance the
+    per-pencil artifacts (norms, certificate, Wong chain, per tolerance the
     IV chain's spaces, restricted map and reduced generator, splittings) are
     then computed once and kept.  Pencils compare by value.
     """
@@ -159,31 +162,28 @@ class RegularityCertificate:
     witness: complex | None
 
 
-def certify_regularity(pencil: Pencil, seed: int = 0) -> RegularityCertificate:
-    """Sample det(sE + A) on a circle of radius 1 + ||E||_F + ||A||_F.
+def certify_regularity(pencil: Pencil) -> RegularityCertificate:
+    """Sample det(sE + A) at n+1 equally spaced points, from the angle
+    CERTIFICATE_ROTATION, of the circle of radius 1 + ||E||_F + ||A||_F.
 
-    Computed once per (pencil, seed) and kept on the pencil.  The n+1 angles
-    are equally spaced with a seed-dependent rotation, which avoids any
-    fixed unlucky alignment of sample points with determinant roots.
-    Evaluation stops at the first nonzero value: usually one det for a
-    regular pencil, n+1 for a singular.
+    Computed once per pencil and kept on it: every decision about the pencil
+    reads this one certificate.  Evaluation stops at the first nonzero value:
+    usually one det for a regular pencil, n+1 for a singular.
 
     The zero test is the absolute floor DET_ZERO, so it recognizes pencils
     whose determinant collapses to an exact floating-point zero (structural
     zero rows/columns and the like).  A pencil that is singular only
-    analytically can evaluate to roundoff-level determinants and be certified
-    regular; that is consistent with treating the stored floats as the pencil.
-    Where only some of the points give an exact zero, the verdict depends on
-    the seed.
+    analytically can evaluate to roundoff-level determinants at some or all
+    of the points and be certified regular; that is consistent with treating
+    the stored floats as the pencil.
     """
-    return _cached(pencil, ("certificate", seed), lambda: _certify(pencil, seed))
+    return _cached(pencil, "certificate", lambda: _certify(pencil))
 
 
-def _certify(pencil, seed):
+def _certify(pencil):
     n = pencil.n
     radius = 1.0 + float(np.linalg.norm(pencil.E)) + float(np.linalg.norm(pencil.A))
-    phase = make_rng(seed).uniform(0.0, 2.0 * np.pi)
-    angles = phase + 2.0 * np.pi * np.arange(n + 1) / (n + 1)
+    angles = CERTIFICATE_ROTATION + 2.0 * np.pi * np.arange(n + 1) / (n + 1)
     points = radius * np.exp(1j * angles)
     values, witness = [], None
     for s in points:
@@ -372,12 +372,8 @@ def _random_start(m):
 
 
 def _require_regular(pencil: Pencil):
-    """Raise NotRegularError unless the pencil's certificate says regular: the
-    first one kept on it, else seed 0's.  The one reader of kept certificates,
-    so only entry points choose a seed, by certifying first; seeds disagree
-    only where det(sE + A) is roundoff at some points and exactly 0 at others."""
-    kept = (c for key, c in pencil._cache.items() if key[0] == "certificate")
-    if not (next(kept, None) or certify_regularity(pencil)).regular:
+    """Raise NotRegularError unless the pencil's certificate says regular."""
+    if not certify_regularity(pencil).regular:
         raise NotRegularError("the pencil's regularity certificate says it is not regular")
 
 

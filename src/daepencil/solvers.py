@@ -27,12 +27,11 @@ from .exceptions import (
     InconsistentInitialValueError,
     IsomorphismError,
     NonFiniteEntriesError,
-    NotRegularError,
     ShapeMismatchError,
     SingularMatrixError,
 )
 from .expm import expm
-from .pencils import TINY, Pencil, _cached, _nudged, _solve, _wong_chain, certify_regularity
+from .pencils import TINY, Pencil, _cached, _nudged, _solve, _wong_chain
 from .subspaces import RankTolerance, distance, project
 
 __all__ = [
@@ -395,12 +394,11 @@ def decomposition_oracle(pencil: Pencil, u0, times, seed: int = 0) -> Trajectory
     and J is solved from E and A, not taken from the reduced generator.  An
     (n, m) block u0 is solved at once and rejected, like classical_solution's,
     if any column is, with the largest kernel component and the range part.
-    NotRegularError unless the seed's regularity certificate says regular.
+    NotRegularError as fitting_splitting raises it.  seed is unused, kept
+    while bench/workloads.py passes it.
     """
     u0 = _check_u0(pencil, u0, block=True)
     times = _check_times(times)
-    if not certify_regularity(pencil, seed).regular:
-        raise NotRegularError("the splitting oracle needs a regular pencil")
     split = fitting_splitting(pencil)
     range_part, kernel_part, c_r = split.components(u0)
     knorm = np.linalg.norm(kernel_part, axis=0)

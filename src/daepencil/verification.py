@@ -37,6 +37,8 @@ __all__ = ["CheckRow", "SuiteResult", "run_suite", "random_specs"]
 
 SOLVE_GRID = np.linspace(0.0, 2.0, 9)
 
+REFUSED = "not evaluated: reduced generator refused"
+
 
 @dataclass(frozen=True)
 class CheckRow:
@@ -158,7 +160,8 @@ def _identity_rows(analyzed):
     """The identity_checks rows by identity (u0 from spec.seed + 2), one check per
     report.  The resolvent_expansion note counts why checks are missing or
     failed: fixtures without expansion_e (k >= 5), checks not evaluated because
-    the reduced generator was refused, and checks that dropped a grid point."""
+    the reduced generator was refused (as the transform_match note does), and
+    checks that dropped a grid point."""
     rows = {
         "commutation_b": _Row("resolvent_commutation"),
         "shift_d": _Row("resolvent_shift"),
@@ -166,20 +169,21 @@ def _identity_rows(analyzed):
         "expansion_e": _Row("resolvent_expansion"),
         "transform_match": _Row("transform_match"),
     }
-    refused = dropped = 0
+    refused, dropped = dict.fromkeys(rows, 0), 0
     for spec, _, a in analyzed:
         for rep in identity_checks(a, spec.seed + 2):
             rows[rep.identity].add(rep.max_relative_error, rep.passed)
-            if rep.identity == "expansion_e":
-                refused += "error" in rep.details
-                dropped += "samples_dropped" in rep.details
+            refused[rep.identity] += "error" in rep.details
+            dropped += "samples_dropped" in rep.details
     skipped = len(analyzed) - rows["expansion_e"].checked
     notes = (
         (skipped, "skipped: k too high for float64 at s >= 1e3"),
-        (refused, "not evaluated: reduced generator refused"),
+        (refused["expansion_e"], REFUSED),
         (dropped, "dropped a grid point singular after its nudges"),
     )
     rows["expansion_e"].note = "; ".join(f"{count} {text}" for count, text in notes if count)
+    if refused["transform_match"]:
+        rows["transform_match"].note = f"{refused['transform_match']} {REFUSED}"
     return {identity: row.done() for identity, row in rows.items()}
 
 
@@ -244,15 +248,17 @@ def _solver_rows(analyzed):
     classical_residual, initial_value, state_invariance and oracle_agreement
     solve each fixture's consistent basis as one block and still count
     `checked` per column.  A rejected block counts one failure per column, as
-    its rejected columns did before blocks, so no PASS/FAIL moves.
+    its rejected columns did before blocks, so no PASS/FAIL moves; the
+    classical_residual note counts those of a refused reduced generator.
     """
     residual = _Row("classical_residual")
     initial = _Row("initial_value")
     invariance = _Row("state_invariance")
     oracle = _Row("oracle_agreement")
     detect = _Row("inconsistency_detection")
+    refused = []  # consistent dimension of each fixture whose reduced generator is refused
 
-    for spec, _, a in analyzed:
+    for _, _, a in analyzed:
         p, chain = a.pencil, a.chain
         cons = consistent_space(p, chain)
         if cons.dim < p.n:
@@ -267,7 +273,7 @@ def _solver_rows(analyzed):
             except InconsistentInitialValueError:
                 caught += 1
             try:
-                decomposition_oracle(p, bad, SOLVE_GRID, seed=spec.seed)
+                decomposition_oracle(p, bad, SOLVE_GRID)
             except InconsistentInitialValueError:
                 caught += 1
             except SingularMatrixError:  # no splitting, so nothing was detected
@@ -279,8 +285,10 @@ def _solver_rows(analyzed):
         U0, rejected = cons.basis, np.zeros(cons.dim, dtype=bool)
         try:
             traj = classical_solution(p, chain, U0, SOLVE_GRID)
-        except (InconsistentInitialValueError, IsomorphismError):
+        except (InconsistentInitialValueError, IsomorphismError) as exc:
             residual.add(None, rejected)  # consistent columns rejected, or no reduced generator
+            if isinstance(exc, IsomorphismError):
+                refused.append(cons.dim)
             continue
         states = traj.states  # (times, n, columns)
         norms = np.linalg.norm(states, axis=1)
@@ -293,13 +301,15 @@ def _solver_rows(analyzed):
         worst_inv = np.max(off / np.maximum(norms, TINY), axis=0)
         invariance.add(worst_inv, worst_inv <= chain.tol.membership)
         try:
-            ref = decomposition_oracle(p, U0, SOLVE_GRID, seed=spec.seed)
+            ref = decomposition_oracle(p, U0, SOLVE_GRID)
         except (InconsistentInitialValueError, SingularMatrixError):
             oracle.add(None, rejected)  # consistent columns rejected, or no splitting
             continue
         err = np.max(np.linalg.norm(ref.states - states, axis=1), axis=0) / peak
         oracle.add(err, err <= 1e-7)
 
+    if refused:
+        residual.note = f"{sum(refused)} {REFUSED} on {len(refused)} of {len(analyzed)} fixtures"
     return [
         residual.done(),
         initial.done(),
@@ -317,7 +327,7 @@ def run_suite(specs, seed: int = 0, tol: RankTolerance = RankTolerance()) -> Sui
     analyzed = []  # (spec, ground truth, Analysis) per fixture
     for spec in specs:
         pencil, truth = generate(spec)
-        analysis = build_analysis(pencil, spec.seed, tol)
+        analysis = build_analysis(pencil, tol)
         if not analysis.certificate.regular:
             raise ValueError(f"generated fixture {spec} is not regular")
         analyzed.append((spec, truth, analysis))

@@ -146,6 +146,32 @@ class TestAnalyze:
         assert main(["analyze", *paths, "--seed", "9", "--json", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_seed_decides_nothing_about_the_pencil(self, tmp_path, capsys):
+        # --seed draws only the identity checks' u0: the certificate, its
+        # witness and every index, space and isomorphism verdict are the same
+        fx = tmp_path / "fx"
+        argv = ["generate", "--n1", "20", "--blocks", "3,2", "--seed", "21", "--out", str(fx)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        reports = []
+        for seed in ("0", "7"):
+            out = tmp_path / f"r{seed}.json"
+            paths = [str(fx / "E.mtx"), str(fx / "A.mtx")]
+            assert main(["analyze", *paths, "--seed", seed, "--json", str(out)]) == 0
+            reports.append(json.loads(out.read_text()))
+        keys = (
+            "regular",
+            "witness",
+            "index_growth",
+            "index_nilpotency",
+            "index_chain",
+            "iv_dims",
+            "consistent_dim",
+            "iso",
+        )
+        assert [reports[0][k] for k in keys] == [reports[1][k] for k in keys]
+        assert reports[0]["regular"] and reports[0]["witness"] is not None
+
 
 class TestSolve:
     def test_exponential_final_value(self, mixed_files, tmp_path):

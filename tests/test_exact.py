@@ -65,20 +65,22 @@ def _float(E, A):
     return new_pencil(np.array(E, dtype=float), np.array(A, dtype=float))
 
 
-# exactly singular draws of _drawn(1, 400) that certify_regularity calls regular
-# at every seed: det(sE + A) evaluates to roundoff, not to an exact zero
+# exactly singular draws of _drawn(1, 400) that certify_regularity calls
+# regular: det(sE + A) evaluates to roundoff, not to an exact zero, at a
+# point of the certificate's circle
 CALLED_REGULAR = (209, 293, 295)
-# an exactly singular draw of _drawn(1, 400) whose verdict depends on the seed:
-# called singular at seeds 0, 2, 19 and 38 and regular at the other 36 of 0..39
-SEED_DEPENDENT = 305
+# an exactly singular draw of _drawn(1, 400) whose det(sE + A) is roundoff at
+# most rotations of the circle but an exact zero at all n+1 points of the
+# certificate's
+EXACT_ZERO_ON_THE_CIRCLE = 305
 
 
 def test_exactly_singular_pencils_fail_the_certificate():
     drawn = _drawn(1, 400)
     singular = [i for i, (E, A) in enumerate(drawn) if not exact.regular(E, A)]
-    assert len(singular) == 121 and {*CALLED_REGULAR, SEED_DEPENDENT} <= set(singular)
+    assert len(singular) == 121 and {*CALLED_REGULAR, EXACT_ZERO_ON_THE_CIRCLE} <= set(singular)
     checked = [i for i in singular if i not in CALLED_REGULAR]
-    assert [i for i in checked if certify_regularity(_float(*drawn[i]), 0).regular] == []
+    assert [i for i in checked if certify_regularity(_float(*drawn[i])).regular] == []
     assert len(checked) == 118
 
 
@@ -92,13 +94,14 @@ def test_exactly_singular_pencils_fail_the_certificate():
 def test_singular_pencil_called_regular(index):
     E, A = _drawn(1, 400)[index]
     assert not exact.regular(E, A)
-    assert not certify_regularity(_float(E, A), 0).regular
+    assert not certify_regularity(_float(E, A)).regular
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
-def test_singular_pencil_called_singular_at_every_seed():
-    p = _float(*_drawn(1, 400)[SEED_DEPENDENT])
-    assert [seed for seed in range(40) if certify_regularity(p, seed).regular] == []
+def test_singular_pencil_with_exact_zeros_on_the_circle_called_singular():
+    cert = certify_regularity(_float(*_drawn(1, 400)[EXACT_ZERO_ON_THE_CIRCLE]))
+    assert not cert.regular and cert.witness is None
+    assert len(cert.determinant_values) == len(cert.sample_points) == 5
+    assert all(d == 0.0 for d in cert.determinant_values)
 
 
 def test_zero_row_or_column_is_called_singular():
@@ -112,8 +115,7 @@ def test_zero_row_or_column_is_called_singular():
             for j in range(n):
                 M[j if column else i][i if column else j] = 0
         assert not exact.regular(E, A)
-        for seed in (0, 1):
-            assert not certify_regularity(_float(E, A), seed).regular, (E, A, seed)
+        assert not certify_regularity(_float(E, A)).regular, (E, A)
 
 
 def _assert_routes_match(E, A):
@@ -144,6 +146,6 @@ def test_float_routes_match_the_exact_chains_on_stokes_saddles(m):
     # n = 3m/2 with q = m/2 constraints: the consistent space is the m - q
     # divergence-free velocities, and the W chain stops at nilpotency 2
     E, A = exact.stokes_like(m)
-    assert exact.regular(E, A) and certify_regularity(_float(E, A), 0).regular
+    assert exact.regular(E, A) and certify_regularity(_float(E, A)).regular
     q = m // 2
     assert _assert_routes_match(E, A) == ([m + q, m, m - q, m - q], [0, q, 2 * q, 2 * q])

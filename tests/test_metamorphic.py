@@ -17,12 +17,10 @@ from daepencil.fixtures import generate
 from daepencil.pencils import certify_regularity, index_by_growth, index_by_nilpotency, new_pencil
 from daepencil.verification import random_specs
 
-SEED = 1  # the analysis seed of every decision
-
 
 def decisions(p):
     """(the decisions that must survive every relation, the growth estimate or None)."""
-    if not certify_regularity(p, SEED).regular:
+    if not certify_regularity(p).regular:
         return {"regular": False}, None
     chain = compute_chain(p)
     kernel_dims = index_by_nilpotency(p).diagnostics["kernel_dims"]

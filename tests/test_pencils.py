@@ -10,6 +10,7 @@ import daepencil.laplace as laplace_mod
 import daepencil.pencils as pencils_mod
 import daepencil.verification as verification_mod
 from daepencil.analysis import IDENTITY_POINTS, analyze_pencil, build_analysis, report_to_json
+from daepencil.chains import compute_chain, consistent_space, index_by_chain
 from daepencil.exceptions import (
     NonFiniteEntriesError,
     NotRegularError,
@@ -27,7 +28,7 @@ from daepencil.pencils import (
     resolvent,
 )
 from daepencil.rng import make_rng
-from daepencil.solvers import fitting_splitting
+from daepencil.solvers import decomposition_oracle, fitting_splitting
 from daepencil.verification import random_specs, run_suite
 
 N2 = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -38,11 +39,12 @@ def random_regular_pencil(rng, n):
     return new_pencil(rng.standard_normal((n, n)), rng.standard_normal((n, n)))
 
 
-def all_points_certificate(pencil, seed):
-    """Reference certificate: every determinant first, then the first nonzero one."""
+def all_points_certificate(pencil):
+    """Reference certificate: every determinant first, then the first nonzero one,
+    on the circle rotated by the first uniform draw of seed 0."""
     n = pencil.n
     radius = 1.0 + float(np.linalg.norm(pencil.E)) + float(np.linalg.norm(pencil.A))
-    phase = make_rng(seed).uniform(0.0, 2.0 * np.pi)
+    phase = make_rng(0).uniform(0.0, 2.0 * np.pi)
     angles = phase + 2.0 * np.pi * np.arange(n + 1) / (n + 1)
     points = radius * np.exp(1j * angles)
     values = [complex(np.linalg.det(s * pencil.E + pencil.A)) for s in points]
@@ -59,6 +61,11 @@ def all_points_certificate(pencil, seed):
         determinant_values=tuple(values),
         witness=witness,
     )
+
+
+def certificate_keys(pencil):
+    """The keys of the certificates kept on the pencil."""
+    return [key for key in pencil._cache if "certificate" in str(key)]
 
 
 def count_calls(monkeypatch, owner, name, counted=lambda *a, **kw: True):
@@ -142,7 +149,7 @@ class TestCertifyRegularity:
 
     def test_sample_count_and_distinctness(self):
         p = new_pencil(np.eye(3), np.eye(3))
-        cert = certify_regularity(p, seed=5)
+        cert = certify_regularity(p)
         assert len(cert.sample_points) == 4
         assert len(set(cert.sample_points)) == 4
 
@@ -151,14 +158,12 @@ class TestCertifyRegularity:
         for _ in range(100):
             n = int(rng.integers(1, 8))
             p = random_regular_pencil(rng, n)
-            verdicts = {certify_regularity(p, seed).regular for seed in (0, 1, 99)}
-            assert verdicts == {True}
+            assert certify_regularity(p).regular
 
     def test_singular_verdict_seed_stable(self):
         # zero common row: det(sE + A) is exactly zero in floating point too
         M = np.array([[1.0, 0.0], [0.0, 0.0]])
-        for seed in range(5):
-            assert not certify_regularity(new_pencil(M, 3.0 * M), seed).regular
+        assert not certify_regularity(new_pencil(M, 3.0 * M)).regular
 
     def test_degenerate_shared_kernel_row(self):
         E = np.array([[1.0, 2.0], [0.0, 0.0]])
@@ -208,15 +213,12 @@ class TestCertifyRegularity:
     def test_matches_the_all_points_reference(self):
         with np.errstate(all="ignore"):
             for p in self._reference_cases():
-                for seed in (0, 3):
-                    cert = certify_regularity(p, seed)
-                    ref = all_points_certificate(p, seed)
-                    assert (cert.regular, cert.witness) == (ref.regular, ref.witness)
-                    assert cert.sample_points == ref.sample_points
-                    k = len(cert.determinant_values)
-                    np.testing.assert_array_equal(
-                        cert.determinant_values, ref.determinant_values[:k]
-                    )
+                cert = certify_regularity(p)
+                ref = all_points_certificate(p)
+                assert (cert.regular, cert.witness) == (ref.regular, ref.witness)
+                assert cert.sample_points == ref.sample_points
+                k = len(cert.determinant_values)
+                np.testing.assert_array_equal(cert.determinant_values, ref.determinant_values[:k])
 
 
 class TestResolvent:
@@ -772,11 +774,11 @@ class TestIndexByNilpotency:
 
     def test_reads_the_kept_certificate(self):
         p = new_pencil(N3, np.eye(3))
-        certify_regularity(p, 3)
+        cert = certify_regularity(p)
         est = index_by_nilpotency(p)
         assert est.k == 2
         assert est.diagnostics == {"kernel_dims": [0, 1, 2, 3, 3], "nilpotency": 3}
-        assert [key for key in p._cache if key[0] == "certificate"] == [("certificate", 3)]
+        assert certificate_keys(p) == ["certificate"] and p._cache["certificate"] is cert
 
     def test_not_regular_raises(self):
         M = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -787,41 +789,38 @@ class TestIndexByNilpotency:
 class TestCachedArtifacts:
     def test_second_call_returns_same_object(self):
         p, _ = generate(FixtureSpec(2, (3,), seed=12))
-        assert certify_regularity(p, 4) is certify_regularity(p, 4)
-        assert certify_regularity(p, 4) is not certify_regularity(p, 5)
+        assert certify_regularity(p) is certify_regularity(p)
         assert p.norm_E == np.linalg.norm(p.E, 2)
         assert p.norm_A == np.linalg.norm(p.A, 2)
 
     def test_index_routes_share_one_certificate(self, monkeypatch):
-        calls = []
-        real = pencils_mod._certify
-        monkeypatch.setattr(
-            pencils_mod, "_certify", lambda p, seed: calls.append(seed) or real(p, seed)
-        )
+        calls = count_calls(monkeypatch, pencils_mod, "_certify")
         p = new_pencil(N3, np.eye(3))
         index_by_growth(p)
         index_by_nilpotency(p)
         fitting_splitting(p)
-        assert calls == [0]
+        assert len(calls) == 1 and certificate_keys(p) == ["certificate"]
 
     def test_growth_route_reuses_a_kept_certificate(self, monkeypatch):
-        calls = []
-        real = pencils_mod._certify
-        monkeypatch.setattr(
-            pencils_mod, "_certify", lambda p, seed: calls.append(seed) or real(p, seed)
-        )
+        calls = count_calls(monkeypatch, pencils_mod, "_certify")
         p = new_pencil(N3, np.eye(3))
-        certify_regularity(p, 5)
+        cert = certify_regularity(p)
         index_by_growth(p)
-        assert calls == [5]
+        assert len(calls) == 1 and p._cache["certificate"] is cert
 
-    def test_build_analysis_keeps_one_certificate(self):
-        # the routes after it read the analysis' certificate; they build none
+    def test_build_analysis_keeps_one_certificate(self, monkeypatch):
+        # every route after it, and the oracle at any seed, reads its certificate
+        calls = count_calls(monkeypatch, pencils_mod, "_certify")
         p, _ = generate(FixtureSpec(4, (3, 1), seed=12))
-        build_analysis(p, seed=7)
+        a = build_analysis(p)
+        index_by_growth(p)
         index_by_nilpotency(p)
+        index_by_chain(compute_chain(p))
         fitting_splitting(p)
-        assert [key for key in p._cache if key[0] == "certificate"] == [("certificate", 7)]
+        u0 = consistent_space(p, a.chain).basis[:, 0]
+        decomposition_oracle(p, u0, np.linspace(0.0, 1.0, 3), seed=7)
+        assert len(calls) == 1 and certificate_keys(p) == ["certificate"]
+        assert p._cache["certificate"] is a.certificate
 
     def test_equal_pencils_compare_by_value(self):
         p = new_pencil(N3, np.eye(3))

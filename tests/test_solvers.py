@@ -351,7 +351,7 @@ class TestDecompositionOracle:
             times = np.linspace(0.0, 2.0, 9)
             for u0 in cons.basis.T.real:
                 ours = classical_solution(p, chain, u0, times)
-                ref = decomposition_oracle(p, u0, times, seed=seed)
+                ref = decomposition_oracle(p, u0, times)
                 peak = np.max(np.linalg.norm(ours.states, axis=1))
                 assert np.max(np.linalg.norm(ours.states - ref.states, axis=1)) <= 1e-7 * peak
 
@@ -394,7 +394,7 @@ class TestDecompositionOracle:
         cons = consistent_space(p, chain)
         times = np.linspace(0.0, 1.0, 5)
         for u0 in cons.basis.T.real[:6]:
-            traj = decomposition_oracle(p, u0, times, seed=99)
+            traj = decomposition_oracle(p, u0, times)
             ref = classical_solution(p, chain, u0, times)
             peak = np.max(np.linalg.norm(ref.states, axis=1))
             assert np.max(np.linalg.norm(traj.states - ref.states, axis=1)) <= 1e-7 * peak
@@ -556,7 +556,7 @@ class TestBlockInitialValues:
         m = U0.shape[1]
         solves = (
             lambda u: classical_solution(p, chain, u, self.TIMES),
-            lambda u: decomposition_oracle(p, u, self.TIMES, seed=spec.seed),
+            lambda u: decomposition_oracle(p, u, self.TIMES),
         )
         for solve in solves:
             block = solve(U0)
@@ -574,7 +574,7 @@ class TestBlockInitialValues:
         p, chain, U0 = _block_case(BLOCK_SPECS[0], False)
         for traj in (
             classical_solution(p, chain, U0[:, 0], self.TIMES),
-            decomposition_oracle(p, U0[:, 0], self.TIMES, seed=BLOCK_SPECS[0].seed),
+            decomposition_oracle(p, U0[:, 0], self.TIMES),
         ):
             assert traj.states.shape == (9, p.n)
             assert traj.derivative_residuals.shape == (9,)
@@ -598,10 +598,10 @@ class TestBlockInitialValues:
         per_column = []
         for j in (1, 2):
             with pytest.raises(InconsistentInitialValueError) as one:
-                decomposition_oracle(p, block[:, j], self.TIMES, seed=spec.seed)
+                decomposition_oracle(p, block[:, j], self.TIMES)
             per_column.append(one.value.distance)
         with pytest.raises(InconsistentInitialValueError) as err:
-            decomposition_oracle(p, block, self.TIMES, seed=spec.seed)
+            decomposition_oracle(p, block, self.TIMES)
         assert err.value.distance == pytest.approx(max(per_column), rel=1e-12)
         assert err.value.nearest.shape == block.shape
 
@@ -679,7 +679,7 @@ class TestFailedGeneratorKept:
 
         monkeypatch.setattr(solvers_mod, "_generator", counted)
         p, _ = generate(self.SPEC)
-        a = build_analysis(p, self.SPEC.seed)
+        a = build_analysis(p)
         transform = identity_checks(a, self.SPEC.seed + 2)[-1]
         assert transform.identity == "transform_match" and not transform.passed
         basis = consistent_space(p, a.chain).basis
@@ -720,7 +720,7 @@ class TestKeptArtifactsFreeTheirPencil:
             u0 = consistent_space(p, chain).basis[:, 0]
             times = np.linspace(0.0, 1.0, 3)
             classical_solution(p, chain, u0, times)
-            decomposition_oracle(p, u0, times, seed=1)
+            decomposition_oracle(p, u0, times)
 
         assert self.freed_after(FixtureSpec(2, (3,), 100.0, 12), solve)
 

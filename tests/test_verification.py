@@ -102,7 +102,7 @@ def test_expansion_note_says_why_checks_failed():
         FixtureSpec(11, (3,), 1e6, 3180602004695187180),
         FixtureSpec(0, (2,), 1e6, 6105875996742672204),
     ]
-    analyzed = [(spec, None, build_analysis(generate(spec)[0], spec.seed)) for spec in specs]
+    analyzed = [(spec, None, build_analysis(generate(spec)[0])) for spec in specs]
     row = verification_mod._identity_rows(analyzed)["expansion_e"]
     assert (row.checked, row.failures) == (3, 2)
     assert row.note == (
@@ -110,6 +110,24 @@ def test_expansion_note_says_why_checks_failed():
         "1 not evaluated: reduced generator refused; "
         "1 dropped a grid point singular after its nudges"
     )
+
+
+def test_solver_and_transform_notes_count_refused_generators():
+    # the two refused fixtures of test_expansion_note_says_why_checks_failed,
+    # with 11 and 10 consistent columns, and a healthy one with 3
+    specs = [
+        FixtureSpec(11, (3,), 1e6, 7769129907283941149),
+        FixtureSpec(11, (3,), 1e6, 3180602004695187180),
+        FixtureSpec(3, (2,), seed=4),
+    ]
+    analyzed = [(spec, None, build_analysis(generate(spec)[0])) for spec in specs]
+    transform = verification_mod._identity_rows(analyzed)["transform_match"]
+    assert (transform.checked, transform.failures) == (3, 2)
+    assert transform.note == "2 not evaluated: reduced generator refused"
+    residual = verification_mod._solver_rows(analyzed)[0]
+    assert residual.name == "classical_residual"
+    assert (residual.checked, residual.failures) == (24, 21)
+    assert residual.note == "21 not evaluated: reduced generator refused on 2 of 3 fixtures"
 
 
 def test_one_identity_battery_per_fixture(monkeypatch):
@@ -146,7 +164,7 @@ def test_restricted_iso_reports_its_smallest_sigma_min():
     analyzed = []
     for spec in random_specs(20, (2, 20), (0, 4), seed=7):
         pencil, truth = generate(spec)
-        analyzed.append((spec, truth, build_analysis(pencil, spec.seed)))
+        analyzed.append((spec, truth, build_analysis(pencil)))
     row = _chain_rows(analyzed)[3]
     sigmas = [a.iso.sigma_min for _, _, a in analyzed if a.iso.sigma_min is not None]
     assert row.name == "restricted_iso"
