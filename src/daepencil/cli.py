@@ -31,7 +31,7 @@ from .fileio import (
     write_vector,
 )
 from .fixtures import FixtureSpec, generate
-from .pencils import certify_regularity, new_pencil
+from .pencils import _require_regular, new_pencil
 from .solvers import classical_solution, decomposition_oracle, implicit_euler
 from .subspaces import RankTolerance
 from .verification import random_specs, run_suite
@@ -52,18 +52,10 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument(
-            "--seed", type=int, default=0, help="seed of the fixture draws, analyze's u0 and "
-            "verify's sampled rows; no decision about the pencil reads it"
-        )
-        p.add_argument("--tol", type=float, default=1e-10, help="rank tolerance of the IV chain")
-
     p_analyze = sub.add_parser("analyze", help="full analysis report for one pencil")
     p_analyze.add_argument("E", help="Matrix Market file for E")
     p_analyze.add_argument("A", help="Matrix Market file for A")
     p_analyze.add_argument("--json", dest="json_out", help="write the report here (default stdout)")
-    common(p_analyze)
 
     p_solve = sub.add_parser("solve", help="integrate Eu' + Au = 0 and write a CSV trajectory")
     p_solve.add_argument("E")
@@ -75,7 +67,6 @@ def _build_parser():
         "--method", choices=("exponential", "euler", "oracle"), default="exponential"
     )
     p_solve.add_argument("--csv", dest="csv_out", help="write the trajectory here (default stdout)")
-    common(p_solve)
 
     p_verify = sub.add_parser("verify", help="run the property suite on fixtures")
     p_verify.add_argument("--fixtures", help="JSON file with a list of fixture specs")
@@ -88,7 +79,6 @@ def _build_parser():
     )
     p_verify.add_argument("--conditioning", type=float, default=100.0)
     p_verify.add_argument("--json", dest="json_out", help="also write results as JSON")
-    common(p_verify)
 
     p_generate = sub.add_parser("generate", help="write a fixture pencil to a directory")
     p_generate.add_argument("--n1", type=int, required=True, help="dimension of the ODE block")
@@ -97,7 +87,13 @@ def _build_parser():
     )
     p_generate.add_argument("--conditioning", type=float, default=100.0)
     p_generate.add_argument("--out", required=True, help="output directory (created if missing)")
-    common(p_generate)
+    for p in (p_analyze, p_solve, p_verify, p_generate):
+        p.add_argument("--tol", type=float, default=1e-10, help="rank tolerance of the IV chain")
+    for p in (p_analyze, p_verify, p_generate):  # solve reads no seed
+        p.add_argument(
+            "--seed", type=int, default=0, help="seed of the fixture draws, analyze's u0 and "
+            "verify's sampled rows; no decision about the pencil reads it"
+        )
     return parser
 
 
@@ -132,8 +128,7 @@ def _cmd_analyze(args):
 
 def _cmd_solve(args):
     pencil = _load_pencil(args)
-    if not certify_regularity(pencil).regular:
-        raise NotRegularError("the pencil is not regular: det(sE + A) vanishes at n+1 points")
+    _require_regular(pencil)
     u0 = read_vector(args.u0)
     if not 0 < args.t_end < np.inf or args.steps < 1:
         raise ValueError(

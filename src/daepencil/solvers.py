@@ -4,8 +4,9 @@ The main route restricts E to an isomorphism IV_{k+1} -> E[IV_k], forms the
 reduced generator M representing E~^{-1}A there, and evolves coordinates with
 the matrix exponential.  An implicit Euler stepper provides a first-order
 reference, and a splitting oracle built from the two Wong sequences (the
-quasi-Weierstrass split) gives an independent cross-check of uniqueness and
-consistency.
+quasi-Weierstrass split) decides consistency on its own, by the oblique
+component along the second Wong limit, and evolves with the same reduced
+generator.
 """
 
 from __future__ import annotations
@@ -321,15 +322,13 @@ class FittingSplit:
     in the Weierstrass form they carry the finite and the infinite part.
     range_basis and kernel_basis are orthonormal within each summand but the
     splitting itself is oblique; basis_sigma_min (smallest singular value of
-    the combined basis) measures how oblique.  generator is the J with
-    E V J = A V for the range basis V, so solutions there are exp(-t J)
-    applied to the range component; tol decided both summands.  All arrays
-    are read-only: the split is kept on its pencil and shared.
+    the combined basis) measures how oblique.  tol decided both summands, and
+    range_basis is the very array of the reduced generator's basis at tol.
+    All arrays are read-only: the split is kept on its pencil and shared.
     """
 
     range_basis: np.ndarray
     kernel_basis: np.ndarray
-    generator: np.ndarray
     basis_sigma_min: float
     tol: RankTolerance
 
@@ -347,9 +346,9 @@ def fitting_splitting(pencil: Pencil) -> FittingSplit:
     The range part is the consistent space of the IV chain kept on the pencil
     at the tolerance of the Wong chain; the kernel part is the stabilized second
     Wong sequence, shared with the nilpotency index (pencils._wong_chain).
-    No shift, resolvent or canonical-form transformation is involved, and
-    the generator on the range part is solved from E and A themselves, not
-    taken from the reduced generator it is compared with.  Raises
+    No shift, resolvent or canonical-form transformation is involved.  The
+    split holds no generator: the range part evolves by the reduced generator
+    of the same chain, whose basis is the range basis itself.  Raises
     SingularMatrixError when the two dimensions do not add up to n,
     NotRegularError as _wong_chain does, and warns when the combined basis
     has sigma_min below 1e-8.  Computed once per pencil and kept on it, so
@@ -375,27 +374,23 @@ def _split(pencil):
             ConditioningWarning,
             stacklevel=5,
         )
-
-    B = ran.basis
-    generator = np.linalg.lstsq(pencil.E @ B, pencil.A @ B, rcond=None)[0]
-    generator.setflags(write=False)
-    return FittingSplit(B, ker.basis, generator, smin, ker.tol)
+    return FittingSplit(ran.basis, ker.basis, smin, ker.tol)
 
 
 def decomposition_oracle(pencil: Pencil, u0, times, seed: int = 0) -> Trajectory:
-    """Independent solution via the quasi-Weierstrass split H = V* (+) W*.
+    """Solution via the quasi-Weierstrass split H = V* (+) W*.
 
-    On V* (the range part) E is injective and Eu' + Au = 0 reduces to the
-    plain ODE c' = -J c in the range coordinates; on W* (the kernel part) the
-    only classical solution is zero, so a nonzero W* component of u0 is
-    flagged as inconsistent.  V* is the consistent space classical_solution
-    also reads, so two things stay independent checks: consistency is
-    decided by the oblique W* component, not by membership in the IV chain,
-    and J is solved from E and A, not taken from the reduced generator.  An
-    (n, m) block u0 is solved at once and rejected, like classical_solution's,
-    if any column is, with the largest kernel component and the range part.
-    NotRegularError as fitting_splitting raises it.  seed is unused, kept
-    while bench/workloads.py passes it.
+    On W* (the kernel part) the only classical solution is zero, so a nonzero
+    oblique W* component of u0 is flagged as inconsistent: the oracle's own
+    check, decided without membership in the IV chain.  On V* (the range
+    part) Eu' + Au = 0 reduces to c' = -M c in the range coordinates, M the
+    reduced generator of the chain at the split's tolerance, whose basis is
+    the range basis, so classical_solution and the oracle evolve by one
+    generator.  An (n, m) block u0 is solved at once and rejected, like
+    classical_solution's, if any column is, with the largest kernel component
+    and the range part.  NotRegularError as fitting_splitting raises it, and
+    IsomorphismError where reduced_generator refuses the range part.  seed is
+    unused, kept while bench/workloads.py passes it.
     """
     u0 = _check_u0(pencil, u0, block=True)
     times = _check_times(times)
@@ -416,4 +411,5 @@ def decomposition_oracle(pencil: Pencil, u0, times, seed: int = 0) -> Trajectory
             distance=worst,
             nearest=range_part,
         )
-    return _lifted(pencil, split.range_basis, split.generator, c_r, times, "decomposition_oracle")
+    gen = reduced_generator(pencil, compute_chain(pencil, split.tol))
+    return _lifted(pencil, gen.basis, gen.M, c_r, times, "decomposition_oracle")

@@ -276,7 +276,7 @@ def _solver_rows(analyzed):
                 decomposition_oracle(p, bad, SOLVE_GRID)
             except InconsistentInitialValueError:
                 caught += 1
-            except SingularMatrixError:  # no splitting, so nothing was detected
+            except (SingularMatrixError, IsomorphismError):  # no splitting or no generator
                 pass
             detect.add(None, caught == 2)
         if not cons.dim:
@@ -302,8 +302,8 @@ def _solver_rows(analyzed):
         invariance.add(worst_inv, worst_inv <= chain.tol.membership)
         try:
             ref = decomposition_oracle(p, U0, SOLVE_GRID)
-        except (InconsistentInitialValueError, SingularMatrixError):
-            oracle.add(None, rejected)  # consistent columns rejected, or no splitting
+        except (InconsistentInitialValueError, SingularMatrixError, IsomorphismError):
+            oracle.add(None, rejected)  # consistent columns rejected, no splitting or no generator
             continue
         err = np.max(np.linalg.norm(ref.states - states, axis=1), axis=0) / peak
         oracle.add(err, err <= 1e-7)

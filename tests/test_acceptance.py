@@ -13,7 +13,6 @@ from daepencil.analysis import build_analysis
 from daepencil.chains import check_restricted_iso, compute_chain, consistent_space
 from daepencil.cli import main
 from daepencil.exceptions import InconsistentInitialValueError
-from daepencil.expm import expm
 from daepencil.fixtures import FixtureSpec, generate
 from daepencil.laplace import (
     expansion_grid,
@@ -25,12 +24,7 @@ from daepencil.laplace import (
 )
 from daepencil.pencils import certify_regularity, index_by_nilpotency, new_pencil
 from daepencil.rng import make_rng
-from daepencil.solvers import (
-    classical_solution,
-    decomposition_oracle,
-    fitting_splitting,
-    implicit_euler,
-)
+from daepencil.solvers import classical_solution, decomposition_oracle, implicit_euler
 from daepencil.subspaces import RankTolerance, contains, equal
 from daepencil.verification import random_specs
 
@@ -303,14 +297,6 @@ def test_restricted_iso_decides_through_the_rank_rule():
     assert verdicts == {True, False} and deficient > 0
 
 
-def _oracle_states(pencil, split, u0, times):
-    _, _, c_r = split.components(u0)
-    states = np.empty((times.size, pencil.n))
-    for i, t in enumerate(times):
-        states[i] = (split.range_basis @ (expm(-t * split.generator) @ c_r)).real
-    return states
-
-
 def test_criterion_5_classical_solution():
     analyzed = bundle()
     worst_residual = worst_initial = worst_oracle = 0.0
@@ -320,7 +306,6 @@ def test_criterion_5_classical_solution():
         if cons.dim == 0:
             continue
         scale = a.pencil.norm_E + a.pencil.norm_A
-        split = fitting_splitting(a.pencil)
         for u0 in cons.basis.T.real:
             traj = classical_solution(a.pencil, a.chain, u0, SOLVE_GRID)
             trajectories += 1
@@ -332,7 +317,7 @@ def test_criterion_5_classical_solution():
                 worst_initial,
                 float(np.linalg.norm(traj.states[0] - u0)) / np.linalg.norm(u0),
             )
-            ref = _oracle_states(a.pencil, split, u0, SOLVE_GRID)
+            ref = decomposition_oracle(a.pencil, u0, SOLVE_GRID).states
             worst_oracle = max(
                 worst_oracle,
                 float(np.max(np.linalg.norm(ref - traj.states, axis=1))) / peak,

@@ -248,6 +248,27 @@ class TestSolve:
         assert "not regular" in capsys.readouterr().err
         assert not csv.exists()
 
+    def test_seed_is_rejected(self, mixed_files, capsys):
+        _, paths = mixed_files
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", *paths, "--t-end", "1", "--steps", "2", "--seed", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["exponential", "oracle"])
+    def test_refused_generator_exit_1(self, tmp_path, method, capsys):
+        # at conditioning 1e6 this fixture's IV chain is wrong and its reduced
+        # generator refused; the oracle's consistency test passes u0 on to it
+        out = tmp_path / "fx"
+        args = ["--n1", "16", "--blocks", "1", "--conditioning", "1e6"]
+        assert main(["generate", *args, "--seed", "219515429046291558", "--out", str(out)]) == 0
+        paths = [str(out / name) for name in ("E.mtx", "A.mtx", "u0.txt")]
+        csv = tmp_path / "out.csv"
+        solve = ["solve", *paths, "--t-end", "1", "--steps", "4", "--method", method]
+        assert main([*solve, "--csv", str(csv)]) == 1
+        assert "reduced generator residual" in capsys.readouterr().err
+        assert not csv.exists()
+
     def test_csv_to_stdout(self, mixed_files, capsys):
         _, paths = mixed_files
         assert main(["solve", *paths, "--t-end", "1", "--steps", "2"]) == 0

@@ -400,6 +400,54 @@ class TestDecompositionOracle:
             assert np.max(np.linalg.norm(traj.states - ref.states, axis=1)) <= 1e-7 * peak
 
 
+class TestOneGenerator:
+    """The oracle evolves by the kept reduced generator, whose basis is the split's range basis."""
+
+    def test_oracle_solves_nothing_once_the_generator_is_kept(self, monkeypatch):
+        p, _ = generate(FixtureSpec(3, (2,), 100.0, 5))
+        gen = reduced_generator(p, compute_chain(p))
+        calls, lstsq = [], np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(a) or lstsq(*a, **k))
+        decomposition_oracle(p, gen.basis, np.linspace(0.0, 1.0, 3))
+        assert calls == []
+        assert fitting_splitting(p).range_basis is gen.basis
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            FixtureSpec(5, (2,), 1e6, 4514850545263806986),
+            FixtureSpec(5, (2, 1), 1e6, 5829590293598359382),
+            FixtureSpec(7, (), 1e6, 4638956394626251145),
+            FixtureSpec(16, (1,), 1e6, 3142015530790644800),
+        ],
+    )
+    def test_oracle_agrees_at_conditioning_1e6(self, spec):
+        p, _ = generate(spec)
+        chain = compute_chain(p)
+        basis = consistent_space(p, chain).basis
+        times = np.linspace(0.0, 2.0, 9)
+        ours = classical_solution(p, chain, basis, times).states
+        ref = decomposition_oracle(p, basis, times).states
+        peak = np.max(np.linalg.norm(ours, axis=1), axis=0)
+        assert np.all(np.max(np.linalg.norm(ref - ours, axis=1), axis=0) <= 1e-7 * peak)
+
+    @pytest.mark.filterwarnings("ignore::daepencil.exceptions.ConditioningWarning")
+    def test_oracle_refuses_where_the_generator_is_refused(self):
+        # a wrong IV chain (consistent dimension 14, not 16) whose split is built
+        p, truth = generate(FixtureSpec(16, (1,), 1e6, 219515429046291558))
+        chain = compute_chain(p)
+        basis = consistent_space(p, chain).basis
+        assert basis.shape[1] != truth.consistent_dim
+        with pytest.raises(IsomorphismError):
+            reduced_generator(p, chain)
+        split = fitting_splitting(p)
+        times = np.linspace(0.0, 1.0, 3)
+        with pytest.raises(IsomorphismError, match="reduced generator residual"):
+            decomposition_oracle(p, basis, times)
+        with pytest.raises(InconsistentInitialValueError):
+            decomposition_oracle(p, split.kernel_basis[:, 0], times)
+
+
 class TestWongSplit:
     @pytest.mark.filterwarnings("ignore::daepencil.exceptions.ConditioningWarning")
     def test_split_refuses_no_pencil_whose_routes_are_right(self):
@@ -469,7 +517,7 @@ class TestCachedArtifacts:
         p, _ = generate(FixtureSpec(2, (3,), 100.0, 12))
         split = fitting_splitting(p)
         gen = reduced_generator(p, compute_chain(p))
-        for array in (split.range_basis, split.kernel_basis, split.generator, gen.M, gen.basis):
+        for array in (split.range_basis, split.kernel_basis, gen.M, gen.basis):
             with pytest.raises(ValueError):
                 array[0, 0] = 1.0
 

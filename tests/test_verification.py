@@ -1,5 +1,6 @@
 """The property suite behind `daepencil verify`: how much solver work it does."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +12,7 @@ from daepencil.chains import compute_chain, consistent_space
 from daepencil.fixtures import FixtureSpec, generate
 from daepencil.pencils import new_pencil
 from daepencil.rng import make_rng
+from daepencil.subspaces import Subspace
 from daepencil.verification import (
     _chain_rows,
     _resolvent_identity_row,
@@ -182,3 +184,43 @@ def test_random_specs_cap_the_growth_index_at_n_minus_1():
                 assert generate(spec)[1].growth_index == min(asked, n - 1)
                 capped += asked > n - 1
     assert capped == 30
+
+
+# planted-fault guards: conditioning-100 fixtures, each with a nilpotent part,
+# so every row runs on each of them
+FAULT_SPECS = [
+    FixtureSpec(3, (2,), 100.0, 5),
+    FixtureSpec(2, (3,), 100.0, 12),
+    FixtureSpec(4, (2, 1), 100.0, 1),
+]
+
+
+def _failing_rows():
+    return {row.name for row in run_suite(FAULT_SPECS, seed=1).rows if not row.passed}
+
+
+def test_fault_guard_fixtures_pass_unfaulted():
+    assert _failing_rows() == set()
+
+
+def test_scaled_generator_fails_classical_residual(monkeypatch):
+    # the oracle evolves by the same kept M, so only the residual can see this
+    build = solvers_mod._generator
+
+    def scaled(chain):
+        gen = build(chain)
+        return replace(gen, M=gen.M * (1.0 + 1e-6))
+
+    monkeypatch.setattr(solvers_mod, "_generator", scaled)
+    assert "classical_residual" in _failing_rows()
+
+
+def test_kernel_part_short_of_a_vector_fails_inconsistency_detection(monkeypatch):
+    wong = solvers_mod._wong_chain
+
+    def dropped(pencil):
+        *head, ker, last = wong(pencil)
+        return (*head, Subspace(ker.basis[:, 1:], ker.tol), last)
+
+    monkeypatch.setattr(solvers_mod, "_wong_chain", dropped)
+    assert "inconsistency_detection" in _failing_rows()

@@ -21,7 +21,12 @@ grid point stays singular after its nudges and is dropped, failing the
 check without aborting the run.  It
 writes the singular pencil E = A = diag(1, 0) and u0 = (1, 0) as exact
 array files and records the exit codes of `analyze` and of `solve` for each
-`--method` on it, which the CLI's contract sets to 3.  It writes the
+`--method` on it, which the CLI's contract sets to 3.  It records the exit
+codes of `solve --method exponential` and `--method oracle` on the fixture
+of `generate --n1 16 --blocks 1 --conditioning 1e6 --seed
+219515429046291558`, whose IV chain is wrong (consistent dimension 14, not
+16): its split is built but its reduced generator is refused, so both exit
+1.  It writes the
 `analyze --json` report of the pole pencil E = I_2, A = -s I_2 with
 s = IDENTITY_POINTS[3] of `daepencil.analysis`, as exact array files: sE + A
 is exactly zero at an identity point, so the stacked solve of the identity
@@ -86,6 +91,8 @@ TOL = "1e-8"
 SOLVE_SEEDS = (1, 3, 26)
 SOLVE_ARGS = ("--t-end", "2", "--steps", "200")
 SOLVE_METHODS = ("exponential", "oracle", "euler")
+# generate options of the fixture whose reduced generator is refused but whose split is built
+REFUSED = ("--n1", 16, "--blocks", 1, "--conditioning", "1e6", "--seed", 219515429046291558)
 # IDENTITY_POINTS[3] = np.geomspace(0.5, 50.0, 20)[3], exactly, the pole of the pole pencil
 POLE = "1.0345690405573948"
 # m of the Stokes-like saddles E = diag(I_m, 0_{m/2}), A = [[L, B^T], [-B, 0]]
@@ -191,6 +198,14 @@ def run(out: Path, src: Path):
     runs = {"analyze_singular": ("analyze", E, A)}
     for method in SOLVE_METHODS:
         runs[f"solve_singular_{method}"] = ("solve", E, A, u0, *SOLVE_ARGS, "--method", method)
+    fixture = out / "refused_generator"
+    if _cli(src, "generate", *REFUSED, "--out", fixture):
+        raise SystemExit("generate failed for refused_generator")
+    E, A, u0 = fixture / "E.mtx", fixture / "A.mtx", fixture / "u0.txt"
+    for method in ("exponential", "oracle"):
+        runs[f"solve_refused_generator_{method}"] = (
+            "solve", E, A, u0, *SOLVE_ARGS, "--method", method,
+        )
     for key, args in runs.items():
         codes[key] = _cli(src, *args)
         print(f"{key}: exit {codes[key]}")
