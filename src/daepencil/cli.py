@@ -64,7 +64,11 @@ def _build_parser():
     p_solve.add_argument("--t-end", type=float, required=True)
     p_solve.add_argument("--steps", type=int, required=True)
     p_solve.add_argument(
-        "--method", choices=("exponential", "euler", "oracle"), default="exponential"
+        "--method",
+        choices=("exponential", "euler", "oracle"),
+        default="exponential",
+        help="oracle: the quasi-Weierstrass split V* (+) W*, which exits 4 on a u0 with a "
+        "nonzero oblique W* component and 1 where the split or the reduced generator is refused",
     )
     p_solve.add_argument("--csv", dest="csv_out", help="write the trajectory here (default stdout)")
 

@@ -337,9 +337,9 @@ class TestVerify:
         counts = {name: (row["checked"], row["failures"]) for name, row in rows.items()}
         assert counts["transform_match"] == (1, 1)
         assert counts["classical_residual"] == (2, 2)  # one per consistent basis vector
-        # no solution, so nothing to compare with the oracle
-        assert rows["oracle_agreement"]["checked"] == 0
-        assert rows["inconsistency_detection"]["failures"] == 0
+        # the oracle rejects the inconsistent u0 before it reads the generator
+        assert counts["inconsistency_detection"] == (1, 0)
+        assert "oracle_agreement" not in rows
 
     def test_oracle_without_splitting_fails_its_rows(self, tmp_path, monkeypatch, capsys):
         import daepencil.solvers as solvers_mod
@@ -348,8 +348,10 @@ class TestVerify:
         monkeypatch.setattr(solvers_mod, "_wong_chain", lambda p: (full_space(p.n),) * 2)
         code, table, rows = verify_one_fixture(tmp_path, capsys)
         assert code == 1 and table.endswith("overall: FAIL on 1 fixtures\n")
-        assert (rows["oracle_agreement"]["checked"], rows["oracle_agreement"]["failures"]) == (2, 2)
-        assert rows["inconsistency_detection"]["failures"] == 1
+        detect = rows["inconsistency_detection"]
+        assert (detect["checked"], detect["failures"]) == (1, 1)
+        assert detect["note"] == "1 failed: split refused, dim V* + dim W* != n"
+        assert "(1 failed: split refused, dim V* + dim W* != n)" in table
         assert rows["classical_residual"]["failures"] == 0
 
     def test_empty_fixture_list_exit_1(self, tmp_path, capsys):

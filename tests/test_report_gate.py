@@ -11,11 +11,11 @@ _SPEC = importlib.util.spec_from_file_location("report_gate", _PATH)
 report_gate = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(report_gate)
 
-TABLE = "check  checked  failed  worst  status\noracle_agreement  4  0  1.000e-11  PASS\n"
+TABLE = "check  checked  failed  worst  status\nclassical_residual  4  0  1.000e-11  PASS\n"
 
 
 def _report(worst=1e-11, passed=True, failures=0):
-    row = {"name": "oracle_agreement", "failures": failures, "worst": worst, "passed": passed}
+    row = {"name": "classical_residual", "failures": failures, "worst": worst, "passed": passed}
     return {"rows": [row]}
 
 
@@ -40,23 +40,23 @@ def test_identical_directories_pass(old, tmp_path, capsys):
 def test_passed_flip_fails(old, tmp_path, capsys):
     new = _write(tmp_path / "new", report=_report(passed=False))
     assert report_gate.compare(old, new) == 1
-    assert "rows[oracle_agreement].passed: True -> False" in capsys.readouterr().out
+    assert "rows[classical_residual].passed: True -> False" in capsys.readouterr().out
 
 
 def test_changed_number_passes_and_prints_its_relative_change(old, tmp_path, capsys):
     new = _write(tmp_path / "new", report=_report(worst=1.00001e-11))
     assert report_gate.compare(old, new) == 0
     out = capsys.readouterr().out
-    assert "rows[oracle_agreement].worst: 1e-11 -> 1.00001e-11  (rel 1.00e-05)" in out
-    assert "largest relative change per key:\n  oracle_agreement.worst: 1.00e-05\n" in out
+    assert "rows[classical_residual].worst: 1e-11 -> 1.00001e-11  (rel 1.00e-05)" in out
+    assert "largest relative change per key:\n  classical_residual.worst: 1.00e-05\n" in out
 
 
 def test_risen_failures_are_marked_and_listed(old, tmp_path, capsys):
     new = _write(tmp_path / "new", report=_report(failures=2))
     assert report_gate.compare(old, new) == 0  # a rise alone gates nothing
     out = capsys.readouterr().out
-    assert "rows[oracle_agreement].failures: 0 -> 2  (rel inf, higher)" in out
-    assert "failures that rose:\n  verify_seed-7.json: oracle_agreement.failures: 0 -> 2\n" in out
+    assert "rows[classical_residual].failures: 0 -> 2  (rel inf, higher)" in out
+    assert "failures that rose:\n  verify_seed-7.json: classical_residual.failures: 0 -> 2\n" in out
 
 
 def test_fallen_failures_are_not_listed(tmp_path, capsys):
@@ -64,7 +64,7 @@ def test_fallen_failures_are_not_listed(tmp_path, capsys):
     new = _write(tmp_path / "new", report=_report(failures=1))
     assert report_gate.compare(old, new) == 0
     out = capsys.readouterr().out
-    assert "rows[oracle_agreement].failures: 3 -> 1  (rel 6.67e-01, lower)" in out
+    assert "rows[classical_residual].failures: 3 -> 1  (rel 6.67e-01, lower)" in out
     assert "failures that rose" not in out
 
 

@@ -467,6 +467,58 @@ class TestWongSplit:
         assert right >= 30
 
 
+def _finite(alpha, beta):
+    return np.abs(beta) > 1e-6 * np.abs(alpha)
+
+
+def _qz_agreement(specs, range_basis):
+    """(fixtures, worst distance) over the fixtures where QZ's count of finite
+    eigenvalues equals both the true and the chain's consistent dimension; the
+    distance is sin of the largest principal angle between range_basis(pencil)
+    and the finite right deflating subspace of (A, E), sorted first by ordqz."""
+    agree, worst = 0, 0.0
+    for spec in specs:
+        p, truth = generate(spec)
+        *_, alpha, beta, _, Z = scipy.linalg.ordqz(p.A, p.E, sort=_finite, output="complex")
+        r = int(np.count_nonzero(_finite(alpha, beta)))
+        if not r == truth.consistent_dim == consistent_space(p, compute_chain(p)).dim:
+            continue  # QZ is no oracle of dimensions
+        agree += 1
+        V, Zr = range_basis(p), Z[:, :r]
+        if r:
+            worst = max(worst, float(np.linalg.norm(Zr - V @ (V.conj().T @ Zr), 2)))
+    return agree, worst
+
+
+class TestQzDeflatingSubspace:
+    """V* of the split against the finite deflating subspace of QZ (Moler and Stewart)."""
+
+    @pytest.mark.filterwarnings("ignore::daepencil.exceptions.ConditioningWarning")
+    @pytest.mark.parametrize(
+        "seed, conditioning, floor", [(1, 1e2, 20), (7, 1e2, 20), (1, 1e5, 8)]
+    )
+    def test_range_basis_spans_the_finite_deflating_subspace(self, seed, conditioning, floor):
+        # measured: 38, 38 and 15 of 60 fixtures agree, worst 5.8e-14, 3.3e-13 and 2.5e-10
+        specs = random_specs(60, (2, 20), (0, 4), seed, conditioning)
+        agree, worst = _qz_agreement(specs, lambda p: fitting_splitting(p).range_basis)
+        assert agree >= floor
+        assert worst <= 1e-6
+
+    def test_a_range_basis_turned_out_of_v_star_is_caught(self):
+        def turned(p):
+            V = fitting_splitting(p).range_basis
+            if not 0 < V.shape[1] < p.n:
+                return V
+            off = np.eye(p.n) - V @ V.conj().T
+            w = off[:, np.argmax(np.linalg.norm(off, axis=0))]
+            V = V.copy()
+            V[:, 0] = np.cos(1e-3) * V[:, 0] + np.sin(1e-3) * w / np.linalg.norm(w)
+            return V
+
+        agree, worst = _qz_agreement(random_specs(10, (2, 20), (0, 4), 1, 1e2), turned)
+        assert agree > 0 and worst > 1e-6
+
+
 class TestCachedArtifacts:
     def test_second_call_returns_same_object(self):
         p, _ = generate(FixtureSpec(2, (3,), 100.0, 12))

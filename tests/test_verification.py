@@ -1,10 +1,14 @@
-"""The property suite behind `daepencil verify`: how much solver work it does."""
+"""The property suite behind `daepencil verify`: how much solver work it does,
+and which rows fail under each planted fault."""
 
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
+import daepencil.laplace as laplace_mod
+import daepencil.pencils as pencils_mod
 import daepencil.solvers as solvers_mod
 import daepencil.verification as verification_mod
 from daepencil.analysis import build_analysis
@@ -12,7 +16,7 @@ from daepencil.chains import compute_chain, consistent_space
 from daepencil.fixtures import FixtureSpec, generate
 from daepencil.pencils import new_pencil
 from daepencil.rng import make_rng
-from daepencil.subspaces import Subspace
+from daepencil.subspaces import Subspace, image, span
 from daepencil.verification import (
     _chain_rows,
     _resolvent_identity_row,
@@ -23,32 +27,41 @@ from daepencil.verification import (
 )
 
 
-def test_three_evolutions_per_fixture_with_consistent_values(monkeypatch):
-    """One solution block and one oracle block per fixture.
+def test_one_evolution_per_fixture_with_consistent_values(monkeypatch):
+    """One solution block per fixture with a nonempty consistent space, and one
+    oracle call per fixture with an inconsistent u0, which it rejects unevolved.
 
     The transform match takes the classical solution's transform in closed
-    form and evolves nothing.  A per-column suite evolves 2 m times for m
+    form and evolves nothing.  A per-column suite evolves m times for m
     consistent basis vectors.
     """
     specs = random_specs(12, (2, 12), (0, 3), seed=5)
-    solvable = 0
+    solvable = inconsistent = 0
     for spec in specs:
         pencil, _ = generate(spec)
-        solvable += consistent_space(pencil, compute_chain(pencil)).dim > 0
-    assert 0 < solvable < len(specs)
+        dim = consistent_space(pencil, compute_chain(pencil)).dim
+        solvable += dim > 0
+        inconsistent += dim < pencil.n
+    assert 0 < solvable < len(specs) and 0 < inconsistent
 
-    calls = []
-    evolve = solvers_mod._evolve
+    calls, oracle_calls = [], []
+    evolve, oracle = solvers_mod._evolve, verification_mod.decomposition_oracle
 
     def counted(M, C0, times):
         calls.append(C0.shape)
         return evolve(M, C0, times)
 
+    def counted_oracle(pencil, u0, times):
+        oracle_calls.append(u0.shape)
+        return oracle(pencil, u0, times)
+
     monkeypatch.setattr(solvers_mod, "_evolve", counted)
+    monkeypatch.setattr(verification_mod, "decomposition_oracle", counted_oracle)
     result = run_suite(specs, seed=5)
     assert result.passed
-    assert len(calls) == 2 * solvable
+    assert len(calls) == solvable
     assert any(m > 1 for _, m in calls)
+    assert len(oracle_calls) == inconsistent and all(len(shape) == 1 for shape in oracle_calls)
 
 
 def test_a_nan_metric_is_the_worst_of_its_row():
@@ -83,6 +96,14 @@ def test_subspace_laws_build_each_space_once(monkeypatch):
     row = _subspace_laws_row(0)
     assert row.passed and row.checked == 25 * 4
     assert calls == {"image": 3 * 25, "preimage": 2 * 25}
+
+
+def test_identity_image_needs_no_norm():
+    # ||I||_2 = 1 exactly, so the subspace_laws row passes the scale of I S
+    rng = make_rng(2)
+    for n in range(2, 9):
+        S = span(list(rng.standard_normal((max(1, n // 2), n))))
+        assert np.array_equal(image(np.eye(n), S, 1.0).basis, image(np.eye(n), S).basis)
 
 
 def test_k5_fixture_skips_the_expansion_row():
@@ -186,8 +207,8 @@ def test_random_specs_cap_the_growth_index_at_n_minus_1():
     assert capped == 30
 
 
-# planted-fault guards: conditioning-100 fixtures, each with a nilpotent part,
-# so every row runs on each of them
+# the planted-fault matrix: conditioning-100 fixtures, each with a nilpotent
+# part, so every row runs on each of them
 FAULT_SPECS = [
     FixtureSpec(3, (2,), 100.0, 5),
     FixtureSpec(2, (3,), 100.0, 12),
@@ -203,24 +224,73 @@ def test_fault_guard_fixtures_pass_unfaulted():
     assert _failing_rows() == set()
 
 
-def test_scaled_generator_fails_classical_residual(monkeypatch):
+def _scaled_generator(build):
     # the oracle evolves by the same kept M, so only the residual can see this
-    build = solvers_mod._generator
-
     def scaled(chain):
         gen = build(chain)
         return replace(gen, M=gen.M * (1.0 + 1e-6))
 
-    monkeypatch.setattr(solvers_mod, "_generator", scaled)
-    assert "classical_residual" in _failing_rows()
+    return scaled
 
 
-def test_kernel_part_short_of_a_vector_fails_inconsistency_detection(monkeypatch):
-    wong = solvers_mod._wong_chain
+def _kernel_part(change):
+    """A W chain whose W* is change(pencil, W*)."""
 
-    def dropped(pencil):
-        *head, ker, last = wong(pencil)
-        return (*head, Subspace(ker.basis[:, 1:], ker.tol), last)
+    def planted(wong):
+        def chain(pencil):
+            *head, ker, last = wong(pencil)
+            return (*head, Subspace(change(pencil, ker.basis), ker.tol), last)
 
-    monkeypatch.setattr(solvers_mod, "_wong_chain", dropped)
-    assert "inconsistency_detection" in _failing_rows()
+        return chain
+
+    return planted
+
+
+def _one_more_vector(pencil, W):
+    off = np.eye(pencil.n) - W @ W.conj().T
+    w = off[:, np.argmax(np.linalg.norm(off, axis=0))]
+    return np.column_stack([W, w / np.linalg.norm(w)])
+
+
+def _scaled_solves(solve):
+    return lambda *args, **kwargs: solve(*args, **kwargs) * (1.0 + 1e-7)
+
+
+def _one_step_late(evolve):
+    return lambda M, C0, times: evolve(M, C0, times - (times[1] - times[0]))
+
+
+# fault -> ((module, name, wrapper of the real function), ...) and the rows it fails
+PLANTED_FAULTS = {
+    "scaled_generator": (
+        ((solvers_mod, "_generator", _scaled_generator),),
+        {"classical_residual"},
+    ),
+    "kernel_part_short_of_a_vector": (
+        ((solvers_mod, "_wong_chain", _kernel_part(lambda pencil, W: W[:, 1:])),),
+        {"inconsistency_detection"},
+    ),
+    "kernel_part_with_one_more_vector": (
+        ((solvers_mod, "_wong_chain", _kernel_part(_one_more_vector)),),
+        {"inconsistency_detection"},
+    ),
+    "scaled_shifted_solves": (
+        (
+            (pencils_mod, "_solve_shifted", _scaled_solves),
+            (laplace_mod, "_solve_shifted", _scaled_solves),
+        ),
+        {"resolvent_shift", "solution_formula"},
+    ),
+    "evolution_one_step_late": (
+        ((solvers_mod, "_evolve", _one_step_late),),
+        {"initial_value"},
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", PLANTED_FAULTS)
+def test_planted_fault_fails_its_rows(fault, monkeypatch):
+    patches, rows = PLANTED_FAULTS[fault]
+    for module, name, wrap in patches:
+        monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    assert _failing_rows() == rows

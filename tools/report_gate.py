@@ -47,7 +47,7 @@ by default), so two checkouts can be gated against each other.
 change |new - old| / |old|, and exits 1 if any exit code or `passed` flag
 differs, a file is missing on one side or a text file changes its line
 count.  It ends with the largest relative change per key, such as
-`transform_match.max_relative_error` or `oracle_agreement.worst`, so that a
+`transform_match.max_relative_error` or `classical_residual.worst`, so that a
 roundoff-sized move reads at a glance, with every `failures` count that
 rose, and with the number of differing lines of each text file that has any.
 A `.csv` of the same line count is compared cell by cell under its header
@@ -264,7 +264,7 @@ def _number(cell):
 def _key(path):
     """The path's last list label and its leaf.
 
-    `rows[oracle_agreement].worst` -> `oracle_agreement.worst`.
+    `rows[classical_residual].worst` -> `classical_residual.worst`.
     """
     head, _, leaf = path.rpartition(".")
     if not head.endswith("]"):
