@@ -52,8 +52,9 @@ SLOPE_RMS_MAX = 0.1
 # angle of the regularity certificate's first point: make_rng(0).uniform(0, 2 pi)
 CERTIFICATE_ROTATION = 0.0883857918099689
 
-# sample points of index_by_growth; the fit reads the upper half
-GROWTH_GRID = tuple(np.geomspace(1e2, 1e7, 24))
+# sample points of index_by_growth, every one fitted: the upper 12 of 24 geometric
+# points from 1e2 to 1e7, s = 4.06e4 to 1e7
+GROWTH_GRID = tuple(np.geomspace(1e2, 1e7, 24)[12:])
 
 # matrix entries per stacked solve of _sampled: max(1, STACK_ENTRIES // n^2)
 # sample points per chunk (a whole small-pencil grid, one point at n = 160)
@@ -259,10 +260,9 @@ def _nudged(solve, x):
     return solve(x), x
 
 
-def _sampled(pencil, points, f, drop=False, rhs=None):
-    """(values, used): f(X, s) of every chunk of points, concatenated, where
-    X[j] = (s[j] E + A)^{-1} rhs (the resolvent itself when rhs is None) and
-    used, like s, holds where each was taken.
+def _sampled(pencil, points, f, drop=False):
+    """(values, used): f(R, s) of every chunk of points, concatenated, where
+    R[j] = (s[j] E + A)^{-1} and used, like s, holds where each was taken.
 
     A chunk holds at most STACK_ENTRIES matrix entries (one point at least)
     and takes one stacked solve (_stack), whose slices are bit for bit the
@@ -277,32 +277,32 @@ def _sampled(pencil, points, f, drop=False, rhs=None):
         s = points[lo : lo + step].copy()
         # _stack writes the points used into s before f reads them; the chunk's
         # stack is freed before the next one is solved
-        values.append(f(_stack(pencil, s, drop, rhs), s[~np.isnan(s)]))
+        values.append(f(_stack(pencil, s, drop), s[~np.isnan(s)]))
         used.append(s)
     return np.concatenate(values), np.concatenate(used)
 
 
-def _stack(pencil, s, drop, rhs):
-    """X[j] = (s[j] E + A)^{-1} rhs by one stacked solve.  A failing stack is
+def _stack(pencil, s, drop):
+    """R[j] = (s[j] E + A)^{-1} by one stacked solve.  A failing stack is
     halved until its failing points stand alone; only those go through
     _nudged, which writes where it solved into s, or NaN for a point dropped
-    after its nudges, whose slice is left out of X."""
+    after its nudges, whose slice is left out of R."""
     try:
-        return _solve_shifted(pencil, s, rhs)
+        return _solve_shifted(pencil, s)
     except SingularMatrixError:
         if s.size > 1:
             half = s.size // 2
             return np.concatenate(
-                (_stack(pencil, s[:half], drop, rhs), _stack(pencil, s[half:], drop, rhs))
+                (_stack(pencil, s[:half], drop), _stack(pencil, s[half:], drop))
             )
     try:
-        X, s[0] = _nudged(lambda t: _solve_shifted(pencil, t, rhs), s[0])
+        R, s[0] = _nudged(lambda t: _solve_shifted(pencil, t), s[0])
     except SingularMatrixError:
         if not drop:
             raise
         s[0] = np.nan
-        return np.empty((0, pencil.n, pencil.n if rhs is None else rhs.shape[-1]))
-    return X[None]
+        return np.empty((0, pencil.n, pencil.n))
+    return R[None]
 
 
 def _peaks(X):
@@ -381,41 +381,30 @@ def index_by_growth(pencil: Pencil) -> IndexEstimate:
     """Index from the slope of log ||(sE+A)^{-1}|| against log s.
 
     Samples GROWTH_GRID on the positive real axis by stacked solves and
-    fits a least squares line over the upper half, the only samples whose
-    2-norm is taken, by _norm2, whose lower bound can move the slope either
-    way where it falls short of sigma_max.  The index is the slope rounded
-    to the nearest integer, halves up, clamped at zero.  The estimate is not
-    confident when the slope's fractional part is ambiguous or the fit
-    residual is large (the latter happens when floating-point saturation of
-    the stored pencil caps the observable growth of high-index problems).  A
-    sample that stays singular after its nudges, in either half, is
-    saturated outright: it is dropped (counted in samples_dropped) and the
-    estimate is not confident.  The lower half is solved for one column
-    only, (sE + A)^{-1} times the all-ones vector, under the same singular
-    rule and nudges: LAPACK refuses an exactly singular sE + A whatever the
-    right-hand side, but the non-finite test reads that one column, so a
-    lower-half point is dropped where the probe column overflows, not where
-    some other column of the inverse would.  Raises SingularMatrixError only
-    when fewer than two upper-half samples remain.
+    fits a least squares line over every sample.  The 2-norms come from
+    _norm2, whose lower bound can move the slope either way where it falls
+    short of sigma_max.  The index is the slope rounded to the nearest
+    integer, halves up, clamped at zero.  The estimate is not confident when
+    the slope's fractional part is ambiguous or the fit residual is large
+    (the latter happens when floating-point saturation of the stored pencil
+    caps the observable growth of high-index problems).  A sample that stays
+    singular after its nudges is saturated outright: it is dropped (counted
+    in samples_dropped) and the estimate is not confident.  Raises
+    SingularMatrixError only when fewer than two samples remain.
     """
     _require_regular(pencil)
-    half = len(GROWTH_GRID) // 2
-    # the lower half is only probed for poles, one dense column of each resolvent
-    probe = np.ones((pencil.n, 1))
-    lower, _ = _sampled(pencil, GROWTH_GRID[:half], lambda X, s: s, drop=True, rhs=probe)
-    norms, upper = _sampled(pencil, GROWTH_GRID[half:], lambda R, s: _norm2(R), drop=True)
-    upper = upper[~np.isnan(upper)]
-    if upper.size < 2:
-        raise SingularMatrixError(f"only {upper.size} resolvent samples left to fit a line")
-    logs = np.log(upper)
+    norms, used = _sampled(pencil, GROWTH_GRID, lambda R, s: _norm2(R), drop=True)
+    used = used[~np.isnan(used)]
+    if used.size < 2:
+        raise SingularMatrixError(f"only {used.size} resolvent samples left to fit a line")
+    logs = np.log(used)
     logn = np.log(norms)
     (slope, intercept), res = np.polyfit(logs, logn, 1, full=True)[:2]
     rms = float(np.sqrt(res[0] / logs.size)) if res.size else 0.0
 
     k = max(math.floor(slope + 0.5), 0)
     frac = float(slope - math.floor(slope))
-    sampled = np.concatenate((lower, upper))
-    dropped = len(GROWTH_GRID) - sampled.size
+    dropped = len(GROWTH_GRID) - used.size
     confident = not (SLOPE_AMBIGUOUS[0] <= frac <= SLOPE_AMBIGUOUS[1])
     confident = confident and rms <= SLOPE_RMS_MAX and not dropped
     diagnostics = {
@@ -423,7 +412,7 @@ def index_by_growth(pencil: Pencil) -> IndexEstimate:
         "intercept": float(intercept),
         "fit_residual": rms,
         "points_fitted": int(logs.size),
-        "s_range": (float(sampled[0]), float(sampled[-1])),
+        "s_range": (float(used[0]), float(used[-1])),
     }
     if dropped:
         diagnostics["samples_dropped"] = dropped

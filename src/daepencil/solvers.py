@@ -402,7 +402,7 @@ def decomposition_oracle(pencil: Pencil, u0, times, seed: int = 0) -> Trajectory
     # O(1) kernel components detectable)
     amplification = min(1e3, 1.0 / max(split.basis_sigma_min, TINY))
     unit = np.maximum(1.0, np.linalg.norm(u0, axis=0))
-    threshold = split.tol.membership * unit * max(1.0, amplification)
+    threshold = split.tol.membership * unit * amplification
     if np.any(knorm > threshold):
         worst = float(np.max(knorm))
         raise InconsistentInitialValueError(

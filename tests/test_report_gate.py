@@ -81,6 +81,18 @@ def test_changed_stdout_line_count_fails(old, tmp_path, capsys):
     assert "verify_seed-7.txt: 2 lines -> 3 lines" in capsys.readouterr().out
 
 
+def test_table_missing_a_middle_row_reports_that_line(tmp_path, capsys):
+    rows = [f"{name}  4  0  1.000e-11  PASS" for name in ("first", "middle", "last")]
+    old = _write(tmp_path / "old", table="\n".join(["check", *rows]) + "\n")
+    new = _write(tmp_path / "new", table="\n".join(["check", rows[0], rows[2]]) + "\n")
+    assert report_gate.compare(old, new) == 1  # a changed line count is gated
+    out = capsys.readouterr().out
+    assert "verify_seed-7.txt: 4 lines -> 3 lines\n" in out
+    assert f"verify_seed-7.txt:\n  - {rows[1]}\ndiffering lines per text file:\n" in out
+    assert "  verify_seed-7.txt: 1\n1 differing line(s)\n" in out
+    assert "  + " not in out and "last" not in out  # no later line is reported
+
+
 def _write_csv(root, text):
     (root / "fixture").mkdir()
     (root / "fixture" / "euler.csv").write_text(text)

@@ -53,6 +53,9 @@ rose, and with the number of differing lines of each text file that has any.
 A `.csv` of the same line count is compared cell by cell under its header
 line: for each column it prints the number of differing cells and their
 largest relative change (inf where either cell is not a finite number), not the lines.
+Any other text file has its lines paired by `difflib.SequenceMatcher` and
+prints each run of removed and added lines, so a table that loses one row
+shows that one line, not every line after it.
 
 Only the standard library and the CLI are used.
 """
@@ -60,6 +63,7 @@ Only the standard library and the CLI are used.
 from __future__ import annotations
 
 import argparse
+import difflib
 import json
 import math
 import os
@@ -311,15 +315,22 @@ def compare(old_dir: Path, new_dir: Path) -> int:
             if len(old_lines) != len(new_lines):
                 print(f"{name}: {len(old_lines)} lines -> {len(new_lines)} lines")
                 bad += 1
-            header = old_lines[0].split(",") if name.endswith(".csv") and old_lines else None
+            by_cell = name.endswith(".csv") and old_lines and len(old_lines) == len(new_lines)
+            if by_cell:  # lines paired by position, data lines compared cell by cell
+                header = old_lines[0].split(",")
+                pairs = zip(old_lines, new_lines)
+                runs = [(i, i + 1, i, i + 1) for i, (a, b) in enumerate(pairs) if a != b]
+            else:  # lines paired by content, so a removed line moves no other
+                matcher = difflib.SequenceMatcher(None, old_lines, new_lines, autojunk=False)
+                runs = [op[1:] for op in matcher.get_opcodes() if op[0] != "equal"]
             columns = {}  # CSV column header -> (differing cells, largest relative change)
-            for i, (a, b) in enumerate(zip(old_lines, new_lines)):
-                if a == b:
-                    continue
-                differing[name] = differing.get(name, 0) + 1
-                cells = a.split(","), b.split(",")
-                if not (header and i and len(cells[0]) == len(cells[1]) == len(header)):
-                    print(f"{name}:\n  - {a}\n  + {b}")
+            for i, i_end, j, j_end in runs:
+                differing[name] = differing.get(name, 0) + max(i_end - i, j_end - j)
+                cells = by_cell and i and (old_lines[i].split(","), new_lines[j].split(","))
+                if not (cells and len(cells[0]) == len(cells[1]) == len(header)):
+                    removed = [f"  - {line}" for line in old_lines[i:i_end]]
+                    added = [f"  + {line}" for line in new_lines[j:j_end]]
+                    print(f"{name}:", *removed, *added, sep="\n")
                     continue
                 for column, x, y in zip(header, *cells):
                     if x != y:
