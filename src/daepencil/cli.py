@@ -95,8 +95,9 @@ def _build_parser():
         p.add_argument("--tol", type=float, default=1e-10, help="rank tolerance of the IV chain")
     for p in (p_analyze, p_verify, p_generate):  # solve reads no seed
         p.add_argument(
-            "--seed", type=int, default=0, help="seed of the fixture draws, analyze's u0 and "
-            "verify's sampled rows; no decision about the pencil reads it"
+            "--seed", type=int, default=0, help="seed of the fixture draws (generate, verify "
+            "--random) and analyze's u0; verify --fixtures accepts it and reads nothing of it, "
+            "and no decision about the pencil reads it"
         )
     return parser
 
@@ -199,7 +200,7 @@ def _cmd_verify(args):
     if not specs:
         print("error: nothing to verify (empty fixture list)", file=sys.stderr)
         return EXIT_ERROR
-    result = run_suite(specs, seed=args.seed, tol=RankTolerance(args.tol))
+    result = run_suite(specs, tol=RankTolerance(args.tol))
     sys.stdout.write(result.table() + "\n")
     if args.json_out:
         with open(args.json_out, "w", encoding="ascii", newline="\n") as fh:

@@ -391,7 +391,7 @@ class TestStackedResolvents:
             assert (len(through), len(stacked)) == (on_analyze, 0)
             through.clear()
             stacked.clear()
-            run_suite([spec], seed=3)
+            run_suite([spec])
             assert (len(through), len(stacked)) == (on_analyze + 3 + 4 * 3, 0)
 
     @pytest.mark.parametrize("points_per_chunk", [1, 3, 7])
@@ -401,11 +401,11 @@ class TestStackedResolvents:
         specs = random_specs(4, (5, 5), (1, 3), seed=2)
         pencils = [generate(spec)[0] for spec in specs]
         reference = [report_to_json(analyze_pencil(p, seed=3)) for p in pencils]
-        suite = run_suite(specs, seed=3).to_dict()
+        suite = run_suite(specs).to_dict()
         monkeypatch.setattr(pencils_mod, "STACK_ENTRIES", points_per_chunk * 25)
         pencils = [generate(spec)[0] for spec in specs]
         assert [report_to_json(analyze_pencil(p, seed=3)) for p in pencils] == reference
-        assert run_suite(specs, seed=3).to_dict() == suite
+        assert run_suite(specs).to_dict() == suite
 
 
 def norm2_case(seed, n, kind, complex_, exponent):

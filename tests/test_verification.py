@@ -1,5 +1,6 @@
 """The property suite behind `daepencil verify`: how much solver work it does,
-and which rows fail under each planted fault."""
+that a batch's rows merge its fixtures' rows, and which rows fail under each
+planted fault."""
 
 from dataclasses import replace
 from types import SimpleNamespace
@@ -10,18 +11,19 @@ import pytest
 import daepencil.laplace as laplace_mod
 import daepencil.pencils as pencils_mod
 import daepencil.solvers as solvers_mod
+import daepencil.subspaces as subspaces_mod
 import daepencil.verification as verification_mod
 from daepencil.analysis import build_analysis
 from daepencil.chains import compute_chain, consistent_space
+from daepencil.cli import main
 from daepencil.fixtures import FixtureSpec, generate
 from daepencil.pencils import new_pencil
 from daepencil.rng import make_rng
-from daepencil.subspaces import Subspace, image, span
+from daepencil.subspaces import Subspace
 from daepencil.verification import (
     _chain_rows,
     _resolvent_identity_row,
     _Row,
-    _subspace_laws_row,
     random_specs,
     run_suite,
 )
@@ -57,7 +59,7 @@ def test_one_evolution_per_fixture_with_consistent_values(monkeypatch):
 
     monkeypatch.setattr(solvers_mod, "_evolve", counted)
     monkeypatch.setattr(verification_mod, "decomposition_oracle", counted_oracle)
-    result = run_suite(specs, seed=5)
+    result = run_suite(specs)
     assert result.passed
     assert len(calls) == solvable
     assert any(m > 1 for _, m in calls)
@@ -74,36 +76,32 @@ def test_a_nan_metric_is_the_worst_of_its_row():
     assert (done.checked, done.failures, done.passed) == (4, 1, False)
 
 
-def test_subspace_laws_build_each_space_once(monkeypatch):
-    """Per trial: M S, M^-1 S and I S, then M (M^-1 S) and M^-1 (M S).
-
-    The two containment checks share M S and M^-1 S, so each of the 25
-    trials builds 3 images and 2 preimages and makes 3 checks.
-    """
-    calls = {"image": 0, "preimage": 0}
-
-    def counted(name):
-        build = getattr(verification_mod, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return build(*args, **kwargs)
-
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(verification_mod, name, counted(name))
-    row = _subspace_laws_row(0)
-    assert row.passed and row.checked == 25 * 3 and row.worst is None
-    assert calls == {"image": 3 * 25, "preimage": 2 * 25}
+def test_a_batch_is_the_merge_of_its_parts():
+    # checked, failures and fixtures add; worst is the worse of the two
+    specs = random_specs(12, (2, 20), (0, 4), 3)
+    whole, head, tail = run_suite(specs), run_suite(specs[:5]), run_suite(specs[5:])
+    assert whole.fixtures == head.fixtures + tail.fixtures
+    for row, a, b in zip(whole.rows, head.rows, tail.rows, strict=True):
+        assert row.name == a.name == b.name
+        assert (row.checked, row.failures) == (a.checked + b.checked, a.failures + b.failures)
+        assert row.passed == (a.passed and b.passed)
+        worse = min if row.name == "restricted_iso" else max
+        worsts = [w for w in (a.worst, b.worst) if w is not None]
+        assert row.worst == (worse(worsts) if worsts else None)
 
 
-def test_identity_image_needs_no_norm():
-    # ||I||_2 = 1 exactly, so the subspace_laws row passes the scale of I S
-    rng = make_rng(2)
-    for n in range(2, 9):
-        S = span(list(rng.standard_normal((max(1, n // 2), n))))
-        assert np.array_equal(image(np.eye(n), S, 1.0).basis, image(np.eye(n), S).basis)
+def test_verify_fixtures_reads_nothing_of_the_seed(tmp_path, capsys):
+    fixtures = tmp_path / "fixtures.json"
+    fixtures.write_text(
+        '[{"n1": 2, "nilpotent_blocks": [3], "seed": 1}, {"n1": 4, "nilpotent_blocks": [2]}]'
+    )
+    outputs = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"seed{seed}.json"
+        argv = ["verify", "--fixtures", str(fixtures), "--seed", seed, "--json", str(out)]
+        assert main(argv) == 0
+        outputs.append((capsys.readouterr().out, out.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_k5_fixture_skips_the_expansion_row():
@@ -165,20 +163,20 @@ def test_one_identity_battery_per_fixture(monkeypatch):
         return battery(a, seed)
 
     monkeypatch.setattr(verification_mod, "identity_checks", counted)
-    result = run_suite(specs, seed=5)
+    result = run_suite(specs)
     assert calls == [spec.seed + 2 for spec in specs]
     names = [row.name for row in result.rows]
-    assert names[2:5] == ["resolvent_commutation", "resolvent_shift", "solution_formula"]
-    assert names[6] == "resolvent_expansion" and names[-1] == "transform_match"
+    assert names[1:4] == ["resolvent_commutation", "resolvent_shift", "solution_formula"]
+    assert names[5] == "resolvent_expansion" and names[-1] == "transform_match"
 
 
 def test_resolvent_identity_takes_its_gap_from_the_points_used():
     # a pole exactly on the first drawn s: the sample moves to 1.01 s, and
     # R(s) - R(t) = (t - s) R(s) E R(t) holds only with the moved s
-    seed = 4
-    s = make_rng(seed + 1).uniform(0.5, 50.0, size=(3, 2))[0, 0]
+    spec = SimpleNamespace(seed=4)
+    s = make_rng(spec.seed + 1).uniform(0.5, 50.0, size=(3, 2))[0, 0]
     pencil = new_pencil(np.eye(2), -s * np.eye(2))
-    row = _resolvent_identity_row([(None, None, SimpleNamespace(pencil=pencil))], seed)
+    row = _resolvent_identity_row([(spec, None, SimpleNamespace(pencil=pencil))])
     assert row.passed and row.checked == 3
 
 
@@ -217,7 +215,7 @@ FAULT_SPECS = [
 
 
 def _failing_rows():
-    return {row.name for row in run_suite(FAULT_SPECS, seed=1).rows if not row.passed}
+    return {row.name for row in run_suite(FAULT_SPECS).rows if not row.passed}
 
 
 def test_fault_guard_fixtures_pass_unfaulted():
@@ -260,6 +258,15 @@ def _one_step_late(evolve):
     return lambda M, C0, times: evolve(M, C0, times - (times[1] - times[0]))
 
 
+def _one_short(nullspace):
+    # every kernel and preimage of more than one dimension loses a direction
+    def short(*args, **kwargs):
+        N = nullspace(*args, **kwargs)
+        return N[:, 1:] if N.shape[1] > 1 else N
+
+    return short
+
+
 # fault -> ((module, name, wrapper of the real function), ...) and the rows it fails
 PLANTED_FAULTS = {
     "scaled_generator": (
@@ -284,6 +291,20 @@ PLANTED_FAULTS = {
     "evolution_one_step_late": (
         ((solvers_mod, "_evolve", _one_step_late),),
         {"initial_value"},
+    ),
+    "nullspace_one_short": (
+        ((subspaces_mod, "_nullspace_columns", _one_short),),
+        {
+            "chain_descent",
+            "chain_monotone",
+            "chain_stabilization",
+            "classical_residual",
+            "inconsistency_detection",
+            "index_agreement",
+            "resolvent_expansion",
+            "restricted_iso",
+            "transform_match",
+        },
     ),
 }
 
