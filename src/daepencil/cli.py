@@ -74,14 +74,13 @@ def _build_parser():
 
     p_verify = sub.add_parser("verify", help="run the property suite on fixtures")
     p_verify.add_argument("--fixtures", help="JSON file with a list of fixture specs")
+    # the options of the random draw default to None, so that --fixtures can refuse them
     p_verify.add_argument("--random", type=int, help="number of random fixtures to draw")
-    p_verify.add_argument("--dim-range", default="2..20", help="dimensions, e.g. 2..20")
+    p_verify.add_argument("--dim-range", help="dimensions, e.g. 2..20 (default 2..20)")
     p_verify.add_argument(
-        "--index-range",
-        default="0..3",
-        help="growth indices, e.g. 0..4; a fixture of dimension n gets at most n - 1",
+        "--index-range", help="growth indices, e.g. 0..4 (default 0..3), at most n - 1 at size n"
     )
-    p_verify.add_argument("--conditioning", type=float, default=100.0)
+    p_verify.add_argument("--conditioning", type=float, help="conditioning bound (default 100)")
     p_verify.add_argument("--json", dest="json_out", help="also write results as JSON")
 
     p_generate = sub.add_parser("generate", help="write a fixture pencil to a directory")
@@ -186,14 +185,18 @@ def _fixture_spec(i, entry):
 
 def _cmd_verify(args):
     if args.fixtures:
+        for option in ("random", "dim_range", "index_range", "conditioning"):
+            if getattr(args, option) is not None:
+                flag = "--" + option.replace("_", "-")
+                raise ValueError(f"{flag} draws random fixtures and cannot go with --fixtures")
         specs = _load_fixture_specs(args.fixtures)
     elif args.random:
         specs = random_specs(
             args.random,
-            _parse_range(args.dim_range),
-            _parse_range(args.index_range),
+            _parse_range(args.dim_range or "2..20"),
+            _parse_range(args.index_range or "0..3"),
             seed=args.seed,
-            conditioning=args.conditioning,
+            conditioning=100.0 if args.conditioning is None else args.conditioning,
         )
     else:
         specs = []

@@ -37,9 +37,7 @@ __all__ = [
     "index_by_nilpotency",
 ]
 
-# |det| at or below DET_ZERO counts as an exact zero of the degree-<=n
-# polynomial; TINY floors every scale that a relative error divides by
-DET_ZERO = 1e-300
+# TINY floors every scale that a relative error divides by
 TINY = 1e-300
 
 # fractional parts of the fitted growth slope in this band are ambiguous
@@ -149,34 +147,34 @@ def new_pencil(E, A) -> Pencil:
 
 @dataclass(frozen=True)
 class RegularityCertificate:
-    """Outcome of sampling det(sE + A) at n+1 distinct points, in order.
+    """Outcome of solving with sE + A at n+1 distinct points, in order.
 
     Since s -> det(sE + A) is a polynomial of degree at most n, it vanishes
-    identically iff it vanishes at all n+1 points; `regular` is therefore an
-    exact decision up to the DET_ZERO floor.  `determinant_values` holds the
-    evaluated prefix of the points, ending at the witness when there is one.
+    identically iff it vanishes at all n+1 points; the pencil is called
+    regular at the first point where _solve_shifted accepts sE + A, its
+    witness, and singular when every point is refused.
     """
 
     regular: bool
     sample_points: tuple
-    determinant_values: tuple
     witness: complex | None
 
 
 def certify_regularity(pencil: Pencil) -> RegularityCertificate:
-    """Sample det(sE + A) at n+1 equally spaced points, from the angle
-    CERTIFICATE_ROTATION, of the circle of radius 1 + ||E||_F + ||A||_F.
+    """Solve (sE + A) x = (1, ..., 1) through _solve_shifted at n+1 equally
+    spaced points, from the angle CERTIFICATE_ROTATION, of the circle of
+    radius 1 + ||E||_F + ||A||_F.
 
     Computed once per pencil and kept on it: every decision about the pencil
-    reads this one certificate.  Evaluation stops at the first nonzero value:
-    usually one det for a regular pencil, n+1 for a singular.
+    reads this one certificate.  Evaluation stops at the first accepted
+    point: usually one LU for a regular pencil, n+1 for a singular.
 
-    The zero test is the absolute floor DET_ZERO, so it recognizes pencils
-    whose determinant collapses to an exact floating-point zero (structural
-    zero rows/columns and the like).  A pencil that is singular only
-    analytically can evaluate to roundoff-level determinants at some or all
-    of the points and be certified regular; that is consistent with treating
-    the stored floats as the pencil.
+    A point is refused by _solve's rule: LAPACK meets an exactly zero pivot,
+    or the solution is not finite (as where s E overflows).  So pencils that
+    are singular in floating point (structural zero rows/columns and the
+    like) are refused at any scale at which s E stays finite.  A pencil that
+    is singular only analytically can pass at a point and be certified
+    regular; that is consistent with treating the stored floats as the pencil.
     """
     return _cached(pencil, "certificate", lambda: _certify(pencil))
 
@@ -185,20 +183,17 @@ def _certify(pencil):
     n = pencil.n
     radius = 1.0 + float(np.linalg.norm(pencil.E)) + float(np.linalg.norm(pencil.A))
     angles = CERTIFICATE_ROTATION + 2.0 * np.pi * np.arange(n + 1) / (n + 1)
-    points = radius * np.exp(1j * angles)
-    values, witness = [], None
+    points = tuple(map(complex, radius * np.exp(1j * angles)))
+    witness = None
     for s in points:
-        with np.errstate(over="ignore"):  # an overflow to inf is a witness all the same
-            values.append(complex(np.linalg.det(s * pencil.E + pencil.A)))
-        if not np.isnan(values[-1]) and abs(values[-1]) > DET_ZERO:
-            witness = complex(s)
-            break
-    return RegularityCertificate(
-        regular=witness is not None,
-        sample_points=tuple(map(complex, points)),
-        determinant_values=tuple(values),
-        witness=witness,
-    )
+        try:
+            with np.errstate(over="ignore"):  # an s E that overflows is refused as singular
+                _solve_shifted(pencil, s, np.ones(n))
+        except SingularMatrixError:
+            continue
+        witness = s
+        break
+    return RegularityCertificate(regular=witness is not None, sample_points=points, witness=witness)
 
 
 def resolvent(pencil: Pencil, s):
@@ -227,7 +222,8 @@ def _solve_shifted(pencil: Pencil, s, rhs=None):
 def _solve(M, rhs, name, symbol, value):
     """np.linalg.solve(M, rhs) for M = name at symbol = value, raising
     SingularMatrixError where LAPACK refuses or leaves a non-finite entry: the
-    one singular rule of every resolvent sample and of implicit Euler's E/h + A."""
+    one singular rule of the regularity certificate, of every resolvent sample
+    and of implicit Euler's E/h + A."""
     try:
         X = np.linalg.solve(M, rhs)
     except np.linalg.LinAlgError:

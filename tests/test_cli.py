@@ -354,6 +354,19 @@ class TestVerify:
         assert "(1 failed: split refused, dim V* + dim W* != n)" in table
         assert rows["classical_residual"]["failures"] == 0
 
+    @pytest.mark.parametrize(
+        "option", [["--random", "3"], ["--dim-range", "2..6"], ["--index-range", "0..1"],
+                   ["--conditioning", "10"]]
+    )
+    def test_fixture_file_refuses_the_random_options(self, tmp_path, capsys, option):
+        # a fixture file fixes every spec, so an option that shapes the random draw is refused
+        spec_file = tmp_path / "specs.json"
+        spec_file.write_text(json.dumps([{"n1": 2, "nilpotent_blocks": [2], "seed": 1}]))
+        assert main(["verify", "--fixtures", str(spec_file), *option, "--seed", "1"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {option[0]} draws random fixtures and cannot go with --fixtures\n"
+        )
+
     def test_empty_fixture_list_exit_1(self, tmp_path, capsys):
         spec_file = tmp_path / "empty.json"
         spec_file.write_text("[]")
@@ -483,7 +496,7 @@ class TestQuietStderr:
 
     @pytest.fixture(scope="class")
     def n160(self, tmp_path_factory):
-        # det(sE + A) overflows to inf at the certificate's first point
+        # det(sE + A) would overflow to inf at the certificate's first point
         out = tmp_path_factory.mktemp("n160")
         args = ["generate", "--n1", "155", "--blocks", "3,2", "--seed", "24", "--out", str(out)]
         assert main(args) == 0

@@ -3,7 +3,11 @@
 tests/exact.py decides regularity and the dimensions of both Wong sequences
 of small sparse integer pencils by row reduction over the rationals; every
 exactly regular pencil must get the same dimensions from the float routes,
-and every exactly singular one must fail the regularity certificate.
+and every exactly singular one must fail the regularity certificate, whose
+solve of sE + A is refused at every point of its circle.  Three singular
+draws pass it (CALLED_REGULAR, ROADMAP item 4): at a point of the circle
+their sE + A is numerically, not exactly, singular, with no exactly zero
+pivot and a finite solve.
 """
 
 import importlib.util
@@ -66,12 +70,12 @@ def _float(E, A):
 
 
 # exactly singular draws of _drawn(1, 400) that certify_regularity calls
-# regular: det(sE + A) evaluates to roundoff, not to an exact zero, at a
-# point of the certificate's circle
+# regular: sE + A is numerically, not exactly, singular at a point of the
+# certificate's circle, where no pivot is exactly zero and the solve is finite
 CALLED_REGULAR = (209, 293, 295)
 # an exactly singular draw of _drawn(1, 400) whose det(sE + A) is roundoff at
 # most rotations of the circle but an exact zero at all n+1 points of the
-# certificate's
+# certificate's, where the solve is refused
 EXACT_ZERO_ON_THE_CIRCLE = 305
 
 
@@ -99,9 +103,7 @@ def test_singular_pencil_called_regular(index):
 
 def test_singular_pencil_with_exact_zeros_on_the_circle_called_singular():
     cert = certify_regularity(_float(*_drawn(1, 400)[EXACT_ZERO_ON_THE_CIRCLE]))
-    assert not cert.regular and cert.witness is None
-    assert len(cert.determinant_values) == len(cert.sample_points) == 5
-    assert all(d == 0.0 for d in cert.determinant_values)
+    assert not cert.regular and cert.witness is None and len(cert.sample_points) == 5
 
 
 def test_zero_row_or_column_is_called_singular():

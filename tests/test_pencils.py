@@ -19,9 +19,7 @@ from daepencil.exceptions import (
 )
 from daepencil.fixtures import FixtureSpec, generate
 from daepencil.pencils import (
-    DET_ZERO,
     GROWTH_GRID,
-    RegularityCertificate,
     certify_regularity,
     index_by_growth,
     index_by_nilpotency,
@@ -40,28 +38,20 @@ def random_regular_pencil(rng, n):
     return new_pencil(rng.standard_normal((n, n)), rng.standard_normal((n, n)))
 
 
-def all_points_certificate(pencil):
-    """Reference certificate: every determinant first, then the first nonzero one,
-    on the circle rotated by the first uniform draw of seed 0."""
+def reference_circle(pencil):
+    """The certificate's n+1 points: the circle of radius 1 + ||E||_F + ||A||_F,
+    rotated by the first uniform draw of seed 0."""
     n = pencil.n
     radius = 1.0 + float(np.linalg.norm(pencil.E)) + float(np.linalg.norm(pencil.A))
     phase = make_rng(0).uniform(0.0, 2.0 * np.pi)
     angles = phase + 2.0 * np.pi * np.arange(n + 1) / (n + 1)
-    points = radius * np.exp(1j * angles)
-    values = [complex(np.linalg.det(s * pencil.E + pencil.A)) for s in points]
-    witness = None
-    for s, d in zip(points, values):
-        if np.isnan(d):
-            continue
-        if abs(d) > DET_ZERO:
-            witness = complex(s)
-            break
-    return RegularityCertificate(
-        regular=witness is not None,
-        sample_points=tuple(map(complex, points)),
-        determinant_values=tuple(values),
-        witness=witness,
-    )
+    return tuple(map(complex, radius * np.exp(1j * angles)))
+
+
+def scaled(spec, scale):
+    """The fixture pencil of spec, both matrices times scale."""
+    p, _ = generate(spec)
+    return new_pencil(scale * p.E, scale * p.A)
 
 
 def certificate_keys(pencil):
@@ -123,13 +113,12 @@ class TestNewPencil:
 
 class TestCertifyRegularity:
     def test_an_overflowing_determinant_is_a_quiet_witness(self):
-        # every det of this pencil times 1e100 overflows to inf; the caller's
-        # numpy error state does not reach the certificate's det
-        pencil, _ = generate(FixtureSpec(2, (1,), seed=1))
+        # every det(sE + A) of this pencil times 1e100 would overflow to inf;
+        # the certificate's solve does not, and raises nothing under the
+        # caller's numpy error state
         with np.errstate(over="raise"):
-            cert = certify_regularity(new_pencil(1e100 * pencil.E, 1e100 * pencil.A))
-        assert cert.regular and np.isinf(cert.determinant_values[0])
-        assert cert.witness == cert.sample_points[0]
+            cert = certify_regularity(scaled(FixtureSpec(2, (1,), seed=1), 1e100))
+        assert cert.regular and cert.witness == cert.sample_points[0]
 
     def test_identity_E_always_regular(self):
         rng = np.random.default_rng(0)
@@ -138,10 +127,8 @@ class TestCertifyRegularity:
 
     def test_zero_E_identity_A(self):
         cert = certify_regularity(new_pencil(np.zeros((3, 3)), np.eye(3)))
-        assert cert.regular
-        # det(s*0 + I) = 1 at the first sample point, which is the witness
-        assert cert.determinant_values == (1.0,)
-        assert cert.witness == cert.sample_points[0]
+        # s*0 + I is the identity at the first sample point, which is the witness
+        assert cert.regular and cert.witness == cert.sample_points[0]
 
     def test_singular_pencil(self):
         M = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -174,52 +161,74 @@ class TestCertifyRegularity:
     def test_regular_pencil_stops_at_the_first_witness(self, monkeypatch):
         p, _ = generate(FixtureSpec(35, (3, 2), seed=40))
         dets = count_calls(monkeypatch, np.linalg, "det")
+        solves = count_calls(monkeypatch, np.linalg, "solve")
         cert = certify_regularity(p)
-        assert p.n == 40 and len(dets) == 1
+        assert p.n == 40 and len(solves) == 1 and dets == []
         assert cert.regular and cert.witness == cert.sample_points[0]
-        assert len(cert.sample_points) == 41 and len(cert.determinant_values) == 1
+        assert len(cert.sample_points) == 41
 
     def test_singular_pencil_evaluates_every_point(self, monkeypatch):
         rng = np.random.default_rng(8)
         E, A = rng.standard_normal((2, 6, 6))
         E[-1] = A[-1] = 0.0
         dets = count_calls(monkeypatch, np.linalg, "det")
+        solves = count_calls(monkeypatch, np.linalg, "solve")
         cert = certify_regularity(new_pencil(E, A))
-        assert len(dets) == 7 and len(cert.determinant_values) == 7
+        assert len(solves) == len(cert.sample_points) == 7 and dets == []
         assert not cert.regular and cert.witness is None
 
     @staticmethod
     def _reference_cases():
+        """(pencil, whether it is regular) of each reference case."""
         rng = np.random.default_rng(19)
         for _ in range(40):
-            yield random_regular_pencil(rng, int(rng.integers(1, 12)))
+            yield random_regular_pencil(rng, int(rng.integers(1, 12))), True
         M = np.array([[1.0, 0.0], [0.0, 0.0]])
-        yield new_pencil(M, M)
-        yield new_pencil(M, 3.0 * M)
-        yield new_pencil(np.array([[1.0, 2.0], [0.0, 0.0]]), np.array([[5.0, -1.0], [0.0, 0.0]]))
-        yield new_pencil(np.zeros((3, 3)), np.eye(3))
-        yield new_pencil(N2, np.eye(2))
-        yield new_pencil(N3, np.eye(3))
-        yield new_pencil(np.zeros((2, 2)), np.zeros((2, 2)))
+        yield new_pencil(M, M), False
+        yield new_pencil(M, 3.0 * M), False
+        E, A = np.array([[1.0, 2.0], [0.0, 0.0]]), np.array([[5.0, -1.0], [0.0, 0.0]])
+        yield new_pencil(E, A), False
+        yield new_pencil(np.zeros((3, 3)), np.eye(3)), True
+        yield new_pencil(N2, np.eye(2)), True
+        yield new_pencil(N3, np.eye(3)), True
+        yield new_pencil(np.zeros((2, 2)), np.zeros((2, 2))), False
         for spec, scale in (
-            (FixtureSpec(115, (3, 2), seed=5), 1e-3),  # |det| underflows below DET_ZERO
-            (FixtureSpec(155, (3, 2), seed=6), 1.0),  # det overflows to inf
+            (FixtureSpec(115, (3, 2), seed=5), 1e-3),  # |det(sE + A)| underflows to 0
+            (FixtureSpec(155, (3, 2), seed=6), 1.0),  # det(sE + A) overflows to inf
             (FixtureSpec(20, (4,), seed=7), 1e-20),
             (FixtureSpec(20, (4,), seed=7), 1e20),
-            (FixtureSpec(2, (1,), seed=1), 1e200),  # every det is NaN
         ):
-            p, _ = generate(spec)
-            yield new_pencil(scale * p.E, scale * p.A)
+            yield scaled(spec, scale), True
 
     def test_matches_the_all_points_reference(self):
+        # every point of the circle, and the verdict of each case's ground truth
+        for p, regular in self._reference_cases():
+            cert = certify_regularity(p)
+            assert cert.sample_points == reference_circle(p)
+            assert cert.regular == regular
+            assert (cert.witness in cert.sample_points) == regular
+
+    def test_a_small_scale_keeps_a_regular_verdict(self):
+        # at most of these scales det(sE + A) underflows to roundoff of 0 at every point
+        specs = [
+            *random_specs(20, (2, 20), (0, 4), 3),
+            FixtureSpec(2, (1,), seed=1),
+            FixtureSpec(20, (4,), seed=7),
+            FixtureSpec(115, (3, 2), seed=5),
+        ]
+        refused = [
+            (spec, exponent)
+            for spec in specs
+            for exponent in range(-300, 0, 10)
+            if not certify_regularity(scaled(spec, 10.0**exponent)).regular
+        ]
+        assert refused == []
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
+    def test_a_large_scale_keeps_a_regular_verdict(self):
+        # s E overflows at every point of the circle, so every solve is refused
         with np.errstate(all="ignore"):
-            for p in self._reference_cases():
-                cert = certify_regularity(p)
-                ref = all_points_certificate(p)
-                assert (cert.regular, cert.witness) == (ref.regular, ref.witness)
-                assert cert.sample_points == ref.sample_points
-                k = len(cert.determinant_values)
-                np.testing.assert_array_equal(cert.determinant_values, ref.determinant_values[:k])
+            assert certify_regularity(scaled(FixtureSpec(2, (1,), seed=1), 1e200)).regular
 
 
 class TestResolvent:
@@ -699,8 +708,10 @@ class TestIndexByGrowth:
             shifts.extend(np.atleast_1d(s).tolist())
             return real(pencil, s, rhs)
 
+        pencil = new_pencil(N3, np.eye(3))
+        certify_regularity(pencil)  # the certificate's solves are not the growth route's
         monkeypatch.setattr(pencils_mod, "_solve_shifted", recorded)
-        est = index_by_growth(new_pencil(N3, np.eye(3)))
+        est = index_by_growth(pencil)
         assert shifts == list(GROWTH_GRID) and len(shifts) == 12
         assert est.diagnostics["points_fitted"] == len(GROWTH_GRID)
 
