@@ -181,18 +181,19 @@ def certify_regularity(pencil: Pencil) -> RegularityCertificate:
 
 def _certify(pencil):
     n = pencil.n
-    radius = 1.0 + float(np.linalg.norm(pencil.E)) + float(np.linalg.norm(pencil.A))
     angles = CERTIFICATE_ROTATION + 2.0 * np.pi * np.arange(n + 1) / (n + 1)
-    points = tuple(map(complex, radius * np.exp(1j * angles)))
     witness = None
-    for s in points:
-        try:
-            with np.errstate(over="ignore"):  # an s E that overflows is refused as singular
+    # a norm or an s E that overflows gives a point whose solve is refused
+    with np.errstate(over="ignore", invalid="ignore"):
+        radius = 1.0 + float(np.linalg.norm(pencil.E)) + float(np.linalg.norm(pencil.A))
+        points = tuple(map(complex, radius * np.exp(1j * angles)))
+        for s in points:
+            try:
                 _solve_shifted(pencil, s, np.ones(n))
-        except SingularMatrixError:
-            continue
-        witness = s
-        break
+            except SingularMatrixError:
+                continue
+            witness = s
+            break
     return RegularityCertificate(regular=witness is not None, sample_points=points, witness=witness)
 
 

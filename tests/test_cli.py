@@ -323,7 +323,8 @@ class TestVerify:
         # the stabilization step has no witness: IV_2 and IV_3 differ
         stab = rows["chain_stabilization"]
         assert (stab["checked"], stab["failures"]) == (1, 1)
-        assert rows["resolvent_identity"]["checked"] == 3
+        # the identity checks still ran on the fixture
+        assert rows["resolvent_commutation"]["checked"] == 1
 
     def test_failing_generator_fails_its_rows(self, tmp_path, monkeypatch, capsys):
         import daepencil.solvers as solvers_mod
@@ -506,6 +507,15 @@ class TestQuietStderr:
         done = run_module("analyze", "E.mtx", "A.mtx", cwd=n160)
         assert done.returncode == 0
         assert json.loads(done.stdout)["regular"] is True
+        assert done.stderr == ""
+
+    def test_analyze_of_a_pencil_whose_norms_overflow(self, tmp_path):
+        # ||E||_F overflows, so the certificate's circle has an infinite radius
+        pencil, _ = generate(FixtureSpec(2, (1,), seed=1))
+        write_pencil(tmp_path, 1e200 * pencil.E, 1e200 * pencil.A)
+        done = run_module("analyze", "E.mtx", "A.mtx", cwd=tmp_path)
+        assert done.returncode == 3
+        assert json.loads(done.stdout)["regular"] is False
         assert done.stderr == ""
 
     def test_euler_step_whose_E_over_h_overflows(self, n160):

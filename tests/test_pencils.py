@@ -370,8 +370,7 @@ class TestStackedResolvents:
         # SVD: on analyze the growth fit's 12 upper-half samples, the expansion
         # bound's 12 grid points and the commutation and shift scales (R, and
         # both sides of the shift identity) at the 20 identity points; verify
-        # adds chain_descent's 3 points and resolvent_identity's 4 scales at
-        # each of its 3 pairs
+        # adds chain_descent's 3 points
         through, stacked = [], []
         norm2, svd = pencils_mod._norm2, np.linalg.svd
 
@@ -401,12 +400,12 @@ class TestStackedResolvents:
             through.clear()
             stacked.clear()
             run_suite([spec])
-            assert (len(through), len(stacked)) == (on_analyze + 3 + 4 * 3, 0)
+            assert (len(through), len(stacked)) == (on_analyze + 3, 0)
 
     @pytest.mark.parametrize("points_per_chunk", [1, 3, 7])
     def test_every_report_equals_the_one_chunk_report(self, monkeypatch, points_per_chunk):
         # 20 identity points, 24 growth points, 12 expansion points and the
-        # verify rows' 6 and 3 points split into chunks with remainders
+        # verify's chain_descent's 3 points split into chunks with remainders
         specs = random_specs(4, (5, 5), (1, 3), seed=2)
         pencils = [generate(spec)[0] for spec in specs]
         reference = [report_to_json(analyze_pencil(p, seed=3)) for p in pencils]

@@ -3,7 +3,6 @@ that a batch's rows merge its fixtures' rows, and which rows fail under each
 planted fault."""
 
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +21,6 @@ from daepencil.rng import make_rng
 from daepencil.subspaces import Subspace
 from daepencil.verification import (
     _chain_rows,
-    _resolvent_identity_row,
     _Row,
     random_specs,
     run_suite,
@@ -166,18 +164,8 @@ def test_one_identity_battery_per_fixture(monkeypatch):
     result = run_suite(specs)
     assert calls == [spec.seed + 2 for spec in specs]
     names = [row.name for row in result.rows]
-    assert names[1:4] == ["resolvent_commutation", "resolvent_shift", "solution_formula"]
-    assert names[5] == "resolvent_expansion" and names[-1] == "transform_match"
-
-
-def test_resolvent_identity_takes_its_gap_from_the_points_used():
-    # a pole exactly on the first drawn s: the sample moves to 1.01 s, and
-    # R(s) - R(t) = (t - s) R(s) E R(t) holds only with the moved s
-    spec = SimpleNamespace(seed=4)
-    s = make_rng(spec.seed + 1).uniform(0.5, 50.0, size=(3, 2))[0, 0]
-    pencil = new_pencil(np.eye(2), -s * np.eye(2))
-    row = _resolvent_identity_row([(spec, None, SimpleNamespace(pencil=pencil))])
-    assert row.passed and row.checked == 3
+    assert names[0:3] == ["resolvent_commutation", "resolvent_shift", "solution_formula"]
+    assert names[4] == "resolvent_expansion" and names[-1] == "transform_match"
 
 
 def test_restricted_iso_reports_its_smallest_sigma_min():
@@ -254,6 +242,21 @@ def _scaled_solves(solve):
     return lambda *args, **kwargs: solve(*args, **kwargs) * (1.0 + 1e-7)
 
 
+def _moved_solves(solve):
+    # each solve is taken at s (1 + 1e-7) and reported at s
+    return lambda pencil, s, rhs=None: solve(pencil, s * (1.0 + 1e-7), rhs)
+
+
+def _E_off_solves(solve):
+    # each solve is taken with E moved by 1e-9 ||E||_2 in a fixed random direction
+    def off(pencil, s, rhs=None):
+        G = make_rng(0).standard_normal(pencil.E.shape)
+        E = pencil.E + 1e-9 * pencil.norm_E * G / np.linalg.norm(G, 2)
+        return solve(new_pencil(E, pencil.A), s, rhs)
+
+    return off
+
+
 def _one_step_late(evolve):
     return lambda M, C0, times: evolve(M, C0, times - (times[1] - times[0]))
 
@@ -288,6 +291,27 @@ PLANTED_FAULTS = {
         ),
         {"resolvent_shift", "solution_formula"},
     ),
+    "moved_shifted_solves": (
+        (
+            (pencils_mod, "_solve_shifted", _moved_solves),
+            (laplace_mod, "_solve_shifted", _moved_solves),
+        ),
+        {"resolvent_shift", "solution_formula"},
+    ),
+    "E_off_in_shifted_solves": (
+        (
+            (pencils_mod, "_solve_shifted", _E_off_solves),
+            (laplace_mod, "_solve_shifted", _E_off_solves),
+        ),
+        {
+            "chain_descent",
+            "index_agreement",
+            "resolvent_commutation",
+            "resolvent_expansion",
+            "resolvent_shift",
+            "solution_formula",
+        },
+    ),
     "evolution_one_step_late": (
         ((solvers_mod, "_evolve", _one_step_late),),
         {"initial_value"},
@@ -315,3 +339,9 @@ def test_planted_fault_fails_its_rows(fault, monkeypatch):
     for module, name, wrap in patches:
         monkeypatch.setattr(module, name, wrap(getattr(module, name)))
     assert _failing_rows() == rows
+
+
+def test_every_row_fails_under_a_planted_fault():
+    # a row that no planted fault fails is a row whose failure no test has seen
+    caught = set().union(*(rows for _, rows in PLANTED_FAULTS.values()))
+    assert caught == {row.name for row in run_suite(FAULT_SPECS).rows}
