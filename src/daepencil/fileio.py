@@ -15,11 +15,10 @@ when no line holds a `_`, so it applies the same rule.
 
 Every writer goes through one vectorized kernel, `_write_rows`, which writes
 the bytes of `"%.17g" % v` for a block of values at once.  It takes the
-decimal exponent and the 17 digits of each value from one long-double
-product with a proven error bound.  A value the bound cannot certify, a zero
-and a non-finite value go through Python's own `"%.17g"`, so the bytes are
-the same on every platform; the kernel is fast where long double has a
-64-bit mantissa, and where it is plain float64 every value falls back.
+decimal exponent and the 17 digits of each value from one float64 product,
+exact by Dekker's algorithm, with a proven error bound.  A value the bound
+cannot certify, a zero and a non-finite value go through Python's own
+`"%.17g"`, so the bytes and the path are the same on every platform.
 """
 
 from __future__ import annotations
@@ -50,45 +49,33 @@ def _real(values, what):
 # values formatted per block of _write_rows; bounds the kernel's memory
 _BLOCK_ENTRIES = 2**14
 
-# floor(log10|x|) over the finite nonzero doubles; the kernel's tables run
-# over this range of decimal exponents E, indexed by E - _E_LO
-_E_LO, _E_HI = -324, 308
+# floor(log10|x|) over 1e-280 < |x| < 1e290, where every split and product
+# of `_decimal` stays finite and normal; the kernel's tables run over this
+# range of decimal exponents E, indexed by E - _E_LO
+_E_LO, _E_HI = -281, 290
 
 
-def _power_of_ten(k, bits):
-    """10**k rounded to the nearest long double of `bits` bits, and whether exactly."""
-    num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
-    s = bits + den.bit_length() - num.bit_length()  # num * 2**s / den has bits or bits + 1 bits
-    q, r = divmod(num << s, den) if s >= 0 else divmod(num, den << -s)
-    if q >> bits:
-        s -= 1
-        q, r = divmod(num << s, den) if s >= 0 else divmod(num, den << -s)
-    half = (den << max(0, -s)) - 2 * r  # sign of 1/2 - remainder, in units of the divisor
-    q += half < 0 or (half == 0 and q & 1)  # to nearest, ties to even
-    return np.ldexp(np.longdouble(q), -s), r == 0  # numpy parses the int: exact below 2**bits
+def _split(x):
+    """Veltkamp's split of x into two halves of at most 26 significant bits each."""
+    c = 134217729.0 * x  # 2**27 + 1
+    high = c - (c - x)
+    return high, x - high
 
 
 def _power_table():
-    """10**(16 - E) per exponent E, and the relative error bound of y = |x| * 10**(16 - E).
-
-    That bound is one rounding of the product, plus one more where the
-    power itself is rounded; it is exact only for 5**(16 - E) < 2**bits and
-    E <= 16.  The factors 1.5 and 2.5 of the unit roundoff u, not 1 and 2,
-    leave room for the rounding of the test.  The test runs in float64 on y
-    and on y - D, which is exact in long double; its roundings add at most
-    2**-53, which the term 2**-50 / 10**16 covers for y > 10**16.  Where
-    long double is plain float64, y * bound exceeds 1/2, so every value
-    falls back.
-    """
-    info = np.finfo(np.longdouble)
-    with np.errstate(over="ignore"):  # 10**340 overflows a float64 long double
-        tables = [_power_of_ten(16 - E, info.nmant + 1) for E in range(_E_LO, _E_HI + 1)]
-    powers, exact = zip(*tables)
-    bound = np.where(exact, 1.5, 2.5) * float(info.eps / 2) + 2.0**-50 / 1e16
-    return np.array(powers, dtype=np.longdouble), bound
+    """Rows hi, lo, and hi's two halves: 10**(16 - E) = hi + lo per exponent E,
+    hi and lo rounded to nearest (Python's int / int rounds correctly)."""
+    rows = []
+    for E in range(_E_LO, _E_HI + 1):
+        num, den = 10 ** max(16 - E, 0), 10 ** max(E - 16, 0)
+        hi = num / den
+        m, d = hi.as_integer_ratio()
+        rows.append((hi, (num * d - m * den) / (den * d)))
+    hi, lo = np.array(rows).T
+    return np.stack((hi, lo, *_split(hi)))
 
 
-_POW, _BOUND = _power_table()
+_POW = _power_table()
 
 
 def _bytes(lo, hi):
@@ -152,17 +139,28 @@ def _through_last_nonzero(v):
 
 def _decimal(x):
     """Each x as 17 digits times 10**(E - 16): E - _E_LO, the digits, and
-    whether both are certified, which finite nonzero values only can be."""
+    whether both are certified, which finite nonzero values only can be.
+
+    With u = 2**-53, y = |x| 10**(16 - E) = |x| (hi + lo + d), |d| <= u |lo|
+    and |lo| <= u hi, Dekker's exact product |x| hi = p + e and the two
+    roundings of t = e + |x| lo leave |y - p - t| <= 4.0001 u**2 p < 2**-47
+    and |t| <= 8 + 11.2 < 20 while p < 10**17 + 20.  So where t is further
+    than 2**-47 from a half-integer, p + rint(t) is y rounded.
+    """
     a = np.abs(x)
-    fast = np.isfinite(a) & (a != 0)
+    fast = (a > 1e-280) & (a < 1e290)  # also drops zeros, infinities and NaNs
     a = np.where(fast, a, 1.0)
     j = np.floor(np.log10(a)).astype(np.intp) - _E_LO  # E may be one off near 10**E
-    y = a.astype(np.longdouble) * _POW[j]  # |x| * 10**(16 - E)
-    D = np.rint(y)
-    digits = D.astype(np.uint64)
+    hi, lo, hi_high, hi_low = _POW[:, j]
+    a_high, a_low = _split(a)
+    p = a * hi
+    e = ((a_high * hi_high - p) + a_high * hi_low + a_low * hi_high) + a_low * hi_low
+    t = e + a * lo
+    r = np.rint(t)
+    digits = p.astype(np.uint64) + r.astype(np.int64).view(np.uint64)  # exact, mod 2**64
     # 17 digits, so E is right, and their rounding certified; 10**16 falls back
-    margin = 0.5 - np.abs((y - D).astype(float))
-    ok = fast & (digits > 10**16) & (digits < 10**17) & (margin > y.astype(float) * _BOUND[j])
+    ok = fast & (np.abs(t) < 20) & (np.abs(t - r) < 0.5 - 2.0**-47)
+    ok &= (digits > 10**16) & (digits < 10**17)
     return j, digits, ok
 
 
@@ -202,11 +200,10 @@ def _format_block(x, seps):
 def _write_rows(fh, table, sep):
     """One `sep`-joined `%.17g` line per row of a real 2-D table (none if empty)."""
     values = table.ravel()
-    with np.errstate(all="ignore"):  # where long double is float64, y overflows for tiny |x|
-        for start in range(0, values.size, _BLOCK_ENTRIES):
-            block = values[start : start + _BLOCK_ENTRIES]
-            row_end = (np.arange(start + 1, start + 1 + block.size) % table.shape[1]) == 0
-            fh.write(_format_block(block, np.where(row_end, ord("\n"), ord(sep))))
+    for start in range(0, values.size, _BLOCK_ENTRIES):
+        block = values[start : start + _BLOCK_ENTRIES]
+        row_end = (np.arange(start + 1, start + 1 + block.size) % table.shape[1]) == 0
+        fh.write(_format_block(block, np.where(row_end, ord("\n"), ord(sep))))
 
 
 def _read_lines(path):

@@ -1,5 +1,7 @@
 import io
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -367,6 +369,7 @@ EDGES = [
 class TestKernel:
     """The vectorized `%.17g` writer against the per-value reference."""
 
+    @pytest.mark.filterwarnings("error")
     def test_random_bit_patterns(self):
         bits = np.random.default_rng(13).integers(0, 2**64, 2_000_000, dtype=np.uint64)
         values = bits.view(np.float64)
@@ -409,7 +412,9 @@ class TestKernel:
     def test_every_value_through_the_fallback(self, monkeypatch):
         table = _values((300, 7), seed=5)
         expected = _reference(table.tolist(), ",")
-        monkeypatch.setattr(fileio, "_BOUND", np.full_like(fileio._BOUND, 1.0))
+        hi, _, hi_high, hi_low = fileio._POW
+        # a low part as large as hi puts every t near y, far past its bound of 20
+        monkeypatch.setattr(fileio, "_POW", np.stack((hi, hi, hi_high, hi_low)))
         assert not fileio._decimal(table.ravel())[2].any()
         assert _written(table, ",") == expected
 
@@ -421,9 +426,18 @@ class TestKernel:
         assert not fileio._decimal(table.ravel())[2].any()
         assert _written(table, ",") == expected
 
-    @pytest.mark.skipif(
-        np.finfo(np.longdouble).nmant < 63, reason="long double has no 64-bit mantissa"
-    )
+    @pytest.mark.parametrize("factor", [10, 0.1])
+    def test_a_wrong_hi_alone_is_caught_by_the_size_of_t(self, monkeypatch, factor):
+        # halves that no longer add up to hi leave Dekker's product inexact;
+        # p + rint(t) still lands on 17 digits, and only |t| < 20 refuses them
+        table = _values((50, 7), seed=6)
+        expected = _reference(table.tolist(), ",")
+        scaled = fileio._POW.copy()
+        scaled[0] *= factor
+        monkeypatch.setattr(fileio, "_POW", scaled)
+        assert not fileio._decimal(table.ravel())[2].any()
+        assert _written(table, ",") == expected
+
     def test_fast_path_certifies_a_trajectory(self):
         pencil, _ = generate(FixtureSpec(37, (2, 1), 100.0, 11))
         chain = compute_chain(pencil)
@@ -433,7 +447,34 @@ class TestKernel:
         traj = classical_solution(pencil, chain, u0 / np.linalg.norm(u0), times)
         table = np.column_stack((traj.times, traj.states.real, traj.derivative_residuals))
         assert table.shape == (2001, 42)
-        assert fileio._decimal(table.ravel())[2].mean() >= 0.9
+        assert fileio._decimal(table.ravel())[2].mean() >= 0.999
+
+    def test_fast_path_certifies_magnitudes_across_the_range(self):
+        # the rest are exact decimal ties, at E = 14 and 15, which fall back
+        rng = np.random.default_rng(17)
+        values = 10.0 ** rng.uniform(-270.0, 280.0, 100_000) * rng.choice([-1.0, 1.0], 100_000)
+        assert fileio._decimal(values)[2].mean() >= 0.998
+
+    def test_exact_decimal_ties_fall_back(self):
+        # |x| 10**(16 - E) is a half-integer: t sits on it, inside any margin
+        ties = np.array([1e15 + 0.25, 1e15 + 0.75, 1e14 + 0.125, -(1e14 + 0.375)])
+        assert not fileio._decimal(ties)[2].any()
+        assert _written(ties[:, None], ",") == _reference(ties[:, None].tolist(), ",")
+
+    def test_power_table(self):
+        # every exponent the certificate can use: 10**(16 - E) = hi + lo, each
+        # rounded to nearest, and hi split into two halves of <= 26 bits
+        hi, lo, hi_high, hi_low = fileio._POW
+        assert hi.size == fileio._E_HI - fileio._E_LO + 1
+        exponents = range(fileio._E_LO, fileio._E_HI + 1)
+        for E, h, l, high, low in zip(exponents, hi, lo, hi_high, hi_low):
+            power = Fraction(10) ** (16 - E)
+            assert h == float(power)
+            assert abs(Fraction(h) + Fraction(l) - power) <= Fraction(math.ulp(l)) / 2
+            assert Fraction(high) + Fraction(low) == Fraction(h)
+            for half in (high, low):
+                n = abs(Fraction(half).numerator)
+                assert (n // (n & -n) if n else 0).bit_length() <= 26  # odd part
 
     def test_writers_emit_no_runtime_warning(self, tmp_path):
         M = np.array(EDGES[:16]).reshape(4, 4)
