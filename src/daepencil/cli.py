@@ -131,6 +131,7 @@ def _cmd_analyze(args):
 
 
 def _cmd_solve(args):
+    tol = RankTolerance(args.tol)
     pencil = _load_pencil(args)
     _require_regular(pencil)
     u0 = read_vector(args.u0)
@@ -141,7 +142,7 @@ def _cmd_solve(args):
         )
     times = np.linspace(0.0, args.t_end, args.steps + 1)
     if args.method == "exponential":
-        chain = compute_chain(pencil, RankTolerance(args.tol))
+        chain = compute_chain(pencil, tol)
         trajectory = classical_solution(pencil, chain, u0, times)
     elif args.method == "oracle":
         trajectory = decomposition_oracle(pencil, u0, times)

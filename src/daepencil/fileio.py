@@ -151,7 +151,7 @@ def _decimal(x):
     fast = (a > 1e-280) & (a < 1e290)  # also drops zeros, infinities and NaNs
     a = np.where(fast, a, 1.0)
     j = np.floor(np.log10(a)).astype(np.intp) - _E_LO  # E may be one off near 10**E
-    hi, lo, hi_high, hi_low = _POW[:, j]
+    hi, lo, hi_high, hi_low = np.take(_POW, j, axis=1)
     a_high, a_low = _split(a)
     p = a * hi
     e = ((a_high * hi_high - p) + a_high * hi_low + a_low * hi_high) + a_low * hi_low

@@ -262,44 +262,33 @@ def _sampled(pencil, points, f, drop=False):
     R[j] = (s[j] E + A)^{-1} and used, like s, holds where each was taken.
 
     A chunk holds at most STACK_ENTRIES matrix entries (one point at least)
-    and takes one stacked solve (_stack), whose slices are bit for bit the
-    solve of each point.  A point still singular after its nudges raises
-    its SingularMatrixError or, with drop, is left out of f's chunk and reads
-    NaN in used.  This is the one loop over resolvent chunks.
+    and takes one stacked solve, whose slices are bit for bit the solve of
+    each point.  Where that solve is refused, each point of the chunk is
+    solved alone through _nudged; a point still singular after its nudges
+    raises its SingularMatrixError or, with drop, is left out of f's chunk
+    and reads NaN in used.  This is the one loop over resolvent chunks.
     """
     points = np.asarray(points, dtype=complex if np.iscomplexobj(points) else float)
     step = max(1, STACK_ENTRIES // pencil.n**2)
     values, used = [], []
     for lo in range(0, points.size or 1, step):  # an empty grid is one empty chunk
         s = points[lo : lo + step].copy()
-        # _stack writes the points used into s before f reads them; the chunk's
-        # stack is freed before the next one is solved
-        values.append(f(_stack(pencil, s, drop), s[~np.isnan(s)]))
+        try:
+            R = _solve_shifted(pencil, s)
+        except SingularMatrixError:
+            R = []
+            for j, t in enumerate(s):
+                try:
+                    X, s[j] = _nudged(lambda x: _solve_shifted(pencil, x), t)
+                    R.append(X)
+                except SingularMatrixError:
+                    if not drop:
+                        raise
+                    s[j] = np.nan
+            R = np.array(R).reshape(-1, pencil.n, pencil.n)
+        values.append(f(R, s[~np.isnan(s)]))
         used.append(s)
     return np.concatenate(values), np.concatenate(used)
-
-
-def _stack(pencil, s, drop):
-    """R[j] = (s[j] E + A)^{-1} by one stacked solve.  A failing stack is
-    halved until its failing points stand alone; only those go through
-    _nudged, which writes where it solved into s, or NaN for a point dropped
-    after its nudges, whose slice is left out of R."""
-    try:
-        return _solve_shifted(pencil, s)
-    except SingularMatrixError:
-        if s.size > 1:
-            half = s.size // 2
-            return np.concatenate(
-                (_stack(pencil, s[:half], drop), _stack(pencil, s[half:], drop))
-            )
-    try:
-        R, s[0] = _nudged(lambda t: _solve_shifted(pencil, t), s[0])
-    except SingularMatrixError:
-        if not drop:
-            raise
-        s[0] = np.nan
-        return np.empty((0, pencil.n, pencil.n))
-    return R[None]
 
 
 def _peaks(X):

@@ -593,6 +593,17 @@ def test_solve_rejects_a_non_finite_horizon(generated, method, t_end, capsys, tm
     assert not csv.exists()
 
 
+@pytest.mark.parametrize("method", ["exponential", "euler", "oracle"])
+def test_solve_rejects_a_non_finite_tol(generated, method, capsys, tmp_path):
+    # every method refuses a bad --tol as analyze does, not only the one that reads it
+    csv = tmp_path / "out.csv"
+    args = ["solve", *generated, "--t-end", "1", "--steps", "4", "--method", method]
+    for tol in ("inf", "nan", "0"):
+        assert main([*args, "--tol", tol, "--csv", str(csv)]) == 1
+        assert "rank tolerance must be positive and finite" in capsys.readouterr().err
+        assert not csv.exists()
+
+
 def test_solve_refuses_an_overflowing_euler_step(generated, capsys, tmp_path):
     # E/h overflows at h = 1e-310: no row of NaN, but the singular-step error
     csv = tmp_path / "out.csv"

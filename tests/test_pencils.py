@@ -342,10 +342,10 @@ class TestStackedResolvents:
             mp.setattr(pencils_mod, "STACK_ENTRIES", 7 * 25 + 24)
             assert self._chunk_sizes(p, np.arange(1.0, 21.0)) == [7, 7, 6]
 
-    def test_a_pole_costs_only_its_own_nudges(self, monkeypatch):
-        # one exact pole in a 20-point chunk: the failing stack is halved until
-        # the pole stands alone, so only it and its nudge are solved point by
-        # point, and the stack is still bit for bit the pointwise one
+    def test_a_refused_chunk_is_solved_point_by_point(self, monkeypatch):
+        # one exact pole in a 20-point chunk: the refused stack is solved point
+        # by point, in order, the pole at 2.0 and then its nudge to 2.02, and
+        # every slice is still bit for bit the pointwise one
         p = self._pencil(5, 6, False, singular_at=2.0)
         points = np.insert(np.geomspace(0.5, 50.0, 19), 7, 2.0)
         pointwise = [pencils_mod._nudged(lambda t: resolvent(p, t), s) for s in points]
@@ -360,9 +360,9 @@ class TestStackedResolvents:
         assert self._chunk_sizes(p, points) == [20]
         calls.clear()
         R, used = self._sampled(p, points)
-        assert calls[0] == 2.0 and len(calls) <= 6
+        assert calls == [*points[:8], 2.0 * 1.01, *points[8:]]
         assert used[7] == 2.0 * 1.01
-        for Rj, sj, (ref, at) in zip(R, used, pointwise):
+        for Rj, sj, (ref, at) in zip(R, used, pointwise, strict=True):
             assert sj == at and np.array_equal(Rj, ref)
 
     def test_every_resolvent_two_norm_is_one_norm2(self, monkeypatch):
@@ -404,12 +404,27 @@ class TestStackedResolvents:
 
     @pytest.mark.parametrize("points_per_chunk", [1, 3, 7])
     def test_every_report_equals_the_one_chunk_report(self, monkeypatch, points_per_chunk):
-        # 20 identity points, 24 growth points, 12 expansion points and the
-        # verify's chain_descent's 3 points split into chunks with remainders
+        # 20 identity points, 12 growth points, 12 expansion points and the
+        # verify's chain_descent's 3 points split into chunks with remainders;
+        # the reference run refuses at least one stacked solve, so the byte
+        # equality covers chunks solved point by point too
         specs = random_specs(4, (5, 5), (1, 3), seed=2)
         pencils = [generate(spec)[0] for spec in specs]
-        reference = [report_to_json(analyze_pencil(p, seed=3)) for p in pencils]
-        suite = run_suite(specs).to_dict()
+        refused, real = [], pencils_mod._solve_shifted
+
+        def counted(pencil, s, rhs=None):
+            try:
+                return real(pencil, s, rhs)
+            except SingularMatrixError:
+                if rhs is None and np.ndim(s) == 1:  # a refused resolvent stack
+                    refused.append(s)
+                raise
+
+        with monkeypatch.context() as mp:
+            mp.setattr(pencils_mod, "_solve_shifted", counted)
+            reference = [report_to_json(analyze_pencil(p, seed=3)) for p in pencils]
+            suite = run_suite(specs).to_dict()
+        assert refused
         monkeypatch.setattr(pencils_mod, "STACK_ENTRIES", points_per_chunk * 25)
         pencils = [generate(spec)[0] for spec in specs]
         assert [report_to_json(analyze_pencil(p, seed=3)) for p in pencils] == reference

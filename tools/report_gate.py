@@ -30,8 +30,8 @@ of `generate --n1 16 --blocks 1 --conditioning 1e6 --seed
 `analyze --json` report of the pole pencil E = I_2, A = -s I_2 with
 s = IDENTITY_POINTS[3] of `daepencil.analysis`, as exact array files: sE + A
 is exactly zero at an identity point, so the stacked solve of the identity
-grid fails there, is halved down to that point, and the point is nudged to
-1.01 s.  It also writes the `analyze --json` report of a 1-D Stokes-like saddle at
+grid is refused, the grid is solved point by point, and that point is nudged
+to 1.01 s.  It also writes the `analyze --json` report of a 1-D Stokes-like saddle at
 m = 16 (n = 24) and at m = 64 (n = 96), whose `E.mtx` and `A.mtx` it writes
 itself with exact entries.  The small saddle's finite eigenvalues run from 17
 to 561 in modulus, far outside the |lambda| <= 2.2 of every generated
