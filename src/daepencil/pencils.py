@@ -110,7 +110,7 @@ class Pencil:
     def __eq__(self, other):
         if not isinstance(other, Pencil):
             return NotImplemented
-        return np.array_equal(self.E, other.E) and np.array_equal(self.A, other.A)
+        return other is self or np.array_equal(self.E, other.E) and np.array_equal(self.A, other.A)
 
     @property
     def is_complex(self) -> bool:

@@ -156,10 +156,10 @@ def _generator(chain):
     d = B.shape[1]
     if d == 0:
         return ReducedGenerator(k, B, np.zeros((0, 0)), 0.0)
-    rhs = chain.images[k].basis.conj().T @ (pencil.A @ B)
-    M = np.linalg.lstsq(_restricted_iso(chain)[1], rhs, rcond=None)[0]
-
-    defect = pencil.E @ (B @ M) - pencil.A @ B
+    AB = pencil.A @ B
+    # S = C^H E B is square and certified of full rank by reduced_generator
+    M = np.linalg.solve(_restricted_iso(chain)[1], chain.images[k].basis.conj().T @ AB)
+    defect = pencil.E @ (B @ M) - AB
     scale = pencil.norm_E + pencil.norm_A
     worst = float(np.max(np.linalg.norm(defect, axis=0)))
     if worst > GENERATOR_RTOL * scale:

@@ -822,6 +822,13 @@ class TestCachedArtifacts:
         assert p != new_pencil(N3, 2.0 * np.eye(3))
         assert p != new_pencil(np.eye(2), np.eye(2))
 
+    def test_a_pencil_equals_itself_without_comparing_entries(self, monkeypatch):
+        # every chain-taking call checks its chain's owner against the pencil
+        p = new_pencil(N3, np.eye(3))
+        calls = count_calls(monkeypatch, np, "array_equal")
+        assert p == p and not p != p
+        assert calls == []
+
 
 class TestResolventIdentity:
     def test_on_random_pencils(self):

@@ -48,7 +48,8 @@ def test_changed_number_passes_and_prints_its_relative_change(old, tmp_path, cap
     assert report_gate.compare(old, new) == 0
     out = capsys.readouterr().out
     assert "rows[classical_residual].worst: 1e-11 -> 1.00001e-11  (rel 1.00e-05)" in out
-    assert "largest relative change per key:\n  classical_residual.worst: 1.00e-05\n" in out
+    assert "largest relative change per key:\n" in out
+    assert "  classical_residual.worst: 1.00e-05, largest magnitude 1.00e-11\n" in out
 
 
 def test_risen_failures_are_marked_and_listed(old, tmp_path, capsys):
@@ -65,6 +66,7 @@ def test_fallen_failures_are_not_listed(tmp_path, capsys):
     assert report_gate.compare(old, new) == 0
     out = capsys.readouterr().out
     assert "rows[classical_residual].failures: 3 -> 1  (rel 6.67e-01, lower)" in out
+    assert "  classical_residual.failures: 6.67e-01, largest magnitude 3.00e+00\n" in out
     assert "failures that rose" not in out
 
 

@@ -133,6 +133,43 @@ class TestReducedGenerator:
         gen = reduced_generator(p, compute_chain(p))
         assert gen.dim == 0 and gen.M.shape == (0, 0)
 
+    def test_one_solve_and_no_least_squares(self, monkeypatch):
+        # S = C^H E B is certified square and of full rank before _generator runs
+        p, _ = generate(FixtureSpec(3, (2,), 100.0, 5))
+        chain = compute_chain(p)
+        assert check_restricted_iso(p, chain).bijective and p.norm_E and p.norm_A
+        calls = []
+        for name in ("solve", "lstsq"):
+            real = getattr(np.linalg, name)
+            counted = lambda *a, _name=name, _real=real, **k: calls.append(_name) or _real(*a, **k)
+            monkeypatch.setattr(np.linalg, name, counted)
+        assert solvers_mod._generator(chain).dim == 3
+        assert calls == ["solve"]
+
+    @pytest.mark.parametrize("conditioning, refusals", [(1e2, 0), (1e6, 17)])
+    def test_refused_exactly_where_least_squares_misses_the_cap(self, conditioning, refusals):
+        refused = 0
+        for spec in random_specs(60, (2, 20), (0, 4), 1, conditioning=conditioning):
+            p, _ = generate(spec)
+            chain = compute_chain(p)
+            if not check_restricted_iso(p, chain).bijective:
+                continue
+            k = chain.stabilization
+            B = chain.spaces[k + 1].basis
+            if B.shape[1] == 0:
+                continue
+            S = chain.images[k].basis.conj().T @ (p.E @ B)
+            ref = np.linalg.lstsq(S, chain.images[k].basis.conj().T @ (p.A @ B), rcond=None)[0]
+            worst = np.max(np.linalg.norm(p.E @ (B @ ref) - p.A @ B, axis=0))
+            if worst > solvers_mod.GENERATOR_RTOL * (p.norm_E + p.norm_A):
+                refused += 1
+                with pytest.raises(IsomorphismError, match="reduced generator residual"):
+                    reduced_generator(p, chain)
+            else:
+                M = reduced_generator(p, chain).M
+                assert np.linalg.norm(M - ref) <= 1e-9 * np.linalg.norm(ref)
+        assert refused == refusals
+
     def test_residual_invariant_on_fixtures(self):
         for nu, n1 in [(1, 3), (2, 2), (3, 4)]:
             p, _ = generate(FixtureSpec(n1, (nu,), 100.0, nu + 3 * n1))
@@ -406,8 +443,8 @@ class TestOneGenerator:
     def test_oracle_solves_nothing_once_the_generator_is_kept(self, monkeypatch):
         p, _ = generate(FixtureSpec(3, (2,), 100.0, 5))
         gen = reduced_generator(p, compute_chain(p))
-        calls, lstsq = [], np.linalg.lstsq
-        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(a) or lstsq(*a, **k))
+        calls, build = [], solvers_mod._generator
+        monkeypatch.setattr(solvers_mod, "_generator", lambda c: calls.append(c) or build(c))
         decomposition_oracle(p, gen.basis, np.linspace(0.0, 1.0, 3))
         assert calls == []
         assert fitting_splitting(p).range_basis is gen.basis

@@ -47,7 +47,8 @@ by default), so two checkouts can be gated against each other.
 change |new - old| / |old|, and exits 1 if any exit code or `passed` flag
 differs, a file is missing on one side or a text file changes its line
 count.  It ends with the largest relative change per key, such as
-`transform_match.max_relative_error` or `classical_residual.worst`, so that a
+`transform_match.max_relative_error` or `classical_residual.worst`, next to
+the largest magnitude of that key's changed values on either side, so that a
 roundoff-sized move reads at a glance, with every `failures` count that
 rose, and with the number of differing lines of each text file that has any.
 A `.csv` of the same line count is compared cell by cell under its header
@@ -278,7 +279,7 @@ def _key(path):
 
 def compare(old_dir: Path, new_dir: Path) -> int:
     bad = 0
-    largest = {}  # key -> largest relative change of its numbers
+    largest = {}  # key -> (largest relative change, largest magnitude) of its changed numbers
     differing = {}  # text file -> number of differing lines
     rises = []  # "file: key: old -> new" of every failures count that rose
     names = sorted(
@@ -306,7 +307,8 @@ def compare(old_dir: Path, new_dir: Path) -> int:
                     if rose:
                         rises.append(f"{name}: {_key(key)}: {a} -> {b}")
                     if rel is not None:
-                        largest[_key(key)] = max(largest.get(_key(key), 0.0), rel)
+                        most, size = largest.get(_key(key), (0.0, 0.0))
+                        largest[_key(key)] = max(most, rel), max(size, abs(a), abs(b))
                     gated = name == EXIT_CODES or leaf == "passed"
                     bad += gated or "<missing>" in (a, b)
         else:
@@ -345,8 +347,8 @@ def compare(old_dir: Path, new_dir: Path) -> int:
                     print(f"  {column}: {count}, largest relative change {most:.2e}")
     if largest:
         print("largest relative change per key:")
-        for key in sorted(largest):
-            print(f"  {key}: {largest[key]:.2e}")
+        for key, (most, size) in sorted(largest.items()):
+            print(f"  {key}: {most:.2e}, largest magnitude {size:.2e}")
     if rises:
         print("failures that rose:")
         for line in rises:
