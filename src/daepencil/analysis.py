@@ -5,14 +5,15 @@ IV chain and the restricted-isomorphism check once, into one Analysis record
 that solvers, verifiers and the property suite share.  identity_checks runs
 the Laplace checks of a pencil, which analyze_pencil formats with the record
 as one serializable report and the property suite folds into its rows.
-Given identical inputs and seed the JSON output is byte-identical between runs.
+report_to_json writes the JSON text of this report and of every other file the
+CLI writes.  Given identical inputs and seed the JSON output is byte-identical
+between runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-
 import json
+from dataclasses import asdict, dataclass, field, is_dataclass
 
 import numpy as np
 
@@ -187,19 +188,16 @@ def analyze_pencil(
     return report
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+def _json_default(value):
+    """A complex number as {"re", "im"}, a dataclass as its asdict; json's TypeError otherwise."""
     if isinstance(value, complex):
         return {"re": value.real, "im": value.imag}
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    return value
+    if is_dataclass(value):
+        return asdict(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def report_to_json(report: AnalysisReport) -> str:
-    return json.dumps(_jsonable(asdict(report)), sort_keys=True, indent=2) + "\n"
+def report_to_json(report) -> str:
+    """The JSON text of every file the CLI writes: sorted keys, two-space indent and
+    a final newline, with complex numbers and dataclasses as _json_default spells them."""
+    return json.dumps(report, sort_keys=True, indent=2, default=_json_default) + "\n"

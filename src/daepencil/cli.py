@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -168,14 +167,16 @@ def _fixture_spec(i, entry):
     """The FixtureSpec of entry i of a fixture file: an object whose n1, seed and
     nilpotent_blocks items are JSON integers; a ValueError naming i otherwise."""
     if not isinstance(entry, dict):
-        raise ValueError(f"fixture entry {i} is not a JSON object: {json.dumps(entry)}")
+        text = report_to_json(entry).rstrip()
+        raise ValueError(f"fixture entry {i} is not a JSON object: {text}")
     blocks = entry.get("nilpotent_blocks", [])
     if not isinstance(blocks, list):
         raise ValueError(f"fixture entry {i}: nilpotent_blocks must be a list")
     seed, conditioning = entry.get("seed", 0), entry.get("conditioning", 100.0)
     for key, value in (("n1", entry.get("n1")), ("seed", seed), *(("block", b) for b in blocks)):
         if type(value) is not int:
-            raise ValueError(f"fixture entry {i}: {key} {json.dumps(value)} is not a JSON integer")
+            text = report_to_json(value).rstrip()
+            raise ValueError(f"fixture entry {i}: {key} {text} is not a JSON integer")
     if type(conditioning) not in (int, float):
         raise ValueError(f"fixture entry {i}: conditioning must be a JSON number")
     try:
@@ -208,7 +209,7 @@ def _cmd_verify(args):
     sys.stdout.write(result.table() + "\n")
     if args.json_out:
         with open(args.json_out, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(json.dumps(result.to_dict(), sort_keys=True, indent=2) + "\n")
+            fh.write(report_to_json(result))
     return EXIT_OK if result.passed else EXIT_ERROR
 
 
@@ -225,9 +226,9 @@ def _cmd_generate(args):
     write_matrix_market(os.path.join(args.out, "A.mtx"), pencil.A)
     write_vector(os.path.join(args.out, "u0.txt"), u0)
 
-    info = {"spec": asdict(spec), "ground_truth": asdict(truth), "n": pencil.n}
+    info = {"spec": spec, "ground_truth": truth, "n": pencil.n}
     with open(os.path.join(args.out, "truth.json"), "w", encoding="ascii", newline="\n") as fh:
-        fh.write(json.dumps(info, sort_keys=True, indent=2) + "\n")
+        fh.write(report_to_json(info))
     print(f"wrote E.mtx, A.mtx, u0.txt, truth.json to {args.out}")
     return EXIT_OK
 

@@ -93,8 +93,6 @@ def _as_inexact(M):
 def _orthonormal_columns(M, tol: RankTolerance, reference=None):
     """Orthonormal basis of the column space of M under the rank rule."""
     M = _as_inexact(M)
-    if M.shape[1] == 0:
-        return np.zeros((M.shape[0], 0), dtype=M.dtype)
     U, s, _ = np.linalg.svd(M, full_matrices=False)
     return np.ascontiguousarray(U[:, : tol.rank(s, M.shape, reference)])
 

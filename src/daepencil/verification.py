@@ -13,7 +13,7 @@ folded into one row per identity.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,9 +60,6 @@ class SuiteResult:
             lines.append(line)
         lines.append(f"overall: {'PASS' if self.passed else 'FAIL'} on {self.fixtures} fixtures")
         return "\n".join(lines)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 class _Row:

@@ -412,6 +412,7 @@ class TestVerify:
             ([{"n1": 1, "conditioning": "10"}], "0: conditioning must be a JSON number"),
             ([{"n1": 1, "conditioning": 0.5}], "0: conditioning bound must be finite and >= 1"),
             ([{"n1": 1, "seed": -1}], "0: seed must be nonnegative, not -1"),
+            ([[1, 2]], "0 is not a JSON object: [\n  1,\n  2\n]"),
         ],
     )
     def test_malformed_fixture_entry_exit_1(self, tmp_path, capsys, entries, message):
@@ -419,6 +420,10 @@ class TestVerify:
         bad.write_text(json.dumps(entries))
         assert main(["verify", "--fixtures", str(bad)]) == 1
         assert f"error: fixture entry {message}" in capsys.readouterr().err
+
+    def test_range_without_dots_exit_1(self, capsys):
+        assert main(["verify", "--random", "3", "--dim-range", "2-20"]) == 1
+        assert "error: expected 'a..b', got '2-20'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("conditioning", ["inf", "nan"])
     def test_non_finite_conditioning_exit_1(self, capsys, conditioning):

@@ -19,7 +19,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from daepencil.analysis import analyze_pencil
 from daepencil.chains import compute_chain
+from daepencil.exceptions import SingularMatrixError
 from daepencil.pencils import certify_regularity, index_by_nilpotency, new_pencil
 from daepencil.solvers import fitting_splitting
 
@@ -99,6 +101,25 @@ def test_singular_pencil_called_regular(index):
     E, A = _drawn(1, 400)[index]
     assert not exact.regular(E, A)
     assert not certify_regularity(_float(E, A)).regular
+
+
+@pytest.mark.parametrize(
+    "index, refusal",
+    [
+        (209, "only 0 resolvent samples left to fit a line"),  # the growth fit
+        (293, "sE + A is singular at s = 0.52550502505"),  # the identity grid, after its nudges
+        (295, "sE + A is singular at s = 0.52550502505"),
+    ],
+)
+def test_analysis_of_a_singular_pencil_called_regular_never_reports_regular(index, refusal):
+    # the certificate's false verdict stops at a later stage's refusal; once the
+    # certificate calls the draw singular, the report says so
+    try:
+        report = analyze_pencil(_float(*_drawn(1, 400)[index]))
+    except SingularMatrixError as exc:
+        assert str(exc) == refusal
+    else:
+        assert not report.regular
 
 
 def test_singular_pencil_with_exact_zeros_on_the_circle_called_singular():

@@ -283,6 +283,12 @@ class TestComplexAndShapeRejected:
             writer(path, value)
         assert path.read_text() == "old contents\n"
 
+    def test_a_vector_is_not_written_as_a_matrix(self, tmp_path):
+        path = tmp_path / "v.mtx"
+        with pytest.raises(ValueError, match="expected a matrix, got ndim=1"):
+            write_matrix_market(path, np.ones(2))
+        assert not path.exists()
+
     def test_near_real_matrix_written_as_its_real_part(self, tmp_path):
         M = np.array([[1.0, 2.0], [3.0, 4.0]])
         a, b = tmp_path / "a.mtx", tmp_path / "b.mtx"
@@ -529,46 +535,71 @@ class TestNonAscii:
         assert np.array_equal(read_vector(path), v)
 
 
+ARRAY = "%%MatrixMarket matrix array real general\n"
+COORDINATE = "%%MatrixMarket matrix coordinate real general\n"
+
+
+def _raises_at(tmp_path, text, reader, message, line):
+    """reader of a file holding text raises MatrixMarketError(message) at the 1-based line."""
+    path = write(tmp_path, "f.txt", text)
+    with pytest.raises(MatrixMarketError, match=message) as info:
+        reader(path)
+    assert (info.value.path, info.value.line) == (path, line)
+
+
+@pytest.mark.parametrize(
+    "text, message, line",
+    [
+        ("", "empty file", 1),
+        ("%%MatrixMarket matrix foo real general\n2 2\n", "unsupported format 'foo'", 1),
+        (
+            "%%MatrixMarket matrix array real symmetric\n2 2\n",
+            "unsupported symmetry 'symmetric'",
+            1,
+        ),
+        (ARRAY + "% only a comment\n\n", "missing size line", 3),
+        (ARRAY + "2 2 4\n1\n0\n0\n1\n", "array size line must be 'rows cols'", 2),
+        (COORDINATE + "2 2\n1 1 1\n", "coordinate size line must be 'rows cols nnz'", 2),
+        (COORDINATE + "2 2 1\n1 1\n", "coordinate entries must be 'row col value'", 3),
+        (ARRAY + "% c\n0 0\n", "dimensions must be positive", 3),
+        (COORDINATE + "2 -1 0\n", "dimensions must be positive", 2),
+    ],
+)
+def test_malformed_matrix_market_names_its_line(tmp_path, text, message, line):
+    _raises_at(tmp_path, text, parse_matrix_market, message, line)
+
+
 class TestDigitSeparators:
     """Python's int and float read `1_0` as 10; no field of an input file does."""
 
-    ARRAY = "%%MatrixMarket matrix array real general\n"
-    COORDINATE = "%%MatrixMarket matrix coordinate real general\n"
-
-    def _raises(self, tmp_path, text, reader, message, line):
-        path = write(tmp_path, "f.txt", text)
-        with pytest.raises(MatrixMarketError, match=message) as info:
-            reader(path)
-        assert (info.value.path, info.value.line) == (path, line)
-
     def test_one_entry_per_line(self, tmp_path):
         # the canonical layout of the one-np.array fast path
-        text = self.ARRAY + "2 2\n1\n2\n1_0\n4\n"
-        self._raises(tmp_path, text, parse_matrix_market, "non-numeric entry '1_0'", 5)
+        text = ARRAY + "2 2\n1\n2\n1_0\n4\n"
+        _raises_at(tmp_path, text, parse_matrix_market, "non-numeric entry '1_0'", 5)
 
     def test_several_entries_on_a_line(self, tmp_path):
-        text = self.ARRAY + "2 2\n1 2\n% c\n3 1_0\n"
-        self._raises(tmp_path, text, parse_matrix_market, "non-numeric entry '1_0'", 5)
+        text = ARRAY + "2 2\n1 2\n% c\n3 1_0\n"
+        _raises_at(tmp_path, text, parse_matrix_market, "non-numeric entry '1_0'", 5)
 
     def test_size_line(self, tmp_path):
-        text = self.ARRAY + "1_0 1_0\n" + "1\n" * 100
-        self._raises(tmp_path, text, parse_matrix_market, "bad dimensions '1_0 1_0'", 2)
+        text = ARRAY + "1_0 1_0\n" + "1\n" * 100
+        _raises_at(tmp_path, text, parse_matrix_market, "bad dimensions '1_0 1_0'", 2)
 
     def test_coordinate_size(self, tmp_path):
-        text = self.COORDINATE + "1_0 1_0 1\n1_0 1 2\n"
-        self._raises(tmp_path, text, parse_matrix_market, "bad dimensions '1_0 1_0'", 2)
+        text = COORDINATE + "1_0 1_0 1\n1_0 1 2\n"
+        _raises_at(tmp_path, text, parse_matrix_market, "bad dimensions '1_0 1_0'", 2)
 
     def test_coordinate_entry_count(self, tmp_path):
-        text = self.COORDINATE + "2 2 0_1\n1 1 2\n"
-        self._raises(tmp_path, text, parse_matrix_market, "bad entry count '0_1'", 2)
+        text = COORDINATE + "2 2 0_1\n1 1 2\n"
+        _raises_at(tmp_path, text, parse_matrix_market, "bad entry count '0_1'", 2)
 
     def test_coordinate_indices(self, tmp_path):
-        text = self.COORDINATE + "10 10 1\n1_0 1 2\n"
-        self._raises(tmp_path, text, parse_matrix_market, "bad coordinates '1_0' '1'", 3)
+        text = COORDINATE + "10 10 1\n1_0 1 2\n"
+        _raises_at(tmp_path, text, parse_matrix_market, "bad coordinates '1_0' '1'", 3)
 
     def test_coordinate_value(self, tmp_path):
-        text = self.COORDINATE + "1 1 1\n1 1 1_0\n"
-        self._raises(tmp_path, text, parse_matrix_market, "non-numeric entry '1_0'", 3)
+        text = COORDINATE + "1 1 1\n1 1 1_0\n"
+        _raises_at(tmp_path, text, parse_matrix_market, "non-numeric entry '1_0'", 3)
 
     def test_vector(self, tmp_path):
-        self._raises(tmp_path, "1.0 2.0\n3_0.5\n", read_vector, "non-numeric entry '3_0.5'", 2)
+        _raises_at(tmp_path, "1.0 2.0\n3_0.5\n", read_vector, "non-numeric entry '3_0.5'", 2)

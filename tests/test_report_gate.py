@@ -108,8 +108,8 @@ def test_changed_csv_cells_are_counted_per_column(old, tmp_path, capsys):
     out = capsys.readouterr().out
     assert (
         "fixture/euler.csv: 3 differing cell(s), by column:\n"
-        "  residual: 2, largest relative change 2.00e+00\n"
-        "  u_1: 1, largest relative change 2.00e-07\n"
+        "  residual: 2, largest relative change 2.00e+00, largest magnitude 3.00e-16\n"
+        "  u_1: 1, largest relative change 2.00e-07, largest magnitude 5.00e-01\n"
     ) in out
     assert "0.5000001" not in out  # no line is printed
     assert out.endswith(
@@ -128,5 +128,5 @@ def test_csv_header_or_ragged_row_is_printed_as_a_line(old, tmp_path, capsys):
     assert "fixture/euler.csv:\n  - 0,1\n  + 0,1,2\n" in out
     assert (
         "fixture/euler.csv: 1 differing cell(s), by column:\n"
-        "  u_1: 1, largest relative change inf\n"
+        "  u_1: 1, largest relative change inf, largest magnitude 5.00e-01\n"
     ) in out

@@ -246,6 +246,8 @@ class TestClassicalSolution:
             classical_solution(p, chain, E1_3, np.array([0.0, 0.0, 1.0]))
         with pytest.raises(ValueError):
             classical_solution(p, chain, E1_3, np.array([-1.0, 1.0]))
+        with pytest.raises(ValueError, match="times must be a nonempty 1-d grid"):
+            classical_solution(p, chain, E1_3, np.array([]))
 
     def test_complex_left_scaling_invariance(self, mixed):
         # multiplying E and A by the same invertible matrix changes neither
@@ -347,6 +349,11 @@ class TestImplicitEuler:
         p = new_pencil(np.eye(2), np.eye(2))
         with pytest.raises(NonFiniteEntriesError, match="forcing returned non-finite"):
             implicit_euler(p, np.ones(2), 0.1, 0.3, forcing=lambda t: np.array([np.nan, 0.0]))
+
+    def test_forcing_of_the_wrong_length_is_refused(self):
+        p = new_pencil(np.eye(2), np.eye(2))
+        with pytest.raises(ShapeMismatchError, match="forcing must return vectors of pencil size"):
+            implicit_euler(p, np.ones(2), 0.1, 0.3, forcing=lambda t: np.zeros(3))
 
     def test_overflowing_step_matrix_raises(self):
         # E/h overflows to inf at h = 1e-310 and the solve returns NaN, which

@@ -89,6 +89,10 @@ class TestSpan:
         with pytest.raises(ShapeMismatchError):
             span([])
 
+    def test_matrices_are_not_vectors(self):
+        with pytest.raises(ShapeMismatchError, match=r"expected 1-d vectors, got shape \(2, 2\)"):
+            span([np.eye(2), np.eye(2)])
+
     def test_zero_subspace_representable(self):
         Z = zero_space(3)
         assert Z.dim == 0 and Z.ambient_dim == 3
@@ -102,6 +106,17 @@ class TestSubspaceValidation:
     def test_rejects_too_many_vectors(self):
         with pytest.raises(ShapeMismatchError):
             Subspace(np.ones((2, 3)))
+
+    @pytest.mark.parametrize(
+        "basis, message",
+        [
+            (np.ones(3), "basis must be 2-d, got ndim=1"),
+            (np.zeros((0, 0)), "ambient dimension must be >= 1"),
+        ],
+    )
+    def test_rejects_a_basis_of_no_ambient_space(self, basis, message):
+        with pytest.raises(ShapeMismatchError, match=message):
+            Subspace(basis)
 
     def test_basis_frozen(self):
         S = full_space(2)
@@ -126,6 +141,10 @@ class TestImage:
     def test_size_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             image(np.eye(2), full_space(3))
+
+    def test_rectangular_map(self):
+        with pytest.raises(ShapeMismatchError, match=r"square matrix, got shape \(2, 3\)"):
+            image(np.ones((2, 3)), full_space(3))
 
 
 class TestPreimage:
@@ -165,6 +184,10 @@ class TestKernelSumIntersect:
 
     def test_kernel_invertible(self):
         assert kernel(np.array([[2.0, 1.0], [0.0, 3.0]])).dim == 0
+
+    def test_kernel_of_a_rectangular_matrix(self):
+        with pytest.raises(ShapeMismatchError, match=r"square matrix, got shape \(2, 3\)"):
+            kernel(np.ones((2, 3)))
 
     def test_ambient_mismatch(self):
         with pytest.raises(ShapeMismatchError):

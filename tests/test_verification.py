@@ -180,6 +180,23 @@ def test_restricted_iso_reports_its_smallest_sigma_min():
     assert row.worst == min(sigmas) < max(sigmas)
 
 
+def test_run_suite_refuses_an_empty_fixture_list():
+    with pytest.raises(ValueError, match="no fixtures to verify"):
+        run_suite([])
+
+
+@pytest.mark.parametrize(
+    "dim_range, index_range, message",
+    [
+        ((0, 5), (0, 2), r"bad dimension range \(0, 5\)"),
+        ((2, 5), (-1, 2), r"bad index range \(-1, 2\)"),
+    ],
+)
+def test_random_specs_refuse_a_bad_range(dim_range, index_range, message):
+    with pytest.raises(ValueError, match=message):
+        random_specs(3, dim_range, index_range, seed=1)
+
+
 def test_random_specs_cap_the_growth_index_at_n_minus_1():
     # a growth index k needs a nilpotent block of size k + 1
     capped = 0

@@ -52,8 +52,10 @@ the largest magnitude of that key's changed values on either side, so that a
 roundoff-sized move reads at a glance, with every `failures` count that
 rose, and with the number of differing lines of each text file that has any.
 A `.csv` of the same line count is compared cell by cell under its header
-line: for each column it prints the number of differing cells and their
-largest relative change (inf where either cell is not a finite number), not the lines.
+line: for each column it prints the number of differing cells, their
+largest relative change (inf where either cell is not a finite number) and
+the largest magnitude of the changed cells on either side (NaN and text cells
+left out), not the lines.
 Any other text file has its lines paired by `difflib.SequenceMatcher` and
 prints each run of removed and added lines, so a table that loses one row
 shows that one line, not every line after it.
@@ -325,7 +327,7 @@ def compare(old_dir: Path, new_dir: Path) -> int:
             else:  # lines paired by content, so a removed line moves no other
                 matcher = difflib.SequenceMatcher(None, old_lines, new_lines, autojunk=False)
                 runs = [op[1:] for op in matcher.get_opcodes() if op[0] != "equal"]
-            columns = {}  # CSV column header -> (differing cells, largest relative change)
+            columns = {}  # CSV column -> (differing cells, largest relative change, magnitude)
             for i, i_end, j, j_end in runs:
                 differing[name] = differing.get(name, 0) + max(i_end - i, j_end - j)
                 cells = by_cell and i and (old_lines[i].split(","), new_lines[j].split(","))
@@ -336,15 +338,21 @@ def compare(old_dir: Path, new_dir: Path) -> int:
                     continue
                 for column, x, y in zip(header, *cells):
                     if x != y:
-                        rel = _relative(_number(x), _number(y))
+                        a, b = _number(x), _number(y)
+                        rel = _relative(a, b)
                         rel = math.inf if rel is None or math.isnan(rel) else rel
-                        count, most = columns.get(column, (0, 0.0))
-                        columns[column] = count + 1, max(most, rel)
+                        sizes = [abs(v) for v in (a, b) if isinstance(v, float)]
+                        sizes = [v for v in sizes if not math.isnan(v)]
+                        count, most, size = columns.get(column, (0, 0.0, 0.0))
+                        columns[column] = count + 1, max(most, rel), max([size, *sizes])
             if columns:
-                total = sum(count for count, _ in columns.values())
+                total = sum(count for count, _, _ in columns.values())
                 print(f"{name}: {total} differing cell(s), by column:")
-                for column, (count, most) in columns.items():
-                    print(f"  {column}: {count}, largest relative change {most:.2e}")
+                for column, (count, most, size) in columns.items():
+                    print(
+                        f"  {column}: {count}, largest relative change {most:.2e}, "
+                        f"largest magnitude {size:.2e}"
+                    )
     if largest:
         print("largest relative change per key:")
         for key, (most, size) in sorted(largest.items()):
