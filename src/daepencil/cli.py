@@ -66,8 +66,9 @@ def _build_parser():
         "--method",
         choices=("exponential", "euler", "oracle"),
         default="exponential",
-        help="oracle: the quasi-Weierstrass split V* (+) W*, which exits 4 on a u0 with a "
-        "nonzero oblique W* component and 1 where the split or the reduced generator is refused",
+        help="oracle: the quasi-Weierstrass split V* (+) W*; exits 1 where the split or the "
+        "reduced generator is refused, and 4 on a u0 with a nonzero oblique W* component, printing "
+        "its distance to IV_(k+1) and the jump u(0+), its range part along W*, as exponential does",
     )
     p_solve.add_argument("--csv", dest="csv_out", help="write the trajectory here (default stdout)")
 
@@ -249,10 +250,10 @@ def main(argv=None) -> int:
         # the regularity exit code belongs to single-pencil commands
         return EXIT_NOT_REGULAR if args.command in ("analyze", "solve") else EXIT_ERROR
     except InconsistentInitialValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if exc.nearest is not None:
-            nearest = " ".join(format(x, ".17g") for x in np.real_if_close(exc.nearest))
-            print(f"nearest consistent initial value: {nearest}", file=sys.stderr)
+        jump = "none, the split is refused" if exc.jump is None else " ".join(
+            format(x, ".17g") for x in np.real_if_close(exc.jump))
+        print(f"error: {exc}\ndistance to the consistent space: {exc.distance:.17g}\n"
+              f"jump u(0+) (range part along W*): {jump}", file=sys.stderr)
         return EXIT_INCONSISTENT if args.command == "solve" else EXIT_ERROR
     except (DaePencilError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

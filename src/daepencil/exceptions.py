@@ -31,14 +31,14 @@ class IsomorphismError(DaePencilError):
 class InconsistentInitialValueError(DaePencilError):
     """No classical solution exists for the given initial value.
 
-    Carries the distance from the consistent space and, when available, the
-    nearest consistent vector.
+    distance is u0's largest column distance to IV_{k+1} (solvers._inconsistent builds it);
+    jump is u(0+), its range part along W*, or None where the split is refused.
     """
 
-    def __init__(self, message, distance=None, nearest=None):
+    def __init__(self, message, distance=None, jump=None):  # copy and pickle pass message only
         super().__init__(message)
         self.distance = distance
-        self.nearest = nearest
+        self.jump = jump
 
 
 class ConditioningWarning(UserWarning):

@@ -28,6 +28,7 @@ from .exceptions import (
     InconsistentInitialValueError,
     IsomorphismError,
     NonFiniteEntriesError,
+    NotRegularError,
     ShapeMismatchError,
     SingularMatrixError,
 )
@@ -127,7 +128,7 @@ def is_consistent(pencil: Pencil, chain: IvChain, u0):
 
 
 def nearest_consistent(pencil: Pencil, chain: IvChain, u0):
-    """Orthogonal projection of u0 (a vector or an (n, m) block) onto the consistent space."""
+    """Orthogonal projection of u0 (a vector or an (n, m) block) onto IV_{k+1}: not the jump."""
     return project(consistent_space(pencil, chain), _check_u0(pencil, u0, block=True))
 
 
@@ -209,7 +210,8 @@ def classical_solution(pencil: Pencil, chain: IvChain, u0, times) -> Trajectory:
     analytic derivative are lifted back to the ambient space, and the
     residual ||E u'(t) + A u(t)|| is recorded per grid point.  An (n, m)
     block u0 takes one projection, evolution and lift for all its columns; it
-    is rejected if any column is, with the worst distance and projected block.
+    is rejected if any column is.  Its InconsistentInitialValueError carries distance, to
+    IV_{k+1}, and jump, u(0+) from the split at the W chain's tolerance, where it restarts.
     """
     times = _check_times(times)
     gen, c0 = _coordinates(pencil, chain, u0)
@@ -217,24 +219,25 @@ def classical_solution(pencil: Pencil, chain: IvChain, u0, times) -> Trajectory:
 
 
 def _coordinates(pencil, chain, u0):
-    """The reduced generator and the coordinates B^H u0 of a consistent u0
-    (a vector or an (n, m) block) in its basis B.
-
-    Raises InconsistentInitialValueError, with the worst distance and the
-    projected u0, when u0 is off the consistent space, and IsomorphismError
-    from reduced_generator.
-    """
+    """Reduced generator and coordinates B^H u0 in its basis B of a consistent u0 (a vector or
+    (n, m) block); _inconsistent's error off IV_{k+1}, IsomorphismError from reduced_generator."""
     u0 = _check_u0(pencil, u0, block=True)
-    ok, dist = is_consistent(pencil, chain, u0)
-    if not ok:
-        raise InconsistentInitialValueError(
-            f"u0 is {dist:.6e} away from the consistent space; "
-            "no classical solution exists",
-            distance=dist,
-            nearest=nearest_consistent(pencil, chain, u0),
-        )
+    if not is_consistent(pencil, chain, u0)[0]:
+        raise _inconsistent(pencil, chain, u0, "no classical solution exists")
     gen = reduced_generator(pencil, chain)
     return gen, gen.basis.conj().T @ u0
+
+
+def _inconsistent(pencil, chain, u0, reason):
+    """Every route's error for a checked u0: distance from is_consistent on chain, jump the
+    range part along W* (None where the split is refused, and the message says why)."""
+    dist = is_consistent(pencil, chain, u0)[1]
+    message = f"u0 is {dist:.6e} away from the consistent space; {reason}"
+    try:
+        jump = fitting_splitting(pencil).components(u0)[0]
+    except (SingularMatrixError, NotRegularError) as exc:
+        jump, message = None, f"{message}; no jump u(0+), the split is refused: {exc}"
+    return InconsistentInitialValueError(message, dist, jump)
 
 
 def _lifted(pencil, B, M, c0, times, method):
@@ -333,7 +336,7 @@ class FittingSplit:
     tol: RankTolerance
 
     def components(self, u0):
-        """Oblique components (range part, kernel part) of u0."""
+        """Oblique components of u0: range part, kernel part and range coordinates c_r."""
         V = np.hstack([self.range_basis, self.kernel_basis])
         c = np.linalg.solve(V, u0)
         r = self.range_basis.shape[1]
@@ -382,20 +385,21 @@ def decomposition_oracle(pencil: Pencil, u0, times, seed: int = 0) -> Trajectory
 
     On W* (the kernel part) the only classical solution is zero, so a nonzero
     oblique W* component of u0 is flagged as inconsistent: the oracle's own
-    check, decided without membership in the IV chain.  On V* (the range
+    check, decided without membership in the IV chain; its error states that
+    norm and carries classical_solution's distance and jump.  On V* (the range
     part) Eu' + Au = 0 reduces to c' = -M c in the range coordinates, M the
     reduced generator of the chain at the split's tolerance, whose basis is
     the range basis, so classical_solution and the oracle evolve by one
     generator.  An (n, m) block u0 is solved at once and rejected, like
-    classical_solution's, if any column is, with the largest kernel component
-    and the range part.  NotRegularError as fitting_splitting raises it, and
-    IsomorphismError where reduced_generator refuses the range part.  seed is
-    unused, kept while bench/workloads.py passes it.
+    classical_solution's, if any column is.  NotRegularError as
+    fitting_splitting raises it, and IsomorphismError where reduced_generator
+    refuses the range part.  seed is unused, kept while bench/workloads.py passes it.
     """
     u0 = _check_u0(pencil, u0, block=True)
     times = _check_times(times)
     split = fitting_splitting(pencil)
-    range_part, kernel_part, c_r = split.components(u0)
+    chain = compute_chain(pencil, split.tol)
+    _, kernel_part, c_r = split.components(u0)
     knorm = np.linalg.norm(kernel_part, axis=0)
     # oblique components amplify input noise by up to 1/sigma_min(V), so the
     # consistency threshold is widened accordingly (capped to keep genuine
@@ -404,12 +408,7 @@ def decomposition_oracle(pencil: Pencil, u0, times, seed: int = 0) -> Trajectory
     unit = np.maximum(1.0, np.linalg.norm(u0, axis=0))
     threshold = split.tol.membership * unit * amplification
     if np.any(knorm > threshold):
-        worst = float(np.max(knorm))
-        raise InconsistentInitialValueError(
-            f"u0 has a kernel-part component of norm {worst:.6e}; "
-            "only its range part can evolve classically",
-            distance=worst,
-            nearest=range_part,
-        )
-    gen = reduced_generator(pencil, compute_chain(pencil, split.tol))
+        reason = f"its kernel-part component has norm {float(np.max(knorm)):.6e}"
+        raise _inconsistent(pencil, chain, u0, reason + "; only its range part evolves classically")
+    gen = reduced_generator(pencil, chain)
     return _lifted(pencil, gen.basis, gen.M, c_r, times, "decomposition_oracle")

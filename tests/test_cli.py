@@ -195,7 +195,18 @@ class TestSolve:
         assert main(["solve", *paths, "--t-end", "1.0", "--steps", "5"]) == 4
         err = capsys.readouterr().err
         assert "away from the consistent space" in err
-        assert "nearest consistent" in err
+        assert "\ndistance to the consistent space: 1\n" in err
+        assert "\njump u(0+) (range part along W*): 0 0 0\n" in err
+
+    def test_refused_split_exits_4_without_a_jump(self, tmp_path, capsys):
+        # the "split refused" fixture of verify --random 60 --dim-range 2..20
+        # --index-range 0..4 --conditioning 1e5 --seed 1: dim V* + dim W* = 6 != 7
+        pencil, _ = generate(FixtureSpec(2, (5,), 1e5, 7320455584413677429))
+        paths = write_pencil(tmp_path, pencil.E, pencil.A, np.ones(pencil.n))
+        assert main(["solve", *paths, "--t-end", "1.0", "--steps", "5"]) == 4
+        err = capsys.readouterr().err
+        assert "; no jump u(0+), the split is refused: splitting failed:" in err
+        assert err.endswith("\njump u(0+) (range part along W*): none, the split is refused\n")
 
     def test_tol_reaches_the_consistency_test(self, tmp_path, capsys):
         # u0 = b + 1e-7 w, b a consistent basis vector and w a unit normal:
@@ -384,7 +395,7 @@ class TestVerify:
         from daepencil.exceptions import InconsistentInitialValueError
 
         def boom(*args, **kwargs):
-            raise InconsistentInitialValueError("synthetic", distance=1.0)
+            raise InconsistentInitialValueError("synthetic", 1.0, None)
 
         monkeypatch.setattr(cli_mod, "run_suite", boom)
         assert main(["verify", "--random", "1"]) == 1
@@ -522,6 +533,30 @@ class TestQuietStderr:
         assert done.returncode == 3
         assert json.loads(done.stdout)["regular"] is False
         assert done.stderr == ""
+
+    @pytest.mark.parametrize(
+        "method, reason",
+        [
+            ("exponential", "no classical solution exists"),
+            (
+                "oracle",
+                "its kernel-part component has norm 1.000000e+00; "
+                "only its range part evolves classically",
+            ),
+        ],
+    )
+    def test_inconsistent_exit_4(self, tmp_path, method, reason):
+        # E = diag(1, N2), A = I: IV_(k+1) = span(e1) and W* = span(e2, e3)
+        E = np.array([[1.0, 0, 0], [0, 0, 1.0], [0, 0, 0]])
+        write_pencil(tmp_path, E, np.eye(3), np.array([1.0, 1.0, 0.0]))
+        args = ["--t-end", "1", "--steps", "4", "--method", method]
+        done = run_module("solve", "E.mtx", "A.mtx", "u0.txt", *args, cwd=tmp_path)
+        assert done.returncode == 4
+        assert done.stderr == (
+            f"error: u0 is 1.000000e+00 away from the consistent space; {reason}\n"
+            "distance to the consistent space: 1\n"
+            "jump u(0+) (range part along W*): 1 0 0\n"
+        )
 
     def test_euler_step_whose_E_over_h_overflows(self, n160):
         args = ["--method", "euler", "--t-end", "1e-310", "--steps", "1"]

@@ -1,4 +1,5 @@
 import gc
+import pickle
 import warnings
 import weakref
 
@@ -19,7 +20,12 @@ from daepencil.exceptions import (
     SingularMatrixError,
 )
 from daepencil.fixtures import FixtureSpec, generate
-from daepencil.laplace import hat_solution, verify_expansion, verify_identities
+from daepencil.laplace import (
+    hat_solution,
+    verify_expansion,
+    verify_identities,
+    verify_transform_match,
+)
 from daepencil.pencils import _wong_chain, index_by_nilpotency, new_pencil
 from daepencil.solvers import (
     classical_solution,
@@ -204,7 +210,7 @@ class TestClassicalSolution:
         with pytest.raises(InconsistentInitialValueError) as err:
             classical_solution(p, chain, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
         assert err.value.distance == pytest.approx(1.0)
-        np.testing.assert_allclose(err.value.nearest, np.zeros(2))
+        np.testing.assert_allclose(err.value.jump, np.zeros(2))  # V* = {0}
 
     def test_residual_and_initial_value_invariants(self):
         p, truth = generate(FixtureSpec(4, (2,), 100.0, 8))
@@ -737,17 +743,130 @@ class TestBlockInitialValues:
         with pytest.raises(InconsistentInitialValueError) as err:
             classical_solution(p, chain, block, self.TIMES)
         assert err.value.distance == pytest.approx(0.7)
-        np.testing.assert_allclose(err.value.nearest, cons.basis @ (cons.basis.T @ block), atol=1e-12)
+        range_part = fitting_splitting(p).components(block)[0]
+        np.testing.assert_allclose(err.value.jump, range_part, atol=1e-12)
 
         per_column = []
         for j in (1, 2):
             with pytest.raises(InconsistentInitialValueError) as one:
                 decomposition_oracle(p, block[:, j], self.TIMES)
-            per_column.append(one.value.distance)
+            per_column.append(one.value)
+        assert [e.distance for e in per_column] == [pytest.approx(0.3), pytest.approx(0.7)]
         with pytest.raises(InconsistentInitialValueError) as err:
             decomposition_oracle(p, block, self.TIMES)
-        assert err.value.distance == pytest.approx(max(per_column), rel=1e-12)
-        assert err.value.nearest.shape == block.shape
+        assert err.value.distance == max(e.distance for e in per_column)
+        columns = np.column_stack([e.jump for e in per_column])
+        np.testing.assert_allclose(err.value.jump[:, 1:], columns, atol=1e-12)
+
+
+def _off_consistent(spec, rng=None):
+    """(pencil, chain, u0) at the default tolerance: u0 is a consistent basis vector plus a
+    unit normal to IV_{k+1}, or with rng a random unit vector."""
+    p, _ = generate(spec)
+    chain = compute_chain(p)
+    if rng is not None:
+        u0 = rng.standard_normal(p.n)
+        return p, chain, u0 / np.linalg.norm(u0)
+    cons = consistent_space(p, chain)
+    off = np.eye(p.n) - cons.basis @ cons.basis.T
+    w = off[:, np.argmax(np.linalg.norm(off, axis=0))]
+    return p, chain, cons.basis[:, 0] + w / np.linalg.norm(w)
+
+
+def _payload(call):
+    with pytest.raises(InconsistentInitialValueError) as err:
+        call()
+    return err.value
+
+
+def _euler_gap(p, u0, jump, h):
+    """||first implicit Euler step from u0 - jump||; the step is s (sE + A)^{-1} E u0, s = 1/h."""
+    return float(np.linalg.norm(implicit_euler(p, u0, h, h).states[1] - jump))
+
+
+class TestInconsistentPayload:
+    """Every route's InconsistentInitialValueError carries the distance to IV_{k+1}
+    and the jump u(0+), the range part along W* where the solution restarts."""
+
+    TIMES = np.linspace(0.0, 1.0, 3)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            FixtureSpec(6, (1,), 100.0, 2),
+            FixtureSpec(3, (2,), 100.0, 5),
+            FixtureSpec(4, (3, 1), 100.0, 7),
+        ],
+    )
+    def test_every_route_carries_one_payload(self, spec):
+        p, chain, u0 = _off_consistent(spec)
+        first, *others = [
+            _payload(lambda: classical_solution(p, chain, u0, self.TIMES)),
+            _payload(lambda: verify_transform_match(p, chain, u0)),
+            _payload(lambda: decomposition_oracle(p, u0, self.TIMES)),
+        ]
+        assert first.distance == is_consistent(p, chain, u0)[1]
+        for other in others:
+            assert other.distance == first.distance
+            assert np.array_equal(other.jump, first.jump)
+
+    def test_payload_survives_a_pickle(self, nilpotent):
+        p, chain = nilpotent
+        err = _payload(lambda: classical_solution(p, chain, np.array([1.0, 2.0]), self.TIMES))
+        back = pickle.loads(pickle.dumps(err))
+        assert (str(back), back.distance) == (str(err), err.distance)
+        assert np.array_equal(back.jump, err.jump)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_jump_is_the_projection_where_the_summands_are_orthogonal(self, seed):
+        # at conditioning 1 the canonical summands V* and W* stay orthogonal
+        p, chain, u0 = _off_consistent(FixtureSpec(4, (2, 1), 1.0, seed))
+        jump = _payload(lambda: classical_solution(p, chain, u0, self.TIMES)).jump
+        assert np.max(np.abs(jump - nearest_consistent(p, chain, u0))) <= 1e-12
+
+    def test_refused_split_leaves_no_jump(self):
+        # the "split refused" fixture of verify --random 60 --dim-range 2..20
+        # --index-range 0..4 --conditioning 1e5 --seed 1
+        p, chain, u0 = _off_consistent(FixtureSpec(2, (5,), 1e5, 7320455584413677429))
+        err = _payload(lambda: classical_solution(p, chain, u0, self.TIMES))
+        assert err.jump is None and err.distance == is_consistent(p, chain, u0)[1]
+        assert str(err).endswith(
+            "; no jump u(0+), the split is refused: "
+            "splitting failed: range dim 2 + kernel dim 4 != 7"
+        )
+
+    def test_euler_first_step_reaches_the_jump_at_index_one(self):
+        # the Kronecker-index-1 fixtures with n1 > 0 of the ladder, seeds 1 and 7
+        specs = [
+            spec
+            for seed in (1, 7)
+            for spec in random_specs(60, (2, 20), (0, 4), seed)
+            if spec.nilpotent_blocks and max(spec.nilpotent_blocks) == 1 and spec.n1 > 0
+        ]
+        assert len(specs) == 11
+        rng = np.random.default_rng(3)
+        for spec in specs:
+            p, chain, u0 = _off_consistent(spec, rng)
+            jump = _payload(lambda: classical_solution(p, chain, u0, self.TIMES)).jump
+            assert _euler_gap(p, u0, jump, 1e-6) <= 1e-4, spec
+
+    @pytest.mark.parametrize(
+        "spec, nu",
+        [
+            (FixtureSpec(6, (1,), 100.0, 2), 1),
+            (FixtureSpec(3, (2,), 100.0, 5), 2),
+            (FixtureSpec(5, (2, 2), 100.0, 3), 2),
+            (FixtureSpec(4, (3, 1), 100.0, 7), 3),
+        ],
+    )
+    def test_halving_h_scales_the_euler_gap_by_the_index(self, spec, nu):
+        # O(h) at nu = 1; at nu >= 2 the step grows like h^-(nu-1) along W*
+        p, chain, u0 = _off_consistent(spec)
+        jump = _payload(lambda: classical_solution(p, chain, u0, self.TIMES)).jump
+        gaps = [_euler_gap(p, u0, jump, h) for h in (1e-3, 5e-4, 2.5e-4)]
+        expected = 0.5 if nu == 1 else 2.0 ** (nu - 1)
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert fine / coarse == pytest.approx(expected, rel=0.02)
 
 
 NON_FINITE = [np.nan, np.inf, -np.inf]

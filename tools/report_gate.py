@@ -26,7 +26,13 @@ codes of `solve --method exponential` and `--method oracle` on the fixture
 of `generate --n1 16 --blocks 1 --conditioning 1e6 --seed
 219515429046291558`, whose IV chain is wrong (consistent dimension 14, not
 16): its split is built but its reduced generator is refused, so both exit
-1.  It writes the
+1.  It writes the pencil E = diag(1, N2), N2 the 2 x 2 nilpotent Jordan
+block, and A = I_3 (Kronecker index 2, IV_(k+1) = span(e1)) and the
+inconsistent u0 = e1 + e2, a consistent basis vector plus a unit normal to
+IV_(k+1), as exact files, and records the exit code of `solve` for each
+`--method` on it: 4 for `exponential` and `oracle`, 0 for `euler`, which
+steps any u0.  Only exit codes are recorded there, not stderr, whose
+labelled lines belong to the error's payload.  It writes the
 `analyze --json` report of the pole pencil E = I_2, A = -s I_2 with
 s = IDENTITY_POINTS[3] of `daepencil.analysis`, as exact array files: sE + A
 is exactly zero at an identity point, so the stacked solve of the identity
@@ -164,6 +170,14 @@ def _write_singular(fixture: Path):
     (fixture / "u0.txt").write_text("1 0\n", encoding="ascii")
 
 
+def _write_inconsistent(fixture: Path):
+    """E.mtx = diag(1, N2), A.mtx = I_3 and u0.txt = e1 + e2, all exact."""
+    fixture.mkdir(parents=True, exist_ok=True)
+    _write_coordinate(fixture / "E.mtx", 3, {(0, 0): 1, (1, 2): 1})
+    _write_coordinate(fixture / "A.mtx", 3, {(i, i): 1 for i in range(3)})
+    (fixture / "u0.txt").write_text("1 1 0\n", encoding="ascii")
+
+
 def _write_pole(fixture: Path):
     """E.mtx = I_2 and A.mtx = -POLE I_2 in array format, both exact."""
     fixture.mkdir(parents=True, exist_ok=True)
@@ -213,6 +227,11 @@ def run(out: Path, src: Path):
         runs[f"solve_refused_generator_{method}"] = (
             "solve", E, A, u0, *SOLVE_ARGS, "--method", method,
         )
+    fixture = out / "inconsistent"
+    _write_inconsistent(fixture)
+    E, A, u0 = fixture / "E.mtx", fixture / "A.mtx", fixture / "u0.txt"
+    for method in SOLVE_METHODS:
+        runs[f"solve_inconsistent_{method}"] = ("solve", E, A, u0, *SOLVE_ARGS, "--method", method)
     for key, args in runs.items():
         codes[key] = _cli(src, *args)
         print(f"{key}: exit {codes[key]}")
