@@ -61,6 +61,12 @@ def compute_chain(pencil: Pencil, tol: RankTolerance = RankTolerance()) -> IvCha
     """Iterate IV_{k+1} = preimage(A, image(E, IV_k)) from IV_1 until the
     dimensions stop strictly falling (subspaces._monotone_chain).
 
+    E[IV_0] comes with its complement from the pencil's kept svd_E (as does
+    the image of any later IV_k that is the whole space), and each image of a
+    thick IV_k keeps its complement Q, so each step's preimage is the thin
+    kernel of Q^H A, ranked at n x n against ||A||.  Every step keeps its own
+    rank rule.
+
     The space that repeats (or reverses) the dimension is kept as the witness.
     Spaces and images are kept on the pencil per tolerance; the IvChain is
     not, since it refers back to the pencil and would pin it in a cycle.
@@ -70,7 +76,7 @@ def compute_chain(pencil: Pencil, tol: RankTolerance = RankTolerance()) -> IvCha
         images = []
 
         def step(space):
-            images.append(image(pencil.E, space, pencil.norm_E))
+            images.append(image(pencil.E, space, pencil.norm_E, pencil.svd_E))
             return preimage(pencil.A, images[-1], pencil.norm_A)
 
         spaces = [full_space(pencil.n, tol)]

@@ -103,6 +103,16 @@ class Pencil:
         return float(np.linalg.norm(self.E, 2))
 
     @cached_property
+    def svd_E(self) -> tuple:
+        """np.linalg.svd(E) with full factors, read-only: the IV chain's E[IV_0]
+        with its complement and the W chain's W_1 = ker E.  norm_E keeps its own
+        values-only SVD, whose last bits differ from this one's."""
+        svd = tuple(np.linalg.svd(self.E))
+        for x in svd:
+            x.setflags(write=False)
+        return svd
+
+    @cached_property
     def norm_A(self) -> float:
         """||A||_2."""
         return float(np.linalg.norm(self.A, 2))
@@ -207,7 +217,7 @@ def resolvent(pencil: Pencil, s):
 
 
 def _solve_shifted(pencil: Pencil, s, rhs=None):
-    """X with (sE + A) X = rhs (the identity when None), for one shift s or a
+    """X with (sE + A) X = rhs (the inverse when None), for one shift s or a
     1-d array of shifts, stacked along X's first axis in one solve; R(s) v
     needs no full inverse.  Real shifts on a real pencil are solved in real
     arithmetic, any other in complex; off the resolvent set SingularMatrixError."""
@@ -215,18 +225,17 @@ def _solve_shifted(pencil: Pencil, s, rhs=None):
     if not (pencil.is_complex or np.any(s.imag)):
         s = s.real
     M = s[..., None, None] * pencil.E + pencil.A
-    if rhs is None:
-        rhs = np.broadcast_to(np.eye(pencil.n, dtype=M.dtype), M.shape)
     return _solve(M, rhs, "sE + A", "s", s)
 
 
 def _solve(M, rhs, name, symbol, value):
-    """np.linalg.solve(M, rhs) for M = name at symbol = value, raising
-    SingularMatrixError where LAPACK refuses or leaves a non-finite entry: the
-    one singular rule of the regularity certificate, of every resolvent sample
-    and of implicit Euler's E/h + A."""
+    """np.linalg.solve(M, rhs), or np.linalg.inv(M) where rhs is None, for
+    M = name at symbol = value, raising SingularMatrixError where LAPACK
+    refuses or leaves a non-finite entry: the one singular rule of the
+    regularity certificate, of every resolvent sample and of implicit Euler's
+    E/h + A.  inv gives the bits of a solve with the identity, one LU each."""
     try:
-        X = np.linalg.solve(M, rhs)
+        X = np.linalg.inv(M) if rhs is None else np.linalg.solve(M, rhs)
     except np.linalg.LinAlgError:
         kind = "singular"
     else:
@@ -410,7 +419,9 @@ def _wong_chain(pencil: Pencil):
     W_{j+1} = E^{-1}(A W_j), kept on the pencil.
 
     Each step is a preimage under E of an image under A, ranked against
-    ||E|| and ||A|| as the IV chain is; it runs while the dimensions strictly
+    ||E|| and ||A|| as the IV chain is; A[W_j] is thin, so its preimage keeps
+    the projector form.  W_1 = ker E is read from the pencil's kept svd_E,
+    which the IV chain's first image shares.  It runs while the dimensions strictly
     rise (subspaces._monotone_chain), so the last space repeats (or reverses)
     the dimension and chain[-2] is the stabilized W*, the kernel part of the
     quasi-Weierstrass split.  Both the nilpotency index and the Fitting
@@ -420,7 +431,8 @@ def _wong_chain(pencil: Pencil):
 
     def build():
         def step(W):
-            return preimage(pencil.E, image(pencil.A, W, pencil.norm_A), pencil.norm_E)
+            S = image(pencil.A, W, pencil.norm_A)
+            return preimage(pencil.E, S, pencil.norm_E, pencil.svd_E)
 
         return tuple(_monotone_chain(step, zero_space(pencil.n, RankTolerance())))
 

@@ -97,11 +97,12 @@ def _orthonormal_columns(M, tol: RankTolerance, reference=None):
     return np.ascontiguousarray(U[:, : tol.rank(s, M.shape, reference)])
 
 
-def _nullspace_columns(M, tol: RankTolerance, reference=None):
-    """Orthonormal basis of the kernel of M (M may be rectangular)."""
+def _nullspace_columns(M, tol: RankTolerance, reference=None, shape=None, svd=None):
+    """Orthonormal basis of the kernel of M (M may be rectangular), ranked at
+    shape (M's own unless given); svd, where given, is np.linalg.svd(M)."""
     M = _as_inexact(M)
-    U, s, Vh = np.linalg.svd(M)
-    r = tol.rank(s, M.shape, reference)
+    _, s, Vh = np.linalg.svd(M) if svd is None else svd
+    r = tol.rank(s, M.shape if shape is None else shape, reference)
     return np.ascontiguousarray(Vh[r:].conj().T)
 
 
@@ -111,11 +112,15 @@ class Subspace:
 
     basis is an (ambient_dim, dim) matrix with orthonormal columns; dim may
     be zero (the trivial subspace {0}).  tol is the rank tolerance the basis
-    was constructed with and is inherited by derived subspaces.
+    was constructed with and is inherited by derived subspaces.  complement,
+    where kept (None otherwise), is an orthonormal basis of the orthogonal
+    complement, (ambient_dim, ambient_dim - dim), from the same SVD as basis:
+    image keeps it for a thick image, and preimage then takes a thin kernel.
     """
 
     basis: np.ndarray
     tol: RankTolerance = field(default_factory=RankTolerance)
+    complement: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         basis = _as_inexact(self.basis)
@@ -133,6 +138,12 @@ class Subspace:
                 raise ValueError(f"basis columns not orthonormal (Gram error {err:.3e})")
         basis.setflags(write=False)
         object.__setattr__(self, "basis", basis)
+        if self.complement is not None:
+            if self.complement.shape != (n, n - d):
+                raise ShapeMismatchError(
+                    f"complement of shape {self.complement.shape} for dim {d} of {n}"
+                )
+            self.complement.setflags(write=False)
 
     @property
     def ambient_dim(self) -> int:
@@ -178,30 +189,53 @@ def _check_same_ambient(S: Subspace, T: Subspace):
         )
 
 
-def image(M, S: Subspace, scale=None) -> Subspace:
+def image(M, S: Subspace, scale=None, svd=None) -> Subspace:
     """span{M b : b in S.basis}, the image of S under M.
 
     Rank decisions are taken relative to scale = ||M||_2 (taken unless given), so an
     image that vanishes to roundoff collapses to {0}, not kept alive by its noise.
+    The image of a thick S (more than n/2 dimensions) takes its SVD with the
+    full left factor and keeps the rest of that factor as the image's
+    complement, from which preimage takes a thin kernel.  svd, where given,
+    is np.linalg.svd(M), which the caller keeps: where S is the whole space,
+    its image, the range of M, is read from it and no SVD is taken.
     """
     M = _check_square_matching(M, S)
-    if S.dim == 0:
-        return zero_space(S.ambient_dim, S.tol)
+    n, d = S.basis.shape
+    if d == 0:
+        return zero_space(n, S.tol)
     scale = np.linalg.norm(M, 2) if scale is None else scale
-    return Subspace(_orthonormal_columns(M @ S.basis, S.tol, reference=scale), S.tol)
+    thick = 2 * d > n
+    if svd is None or d < n:
+        svd = np.linalg.svd(M @ S.basis, full_matrices=thick)
+    U, s, _ = svd
+    r = S.tol.rank(s, (n, d), reference=scale)
+    complement = np.ascontiguousarray(U[:, r:]) if thick else None
+    return Subspace(np.ascontiguousarray(U[:, :r]), S.tol, complement)
 
 
-def preimage(M, S: Subspace, scale=None) -> Subspace:
-    """{x : M x in S}, computed as the kernel of (I - P_S) M.
+def preimage(M, S: Subspace, scale=None, svd=None) -> Subspace:
+    """{x : M x in S}, the kernel of (I - P_S) M, or of Q^H M where S keeps
+    its complement Q.
 
-    Always contains ker M; equals the full space when S does.  Rank decisions
-    are relative to scale = ||M||_2 (taken unless given), the map's natural scale.
+    Always contains ker M; is the full space, with no SVD, when S is.  Rank
+    decisions are relative to scale = ||M||_2 (taken unless given), the map's
+    natural scale, at M's shape n x n in both forms: Q^H M is the c x n
+    kernel problem of an S of codimension c, and in exact arithmetic its
+    singular values are the nonzero ones of (I - P_S) M, so the two forms
+    share one cutoff.  svd, where given, is np.linalg.svd(M), which the
+    caller keeps: where S is {0}, ker M is read from it and no SVD is taken.
     """
     M = _check_square_matching(M, S)
-    B = S.basis
-    K = M - B @ (B.conj().T @ M)
+    if S.dim == S.ambient_dim:
+        return full_space(S.ambient_dim, S.tol)
     scale = np.linalg.norm(M, 2) if scale is None else scale
-    return Subspace(_nullspace_columns(K, S.tol, reference=scale), S.tol)
+    if S.complement is not None:
+        K = S.complement.conj().T @ M
+    else:
+        K = M - S.basis @ (S.basis.conj().T @ M)
+    svd = svd if S.dim == 0 else None
+    return Subspace(_nullspace_columns(K, S.tol, scale, M.shape, svd), S.tol)
 
 
 def kernel(M, tol: RankTolerance = RankTolerance()) -> Subspace:

@@ -195,6 +195,28 @@ def oscillating(monkeypatch, module, name, n, dims):
     return calls
 
 
+def test_one_svd_of_E_and_thin_iv_kernels(monkeypatch):
+    # compute_chain and index_by_nilpotency share the pencil's one SVD of E,
+    # and every IV step's kernel SVD is of Q^H A, a few rows by n
+    pencil, _ = generate(FixtureSpec(35, (3, 2), 100.0, 5))
+    n, real, calls = pencil.n, np.linalg.svd, []
+
+    def counted(a, *args, **kwargs):
+        calls.append((np.shape(a), np.array_equal(a, pencil.E)))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    chain = compute_chain(pencil)
+    iv_calls = list(calls)
+    index_by_nilpotency(pencil)
+    assert sum(of_E for _, of_E in calls) == 1
+    assert [shape for shape, _ in iv_calls if shape == (n, n)] == [(n, n)]
+    kernels = [shape for shape, _ in iv_calls if shape[1] == n and shape[0] < n]
+    codims = [n - image.dim for image in chain.images]
+    assert kernels == [(c, n) for c in codims]
+    assert max(codims) <= 5
+
+
 class TestOneStoppingRule:
     """Every subspace chain stops at its first repeated or reversed dimension,
     so dimensions that oscillate (roundoff at high conditioning) stop it

@@ -58,8 +58,9 @@ def _count_resolvents(monkeypatch):
 
 
 def _exact_commutation(p, R):
-    """The relative 2-norm error the commutation check bounds from above."""
-    diff = p.E @ R @ p.A - p.A @ R @ p.E
+    """The relative 2-norm error the commutation check bounds from above, in the
+    check's association E (R A) - A (R E)."""
+    diff = p.E @ (R @ p.A) - p.A @ (R @ p.E)
     return np.linalg.norm(diff, 2) / max(p.norm_E * p.norm_A * np.linalg.norm(R, 2), 1e-300)
 
 

@@ -264,6 +264,19 @@ class TestResolvent:
         R = resolvent(p, 1j)
         np.testing.assert_allclose(R, np.eye(2) / (1j + 1.0))
 
+    @pytest.mark.parametrize("n", [1, 5, 40, 150])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_inverse_is_the_solve_with_the_identity_bit_for_bit(self, n, complex_):
+        rng = np.random.default_rng(n + complex_)
+        E, A = rng.standard_normal((2, n, n))
+        if complex_:
+            E = E + 1j * rng.standard_normal((n, n))
+        p = new_pencil(E, A)
+        for s in (2.5, np.array([0.5, 3.0, 7.0])):
+            M = np.asarray(s)[..., None, None] * p.E + p.A
+            expected = np.linalg.solve(M, np.broadcast_to(np.eye(n, dtype=M.dtype), M.shape))
+            assert np.array_equal(resolvent(p, s), expected)
+
 
 class TestStackedResolvents:
     """pencils._sampled: every resolvent grid as chunked stacked solves."""
@@ -687,16 +700,21 @@ class TestIndexByGrowth:
         """Make sN2 + I (its (0, 1) entry is s) singular for lo <= s <= hi.
 
         A stack holding such a matrix raises, as LAPACK does on an exact zero
-        pivot, so the sampling falls back to its per-point nudged solves.
+        pivot, so the sampling falls back to its per-point nudged solves.  Both
+        routines are patched: a resolvent is an inv, a solve with a
+        right-hand side a solve.
         """
-        real = np.linalg.solve
 
-        def patched(a, b):
-            if np.any((lo <= np.abs(a[..., 0, 1])) & (np.abs(a[..., 0, 1]) <= hi)):
-                raise np.linalg.LinAlgError("Singular matrix")
-            return real(a, b)
+        def patched(real):
+            def refusing(a, *b):
+                if np.any((lo <= np.abs(a[..., 0, 1])) & (np.abs(a[..., 0, 1]) <= hi)):
+                    raise np.linalg.LinAlgError("Singular matrix")
+                return real(a, *b)
 
-        monkeypatch.setattr(np.linalg, "solve", patched)
+            return refusing
+
+        for name in ("solve", "inv"):
+            monkeypatch.setattr(np.linalg, name, patched(getattr(np.linalg, name)))
 
     def test_saturated_sample_is_dropped(self, monkeypatch):
         # the top grid point s = 1e7 and its nudges fail: the fit keeps the

@@ -321,6 +321,50 @@ class TestProperties:
         assert contains(preimage(M, image(M, S, scale), scale), S)
 
 
+def _projector_preimage(M, S):
+    """ker((I - P_S) M) by its own SVD, ranked against ||M||_2 at shape n x n."""
+    K = M - S.basis @ (S.basis.conj().T @ M)
+    _, s, Vh = np.linalg.svd(K)
+    return Subspace(Vh[S.tol.rank(s, K.shape, np.linalg.norm(M, 2)) :].conj().T)
+
+
+class TestComplementPreimage:
+    """The preimage of a subspace that keeps its complement Q is ker(Q^H M),
+    the same space of the same dimension as ker((I - P_S) M)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 7),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["zero", "full", "thick", "thin"]),
+        complex_=st.booleans(),
+    )
+    def test_equals_the_projector_preimage(self, n, seed, kind, complex_):
+        rng = np.random.default_rng(seed)
+
+        def draw(shape):
+            x = rng.standard_normal(shape)
+            return x + 1j * rng.standard_normal(shape) if complex_ else x
+
+        M, X = draw((n, n)), draw((n, n))
+        M[:, : int(rng.integers(0, n))] = 0.0  # a kernel of any dimension
+        X[:, : int(rng.integers(0, n))] = 0.0  # an image of lower dimension
+        if kind == "zero":
+            S = zero_space(n)
+        elif kind == "full":
+            S = image(X, full_space(n), svd=np.linalg.svd(X))
+        else:
+            lo, hi = (n // 2 + 1, n) if kind == "thick" else (1, n // 2)
+            assume(lo <= hi)
+            d = int(rng.integers(lo, hi + 1))
+            S = image(X, Subspace(np.linalg.qr(draw((n, n)))[0][:, :d]))
+        assert (S.complement is not None) == (kind in ("full", "thick"))
+        expected = _projector_preimage(M, S)
+        for svd in (None, np.linalg.svd(M)):
+            got = preimage(M, S, svd=svd)
+            assert got.dim == expected.dim and equal(got, expected)
+
+
 class TestToleranceMerging:
     def test_coarser_tolerance_wins(self):
         # a vector 1e-8 off E1 lies in span(E1) by the coarser operand's membership
