@@ -101,11 +101,12 @@ def _build_parser():
     return parser
 
 
-def _parse_range(text):
-    lo, sep, hi = text.partition("..")
-    if not sep:
-        raise ValueError(f"expected 'a..b', got {text!r}")
-    return int(lo), int(hi)
+def _parse_range(flag, text):
+    lo, _, hi = text.partition("..")  # no ".." leaves hi empty
+    try:
+        return int(lo), int(hi)
+    except ValueError:
+        raise ValueError(f"expected 'a..b', got {text!r} for {flag}, a and b integers") from None
 
 
 def _load_pencil(args):
@@ -187,25 +188,25 @@ def _fixture_spec(i, entry):
 
 
 def _cmd_verify(args):
+    specs = []
     if args.fixtures:
         for option in ("random", "dim_range", "index_range", "conditioning"):
             if getattr(args, option) is not None:
                 flag = "--" + option.replace("_", "-")
                 raise ValueError(f"{flag} draws random fixtures and cannot go with --fixtures")
         specs = _load_fixture_specs(args.fixtures)
-    elif args.random:
+    elif args.random is not None:
+        if args.random < 1:
+            raise ValueError(f"--random {args.random}: draw at least 1 fixture")
         specs = random_specs(
             args.random,
-            _parse_range(args.dim_range or "2..20"),
-            _parse_range(args.index_range or "0..3"),
+            _parse_range("--dim-range", args.dim_range or "2..20"),
+            _parse_range("--index-range", args.index_range or "0..3"),
             seed=args.seed,
             conditioning=100.0 if args.conditioning is None else args.conditioning,
         )
-    else:
-        specs = []
     if not specs:
-        print("error: nothing to verify (empty fixture list)", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError("nothing to verify (empty fixture list)")
     result = run_suite(specs, tol=RankTolerance(args.tol))
     sys.stdout.write(result.table() + "\n")
     if args.json_out:

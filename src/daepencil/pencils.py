@@ -84,9 +84,9 @@ class Pencil:
     """Validated pair of same-size square matrices over a common scalar field.
 
     Build it with new_pencil, which makes both arrays read-only; the
-    per-pencil artifacts (norms, certificate, Wong chain, per tolerance the
-    IV chain's spaces, restricted map and reduced generator, splittings) are
-    then computed once and kept.  Pencils compare by value.
+    per-pencil artifacts (svd_E, norm_A, certificate, Wong chain, per tolerance
+    the IV chain's spaces, restricted map and reduced generator, splittings)
+    are then computed once and kept.  Pencils compare by value.
     """
 
     E: np.ndarray
@@ -97,16 +97,15 @@ class Pencil:
     def n(self) -> int:
         return self.E.shape[0]
 
-    @cached_property
+    @property
     def norm_E(self) -> float:
-        """||E||_2."""
-        return float(np.linalg.norm(self.E, 2))
+        """||E||_2, the top singular value of svd_E."""
+        return float(self.svd_E[1][0])
 
     @cached_property
     def svd_E(self) -> tuple:
-        """np.linalg.svd(E) with full factors, read-only: the IV chain's E[IV_0]
-        with its complement and the W chain's W_1 = ker E.  norm_E keeps its own
-        values-only SVD, whose last bits differ from this one's."""
+        """np.linalg.svd(E) with full factors, read-only, the pencil's one SVD of E:
+        norm_E, the IV chain's E[IV_0] with its complement and the W chain's W_1 = ker E."""
         svd = tuple(np.linalg.svd(self.E))
         for x in svd:
             x.setflags(write=False)

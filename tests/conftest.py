@@ -26,3 +26,22 @@ def matrix_norm2_calls(monkeypatch):
     monkeypatch.setattr(np.linalg, "norm", counted_norm)
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     return calls
+
+
+@pytest.fixture
+def matrix_svd_calls(monkeypatch):
+    """Every 2-D array handed to np.linalg.svd in the test, with or without
+    factors: the SVDs that matrix_norm2_calls does not list.  Clear the list
+    after set-up to count only the calls under test.
+    """
+    calls = []
+    svd = np.linalg.svd
+
+    def counted_svd(a, *args, **kwargs):
+        if np.ndim(a) == 2:
+            calls.append(a)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    return calls
+

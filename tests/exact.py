@@ -139,6 +139,12 @@ def stokes_like(m):
     return E, A
 
 
+def stokes_like_floats(m):
+    """stokes_like(m) with float entries, each one exact: the saddle as a float
+    pencil reads it."""
+    return tuple([list(map(float, row)) for row in M] for M in stokes_like(m))
+
+
 def random_pencil(rng: random.Random, n, density=0.4):
     """(E, A), n x n integer matrices whose entries are 0, or +-1 or +-2
     with probability density."""

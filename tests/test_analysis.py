@@ -17,13 +17,15 @@ exact = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(exact)
 
 
-def stokes_like(m):
-    """The 1-D Stokes-like saddle of tests/exact.py, n = 3m/2, as a float pencil.
-
-    At m = 16 its finite eigenvalues run from 17 to 561 in modulus, far
-    outside the |lambda| <= 2.2 of the generated fixtures.
-    """
-    return new_pencil(*(np.array(M, dtype=float) for M in exact.stokes_like(m)))
+def test_analysis_takes_one_svd_of_E(matrix_norm2_calls, matrix_svd_calls):
+    # svd_E gives norm_E and both chains' first steps; the certificate's
+    # Frobenius norm of E is no SVD
+    p, _ = generate(FixtureSpec(35, (3, 2), 100.0, 5))
+    p = new_pencil(p.E, p.A)  # nothing kept yet
+    matrix_norm2_calls.clear()
+    matrix_svd_calls.clear()
+    analyze_pencil(p)
+    assert [x is p.E for x in matrix_norm2_calls + matrix_svd_calls].count(True) == 1
 
 
 def test_complex_pencil_with_a_complex_consistent_space():
@@ -40,7 +42,10 @@ def test_complex_pencil_with_a_complex_consistent_space():
 
 
 def test_stokes_like_saddle():
-    report = analyze_pencil(stokes_like(16))
+    # the 1-D Stokes-like saddle of tests/exact.py, n = 24: its finite eigenvalues
+    # run from 17 to 561 in modulus, far outside the |lambda| <= 2.2 of the
+    # generated fixtures
+    report = analyze_pencil(new_pencil(*exact.stokes_like_floats(16)))
     assert report.n == 24 and report.regular
     assert report.stabilization == 1 and report.consistent_dim == 8
     assert report.index_nilpotency["k"] == 1

@@ -51,14 +51,17 @@ class TestComputeChain:
 
 
     @pytest.mark.parametrize("nu", [1, 3, 5])
-    def test_two_matrix_norms_whatever_the_step_count(self, matrix_norm2_calls, nu):
+    def test_two_matrix_norms_whatever_the_step_count(self, matrix_norm2_calls, matrix_svd_calls, nu):
         p, _ = generate(FixtureSpec(4, (nu,), 100.0, nu))
         p = new_pencil(p.E, p.A)  # nothing kept yet
         matrix_norm2_calls.clear()
+        matrix_svd_calls.clear()
         chain = compute_chain(p)
         assert chain.stabilization == nu - 1  # nu + 1 steps, one image and preimage each
-        assert len(matrix_norm2_calls) == 2
-        assert matrix_norm2_calls[0] is p.E and matrix_norm2_calls[1] is p.A
+        # E's one factorization is svd_E, whose top value is norm_E; A's is norm_A
+        assert [x is p.A for x in matrix_norm2_calls] == [True]
+        assert [x is p.E for x in matrix_svd_calls].count(True) == 1
+        assert not any(x is p.A for x in matrix_svd_calls)
 
 
 class TestIndexByChain:

@@ -436,6 +436,18 @@ class TestVerify:
         assert main(["verify", "--random", "3", "--dim-range", "2-20"]) == 1
         assert "error: expected 'a..b', got '2-20'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_random_below_one_names_the_flag(self, capsys, count):
+        assert main(["verify", "--random", count]) == 1
+        assert capsys.readouterr().err == f"error: --random {count}: draw at least 1 fixture\n"
+
+    @pytest.mark.parametrize("flag, text", [("--dim-range", "2..x"), ("--index-range", "0..")])
+    def test_range_end_not_an_integer_names_the_flag(self, capsys, flag, text):
+        assert main(["verify", "--random", "3", flag, text]) == 1
+        assert capsys.readouterr().err == (
+            f"error: expected 'a..b', got {text!r} for {flag}, a and b integers\n"
+        )
+
     @pytest.mark.parametrize("conditioning", ["inf", "nan"])
     def test_non_finite_conditioning_exit_1(self, capsys, conditioning):
         assert main(["verify", "--random", "3", "--conditioning", conditioning]) == 1

@@ -1,4 +1,6 @@
+import importlib.util
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +31,10 @@ from daepencil.pencils import (
 from daepencil.rng import make_rng
 from daepencil.solvers import decomposition_oracle, fitting_splitting
 from daepencil.verification import random_specs, run_suite
+
+_SPEC = importlib.util.spec_from_file_location("exact", Path(__file__).with_name("exact.py"))
+exact = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(exact)
 
 N2 = np.array([[0.0, 1.0], [0.0, 0.0]])
 N3 = np.eye(3, k=1)
@@ -487,19 +493,6 @@ def block_diagonal_pencil(p, q, scale):
     return new_pencil(*(scipy.linalg.block_diag(X, scale * Y) for X, Y in ((p.E, q.E), (p.A, q.A))))
 
 
-def stokes_pencil(m):
-    """The Stokes-like saddle E = diag(I_m, 0_q), A = [[L, B^T], [-B, 0]], q = m/2,
-    of the report gate (tools/report_gate.py), n = 3m/2."""
-    q, inv_h = m // 2, m + 1
-    E = np.diag(np.concatenate((np.ones(m), np.zeros(q))))
-    A = np.zeros((m + q, m + q))
-    A[:m, :m] = inv_h**2 * (2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1))
-    for i in range(q):
-        A[2 * i, m + i], A[2 * i + 1, m + i] = inv_h, -inv_h
-    A[m:, :m] = -A[:m, m:].T
-    return new_pencil(E, A)
-
-
 # the least _norm2 / sigma_max measured was 0.760 on 62,000 norm2_case
 # matrices drawn like TestNorm2's (kind, size, exponent, real or complex;
 # "gaussian" lowest, then "dominant" 0.812 and "block_diagonal" 0.866),
@@ -608,7 +601,7 @@ class TestNorm2:
     @pytest.mark.parametrize(
         "pencil",
         [
-            stokes_pencil(64),
+            new_pencil(*exact.stokes_like_floats(64)),
             block_diagonal_pencil(
                 generate(FixtureSpec(57, (3,), 100.0, 8))[0],
                 generate(FixtureSpec(48, (2,), 100.0, 9))[0],
@@ -645,7 +638,7 @@ class TestNorm2Verdicts:
             generate(FixtureSpec(60, (1, 1), 100.0, 33))[0],
             generate(FixtureSpec(50, (2, 2), 100.0, 36))[0],
             generate(FixtureSpec(55, (3, 2), 100.0, 5))[0],
-            stokes_pencil(32),
+            new_pencil(*exact.stokes_like_floats(32)),
         ],
         ids=["invertible_E_n50", "invertible_E_n60", "growth0_n62", "growth1_n54", "growth2_n60",
              "stokes_m32"],
@@ -802,7 +795,9 @@ class TestCachedArtifacts:
     def test_second_call_returns_same_object(self):
         p, _ = generate(FixtureSpec(2, (3,), seed=12))
         assert certify_regularity(p) is certify_regularity(p)
-        assert p.norm_E == np.linalg.norm(p.E, 2)
+        # norm_E is the top value of the one kept SVD of E, not a second SVD
+        assert p.norm_E == p.svd_E[1][0]
+        assert p.norm_E == pytest.approx(np.linalg.norm(p.E, 2), rel=1e-14, abs=0.0)
         assert p.norm_A == np.linalg.norm(p.A, 2)
 
     def test_index_routes_share_one_certificate(self, monkeypatch):
