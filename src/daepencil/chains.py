@@ -76,7 +76,7 @@ def compute_chain(pencil: Pencil, tol: RankTolerance = RankTolerance()) -> IvCha
         images = []
 
         def step(space):
-            images.append(image(pencil.E, space, pencil.norm_E, pencil.svd_E))
+            images.append(image(pencil.E, space, svd=pencil.svd_E))
             return preimage(pencil.A, images[-1], pencil.norm_A)
 
         spaces = [full_space(pencil.n, tol)]

@@ -71,6 +71,8 @@ def _build_parser():
         "its distance to IV_(k+1) and the jump u(0+), its range part along W*, as exponential does",
     )
     p_solve.add_argument("--csv", dest="csv_out", help="write the trajectory here (default stdout)")
+    p_solve.add_argument("--tol", type=float, default=1e-10, help="rank tolerance of the IV "
+                         "chain; --method exponential reads it, oracle keeps 1e-10, euler none")
 
     p_verify = sub.add_parser("verify", help="run the property suite on fixtures")
     p_verify.add_argument("--fixtures", help="JSON file with a list of fixture specs")
@@ -90,7 +92,7 @@ def _build_parser():
     )
     p_generate.add_argument("--conditioning", type=float, default=100.0)
     p_generate.add_argument("--out", required=True, help="output directory (created if missing)")
-    for p in (p_analyze, p_solve, p_verify, p_generate):
+    for p in (p_analyze, p_verify, p_generate):
         p.add_argument("--tol", type=float, default=1e-10, help="rank tolerance of the IV chain")
     for p in (p_analyze, p_verify, p_generate):  # solve reads no seed
         p.add_argument(

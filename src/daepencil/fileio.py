@@ -108,15 +108,12 @@ def _layout(E):
     return _bytes(1, 2), _bytes(3, 19), const, _text(2, "."), 16
 
 
-def _words(column):
-    """A column of 24-byte ints as three rows of little-endian uint64 words."""
-    words = [[(v >> (64 * w)) & (2**64 - 1) for v in column] for w in range(3)]
-    return np.array(words, dtype=np.uint64)
-
-
-_INT_MASK, _FRAC_MASK, _CONST, _POINT, _SHIFT = zip(*(_layout(E) for E in range(_E_LO, _E_HI + 1)))
-_INT_MASK, _FRAC_MASK, _CONST, _POINT = map(_words, (_INT_MASK, _FRAC_MASK, _CONST, _POINT))
-_SHIFT = np.array(_SHIFT, dtype=np.uint64)
+# _layout per E - _E_LO as 13 rows: each 24-byte int's three little-endian uint64 words, then shift
+_LAYOUT = np.array(
+    [[(v >> (64 * w)) & (2**64 - 1) for v in ints for w in range(3)] + [shift]
+     for *ints, shift in map(_layout, range(_E_LO, _E_HI + 1))],
+    dtype=np.uint64,
+).T.copy()
 
 
 def _digit_values(n):
@@ -176,18 +173,19 @@ def _format_block(x, seps):
     # trailing zero digits become holes in the fraction copy
     hct = hc & _through_last_nonzero(hv | ((lv != 0).astype(np.uint64) << 56))
     lct = lc & _through_last_nonzero(lv)
-    s = _SHIFT[j]
-    f0 = ((d0 << s) | (hct << (s + 8))) & _FRAC_MASK[0][j]
-    f1 = ((hct >> (56 - s)) | (lct << (s + 8))) & _FRAC_MASK[1][j]
-    f2 = (lct >> (56 - s)) & _FRAC_MASK[2][j]
+    # each row is gathered where it is used: one gather of all 13 holds 13 words a value
+    (int_mask, frac_mask, const, point_at), s = _LAYOUT[:12].reshape(4, 3, -1), _LAYOUT[12][j]
+    f0 = ((d0 << s) | (hct << (s + 8))) & frac_mask[0][j]
+    f1 = ((hct >> (56 - s)) | (lct << (s + 8))) & frac_mask[1][j]
+    f2 = (lct >> (56 - s)) & frac_mask[2][j]
     point = (f0 | f1 | f2) != 0
     rows = np.empty((x.size, 4), dtype="<u8")
     sign = np.signbit(x).astype(np.uint64) * ord("-")
-    rows[:, 0] = ((d0 << 8) | (hc << 16)) & _INT_MASK[0][j] | f0 | sign
-    rows[:, 1] = ((hc >> 48) | (lc << 16)) & _INT_MASK[1][j] | f1
-    rows[:, 2] = (lc >> 48) & _INT_MASK[2][j] | f2
+    rows[:, 0] = ((d0 << 8) | (hc << 16)) & int_mask[0][j] | f0 | sign
+    rows[:, 1] = ((hc >> 48) | (lc << 16)) & int_mask[1][j] | f1
+    rows[:, 2] = (lc >> 48) & int_mask[2][j] | f2
     for w in range(3):
-        rows[:, w] |= _CONST[w][j] | _POINT[w][j] * point
+        rows[:, w] |= const[w][j] | point_at[w][j] * point
     rows[:, 3] = seps
 
     slow = np.flatnonzero(~ok)

@@ -431,7 +431,7 @@ def _wong_chain(pencil: Pencil):
     def build():
         def step(W):
             S = image(pencil.A, W, pencil.norm_A)
-            return preimage(pencil.E, S, pencil.norm_E, pencil.svd_E)
+            return preimage(pencil.E, S, svd=pencil.svd_E)
 
         return tuple(_monotone_chain(step, zero_space(pencil.n, RankTolerance())))
 

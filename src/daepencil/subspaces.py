@@ -90,11 +90,11 @@ def _as_inexact(M):
     return M
 
 
-def _orthonormal_columns(M, tol: RankTolerance, reference=None):
-    """Orthonormal basis of the column space of M under the rank rule."""
+def _orthonormal_columns(M, tol: RankTolerance):
+    """Orthonormal basis of the column space of M, ranked against its own sigma_max."""
     M = _as_inexact(M)
     U, s, _ = np.linalg.svd(M, full_matrices=False)
-    return np.ascontiguousarray(U[:, : tol.rank(s, M.shape, reference)])
+    return np.ascontiguousarray(U[:, : tol.rank(s, M.shape)])
 
 
 def _nullspace_columns(M, tol: RankTolerance, reference=None, shape=None, svd=None):
@@ -171,37 +171,37 @@ def zero_space(n: int, tol: RankTolerance = RankTolerance()) -> Subspace:
     return Subspace(np.zeros((n, 0)), tol)
 
 
-def _check_square_matching(M, S: Subspace):
+def _check_square(M, n=None):
+    """M as an inexact square matrix, of size n where n is given."""
     M = _as_inexact(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ShapeMismatchError(f"expected a square matrix, got shape {M.shape}")
-    if M.shape[0] != S.ambient_dim:
-        raise ShapeMismatchError(
-            f"matrix size {M.shape[0]} does not match ambient dimension {S.ambient_dim}"
-        )
+    if n is not None and M.shape[0] != n:
+        raise ShapeMismatchError(f"matrix size {M.shape[0]} does not match ambient dimension {n}")
     return M
 
 
-def _check_same_ambient(S: Subspace, T: Subspace):
-    if S.ambient_dim != T.ambient_dim:
-        raise ShapeMismatchError(
-            f"ambient dimensions differ: {S.ambient_dim} vs {T.ambient_dim}"
-        )
+def _given_scale(scale, svd):
+    """||M||_2 as given: the top value of a kept svd = np.linalg.svd(M), or scale."""
+    if svd is not None and scale is not None:
+        raise ValueError("give svd or scale, not both: a kept svd carries ||M||_2")
+    return scale if svd is None else svd[1][0]
 
 
 def image(M, S: Subspace, scale=None, svd=None) -> Subspace:
     """span{M b : b in S.basis}, the image of S under M.
 
-    Rank decisions are taken relative to scale = ||M||_2 (taken unless given), so an
-    image that vanishes to roundoff collapses to {0}, not kept alive by its noise.
-    The image of a thick S (more than n/2 dimensions) takes its SVD with the
-    full left factor and keeps the rest of that factor as the image's
-    complement, from which preimage takes a thin kernel.  svd, where given,
-    is np.linalg.svd(M), which the caller keeps: where S is the whole space,
-    its image, the range of M, is read from it and no SVD is taken.
+    Rank decisions are taken relative to ||M||_2, so an image that vanishes to
+    roundoff collapses to {0}, not kept alive by its noise.  svd, where given, is
+    np.linalg.svd(M), kept by the caller: ||M||_2 is its top singular value, and
+    the range of M, the image of the whole space, is read from it.  Otherwise
+    ||M||_2 is scale, taken unless given; giving both is a ValueError.  The image
+    of a thick S (more than n/2 dimensions) takes its SVD with the full left factor
+    and keeps the rest of it as the complement, from which preimage takes a thin kernel.
     """
-    M = _check_square_matching(M, S)
+    M = _check_square(M, S.ambient_dim)
     n, d = S.basis.shape
+    scale = _given_scale(scale, svd)
     if d == 0:
         return zero_space(n, S.tol)
     scale = np.linalg.norm(M, 2) if scale is None else scale
@@ -219,14 +219,13 @@ def preimage(M, S: Subspace, scale=None, svd=None) -> Subspace:
     its complement Q.
 
     Always contains ker M; is the full space, with no SVD, when S is.  Rank
-    decisions are relative to scale = ||M||_2 (taken unless given), the map's
-    natural scale, at M's shape n x n in both forms: Q^H M is the c x n
-    kernel problem of an S of codimension c, and in exact arithmetic its
-    singular values are the nonzero ones of (I - P_S) M, so the two forms
-    share one cutoff.  svd, where given, is np.linalg.svd(M), which the
-    caller keeps: where S is {0}, ker M is read from it and no SVD is taken.
+    decisions are relative to ||M||_2, given as in image, at M's shape n x n in
+    both forms: Q^H M is the c x n kernel problem of an S of codimension c, and in
+    exact arithmetic its singular values are the nonzero ones of (I - P_S) M, so
+    the two forms share one cutoff.  Where S is {0}, ker M is read from svd.
     """
-    M = _check_square_matching(M, S)
+    M = _check_square(M, S.ambient_dim)
+    scale = _given_scale(scale, svd)
     if S.dim == S.ambient_dim:
         return full_space(S.ambient_dim, S.tol)
     scale = np.linalg.norm(M, 2) if scale is None else scale
@@ -240,10 +239,7 @@ def preimage(M, S: Subspace, scale=None, svd=None) -> Subspace:
 
 def kernel(M, tol: RankTolerance = RankTolerance()) -> Subspace:
     """Kernel of a square matrix as a Subspace."""
-    M = _as_inexact(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ShapeMismatchError(f"expected a square matrix, got shape {M.shape}")
-    return Subspace(_nullspace_columns(M, tol), tol)
+    return Subspace(_nullspace_columns(_check_square(M), tol), tol)
 
 
 def project(S: Subspace, v):
@@ -270,7 +266,8 @@ def contains(S: Subspace, T: Subspace) -> bool:
     Each unit basis vector t of T must satisfy distance(S, t) <= membership of
     the coarser of the two operands' tolerances (one projection for all).
     """
-    _check_same_ambient(S, T)
+    if S.ambient_dim != T.ambient_dim:
+        raise ShapeMismatchError(f"ambient dimensions differ: {S.ambient_dim} vs {T.ambient_dim}")
     if T.dim == 0:
         return True
     if T.dim > S.dim:

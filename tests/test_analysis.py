@@ -28,6 +28,25 @@ def test_analysis_takes_one_svd_of_E(matrix_norm2_calls, matrix_svd_calls):
     assert [x is p.E for x in matrix_norm2_calls + matrix_svd_calls].count(True) == 1
 
 
+def test_analysis_factorizations(monkeypatch, matrix_norm2_calls):
+    # the factorizations of one conditioning-100 analysis, n = 40: a second
+    # SVD of E, a second chain or an extra resolvent grid changes a count
+    p, _ = generate(FixtureSpec(35, (3, 2), 100.0, 5))
+    p = new_pencil(p.E, p.A)  # nothing kept yet
+    calls = {name: [] for name in ("inv", "solve", "svd", "eigvals")}
+    for name, seen in calls.items():
+        real = getattr(np.linalg, name)
+        counted = lambda a, *r, _real=real, _seen=seen, **k: _seen.append(a) or _real(a, *r, **k)
+        monkeypatch.setattr(np.linalg, name, counted)
+    matrix_norm2_calls.clear()
+    analyze_pencil(p, seed=1)
+    assert {name: len(seen) for name, seen in calls.items()} == {
+        "inv": 3, "solve": 7, "svd": 15, "eigvals": 1
+    }
+    assert sum(np.prod(np.shape(a)[:-2], dtype=int) for a in calls["inv"]) == 44
+    assert len(matrix_norm2_calls) == 1
+
+
 def test_complex_pencil_with_a_complex_consistent_space():
     # a complex right factor Q leaves no real vector in the consistent space,
     # so the transform match must take the basis vector as it is

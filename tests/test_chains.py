@@ -188,7 +188,7 @@ def oscillating(monkeypatch, module, name, n, dims):
     calls = []
     cycle = itertools.cycle(dims)
 
-    def step(*args):
+    def step(*args, **kwargs):
         calls.append(args)
         if len(calls) > 4 * n + 10:
             raise AssertionError(f"{name} called {len(calls)} times: the chain never stops")

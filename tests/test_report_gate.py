@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from daepencil.fileio import parse_matrix_market
+
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "report_gate.py"
 _SPEC = importlib.util.spec_from_file_location("report_gate", _PATH)
 report_gate = importlib.util.module_from_spec(_SPEC)
@@ -130,3 +132,12 @@ def test_csv_header_or_ragged_row_is_printed_as_a_line(old, tmp_path, capsys):
         "fixture/euler.csv: 1 differing cell(s), by column:\n"
         "  u_1: 1, largest relative change inf, largest magnitude 5.00e-01\n"
     ) in out
+
+
+@pytest.mark.parametrize("m", report_gate.STOKES_M)
+def test_stokes_files_are_the_exact_saddle(tmp_path, m):
+    # the gate writes tests/exact.py's saddle, not a builder of its own
+    report_gate._write_stokes(tmp_path, m)
+    E, A = report_gate.exact.stokes_like_floats(m)
+    assert parse_matrix_market(tmp_path / "E.mtx").tolist() == E
+    assert parse_matrix_market(tmp_path / "A.mtx").tolist() == A

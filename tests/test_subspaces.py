@@ -328,18 +328,25 @@ def _projector_preimage(M, S):
     return Subspace(Vh[S.tol.rank(s, K.shape, np.linalg.norm(M, 2)) :].conj().T)
 
 
+def _bits(S):
+    """A subspace's basis and kept complement, bit for bit."""
+    return [(x.shape, x.tobytes()) for x in (S.basis, S.complement) if x is not None]
+
+
 class TestComplementPreimage:
     """The preimage of a subspace that keeps its complement Q is ker(Q^H M),
     the same space of the same dimension as ker((I - P_S) M)."""
 
-    @settings(max_examples=80, deadline=None)
-    @given(
+    population = given(
         n=st.integers(1, 7),
         seed=st.integers(0, 2**32 - 1),
         kind=st.sampled_from(["zero", "full", "thick", "thin"]),
         complex_=st.booleans(),
     )
-    def test_equals_the_projector_preimage(self, n, seed, kind, complex_):
+
+    @staticmethod
+    def _draw(n, seed, kind, complex_):
+        """(M, S): a map M with a kernel of any dimension and a subspace S of the kind."""
         rng = np.random.default_rng(seed)
 
         def draw(shape):
@@ -358,11 +365,30 @@ class TestComplementPreimage:
             assume(lo <= hi)
             d = int(rng.integers(lo, hi + 1))
             S = image(X, Subspace(np.linalg.qr(draw((n, n)))[0][:, :d]))
+        return M, S
+
+    @settings(max_examples=80, deadline=None)
+    @population
+    def test_equals_the_projector_preimage(self, n, seed, kind, complex_):
+        M, S = self._draw(n, seed, kind, complex_)
         assert (S.complement is not None) == (kind in ("full", "thick"))
         expected = _projector_preimage(M, S)
         for svd in (None, np.linalg.svd(M)):
             got = preimage(M, S, svd=svd)
             assert got.dim == expected.dim and equal(got, expected)
+
+    @settings(max_examples=80, deadline=None)
+    @population
+    def test_a_kept_svd_is_its_own_scale(self, n, seed, kind, complex_):
+        # svd alone ranks against svd[1][0], bit for bit; the image of a whole
+        # space S other than full_space reads the range from svd, not from M S
+        M, S = self._draw(n, seed, kind, complex_)
+        svd = np.linalg.svd(M)
+        calls = [(image, full_space(n)), (preimage, S)] + [(image, S)] * (S.dim < n)
+        for f, T in calls:
+            assert _bits(f(M, T, svd=svd)) == _bits(f(M, T, scale=svd[1][0]))
+            with pytest.raises(ValueError, match="not both"):
+                f(M, T, scale=svd[1][0], svd=svd)
 
 
 class TestToleranceMerging:

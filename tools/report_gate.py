@@ -37,15 +37,18 @@ labelled lines belong to the error's payload.  It writes the
 s = IDENTITY_POINTS[3] of `daepencil.analysis`, as exact array files: sE + A
 is exactly zero at an identity point, so the stacked solve of the identity
 grid is refused, the grid is solved point by point, and that point is nudged
-to 1.01 s.  It also writes the `analyze --json` report of a 1-D Stokes-like saddle at
-m = 16 (n = 24) and at m = 64 (n = 96), whose `E.mtx` and `A.mtx` it writes
-itself with exact entries.  The small saddle's finite eigenvalues run from 17
-to 561 in modulus, far outside the |lambda| <= 2.2 of every generated
-fixture, so the gate also covers a pencil with a wide finite spectrum; the
-large one's resolvents are sparse-structured, not randomly rotated, and
-their top singular values lie close enough together that the power steps of
-`pencils._norm2` fall short of `sigma_max` (to 0.91 of it).  SRC is the `src` directory of the checkout to run (this checkout's
-by default), so two checkouts can be gated against each other.
+to 1.01 s.  It also writes the `analyze --json` report of the 1-D Stokes-like
+saddle `stokes_like(m)` of `tests/exact.py` at m = 16 (n = 24) and at m = 64
+(n = 96), whose nonzero integer entries it writes exactly as the coordinate
+files `E.mtx` and `A.mtx`, so they are the tests' saddles by construction.
+The small saddle's finite eigenvalues run from 17 to 561 in modulus, far
+outside the |lambda| <= 2.2 of every generated fixture, so the gate also
+covers a pencil with a wide finite spectrum; the large one's resolvents are
+sparse-structured, not randomly rotated, and their top singular values lie
+close enough together that the power steps of `pencils._norm2` fall short
+of `sigma_max` (to 0.91 of it).  SRC is the `src` directory of the checkout
+to run (this checkout's by default), so two checkouts can be gated against
+each other.
 
 `compare` prints every JSON leaf and text line that differs between two
 `run` directories as old -> new, marking numbers that went down, and
@@ -66,19 +69,27 @@ Any other text file has its lines paired by `difflib.SequenceMatcher` and
 prints each run of removed and added lines, so a table that loses one row
 shows that one line, not every line after it.
 
-Only the standard library and the CLI are used.
+Only the standard library, the CLI and `tests/exact.py` (standard library
+only) are used.
 """
 
 from __future__ import annotations
 
 import argparse
 import difflib
+import importlib.util
 import json
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+_SPEC = importlib.util.spec_from_file_location(
+    "exact", Path(__file__).resolve().parents[1] / "tests" / "exact.py"
+)
+exact = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(exact)
 
 # (generate --n1, --blocks, --seed, analyze --seed); None means no --blocks
 ANALYZE_FIXTURES = (
@@ -108,7 +119,7 @@ SOLVE_METHODS = ("exponential", "oracle", "euler")
 REFUSED = ("--n1", 16, "--blocks", 1, "--conditioning", "1e6", "--seed", 219515429046291558)
 # IDENTITY_POINTS[3] = np.geomspace(0.5, 50.0, 20)[3], exactly, the pole of the pole pencil
 POLE = "1.0345690405573948"
-# m of the Stokes-like saddles E = diag(I_m, 0_{m/2}), A = [[L, B^T], [-B, 0]]
+# m of the Stokes-like saddles exact.stokes_like(m)
 STOKES_M = (16, 64)
 VERIFY_ARGS = ("--random", "60", "--dim-range", "2..20", "--index-range", "0..4")
 # output name -> the verify options that follow VERIFY_ARGS
@@ -135,25 +146,11 @@ def _write_coordinate(path, n, entries):
 
 
 def _write_stokes(fixture: Path, m: int):
-    """E.mtx and A.mtx of the Stokes-like saddle E = diag(I_m, 0_q),
-    A = [[L, B^T], [-B, 0]], q = m/2, h = 1/(m + 1).
-
-    L is the tridiagonal Laplacian over h^2 (2/h^2 on the diagonal, -1/h^2
-    beside it) and row i of B holds 1/h at node 2i and -1/h at node 2i + 1,
-    so every entry is an integer and is written exactly.
-    """
-    q, inv_h = m // 2, m + 1
-    E = {(i, i): 1 for i in range(m)}
-    A = {(i, i): 2 * inv_h**2 for i in range(m)}
-    for i in range(m - 1):
-        A[i, i + 1] = A[i + 1, i] = -inv_h**2
-    for i in range(q):
-        for node, b in ((2 * i, inv_h), (2 * i + 1, -inv_h)):
-            A[node, m + i] = b  # B^T
-            A[m + i, node] = -b  # -B
+    """E.mtx and A.mtx of exact.stokes_like(m), its nonzero entries only."""
     fixture.mkdir(parents=True, exist_ok=True)
-    _write_coordinate(fixture / "E.mtx", m + q, E)
-    _write_coordinate(fixture / "A.mtx", m + q, A)
+    for name, M in zip(("E.mtx", "A.mtx"), exact.stokes_like(m)):
+        entries = {(i, j): v for i, row in enumerate(M) for j, v in enumerate(row) if v}
+        _write_coordinate(fixture / name, len(M), entries)
 
 
 def _write_diagonal(path, d0, d1):
